@@ -4,13 +4,11 @@ Commands mirror the experiment families: verify (closed-form inequality
 suites), certify (moment-condition certificates), tail (tail-ratio report),
 mdp (moderate-deviation scan), couple (quantile coupling report) and mixing
 (block-sum ratio experiment).  Exit codes: 0 ok, 1 assertion failure,
-2 usage error.  Output is deterministic for a fixed config; the worker flag
-exists for symmetry with other runners and never changes results."""
+2 usage error.  Output is deterministic for a fixed config."""
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -18,11 +16,11 @@ import numpy as np
 
 from . import verify as verify_suites
 from .bounds import BoundParams
-from .coupling import coupling_tail_report, write_coupling_csv
+from .coupling import CouplingReport, coupling_tail_report
 from .mixing import mixing_tail_experiment, two_state_chain
 from .models import (CertificationError, ModelError, certify, make_heavy_left,
                      make_rademacher, make_regime_switch)
-from .montecarlo import mdp_scan, ratio_report
+from .montecarlo import mdp_scan, ratio_report, write_csv
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -115,12 +113,8 @@ def cmd_mdp(args):
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     path = _out_path(args, f"mdp_seed{args.seed}.csv")
-    with open(path, "w") as fh:
-        fh.write(f"# {_echo_config(args)}\n")
-        fh.write("n,a_n,x,p_hat,se,rate,ess\n")
-        for row in table:
-            fh.write(",".join(repr(row[c]) for c in
-                              ("n", "a_n", "x", "p_hat", "se", "rate", "ess")) + "\n")
+    write_csv(path, ("n", "a_n", "x", "p_hat", "se", "rate", "ess"), table,
+              _echo_config(args))
     target = -args.b ** 2 / 2.0
     for row in table:
         print(f"n={row['n']:>8}  rate={row['rate']:.4f}  (target {target:.4f})")
@@ -133,7 +127,8 @@ def cmd_couple(args):
     reports = [coupling_tail_report(n, args.budget, args.seed, alpha=args.alpha)
                for n in ns]
     path = _out_path(args, f"couple_seed{args.seed}.csv")
-    write_coupling_csv(path, reports, header_comment=_echo_config(args))
+    write_csv(path, CouplingReport.CSV_COLUMNS, [vars(r) for r in reports],
+              _echo_config(args))
     for r in reports:
         print(f"n={r.n:>6}  D_hat={r.D_hat:.4f}  tail_slope={r.tail_slope:.2f}"
               f"  frac_event={r.frac_event:.3f}")
@@ -170,8 +165,6 @@ def build_parser():
                     "martingale moderate deviations")
     parser.add_argument("--config", help="JSON file with default flag values")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="accepted for symmetry; results never depend on it")
     parser.add_argument("--out", default=".", help="artifact directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -223,28 +216,38 @@ def build_parser():
     return parser
 
 
+def _apply_config(parser, args):
+    """Make each field of the --config file the default of the flag it names,
+    on the parser (top-level or the command's) that owns that flag.  Values
+    go in as strings, so the flag's own type converts them, a bad value is a
+    usage error, and a flag given on the command line still wins."""
+    try:
+        with open(args.config) as fh:
+            fields = json.load(fh)
+    except (OSError, json.JSONDecodeError) as e:
+        parser.error(f"config error in {args.config}: {e}")
+    if not isinstance(fields, dict):
+        parser.error(f"config error in {args.config}: expected a JSON object")
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    for key, value in fields.items():
+        dest = key.replace("-", "_")
+        owners = [p for p in (parser, commands[args.command]) if any(
+            a.dest == dest and a.option_strings for a in p._actions)]
+        if not owners:
+            parser.error(f"config error: unknown field {key!r}")
+        owners[0].set_defaults(**{dest: str(value)})
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            _apply_config(parser, args)
+            args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                defaults = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            print(f"config error in {args.config}: {e}", file=sys.stderr)
-            return EXIT_USAGE
-        # config supplies defaults; flags given on the command line still win
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
-                print(f"config error: unknown field {key!r}", file=sys.stderr)
-                return EXIT_USAGE
-            if f"--{key}" not in argv:
-                setattr(args, attr, value)
     try:
         return args.func(args)
     except (ModelError, ValueError) as e:

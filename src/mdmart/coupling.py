@@ -5,12 +5,17 @@ The generalized inverse H(s) = inf{x : F(x) >= s} is left-continuous; ties
 resolve by the inf convention, so lattice atoms are reproduced exactly."""
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import binom, norm
+
+from .montecarlo import seeded_chunks
+
+# normal draws per chunk; fixed, because the chunking is part of the stream
+# layout that makes a report a pure function of (n, budget, seed)
+COUPLE_CHUNK = 1 << 16
 
 
 class QuantileFunction:
@@ -123,21 +128,6 @@ class CouplingReport:
     CSV_COLUMNS = ("n", "seed", "D_hat", "tail_slope", "tail_intercept",
                    "frac_event", "budget")
 
-    def write_csv_row(self, writer):
-        writer.writerow([self.n, self.seed, repr(self.D_hat),
-                         repr(self.tail_slope), repr(self.tail_intercept),
-                         repr(self.frac_event), self.budget])
-
-
-def write_coupling_csv(path, reports, header_comment: str = ""):
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(CouplingReport.CSV_COLUMNS)
-        for rep in reports:
-            rep.write_csv_row(writer)
-
 
 def coupling_tail_report(n: int, budget: int, seed: int,
                          alpha: float = 0.125) -> CouplingReport:
@@ -153,16 +143,11 @@ def coupling_tail_report(n: int, budget: int, seed: int,
         raise ValueError("budget too small to resolve the deviation tail")
     qf = ExactBinomialQuantile(n)
     sqrt_n, log_n = math.sqrt(n), math.log(n)
-    chunk = 1 << 16
     d_hat = 0.0
     on_event = 0
     max_dev = 0.0
     devs = []
-    done = 0
-    j = 0
-    while done < budget:
-        size = min(chunk, budget - done)
-        rng = np.random.Generator(np.random.Philox(key=[seed, j]))
+    for rng, size in seeded_chunks(seed, budget, COUPLE_CHUNK):
         z = rng.standard_normal(size)
         w = qf.evaluate_batch(norm.cdf(z))
         dev = sqrt_n * np.abs(w - z) / log_n
@@ -172,8 +157,6 @@ def coupling_tail_report(n: int, budget: int, seed: int,
         on_event += int(mask.sum())
         if mask.any():
             d_hat = max(d_hat, float(np.max(dev[mask] / (2.0 * (w[mask] ** 2 + 1.0)))))
-        done += size
-        j += 1
     dev = np.concatenate(devs)
     slope, intercept = _fit_exponential_tail(dev)
     return CouplingReport(n=n, seed=seed, budget=budget, alpha=alpha,

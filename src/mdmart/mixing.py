@@ -10,18 +10,18 @@ dominates it, and all bounds are upper bounds, so substituting psi_bar keeps
 every check conservative."""
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import BoundParams, gaussian_tail, ratio_envelope
-from .montecarlo import RatioReport, RatioRow, clopper_pearson
+from .montecarlo import (RatioReport, RatioRow, clopper_pearson, seeded_chunks,
+                         seeded_stream)
 
-# block-sum paths are long, so chunks are larger here than in the generic
-# engine; the chunk size is a fixed constant, so determinism is unaffected
+# block-sum paths are long, so chunks are larger here than in the tail
+# estimators; the chunk size is a fixed constant, so determinism is unaffected
 MIX_CHUNK = 65536
 
 
@@ -219,7 +219,6 @@ class BlockDecomposition:
     k: int
     blocks: np.ndarray   # Y_1..Y_k
     S_n: float
-    es2: float | None = None
 
 
 def block_indices(n: int, alpha: float):
@@ -381,17 +380,13 @@ def berbee_mismatch_probability(chain: MarkovChainSpec, m: int, k: int,
     """Empirical P(any block mismatches) over `reps` coupled realizations,
     with its standard error."""
     tables = _BerbeeTables(chain, m)
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    rng = seeded_stream(seed)
     hits = 0
     for _ in range(reps):
         if berbee_couple(chain, m, k, rng, tables=tables).mismatch.any():
             hits += 1
     p = hits / reps
     return p, math.sqrt(p * (1.0 - p) / reps)
-
-
-def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
-    return int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +466,7 @@ def simulate_block_sums(chain: MarkovChainSpec, n: int, alpha: float,
 
     out = np.empty(budget)
     done = 0
-    j = 0
-    while done < budget:
-        size = min(MIX_CHUNK, budget - done)
-        rng = np.random.Generator(np.random.Philox(key=[seed, j]))
+    for rng, size in seeded_chunks(seed, budget, MIX_CHUNK):
         state = np.searchsorted(cum_pi, rng.random(size), side="right")
         total = chain.f[state].copy()
         for blk in range(k):
@@ -486,7 +478,6 @@ def simulate_block_sums(chain: MarkovChainSpec, n: int, alpha: float,
                 total += chain.f[state]
         out[done:done + size] = total
         done += size
-        j += 1
     return out
 
 

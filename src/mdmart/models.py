@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -231,25 +231,6 @@ class MartingaleModel:
             x += values[idx]
         psi = self.n * tl.step_log_mgf
         return TerminalBatch(x=x, log_weight=-lam * x + psi)
-
-
-def sample_path(model: MartingaleModel, rng: np.random.Generator) -> Path:
-    """Draw one path increment by increment; bracket accumulated exactly."""
-    n = model.n
-    scale = 1.0 / math.sqrt(n)
-    state = model.initial_state()
-    incs = np.empty(n)
-    sums = np.zeros(n + 1)
-    bracket = np.zeros(n + 1)
-    for i in range(n):
-        law = model.law_at(state)
-        k = rng.choice(len(law.atoms), p=[p for _, p in law.atoms])
-        eta = law.atoms[k][0]
-        incs[i] = eta * scale
-        sums[i + 1] = sums[i] + incs[i]
-        bracket[i + 1] = bracket[i] + law.second_moment() / n
-        state = model.next_state(state, eta)
-    return Path(increments=incs, partial_sums=sums, bracket=bracket)
 
 
 def certify(model: MartingaleModel, grid=DEFAULT_GRID) -> Certificate:

@@ -1,9 +1,9 @@
-"""Deterministic parallel Monte Carlo engine for tail estimation.
+"""Deterministic chunked Monte Carlo engine for tail estimation.
 
 Sampling is chunked: chunk j draws from a counter-based Philox stream keyed
 (master_seed, j), and per-chunk statistics are merged in index order with
 compensated summation.  Results are therefore a pure function of
-(model, parameters, seed) no matter how chunks are distributed over workers.
+(model, parameters, seed); the coupling and mixing simulators draw the same way.
 """
 from __future__ import annotations
 
@@ -36,16 +36,17 @@ class TailEstimate:
     flags: list = field(default_factory=list)
 
 
-def _chunk_rng(seed: int, j: int) -> np.random.Generator:
+def seeded_stream(seed: int, j: int = 0) -> np.random.Generator:
+    """The counter-based Philox stream keyed [seed, j]."""
     return np.random.Generator(np.random.Philox(key=[seed, j]))
 
 
-def _chunk_sizes(n_samples: int):
-    full, rem = divmod(n_samples, CHUNK)
-    sizes = [CHUNK] * full
-    if rem:
-        sizes.append(rem)
-    return sizes
+def seeded_chunks(seed: int, total: int, size: int):
+    """Yield (rng, count) for `total` draws split into chunks of `size`; the
+    last chunk holds the remainder.  Chunk j draws from the stream keyed
+    [seed, j], so each chunk is a pure function of (seed, j)."""
+    for j, start in enumerate(range(0, total, size)):
+        yield seeded_stream(seed, j), min(size, total - start)
 
 
 def clopper_pearson(successes: int, trials: int, level: float = 0.95):
@@ -61,8 +62,8 @@ def estimate_tail_plain(model: MartingaleModel, x: float, n_samples: int,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     counts = []
-    for j, size in enumerate(_chunk_sizes(n_samples)):
-        batch = model.simulate_terminal(size, _chunk_rng(seed, j))
+    for rng, size in seeded_chunks(seed, n_samples, CHUNK):
+        batch = model.simulate_terminal(size, rng)
         counts.append(float(np.count_nonzero(batch.x > x)))
     k = int(math.fsum(counts))
     p = k / n_samples
@@ -84,8 +85,8 @@ def estimate_tail_tilted(model: MartingaleModel, x: float, lam: float,
     if lam < 0.0:
         raise ValueError("lambda must be >= 0")
     s1, s2 = [], []
-    for j, size in enumerate(_chunk_sizes(n_samples)):
-        batch = model.simulate_terminal(size, _chunk_rng(seed, j), lam=lam)
+    for rng, size in seeded_chunks(seed, n_samples, CHUNK):
+        batch = model.simulate_terminal(size, rng, lam=lam)
         w = np.where(batch.x > x, np.exp(batch.log_weight), 0.0)
         s1.append(math.fsum(w))
         s2.append(math.fsum(w * w))
@@ -134,14 +135,23 @@ class RatioReport:
                    "n_samples", "seed")
 
     def write_csv(self, path, header_comment: str = ""):
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(self.CSV_COLUMNS)
-            for r in self.rows:
-                writer.writerow([repr(getattr(r, c)) if isinstance(getattr(r, c), float)
-                                 else getattr(r, c) for c in self.CSV_COLUMNS])
+        write_csv(path, self.CSV_COLUMNS, [vars(r) for r in self.rows],
+                  header_comment)
+
+
+def write_csv(path, columns, rows, header_comment: str = ""):
+    """The one artifact format: an optional '# ' comment line, the column
+    names, then one '\n'-terminated line per mapping in `rows`.  Integers are
+    written as themselves and all else as repr(float(v)), so fields parse."""
+    with open(path, "w", newline="") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            values = [row[c] for c in columns]
+            writer.writerow([v if isinstance(v, int) else repr(float(v))
+                             for v in values])
 
 
 def ratio_report(model: MartingaleModel, x_grid: Sequence[float], budget: int,

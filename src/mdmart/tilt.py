@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
-from .models import ConditionalLaw, MartingaleModel, Path, sample_path
+from .models import ConditionalLaw, MartingaleModel, Path
 
 RESIDUAL_TOL = 1e-12
 
@@ -74,7 +74,9 @@ class TiltedPath:
 
 def sample_tilted_path(model: MartingaleModel, lam: float,
                        rng: np.random.Generator) -> TiltedPath:
-    """Draw one path under P_lam, accumulating Psi_n and the drift steps."""
+    """Draw one path under P_lam, accumulating Psi_n and the drift steps;
+    lam = 0 draws a path of the model itself.  The bracket is accumulated
+    exactly from the untilted conditional laws."""
     n = model.n
     scale = 1.0 / math.sqrt(n)
     state = model.initial_state()

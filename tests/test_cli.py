@@ -1,8 +1,11 @@
 import json
+import os
+import shlex
+from pathlib import Path
 
 import pytest
 
-from mdmart.cli import main
+from mdmart.cli import build_parser, main
 
 
 def test_verify_passes(capsys):
@@ -29,20 +32,29 @@ def test_tail_byte_identical(tmp_path):
     assert target.read_bytes() == first
 
 
-def test_workers_flag_never_changes_results(tmp_path):
-    args = ["tail", "--model", "rademacher", "--n", "100",
-            "--x", "0.5", "--budget", "5000"]
-    assert main(["--out", str(tmp_path / "w1"), "--workers", "1"] + args) == 0
-    assert main(["--out", str(tmp_path / "w8"), "--workers", "8"] + args) == 0
-    a = (tmp_path / "w1" / "tail_rademacher_n100_seed0.csv").read_text()
-    b = (tmp_path / "w8" / "tail_rademacher_n100_seed0.csv").read_text()
-    assert a.splitlines()[1:] == b.splitlines()[1:]  # header echoes the flag
+def test_every_csv_field_parses(tmp_path):
+    # one writer for every artifact: '\n' line ends, every field a number
+    for argv in (["tail", "--n", "100", "--x", "0.5,1", "--budget", "2000"],
+                 ["mdp", "--n-list", "100", "--budget", "2000"],
+                 ["couple", "--n-list", "100", "--budget", "2000"],
+                 ["mixing", "--n", "2000", "--x", "0.5", "--budget", "2000"]):
+        assert main(["--out", str(tmp_path)] + argv) == 0
+    paths = sorted(tmp_path.glob("*.csv"))
+    assert len(paths) == 4
+    for path in paths:
+        data = path.read_bytes()
+        assert b"\r" not in data
+        lines = data.decode().splitlines()
+        assert lines[0].startswith("# ")
+        for line in lines[2:]:
+            [float(v) for v in line.split(",")]
 
 
 def test_usage_errors_exit_2(tmp_path):
     assert main(["tail", "--model", "rademacher", "--n", "0"]) == 2
     assert main(["mdp", "--rule", "n^0.75"]) == 2
     assert main(["nonsense"]) == 2
+    assert main(["--workers", "2", "verify"]) == 2
 
 
 def test_config_file_defaults(tmp_path, capsys):
@@ -51,8 +63,22 @@ def test_config_file_defaults(tmp_path, capsys):
     assert main(["--config", str(cfg), "--out", str(tmp_path), "tail",
                  "--model", "rademacher", "--x", "0.5"]) == 0
     assert (tmp_path / "tail_rademacher_n100_seed0.csv").exists()
+    # flags on the command line win over the config, in either spelling
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "tail",
+                 "--model", "rademacher", "--x", "0.5", "--n=50"]) == 0
+    assert (tmp_path / "tail_rademacher_n50_seed0.csv").exists()
+    atoms = tmp_path / "atoms.json"
+    atoms.write_text(json.dumps({"tail_atoms": 5, "n": 100, "budget": 4000}))
+    assert main(["--config", str(atoms), "--out", str(tmp_path), "tail",
+                 "--model", "heavy_left", "--rho", "0.5", "--x", "0.5",
+                 "--tail-atoms", "3"]) == 0
+    header = (tmp_path / "tail_heavy_left_n100_seed0.csv").read_text()
+    assert json.loads(header.splitlines()[0][2:])["tail_atoms"] == 3
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"no_such_flag": 1}))
+    for doc in ({"no_such_flag": 1}, {"n": "abc"}, {"n": 1.5}):
+        bad.write_text(json.dumps(doc))
+        assert main(["--config", str(bad), "tail", "--x", "0.5"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
     assert main(["--config", str(bad), "verify"]) == 2
 
 
@@ -61,3 +87,20 @@ def test_mixing_command(tmp_path, capsys):
                  "--budget", "10000", "--x", "0.5"]) == 0
     info = json.loads((tmp_path / "mixing_n2000_seed0_info.json").read_text())
     assert info["m"] == 9 and info["k"] == 111
+
+
+def test_readme_commands_parse(monkeypatch):
+    # every `mdmart ...` command in the README parses; "$n" is a shell loop
+    # variable in the Experiments section
+    monkeypatch.setenv("n", "100")
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    commands = [shlex.split(os.path.expandvars(line.strip()), comments=True)
+                for line in text.replace("\\\n", " ").splitlines()
+                if line.strip().startswith("mdmart ")]
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+    assert len(commands) >= 9

@@ -9,7 +9,8 @@ from mdmart.models import (ATOL, Certificate, CertificationError,
                            ConditionalLaw, ModelError, certify,
                            check_bernstein, check_sakhanenko, make_heavy_left,
                            make_rademacher, make_regime_switch,
-                           model_from_spec, sample_path, verify_certificate)
+                           model_from_spec, verify_certificate)
+from mdmart.tilt import sample_tilted_path
 
 
 def two_point(a, b):
@@ -129,7 +130,7 @@ class TestRegimeSwitch:
 
     def test_bracket_nondecreasing(self):
         m = make_regime_switch(60, 0.3)
-        path = sample_path(m, np.random.default_rng(2))
+        path = sample_tilted_path(m, 0.0, np.random.default_rng(2)).path
         assert np.all(np.diff(path.bracket) > 0.0)
         assert abs(path.bracket[-1] - 1.0) <= m.variance_deviation() / m.n + 1e-12
 
@@ -172,13 +173,13 @@ class TestCertify:
 class TestSamplePath:
     def test_deterministic_given_seed(self):
         m = make_regime_switch(40, 0.3)
-        p1 = sample_path(m, np.random.default_rng(9))
-        p2 = sample_path(m, np.random.default_rng(9))
+        p1 = sample_tilted_path(m, 0.0, np.random.default_rng(9)).path
+        p2 = sample_tilted_path(m, 0.0, np.random.default_rng(9)).path
         assert np.array_equal(p1.increments, p2.increments)
 
     def test_increment_sum_identity(self):
         m = make_rademacher(10)
-        p = sample_path(m, np.random.default_rng(1))
+        p = sample_tilted_path(m, 0.0, np.random.default_rng(1)).path
         assert np.allclose(np.diff(p.partial_sums), p.increments)
         assert abs(p.bracket[-1] - 1.0) < 1e-12
 
