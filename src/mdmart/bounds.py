@@ -41,10 +41,6 @@ class BoundParams:
             raise ValueError("need eps_n, delta_n >= 0 and c > 0")
 
     @property
-    def regime(self) -> str:
-        return "rho_eq_1" if self.rho == 1.0 else "rho_lt_1"
-
-    @property
     def eps_tilde(self) -> float:
         """eps^rho for rho < 1; eps |ln eps| for rho = 1 (eps clamped to
         (0, 1/2], the range the moment condition lives on)."""

@@ -8,6 +8,7 @@ mdp (moderate-deviation scan), couple (quantile coupling report) and mixing
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -18,8 +19,8 @@ from . import verify as verify_suites
 from .bounds import BoundParams
 from .coupling import CouplingReport, coupling_tail_report
 from .mixing import mixing_tail_experiment, two_state_chain
-from .models import (CertificationError, ModelError, certify, make_heavy_left,
-                     make_rademacher, make_regime_switch)
+from .models import (_FACTORIES, CertificationError, ModelError, certify,
+                     make_rademacher)
 from .montecarlo import mdp_scan, ratio_report, write_csv
 
 EXIT_OK = 0
@@ -28,14 +29,16 @@ EXIT_USAGE = 2
 
 
 def _build_model(args):
-    name = args.model
-    if name == "rademacher":
-        return make_rademacher(args.n, rho=args.rho)
-    if name == "heavy_left":
-        return make_heavy_left(args.n, args.rho, args.tail_atoms)
-    if name == "regime_switch":
-        return make_regime_switch(args.n, args.gamma, rho=args.rho)
-    raise ModelError(f"unknown model {name!r}")
+    """The model named by --model, given the model flags its factory takes.
+    An unset --rho passes nothing, so the factory's own default applies; the
+    rho the model runs with is written back for the artifact header."""
+    factory = _FACTORIES[args.model]
+    accepted = inspect.signature(factory).parameters
+    kwargs = {k: getattr(args, k) for k in ("rho", "gamma", "tail_atoms")
+              if k in accepted and getattr(args, k) is not None}
+    model = factory(args.n, **kwargs)
+    args.rho = model.rho
+    return model
 
 
 def _parse_grid(spec: str):
@@ -169,10 +172,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p):
-        p.add_argument("--model", default="rademacher",
-                       choices=["rademacher", "heavy_left", "regime_switch"])
+        p.add_argument("--model", default="rademacher", choices=list(_FACTORIES))
         p.add_argument("--n", type=int, default=400)
-        p.add_argument("--rho", type=float, default=1.0)
+        p.add_argument("--rho", type=float,
+                       help="moment exponent in (0, 1]; default: the model's own")
         p.add_argument("--gamma", type=float, default=0.3)
         p.add_argument("--tail-atoms", type=int, default=8)
 

@@ -76,11 +76,6 @@ class MarkovChainSpec:
         if abs(float(self.pi @ self.f)) > 1e-12:
             raise ChainError("observable must be centered under pi")
 
-    @property
-    def c3(self) -> float:
-        """Upper bound on the observable (one-sided boundedness hypothesis)."""
-        return float(self.f.max())
-
     def to_json(self) -> str:
         return json.dumps({"name": self.name, "states": list(self.states),
                            "P": [float(v) for v in self.P.ravel()],
@@ -451,6 +446,8 @@ def simulate_block_sums(chain: MarkovChainSpec, n: int, alpha: float,
                         budget: int, seed: int) -> np.ndarray:
     """S_n for `budget` independent stationary realizations, visiting only
     block indices (the gaps are bridged by an (m+1)-step transition)."""
+    if budget < 1:
+        raise ChainError("budget must be >= 1")
     m, k, _ = block_indices(n, alpha)
     S = chain.P.shape[0]
     hop = np.linalg.matrix_power(chain.P, m + 1)

@@ -10,11 +10,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
 ATOL = 1e-12
+
+# a model whose breadth-first search visits more states than this is refused
+MAX_STATES = 100_000
 
 # geometric grid on which certificates are searched
 DEFAULT_GRID = tuple(2.0 ** j for j in range(-6, 11))
@@ -62,10 +66,6 @@ class ConditionalLaw:
     def values(self) -> np.ndarray:
         return np.array([v for v, _ in self.atoms])
 
-    @property
-    def probs(self) -> np.ndarray:
-        return np.array([p for _, p in self.atoms])
-
     def mean(self) -> float:
         return math.fsum(p * v for v, p in self.atoms)
 
@@ -74,9 +74,6 @@ class ConditionalLaw:
 
     def raw_moment(self, k: int) -> float:
         return math.fsum(p * v ** k for v, p in self.atoms)
-
-    def abs_moment(self, r: float) -> float:
-        return math.fsum(p * abs(v) ** r for v, p in self.atoms)
 
     def scaled(self, factor: float) -> "ConditionalLaw":
         return ConditionalLaw(tuple((v * factor, p) for v, p in self.atoms))
@@ -172,16 +169,38 @@ class TerminalBatch:
     log_weight: np.ndarray  # -lam*X_n + Psi_n per path (zeros when lam == 0)
 
 
+@dataclass(frozen=True)
+class StateTable:
+    """A model's reachable state machine, compiled once.  States are numbered
+    in breadth-first first-visit order from the initial state 0; `laws` holds
+    the distinct conditional laws in first-visit order, `law_of[s]` indexes
+    state s's law, and `T[s, a]` is the state after atom a of that law (rows
+    of laws with fewer atoms are padded with their last entry)."""
+
+    states: tuple
+    laws: tuple[ConditionalLaw, ...]
+    law_of: np.ndarray
+    T: np.ndarray
+
+
 class MartingaleModel:
     """Base class: a pure state machine over history summaries.
 
-    Subclasses define the unscaled conditional law at each summary; the scaled
-    increment is eta / sqrt(n).
+    Subclasses define `initial_state`, the unscaled conditional law at each
+    state and the state transition, over finitely many reachable states.
+    Everything else -- reachable laws, the variance deviation, whether the
+    differences are i.i.d., the sampler and the path walks -- is derived from
+    the compiled `table`.  The scaled increment is eta / sqrt(n).
     """
 
-    name: str
-    n: int
-    rho: float
+    def __init__(self, name: str, n: int, rho: float):
+        if n < 1:
+            raise ModelError("horizon n must be >= 1")
+        if not (0.0 < rho <= 1.0):
+            raise ModelError("rho must lie in (0, 1]")
+        self.name = name
+        self.n = n
+        self.rho = rho
 
     def initial_state(self):
         raise NotImplementedError
@@ -193,16 +212,60 @@ class MartingaleModel:
     def next_state(self, state, eta: float):
         raise NotImplementedError
 
+    @cached_property
+    def table(self) -> StateTable:
+        """Breadth-first search from the initial state over law_at and
+        next_state; built on first use."""
+        states = [self.initial_state()]
+        index = {states[0]: 0}
+        laws, law_of, rows = {}, [], []
+        for state in states:  # grows as new states are visited
+            law = self.law_at(state)
+            law_of.append(laws.setdefault(law, len(laws)))
+            row = []
+            for v, _ in law.atoms:
+                nxt = self.next_state(state, v)
+                if nxt not in index:
+                    if len(states) == MAX_STATES:
+                        raise ModelError(f"{self.name}: more than {MAX_STATES} "
+                                         "reachable states")
+                    index[nxt] = len(states)
+                    states.append(nxt)
+                row.append(index[nxt])
+            rows.append(row)
+        width = max(len(r) for r in rows)
+        T = np.array([r + r[-1:] * (width - len(r)) for r in rows], dtype=np.intp)
+        return StateTable(states=tuple(states), laws=tuple(laws),
+                          law_of=np.array(law_of, dtype=np.intp), T=T)
+
     def reachable_laws(self) -> Iterator[ConditionalLaw]:
-        raise NotImplementedError
+        return iter(self.table.laws)
 
     def variance_deviation(self) -> float:
-        """Exact worst case of |sum_i E[eta_i^2 | F_{i-1}] - n| over paths."""
-        raise NotImplementedError
+        """Exact worst case of |sum_i E[eta_i^2 | F_{i-1}] - n| over paths:
+        a forward pass carrying, per state, the least and greatest sum of
+        (E[eta^2 | state] - 1) over the paths that reach it."""
+        t = self.table
+        S, width = t.T.shape
+        step = np.array([law.second_moment() - 1.0 for law in t.laws])[t.law_of]
+        # one array of minima, so each step is one ufunc.at: the least sum
+        # per state in [0, S), minus the greatest in [S, 2S), inf if unreached;
+        # least <= greatest, so the largest |sum| is -v.min()
+        half = np.repeat([0, S], S * width)
+        src = np.tile(np.repeat(np.arange(S), width), 2) + half
+        to = np.tile(t.T.ravel(), 2) + half
+        inc = np.concatenate([step, -step])
+        v = np.full(2 * S, math.inf)
+        v[0] = v[S] = 0.0
+        for _ in range(self.n):
+            nxt = np.full(2 * S, math.inf)
+            np.minimum.at(nxt, to, (v + inc)[src])
+            v = nxt
+        return float(abs(v.min()))  # v.min() <= 0; abs keeps 0.0 unsigned
 
     @property
     def iid(self) -> bool:
-        return False
+        return len(self.table.states) == 1
 
     def params(self) -> dict:
         return {}
@@ -213,23 +276,54 @@ class MartingaleModel:
     def scaled_law_at(self, state) -> ConditionalLaw:
         return self.law_at(state).scaled(1.0 / math.sqrt(self.n))
 
+    def tilted_laws(self, lam: float) -> list:
+        """The scaled laws of `table.laws` tilted by lam (untilted: `.base`)."""
+        from .tilt import tilt_law  # local import, avoids a cycle
+        scale = 1.0 / math.sqrt(self.n)
+        return [tilt_law(law.scaled(scale), lam) for law in self.table.laws]
+
     # -- simulation -------------------------------------------------------
 
     def simulate_terminal(self, size: int, rng: np.random.Generator,
                           lam: float = 0.0) -> TerminalBatch:
-        if not self.iid:
-            raise NotImplementedError(f"{self.name}: no vectorized sampler")
-        from .tilt import tilt_law  # local import, avoids a cycle
-        law = self.scaled_law_at(self.initial_state())
-        tl = tilt_law(law, lam)
-        values = tl.values
-        cum = np.cumsum(tl.probs)
-        cum[-1] = 1.0
+        """X_n and log weights of `size` paths under P_lam, one uniform per
+        path per step.  With one state, each step is a searchsorted on that
+        law's cumulative row; otherwise each path carries its state's row
+        offset into the flattened (state, atom) tables."""
+        t = self.table
+        tilted = self.tilted_laws(lam)
         x = np.zeros(size)
+        if len(t.states) == 1:
+            tl = tilted[0]
+            values = tl.values
+            cum = np.cumsum(tl.probs)
+            cum[-1] = 1.0
+            for _ in range(self.n):
+                x += values[np.searchsorted(cum, rng.random(size), side="right")]
+            return TerminalBatch(x=x, log_weight=-lam * x + self.n * tl.step_log_mgf)
+        width = t.T.shape[1]
+        val = np.zeros((len(t.laws), width))
+        cum = np.ones((len(t.laws), width))  # padded atoms are never drawn
+        for i, tl in enumerate(tilted):
+            val[i, :len(tl.atoms)] = tl.values
+            cum[i, :len(tl.atoms) - 1] = np.cumsum(tl.probs)[:-1]
+        # tables flattened over (state, atom); each path carries its state's
+        # row offset s * width, and cols[a] holds cum[s, a] at that offset
+        val, cum = val[t.law_of].ravel(), cum[t.law_of]
+        cols = [np.repeat(cum[:, a], width) for a in range(width - 1)]
+        log_mgf = np.repeat([tilted[i].step_log_mgf for i in t.law_of], width)
+        nxt = (t.T * width).ravel()
+        off = np.zeros(size, dtype=np.intp)
+        psi = np.zeros(size)
         for _ in range(self.n):
-            idx = np.searchsorted(cum, rng.random(size), side="right")
-            x += values[idx]
-        psi = self.n * tl.step_log_mgf
+            u = rng.random(size)
+            k = off
+            for col in cols:
+                k = k + (u >= col[off])
+            x += val[k]
+            if lam != 0.0:
+                psi += log_mgf[off]
+            off = nxt[k]
         return TerminalBatch(x=x, log_weight=-lam * x + psi)
 
 
@@ -279,16 +373,8 @@ def verify_certificate(model: MartingaleModel, cert: Certificate) -> bool:
 # concrete models
 
 
-class RademacherModel(MartingaleModel):
-    """i.i.d. +-1 differences; the canonical exactly-standardized instance."""
-
-    def __init__(self, n: int, rho: float = 1.0):
-        if n < 1:
-            raise ModelError("horizon n must be >= 1")
-        self.name = "rademacher"
-        self.n = n
-        self.rho = rho
-        self._law = ConditionalLaw(((1.0, 0.5), (-1.0, 0.5)))
+class IIDModel(MartingaleModel):
+    """Differences that all follow the one law `_law`: a single state."""
 
     def initial_state(self):
         return None
@@ -299,15 +385,13 @@ class RademacherModel(MartingaleModel):
     def next_state(self, state, eta):
         return None
 
-    def reachable_laws(self):
-        yield self._law
 
-    def variance_deviation(self):
-        return 0.0
+class RademacherModel(IIDModel):
+    """i.i.d. +-1 differences; the canonical exactly-standardized instance."""
 
-    @property
-    def iid(self):
-        return True
+    def __init__(self, n: int, rho: float = 1.0):
+        super().__init__("rademacher", n, rho)
+        self._law = ConditionalLaw(((1.0, 0.5), (-1.0, 0.5)))
 
     def params(self):
         return {"rho": self.rho}
@@ -322,7 +406,7 @@ class RademacherModel(MartingaleModel):
         return TerminalBatch(x=x, log_weight=-lam * x + psi)
 
 
-class HeavyLeftModel(MartingaleModel):
+class HeavyLeftModel(IIDModel):
     """i.i.d. differences with one positive atom and a heavy negative tail.
 
     The negative side carries atoms down to -depth whose (2+rho)-moment stays
@@ -332,38 +416,12 @@ class HeavyLeftModel(MartingaleModel):
     """
 
     def __init__(self, n: int, rho: float, tail_atoms: int, depth: float = 1e5):
-        if n < 1:
-            raise ModelError("horizon n must be >= 1")
-        if not (0.0 < rho < 1.0):
-            raise ModelError("rho must lie in (0, 1)")
+        super().__init__("heavy_left", n, rho)
         if tail_atoms < 2:
             raise ModelError("need at least 2 negative tail atoms")
-        self.name = "heavy_left"
-        self.n = n
-        self.rho = rho
         self.tail_atoms = tail_atoms
         self.depth = depth
         self._law = _build_heavy_left_law(rho, tail_atoms, depth)
-
-    def initial_state(self):
-        return None
-
-    def law_at(self, state):
-        return self._law
-
-    def next_state(self, state, eta):
-        return None
-
-    def reachable_laws(self):
-        yield self._law
-
-    def variance_deviation(self):
-        # i.i.d.: |n E eta^2 - n|, nonzero only through float rounding
-        return self.n * abs(self._law.second_moment() - 1.0)
-
-    @property
-    def iid(self):
-        return True
 
     def params(self):
         return {"rho": self.rho, "tail_atoms": self.tail_atoms, "depth": self.depth}
@@ -414,25 +472,22 @@ class RegimeSwitchModel(MartingaleModel):
     """
 
     def __init__(self, n: int, gamma: float, rho: float = 1.0):
-        if n < 1:
-            raise ModelError("horizon n must be >= 1")
+        super().__init__("regime_switch", n, rho)
         if not (0.0 <= gamma < 0.5):
             raise ModelError("gamma must lie in [0, 1/2)")
-        self.name = "regime_switch"
-        self.n = n
-        self.rho = rho
         self.gamma = gamma
         self._hi2 = (1.0 + gamma) ** 2
         self._lo2 = (1.0 - gamma) ** 2
         self._bound = 2.0 * gamma + gamma * gamma
 
-    # state: (step_index (1-based, next increment), last_sign, deficit)
+    # state: (last_sign, deficit); sign 0 holds exactly before the first step,
+    # and the deficit is rounded to 12 decimals so the reachable set is finite
     def initial_state(self):
-        return (1, 0, 0.0)
+        return (0, 0.0)
 
     def _sigma2_at(self, state):
-        step, sign, d = state
-        if step == 1 or self.gamma == 0.0:
+        sign, d = state
+        if sign == 0 or self.gamma == 0.0:
             return 1.0
         pref = self._hi2 if sign > 0 else self._lo2
         if abs(d + 1.0 - pref) <= self._bound + ATOL:
@@ -444,59 +499,11 @@ class RegimeSwitchModel(MartingaleModel):
         return ConditionalLaw(((sigma, 0.5), (-sigma, 0.5)))
 
     def next_state(self, state, eta):
-        step, _, d = state
-        s2 = self._sigma2_at(state)
-        return (step + 1, 1 if eta > 0 else -1, d + 1.0 - s2)
-
-    def reachable_laws(self):
-        for s2 in sorted({1.0, self._hi2, self._lo2}):
-            sigma = math.sqrt(s2)
-            yield ConditionalLaw(((sigma, 0.5), (-sigma, 0.5)))
-
-    def variance_deviation(self):
-        """Exact worst-case terminal |sum sigma_i^2 - n| by a reachable-set
-        recursion over (sign, deficit)."""
-        states = {(1, 0, 0.0)}
-        for _ in range(self.n):
-            nxt = set()
-            for st in states:
-                step, _, d = st
-                s2 = self._sigma2_at(st)
-                d2 = round(d + 1.0 - s2, 12)
-                nxt.add((step + 1, 1, d2))
-                nxt.add((step + 1, -1, d2))
-            states = nxt
-        return max(abs(d) for _, _, d in states)
+        d = round(state[1] + 1.0 - self._sigma2_at(state), 12)
+        return (1 if eta > 0 else -1, d)
 
     def params(self):
         return {"gamma": self.gamma, "rho": self.rho}
-
-    def simulate_terminal(self, size, rng, lam=0.0):
-        scale = 1.0 / math.sqrt(self.n)
-        sig2s = np.array([1.0, self._hi2, self._lo2])
-        sigmas = np.sqrt(sig2s)
-        p_plus = 1.0 / (1.0 + np.exp(-2.0 * lam * sigmas * scale))
-        log_mgf = np.log(np.cosh(lam * sigmas * scale)) if lam != 0.0 else np.zeros(3)
-
-        x = np.zeros(size)
-        psi = np.zeros(size)
-        # step 1: sigma = 1
-        up = rng.random(size) < p_plus[0]
-        sign = np.where(up, 1.0, -1.0)
-        x += sign * sigmas[0] * scale
-        psi += log_mgf[0]
-        d = np.full(size, 1.0 - sig2s[0])
-        for _ in range(1, self.n):
-            pref = np.where(sign > 0, self._hi2, self._lo2)
-            ok = np.abs(d + 1.0 - pref) <= self._bound + ATOL
-            s2 = np.where(ok, pref, self._hi2 + self._lo2 - pref)
-            d = d + 1.0 - s2
-            hi = s2 == self._hi2
-            up = rng.random(size) < np.where(hi, p_plus[1], p_plus[2])
-            sign = np.where(up, 1.0, -1.0)
-            x += sign * np.where(hi, sigmas[1], sigmas[2]) * scale
-            psi += np.where(hi, log_mgf[1], log_mgf[2])
-        return TerminalBatch(x=x, log_weight=-lam * x + psi)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +514,7 @@ def make_rademacher(n: int, rho: float = 1.0) -> RademacherModel:
     return RademacherModel(n, rho=rho)
 
 
-def make_heavy_left(n: int, rho: float, tail_atoms: int,
+def make_heavy_left(n: int, rho: float = 0.5, tail_atoms: int = 8,
                     depth: float = 1e5) -> HeavyLeftModel:
     return HeavyLeftModel(n, rho, tail_atoms, depth=depth)
 

@@ -226,28 +226,27 @@ def rademacher_exact_tail(n: int, x: float) -> float:
 
 
 def enumerate_terminal(model: MartingaleModel, lam: float = 0.0):
-    """Exhaustive path enumeration for small two-point models.
+    """Exhaustive path enumeration, walking the model's state table.
 
     Yields (prob under P_lam, X_n, log_weight) per path.  Exponential in n;
     guarded to n <= 14.
     """
-    from .tilt import tilt_law
     if model.n > 14:
         raise ValueError("enumeration limited to n <= 14")
-    scale = 1.0 / math.sqrt(model.n)
+    table = model.table
+    tilted = model.tilted_laws(lam)
     results = []
 
-    def rec(step, state, prob, x, psi):
+    def rec(step, s, prob, x, psi):
         if step == model.n:
             results.append((prob, x, -lam * x + psi))
             return
-        law = model.law_at(state).scaled(scale)
-        tl = tilt_law(law, lam)
-        for v, p in tl.atoms:
-            rec(step + 1, model.next_state(state, v / scale), prob * p,
-                x + v, psi + tl.step_log_mgf)
+        tl = tilted[table.law_of[s]]
+        for a, (v, p) in enumerate(tl.atoms):
+            rec(step + 1, table.T[s, a], prob * p, x + v,
+                psi + tl.step_log_mgf)
 
-    rec(0, model.initial_state(), 1.0, 0.0, 0.0)
+    rec(0, 0, 1.0, 0.0, 0.0)
     return results
 
 

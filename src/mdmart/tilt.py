@@ -78,24 +78,24 @@ def sample_tilted_path(model: MartingaleModel, lam: float,
     lam = 0 draws a path of the model itself.  The bracket is accumulated
     exactly from the untilted conditional laws."""
     n = model.n
-    scale = 1.0 / math.sqrt(n)
-    state = model.initial_state()
+    table = model.table
+    tilted = model.tilted_laws(lam)
+    s = 0
     incs = np.empty(n)
     sums = np.zeros(n + 1)
     bracket = np.zeros(n + 1)
     psi = 0.0
     b_steps = []
     for i in range(n):
-        law = model.law_at(state).scaled(scale)
-        tl = tilt_law(law, lam)
+        tl = tilted[table.law_of[s]]
         k = rng.choice(len(tl.atoms), p=[p for _, p in tl.atoms])
         xi = tl.atoms[k][0]
         incs[i] = xi
         sums[i + 1] = sums[i] + xi
-        bracket[i + 1] = bracket[i] + law.second_moment()
+        bracket[i + 1] = bracket[i] + tl.base.second_moment()
         psi += tl.step_log_mgf
         b_steps.append(tl.mean())
-        state = model.next_state(state, xi * math.sqrt(n))
+        s = table.T[s, k]
     path = Path(increments=incs, partial_sums=sums, bracket=bracket)
     return TiltedPath(path=path, lam=lam, psi_n=psi, b_steps=b_steps,
                       log_weight=-lam * sums[n] + psi)
@@ -108,11 +108,6 @@ class SaddleSolution:
     equation_residual: float
     c_const: float
     kind: str  # "upper" or "lower"
-
-    def to_dict(self) -> dict:
-        return {"x": self.x, "lambda": self.lam,
-                "equation_residual": self.equation_residual,
-                "c": self.c_const, "kind": self.kind}
 
 
 def solve_saddle_upper(x: float, rho: float, eps: float, delta: float,

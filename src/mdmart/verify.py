@@ -17,6 +17,8 @@ from .montecarlo import seeded_stream
 def suite_remainder_inequalities(samples: int = 10 ** 6, seed: int = 0):
     """|x(e^x-1-x)| <= 2|x|^{2+rho} e^{x+} and the second-order analogue on
     random (x, rho)."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = seeded_stream(seed)
     xs = rng.uniform(-50.0, 50.0, samples)
     rhos = rng.uniform(0.0, 1.0, samples)

@@ -297,10 +297,11 @@ def test_criterion_11_mixing_exactness():
                 checked += 1
                 if lhs > rhs + 1e-12:
                     problems.append("covariance")
-    # Berbee mismatch frequency against the summed-beta bound
+    # Berbee mismatch frequency against the summed-beta bound; blocks are
+    # bridged by P^{m+1}, so the bound is (k - 1) beta(m + 1)
     chain = two_state_chain(0.1, 0.1)
     p_mis, se = berbee_mismatch_probability(chain, 1, 10, 10 ** 5, 3)
-    if p_mis > 9.0 * beta_coefficient(chain.P, 1) + 3.0 * se:
+    if p_mis > 9.0 * beta_coefficient(chain.P, 2) + 3.0 * se:
         problems.append("berbee")
     report(11, not problems and checked >= 1000,
            f"{checked} covariance instances, berbee mismatch {p_mis:.4f}; "

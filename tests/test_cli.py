@@ -55,6 +55,23 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["mdp", "--rule", "n^0.75"]) == 2
     assert main(["nonsense"]) == 2
     assert main(["--workers", "2", "verify"]) == 2
+    assert main(["mixing", "--budget", "0"]) == 2
+    assert main(["verify", "--budget", "0"]) == 2
+    for rho in ("0", "-1", "nan"):
+        assert main(["--out", str(tmp_path), "certify", "--rho", rho]) == 2
+        assert main(["--out", str(tmp_path), "tail", "--rho", rho]) == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_model_defaults(tmp_path, capsys):
+    # an unset --rho takes each model's own default, and the header records it
+    assert main(["--out", str(tmp_path), "certify", "--model", "heavy_left"]) == 0
+    doc = json.loads((tmp_path / "certificate_heavy_left_n400.json").read_text())
+    assert doc["rho"] == 0.5
+    assert main(["--out", str(tmp_path), "tail", "--model", "heavy_left",
+                 "--n", "50", "--x", "0.5", "--budget", "500"]) == 0
+    header = (tmp_path / "tail_heavy_left_n50_seed0.csv").read_text()
+    assert json.loads(header.splitlines()[0][2:])["rho"] == 0.5
 
 
 def test_config_file_defaults(tmp_path, capsys):

@@ -31,3 +31,35 @@ def test_no_unused_imports():
     found = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
              for line, name in unused_imports(path.read_text())]
     assert not found, "unused imports: " + ", ".join(found)
+
+
+# calls that belong to one module: a model's law and transition are read only
+# through its compiled state table, and every Philox stream is built by the
+# chunk engine
+OWNED_CALLS = {"law_at": "models.py", "next_state": "models.py",
+               "Philox": "montecarlo.py"}
+
+
+def foreign_calls(source: str, filename: str):
+    """(line, name) of each call to a name in OWNED_CALLS made outside the
+    module that owns it, whether called bare or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in OWNED_CALLS and OWNED_CALLS[name] != filename:
+                found.append((node.lineno, name))
+    return found
+
+
+def test_checker_catches_a_foreign_call():
+    src = "law = model.law_at(s)\nnp.random.Philox(key=1)\nm.scaled_law_at(s)\n"
+    assert foreign_calls(src, "tilt.py") == [(1, "law_at"), (2, "Philox")]
+    assert foreign_calls(src, "models.py") == [(2, "Philox")]
+
+
+def test_one_model_representation():
+    found = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
+             for line, name in foreign_calls(path.read_text(), path.name)]
+    assert not found, "calls outside their owning module: " + ", ".join(found)

@@ -118,10 +118,14 @@ class TestBerbee:
             assert np.array_equal(res.blocks, res.independent)
 
     def test_mismatch_bound(self):
-        chain = two_state_chain(0.1, 0.1)
-        p, se = berbee_mismatch_probability(chain, 1, 10, 20000, 3)
-        bound = 9.0 * beta_coefficient(chain.P, 1)
-        assert p <= bound + 3.0 * se
+        # the coupling hops between blocks by P^{m+1}, so each of the k - 1
+        # later blocks mismatches with probability at most beta(m + 1); at
+        # (0.3, 0.3), m = 5 the bound 9 beta(6) ~ 0.018 is far below 1
+        for a, m in ((0.1, 1), (0.3, 5)):
+            chain = two_state_chain(a, a)
+            p, se = berbee_mismatch_probability(chain, m, 10, 20000, 3)
+            bound = 9.0 * beta_coefficient(chain.P, m + 1)
+            assert p <= bound + 3.0 * se
 
     def test_independent_copy_marginal(self):
         # enumerate the true block-sum law for m = 3 and compare against the

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdmart.models import (ATOL, Certificate, CertificationError,
-                           ConditionalLaw, ModelError, certify,
+                           ConditionalLaw, MartingaleModel, ModelError, certify,
                            check_bernstein, check_sakhanenko, make_heavy_left,
                            make_rademacher, make_regime_switch,
                            model_from_spec, verify_certificate)
-from mdmart.tilt import sample_tilted_path
+from mdmart.montecarlo import enumerate_terminal, estimate_tail_plain
+from mdmart.tilt import choose_tilt, sample_tilted_path
 
 
 def two_point(a, b):
@@ -196,3 +197,98 @@ class TestSamplePath:
         batch = m.simulate_terminal(4, np.random.default_rng(seed))
         lattice = (2 * np.arange(10) - 9) / 3.0
         assert np.all(np.isin(np.round(batch.x, 9), np.round(lattice, 9)))
+
+
+class SignSwitch(MartingaleModel):
+    """The law of the next difference depends on the sign of the last one,
+    and after a rise it has three atoms: exercises padded table rows."""
+
+    LAWS = {0: ConditionalLaw(((1.0, 0.5), (-1.0, 0.5))),
+            1: ConditionalLaw(((2.0, 0.2), (0.5, 0.4), (-1.5, 0.4))),
+            -1: ConditionalLaw(((3.0, 0.25), (-1.0, 0.75)))}
+
+    def __init__(self, n):
+        super().__init__("sign_switch", n, 1.0)
+
+    def initial_state(self):
+        return 0
+
+    def law_at(self, state):
+        return self.LAWS[state]
+
+    def next_state(self, state, eta):
+        return 1 if eta > 0 else -1
+
+
+class TestStateTable:
+    def test_regime_switch_machine(self):
+        # finitely many states, the same at every horizon
+        m = make_regime_switch(400, 0.3)
+        assert len(m.table.states) == 95
+        assert len(m.table.laws) == 3
+        assert list(m.reachable_laws()) == list(m.table.laws)
+        assert make_regime_switch(10, 0.3).table.states == m.table.states
+        assert make_heavy_left(10).iid and not m.iid
+        assert SignSwitch(5).table.T.tolist() == [[1, 2, 2], [1, 1, 2], [1, 2, 2]]
+
+    def test_variance_deviation_by_enumeration(self):
+        # the forward pass against max |sum_i (E[eta_i^2 | F_{i-1}] - 1)|
+        # over every path, on a model where paths into one state differ
+        def worst(m, step, state, total):
+            if step == m.n:
+                return abs(total)
+            law = m.law_at(state)
+            return max(worst(m, step + 1, m.next_state(state, v),
+                             total + law.second_moment() - 1.0)
+                       for v, _ in law.atoms)
+
+        for m in (SignSwitch(1), SignSwitch(7), make_regime_switch(9, 0.3)):
+            assert m.variance_deviation() == pytest.approx(
+                worst(m, 0, m.initial_state(), 0.0), rel=1e-12, abs=1e-12)
+
+    def test_gamma_zero_still_falls_back(self):
+        # one law but three states (the sign is still tracked): not i.i.d.
+        m = make_regime_switch(50, 0.0)
+        assert len(m.table.states) == 3 and len(m.table.laws) == 1
+        sel = choose_tilt(m, 1.0)
+        assert sel.method == "fallback" and not sel.converged
+
+    @pytest.mark.parametrize("lam", [0.0, 0.8])
+    @pytest.mark.parametrize("model", [make_regime_switch(10, 0.3),
+                                       make_heavy_left(3), SignSwitch(6)],
+                             ids=["regime_switch", "heavy_left", "sign_switch"])
+    def test_sampler_law_matches_enumeration(self, model, lam):
+        # importance-weighted frequency of each value of X_n against its
+        # exact probability, within 4 of the estimator's exact SEs from the
+        # tilted path enumeration.  Values expected fewer than 10 times under
+        # P_lam are pooled into one bin, where a normal SE means something;
+        # values whose tilted probability underflows to 0 cannot be drawn
+        exact, mass, m2 = {}, {}, {}
+        for p, x, _ in enumerate_terminal(model, 0.0):
+            exact[round(x, 12)] = exact.get(round(x, 12), 0.0) + p
+        for q, x, lw in enumerate_terminal(model, lam):
+            key = round(x, 12)
+            mass[key] = mass.get(key, 0.0) + q
+            term = math.exp(math.log(q) + 2.0 * lw) if q > 0.0 else math.nan
+            m2[key] = m2.get(key, 0.0) + term
+        size = 1 << 15
+        batch = model.simulate_terminal(size, np.random.default_rng(4), lam)
+        keys = np.round(batch.x, 12)
+        w = np.exp(batch.log_weight)
+        drawable = [x for x in exact if not math.isnan(m2[x])]
+        assert set(np.unique(keys)) <= set(drawable)
+        assert math.fsum(exact[x] for x in drawable) > 1.0 - 1e-6
+        rare = [x for x in drawable if size * mass[x] < 10.0]
+        bins = [[x] for x in drawable if x not in rare] + [rare]
+        assert len(bins) >= 4
+        for xs in bins:
+            est = float(w[np.isin(keys, xs)].sum()) / size
+            p = math.fsum(exact[x] for x in xs)
+            se = math.sqrt(max(math.fsum(m2[x] for x in xs) - p * p, 0.0) / size)
+            assert abs(est - p) <= 4.0 * se, (xs[:3], est, p, se)
+
+    def test_plain_stream_pinned(self):
+        # the value drawn before the table sampler existed; any change to the
+        # stream layout or the per-step draw shows here
+        est = estimate_tail_plain(make_regime_switch(200, 0.3), 1.0, 20000, 5)
+        assert est.p_hat == 0.1555
