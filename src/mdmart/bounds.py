@@ -89,19 +89,28 @@ def bernstein_tail_bound(x: float, n: int, M: float, L: float) -> float:
 # elementary inequalities used in the drift/cumulant proofs; exposed so the
 # verification suite can sweep them
 
-def taylor_remainder1(x: float) -> float:
-    """x (e^x - 1 - x), evaluated stably near 0."""
-    if abs(x) < 1e-4:
-        # series: x(x^2/2 + x^3/6 + x^4/24)
-        return x * (x * x / 2.0 + x ** 3 / 6.0 + x ** 4 / 24.0)
-    return x * (math.expm1(x) - x)
+def taylor_remainder1(x):
+    """x (e^x - 1 - x), evaluated stably near 0; elementwise on arrays, a
+    scalar for a scalar."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1e-4
+    xs = x[small]
+    # asarray keeps a scalar's result a 0-d array, so the mask can write it
+    out = np.asarray(x * (np.expm1(x) - x))
+    # series: x(x^2/2 + x^3/6 + x^4/24)
+    out[small] = xs * (xs * xs / 2.0 + xs ** 3 / 6.0 + xs ** 4 / 24.0)
+    return out[()]
 
 
-def taylor_remainder2(x: float) -> float:
-    """e^x - 1 - x - x^2/2, evaluated stably near 0."""
-    if abs(x) < 1e-4:
-        return x ** 3 / 6.0 + x ** 4 / 24.0 + x ** 5 / 120.0
-    return math.expm1(x) - x - 0.5 * x * x
+def taylor_remainder2(x):
+    """e^x - 1 - x - x^2/2, evaluated stably near 0; elementwise on arrays,
+    a scalar for a scalar."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1e-4
+    xs = x[small]
+    out = np.asarray(np.expm1(x) - x - 0.5 * x * x)
+    out[small] = xs ** 3 / 6.0 + xs ** 4 / 24.0 + xs ** 5 / 120.0
+    return out[()]
 
 
 def rademacher_sup_distance(n: int) -> float:
@@ -118,11 +127,12 @@ def rademacher_sup_distance(n: int) -> float:
     return float(max(np.abs(F - Phi).max(), np.abs(left_limits - Phi).max()))
 
 
-def check_remainder_bounds(x: float, rho: float) -> bool:
+def check_remainder_bounds(x, rho):
     """|x(e^x-1-x)| <= 2|x|^{2+rho} e^{x+} and
-    |e^x-1-x-x^2/2| <= |x|^{2+rho} e^{x+}."""
-    if x == 0.0:
-        return True
-    envelope = abs(x) ** (2.0 + rho) * math.exp(max(x, 0.0))
-    return (abs(taylor_remainder1(x)) <= 2.0 * envelope * (1.0 + 1e-12)
-            and abs(taylor_remainder2(x)) <= envelope * (1.0 + 1e-12))
+    |e^x-1-x-x^2/2| <= |x|^{2+rho} e^{x+}, elementwise over the broadcast
+    of x and rho; a scalar for scalars."""
+    x = np.asarray(x, dtype=float)
+    envelope = np.abs(x) ** (2.0 + rho) * np.exp(np.maximum(x, 0.0))
+    ok = ((np.abs(taylor_remainder1(x)) <= 2.0 * envelope * (1.0 + 1e-12))
+          & (np.abs(taylor_remainder2(x)) <= envelope * (1.0 + 1e-12)))
+    return (ok | (x == 0.0))[()]

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundParams, gaussian_tail, ratio_envelope
-from .montecarlo import (RatioReport, RatioRow, clopper_pearson, seeded_chunks,
-                         seeded_stream)
+from .montecarlo import RatioReport, RatioRow, clopper_pearson, seeded_chunks
 
 # block-sum paths are long, so chunks are larger here than in the tail
-# estimators; the chunk size is a fixed constant, so determinism is unaffected
+# estimators; the chunk size is a fixed constant, so determinism is unaffected.
+# The Berbee coupling draws its reps in chunks of the same size.
 MIX_CHUNK = 65536
 
 
@@ -286,87 +286,88 @@ class BerbeeResult:
 
 
 class _BerbeeTables:
-    """Precomputed maximal-coupling tables for one (chain, m).
+    """Maximal-coupling tables for one (chain, m), as arrays over `ys`, the
+    sorted block-sum values.
 
     The conditional block law depends on the history only through the
-    previous block's end state, so there are S+1 cases: the stationary start
-    and one per end state."""
+    previous block's end state, so there are S+1 cases: row 0 is the
+    stationary start and row 1 + e follows end state e.  Per case, `t` is
+    the overlap mass of the conditional law and the stationary marginal;
+    `overlap`, `resid_c` and `resid_m` are the cumulative laws of the
+    overlap and of the two residuals over `ys`; and `ends[case, i]` is the
+    cumulative end-state law given the block sum ys[i]."""
 
     def __init__(self, chain: MarkovChainSpec, m: int):
         per_start = block_sum_distribution(chain, m)
-        self.marg = block_marginal(chain, m)
-        hop = np.linalg.matrix_power(chain.P, m + 1)
         S = chain.P.shape[0]
-        self.cases = {}
-        for case in [None] + list(range(S)):
-            start_dist = chain.pi if case is None else hop[case]
-            cond = {}
-            for s in range(S):
-                ws = start_dist[s]
-                if ws <= 0.0:
-                    continue
-                for key, p in per_start[s].items():
-                    cond[key] = cond.get(key, 0.0) + ws * p
-            cond_y = {}
-            for (y, _), p in cond.items():
-                cond_y[y] = cond_y.get(y, 0.0) + p
-            ys = sorted(set(cond_y) | set(self.marg))
-            cy = np.array([cond_y.get(y, 0.0) for y in ys])
-            my = np.array([self.marg.get(y, 0.0) for y in ys])
-            overlap = np.minimum(cy, my)
-            t = float(overlap.sum())
-            ends = {}
-            for (y, e), p in cond.items():
-                ends.setdefault(y, []).append((e, p))
-            end_tables = {}
-            for y, lst in ends.items():
-                probs = np.array([p for _, p in lst])
-                end_tables[y] = ([e for e, _ in lst], np.cumsum(probs / probs.sum()))
-            self.cases[case] = {
-                "ys": ys, "t": t,
-                "cum_overlap": np.cumsum(overlap / t) if t > 0 else None,
-                "cum_resid_c": _cum_residual(cy, my),
-                "cum_resid_m": _cum_residual(my, cy),
-                "ends": end_tables,
-            }
+        self.ys = np.array(sorted({y for dist in per_start for y, _ in dist}))
+        index = {y: i for i, y in enumerate(self.ys)}
+        # law[s, i, e]: P(block sum ys[i], end state e | start s)
+        law = np.zeros((S, self.ys.size, S))
+        for s, dist in enumerate(per_start):
+            for (y, e), p in dist.items():
+                law[s, index[y], e] = p
+        start = np.vstack((chain.pi, np.linalg.matrix_power(chain.P, m + 1)))
+        cond = np.einsum("cs,sie->cie", start, law)
+        cond_y = cond.sum(axis=2)
+        marg = cond_y[0]
+        resid_c = np.maximum(cond_y - marg, 0.0)
+        self.t = 1.0 - resid_c.sum(axis=1)
+        self.overlap = _cumulative(np.minimum(cond_y, marg))
+        self.resid_c = _cumulative(resid_c)
+        self.resid_m = _cumulative(np.maximum(marg - cond_y, 0.0))
+        self.ends = _cumulative(cond)
 
 
-def _cum_residual(a, b):
-    r = np.maximum(a - b, 0.0)
-    s = r.sum()
-    return np.cumsum(r / s) if s > 0 else None
+def _cumulative(p: np.ndarray) -> np.ndarray:
+    """Cumulative sums of p normalised along its last axis.  They are set to
+    exactly 1 from the last positive entry on, so a uniform in [0, 1) never
+    searches past it; an all-zero row, never drawn from, becomes all ones."""
+    total = p.sum(axis=-1, keepdims=True)
+    cum = np.cumsum(p / np.where(total > 0.0, total, 1.0), axis=-1)
+    positive = np.cumsum(p > 0.0, axis=-1)
+    cum[positive == positive[..., -1:]] = 1.0
+    return cum
 
 
-def berbee_couple(chain: MarkovChainSpec, m: int, k: int,
+def berbee_couple(chain: MarkovChainSpec, m: int, k: int, reps: int,
                   rng: np.random.Generator,
                   tables: _BerbeeTables | None = None) -> BerbeeResult:
-    """Sequential maximal coupling of interlaced block sums against i.i.d.
-    copies from the stationary block marginal.
+    """`reps` independent sequential maximal couplings of interlaced block
+    sums against i.i.d. copies from the stationary block marginal; every
+    array in the result has shape (reps, k).
 
     Block 1 starts stationary, so it never mismatches; for later blocks the
     coupling succeeds with probability 1 - TV(conditional law, marginal), and
     averaging over the previous end state bounds the per-block mismatch
-    probability by beta(m)."""
+    probability by beta(m + 1).  All reps step together, block by block,
+    grouped by their case; each block draws four uniforms per rep."""
     if tables is None:
         tables = _BerbeeTables(chain, m)
-    blocks = np.empty(k)
-    indep = np.empty(k)
-    mismatch = np.zeros(k, dtype=bool)
-    case = None
+    blocks = np.empty((reps, k))
+    indep = np.empty((reps, k))
+    mismatch = np.empty((reps, k), dtype=bool)
+    case = np.zeros(reps, dtype=np.intp)
+    y = np.empty(reps, dtype=np.intp)
+    y_t = np.empty(reps, dtype=np.intp)
+    end = np.empty(reps, dtype=np.intp)
     for j in range(k):
-        tab = tables.cases[case]
-        ys = tab["ys"]
-        if rng.random() < tab["t"]:
-            y = ys[int(np.searchsorted(tab["cum_overlap"], rng.random(), side="right"))]
-            y_t = y
-        else:
-            y = ys[int(np.searchsorted(tab["cum_resid_c"], rng.random(), side="right"))]
-            y_t = ys[int(np.searchsorted(tab["cum_resid_m"], rng.random(), side="right"))]
-            mismatch[j] = True
-        blocks[j] = y
-        indep[j] = y_t
-        end_states, end_cum = tab["ends"][y]
-        case = end_states[int(np.searchsorted(end_cum, rng.random(), side="right"))]
+        u = rng.random((4, reps))
+        miss = u[0] >= tables.t[case]
+        for c in range(tables.t.size):
+            g = np.flatnonzero(case == c)
+            ug, miss_g = u[:, g], miss[g]
+            matched = np.searchsorted(tables.overlap[c], ug[1], side="right")
+            yg = np.where(miss_g, np.searchsorted(tables.resid_c[c], ug[1],
+                                                  side="right"), matched)
+            y[g] = yg
+            y_t[g] = np.where(miss_g, np.searchsorted(tables.resid_m[c], ug[2],
+                                                      side="right"), matched)
+            end[g] = (tables.ends[c, yg] <= ug[3, :, None]).sum(axis=1)
+        blocks[:, j] = tables.ys[y]
+        indep[:, j] = tables.ys[y_t]
+        mismatch[:, j] = miss
+        case = 1 + end
     return BerbeeResult(blocks=blocks, independent=indep, mismatch=mismatch)
 
 
@@ -374,12 +375,13 @@ def berbee_mismatch_probability(chain: MarkovChainSpec, m: int, k: int,
                                 reps: int, seed: int):
     """Empirical P(any block mismatches) over `reps` coupled realizations,
     with its standard error."""
+    if reps < 1:
+        raise ChainError("reps must be >= 1")
     tables = _BerbeeTables(chain, m)
-    rng = seeded_stream(seed)
     hits = 0
-    for _ in range(reps):
-        if berbee_couple(chain, m, k, rng, tables=tables).mismatch.any():
-            hits += 1
+    for rng, size in seeded_chunks(seed, reps, MIX_CHUNK):
+        res = berbee_couple(chain, m, k, size, rng, tables=tables)
+        hits += int(np.count_nonzero(res.mismatch.any(axis=1)))
     p = hits / reps
     return p, math.sqrt(p * (1.0 - p) / reps)
 

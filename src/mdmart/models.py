@@ -247,6 +247,14 @@ class MartingaleModel:
         (E[eta^2 | state] - 1) over the paths that reach it."""
         t = self.table
         S, width = t.T.shape
+        if S == 1:
+            # the same float sum the forward pass makes, one add per step;
+            # n * d would round differently
+            d = t.laws[0].second_moment() - 1.0
+            total = 0.0
+            for _ in range(self.n):
+                total += d
+            return abs(total)
         step = np.array([law.second_moment() - 1.0 for law in t.laws])[t.law_of]
         # one array of minima, so each step is one ufunc.at: the least sum
         # per state in [0, S), minus the greatest in [S, 2S), inf if unreached;

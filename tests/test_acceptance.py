@@ -298,13 +298,18 @@ def test_criterion_11_mixing_exactness():
                 if lhs > rhs + 1e-12:
                     problems.append("covariance")
     # Berbee mismatch frequency against the summed-beta bound; blocks are
-    # bridged by P^{m+1}, so the bound is (k - 1) beta(m + 1)
-    chain = two_state_chain(0.1, 0.1)
-    p_mis, se = berbee_mismatch_probability(chain, 1, 10, 10 ** 5, 3)
-    if p_mis > 9.0 * beta_coefficient(chain.P, 2) + 3.0 * se:
-        problems.append("berbee")
+    # bridged by P^{m+1}, so the bound is (k - 1) beta(m + 1).  At (0.1, 0.1)
+    # with m = 1 that bound is 2.88 and cannot fail; at (0.3, 0.3) with m = 5
+    # it is 0.0184 against an exact mismatch probability of 0.0078
+    mismatches = []
+    for a, m in ((0.1, 1), (0.3, 5)):
+        chain = two_state_chain(a, a)
+        p_mis, se = berbee_mismatch_probability(chain, m, 10, 10 ** 5, 3)
+        mismatches.append(round(p_mis, 4))
+        if p_mis > 9.0 * beta_coefficient(chain.P, m + 1) + 3.0 * se:
+            problems.append("berbee")
     report(11, not problems and checked >= 1000,
-           f"{checked} covariance instances, berbee mismatch {p_mis:.4f}; "
+           f"{checked} covariance instances, berbee mismatch {mismatches}; "
            f"violations: {problems or 'none'}")
 
 

@@ -6,6 +6,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mdmart import bounds
+from mdmart.montecarlo import seeded_stream
+
+
+def reference_remainders(x):
+    """x(e^x-1-x) and e^x-1-x-x^2/2 one scalar at a time on math.expm1,
+    by series below |x| = 1e-4."""
+    if abs(x) < 1e-4:
+        return (x * (x * x / 2.0 + x ** 3 / 6.0 + x ** 4 / 24.0),
+                x ** 3 / 6.0 + x ** 4 / 24.0 + x ** 5 / 120.0)
+    return x * (math.expm1(x) - x), math.expm1(x) - x - 0.5 * x * x
+
+
+def reference_check(x, rho):
+    if x == 0.0:
+        return True
+    r1, r2 = reference_remainders(x)
+    envelope = abs(x) ** (2.0 + rho) * math.exp(max(x, 0.0))
+    return (abs(r1) <= 2.0 * envelope * (1.0 + 1e-12)
+            and abs(r2) <= envelope * (1.0 + 1e-12))
 
 
 class TestGaussianTail:
@@ -117,6 +136,31 @@ class TestRemainderInequalities:
     @given(st.floats(-50.0, 50.0), st.floats(0.01, 1.0))
     def test_pointwise(self, x, rho):
         assert bounds.check_remainder_bounds(x, rho)
+
+    def test_array_matches_reference_on_edges(self):
+        # x = 0, the series branch, both sides of its cut at |x| = 1e-4, and
+        # the ends of the suite's range, each at a tiny, middle and unit rho
+        cut = [math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0)]
+        xs = np.array([5e-5] + cut + [50.0])
+        xs = np.concatenate(([0.0], xs, -xs))
+        x, rho = (a.ravel() for a in np.meshgrid(xs, [1e-9, 0.5, 1.0]))
+        assert bounds.check_remainder_bounds(x, rho).tolist() == [
+            reference_check(float(a), float(r)) for a, r in zip(x, rho)]
+        # numpy's and math's expm1 may differ in the last bits, and just
+        # above the cut e^x - 1 - x cancels all but about 1/(2e4) of them
+        for a in xs:
+            r1, r2 = reference_remainders(float(a))
+            assert bounds.taylor_remainder1(a) == pytest.approx(r1, rel=1e-10, abs=0.0)
+            assert bounds.taylor_remainder2(a) == pytest.approx(r2, rel=1e-10, abs=0.0)
+
+    def test_array_matches_reference_on_suite_draws(self):
+        # the first 1e4 samples verify's remainder suite checks at seed 0
+        rng = seeded_stream(0)
+        xs = rng.uniform(-50.0, 50.0, 10 ** 6)[:10 ** 4]
+        rhos = rng.uniform(0.0, 1.0, 10 ** 6)[:10 ** 4]
+        rhos[rhos == 0.0] = 1.0
+        assert bounds.check_remainder_bounds(xs, rhos).tolist() == [
+            reference_check(float(x), float(r)) for x, r in zip(xs, rhos)]
 
     def test_small_x_stability(self):
         # the series branch must agree with the direct formula

@@ -63,3 +63,28 @@ def test_one_model_representation():
     found = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
              for line, name in foreign_calls(path.read_text(), path.name)]
     assert not found, "calls outside their owning module: " + ", ".join(found)
+
+
+# draw calls that return one number when called without arguments; the
+# package draws whole arrays, so such a call is a per-sample Python loop
+SCALAR_DRAWS = {"random", "uniform", "standard_normal"}
+
+
+def scalar_draws(source: str):
+    """(line, name) of each call `.random()`, `.uniform()` or
+    `.standard_normal()` made without arguments."""
+    return [(node.lineno, node.func.attr) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in SCALAR_DRAWS and not node.args and not node.keywords]
+
+
+def test_checker_catches_a_scalar_draw():
+    src = ("u = rng.random()\nv = rng.random(8)\n"
+           "z = rng.standard_normal(size=3)\nw = g.uniform()\n")
+    assert scalar_draws(src) == [(1, "random"), (4, "uniform")]
+
+
+def test_no_scalar_draws():
+    found = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
+             for line, name in scalar_draws(path.read_text())]
+    assert not found, "draws of one number: " + ", ".join(found)

@@ -9,10 +9,21 @@ from mdmart.mixing import (BlockDecomposition, ChainError, MarkovChainSpec,
                            beta_by_enumeration, beta_coefficient,
                            beta_two_state_closed_form, block_decompose,
                            block_indices, block_marginal,
+                           block_sum_distribution,
                            covariance_bound_check, exact_block_sum_variance,
                            fit_beta_decay, mixing_tail_experiment,
                            psi_bar_coefficient, simulate_block_sums,
                            stationary_dist, tau_n, two_state_chain)
+
+
+def three_state_chain():
+    """The 3-state chain of the mixing-blocks benchmark, with a centered
+    unit-variance observable."""
+    P = np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
+    pi = stationary_dist(P)
+    f = np.array([1.0, 0.0, -1.0])
+    f = f - pi @ f
+    return MarkovChainSpec(states=[0, 1, 2], P=P, f=f / math.sqrt(pi @ (f * f)))
 
 
 def random_chain(rng, S):
@@ -108,14 +119,47 @@ class TestBlocks:
             block_indices(1, 0.5)
 
 
+def exact_mismatch_probability(chain, m, k):
+    """P(some block of k mismatches), by a forward pass over the S+1 cases
+    of the coupling (the stationary start, then the previous block's end
+    state) that carries the mass of "no mismatch so far": from case c a
+    block matches with sum y at mass min(cond_c(y), marg(y)) and then ends
+    in state e with probability cond_c(y, e) / cond_c(y)."""
+    S = chain.P.shape[0]
+    per_start = block_sum_distribution(chain, m)
+    hop = np.linalg.matrix_power(chain.P, m + 1)
+    starts = [chain.pi] + [hop[e] for e in range(S)]
+    conds, cond_ys = [], []
+    for start in starts:
+        cond = {}
+        for s in range(S):
+            for key, p in per_start[s].items():
+                cond[key] = cond.get(key, 0.0) + start[s] * p
+        cond_y = {}
+        for (y, _), p in cond.items():
+            cond_y[y] = cond_y.get(y, 0.0) + p
+        conds.append(cond)
+        cond_ys.append(cond_y)
+    marg = cond_ys[0]
+    alive = np.zeros(S + 1)
+    alive[0] = 1.0
+    for _ in range(k):
+        nxt = np.zeros(S + 1)
+        for c in range(S + 1):
+            for (y, e), p in conds[c].items():
+                overlap = min(cond_ys[c][y], marg.get(y, 0.0))
+                nxt[1 + e] += alive[c] * overlap * p / cond_ys[c][y]
+        alive = nxt
+    return 1.0 - float(alive.sum())
+
+
 class TestBerbee:
     def test_iid_chain_never_mismatches(self):
         chain = two_state_chain(0.5, 0.5)
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            res = berbee_couple(chain, 2, 5, rng)
-            assert not res.mismatch.any()
-            assert np.array_equal(res.blocks, res.independent)
+        res = berbee_couple(chain, 2, 5, 200, rng)
+        assert not res.mismatch.any()
+        assert np.array_equal(res.blocks, res.independent)
 
     def test_mismatch_bound(self):
         # the coupling hops between blocks by P^{m+1}, so each of the k - 1
@@ -126,6 +170,28 @@ class TestBerbee:
             p, se = berbee_mismatch_probability(chain, m, 10, 20000, 3)
             bound = 9.0 * beta_coefficient(chain.P, m + 1)
             assert p <= bound + 3.0 * se
+
+    # the three configurations of the mixing-blocks benchmark, and a slow
+    # asymmetric chain: in a symmetric two-state chain both end states leave
+    # the same match mass, so the law of the end state cannot show in the
+    # mismatch probability, while at (0.02, 0.1) it moves it by many SE
+    @pytest.mark.parametrize("chain, m, exact", [
+        (two_state_chain(0.1, 0.1), 1, 0.968913),
+        (two_state_chain(0.3, 0.3), 5, 0.0077991),
+        (three_state_chain(), 3, 0.0134197),
+        (two_state_chain(0.02, 0.1), 3, 0.7455327)],
+        ids=["two_state(0.1,0.1)", "two_state(0.3,0.3)", "three_state",
+             "two_state(0.02,0.1)"])
+    def test_mismatch_probability_exact(self, chain, m, exact):
+        p = exact_mismatch_probability(chain, m, 10)
+        assert p == pytest.approx(exact, abs=5e-7)
+        reps = 10 ** 5
+        p_hat, _ = berbee_mismatch_probability(chain, m, 10, reps, 3)
+        assert abs(p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / reps)
+
+    def test_rejects_zero_reps(self):
+        with pytest.raises(ChainError):
+            berbee_mismatch_probability(two_state_chain(0.3, 0.3), 5, 10, 0, 3)
 
     def test_independent_copy_marginal(self):
         # enumerate the true block-sum law for m = 3 and compare against the
@@ -146,10 +212,9 @@ class TestBerbee:
         rng = np.random.default_rng(8)
         counts = {}
         reps = 4000
-        for _ in range(reps):
-            for v in berbee_couple(chain, 3, 4, rng).independent:
-                key = round(float(v), 12)
-                counts[key] = counts.get(key, 0) + 1
+        for v in berbee_couple(chain, 3, 4, reps, rng).independent.ravel():
+            key = round(float(v), 12)
+            counts[key] = counts.get(key, 0) + 1
         total = 4 * reps
         for y, p in oracle.items():
             se = math.sqrt(p * (1 - p) / total)

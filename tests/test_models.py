@@ -246,6 +246,31 @@ class TestStateTable:
             assert m.variance_deviation() == pytest.approx(
                 worst(m, 0, m.initial_state(), 0.0), rel=1e-12, abs=1e-12)
 
+    def test_one_state_deviation_is_the_forward_pass(self):
+        # the one-state shortcut must make the very float sum of the forward
+        # pass, which a two-state table with the same law at both states
+        # runs; E eta^2 - 1 = -0.4 is inexact in binary, so n (E eta^2 - 1)
+        # would round differently
+        law = two_point(2.0, -0.3)
+
+        class Cycle(MartingaleModel):
+            def __init__(self, n, period):
+                super().__init__("cycle", n, 1.0)
+                self.period = period
+
+            def initial_state(self):
+                return 0
+
+            def law_at(self, state):
+                return law
+
+            def next_state(self, state, eta):
+                return (state + 1) % self.period
+
+        one, two = Cycle(1600, 1), Cycle(1600, 2)
+        assert len(one.table.states) == 1 and len(two.table.states) == 2
+        assert one.variance_deviation() == two.variance_deviation()
+
     def test_gamma_zero_still_falls_back(self):
         # one law but three states (the sign is still tracked): not i.i.d.
         m = make_regime_switch(50, 0.0)
