@@ -1,5 +1,5 @@
-"""Closed-form evaluators for the Gaussian tail, the main tail-ratio bound,
-Berry-Esseen terms and the Bernstein-type exponential inequality.
+"""Closed-form evaluators for the Gaussian tail, the main tail-ratio bound
+and the Bernstein-type exponential inequality.
 
 All anonymous theorem constants are explicit parameters defaulting to 1, so
 experiments report measured implied constants instead of guessing."""
@@ -37,7 +37,7 @@ class BoundParams:
     def __post_init__(self):
         if not (0.0 < self.rho <= 1.0):
             raise ValueError("rho must lie in (0, 1]")
-        if self.eps_n < 0.0 or self.delta_n < 0.0 or self.c <= 0.0:
+        if not (self.eps_n >= 0.0 and self.delta_n >= 0.0 and self.c > 0.0):
             raise ValueError("need eps_n, delta_n >= 0 and c > 0")
 
     @property
@@ -66,16 +66,6 @@ def ratio_envelope(x: float, params: BoundParams) -> tuple[float, float]:
     """Multiplicative envelope exp(-rhs), exp(+rhs) for p/(1 - Phi(x))."""
     rhs = thm21_rhs(x, params)
     return math.exp(-rhs), math.exp(rhs)
-
-
-def berry_esseen_term(params: BoundParams) -> float:
-    """CLT rate: c (eps^rho + delta) for rho < 1, c (eps|ln eps| + delta)
-    at rho = 1."""
-    if params.rho < 1.0:
-        core = params.eps_n ** params.rho
-    else:
-        core = params.eps_tilde
-    return params.c * (core + params.delta_n)
 
 
 def bernstein_tail_bound(x: float, n: int, M: float, L: float) -> float:

@@ -42,11 +42,17 @@ def _build_model(args):
 
 
 def _parse_grid(spec: str):
-    """'a:b:step' inclusive grid, or a comma list."""
+    """'a:b:step' inclusive grid, or a comma list, of finite values; a grid's
+    step must be positive."""
     if ":" in spec:
         a, b, step = (float(v) for v in spec.split(":"))
+        if not (step > 0.0 and np.isfinite([a, b, step]).all()):
+            raise ValueError(f"grid {spec!r} needs finite ends and a step > 0")
         return list(np.arange(a, b + step / 2.0, step))
-    return [float(v) for v in spec.split(",")]
+    values = [float(v) for v in spec.split(",")]
+    if not np.isfinite(values).all():
+        raise ValueError(f"grid {spec!r} holds a value that is not finite")
+    return values
 
 
 def _out_path(args, filename):
@@ -71,12 +77,7 @@ def cmd_verify(args):
 
 def cmd_certify(args):
     model = _build_model(args)
-    try:
-        cert = certify(model)
-    except CertificationError as e:
-        print(f"FAIL certification: {e}", file=sys.stderr)
-        return EXIT_ASSERTION
-    doc = cert.to_json()
+    doc = certify(model).to_json()
     print(doc)
     path = _out_path(args, f"certificate_{model.name}_n{model.n}.json")
     with open(path, "w") as fh:
@@ -253,6 +254,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except CertificationError as e:
+        print(f"FAIL certification: {e}", file=sys.stderr)
+        return EXIT_ASSERTION
     except (ModelError, ValueError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

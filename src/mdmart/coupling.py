@@ -18,44 +18,17 @@ from .montecarlo import seeded_chunks
 COUPLE_CHUNK = 1 << 16
 
 
-class QuantileFunction:
-    def evaluate(self, s: float) -> float:
-        raise NotImplementedError
-
-    def evaluate_batch(self, s: np.ndarray) -> np.ndarray:
-        return np.array([self.evaluate(float(v)) for v in s])
-
-
-class NormalQuantile(QuantileFunction):
-    """Identity case: coupling a normal to itself gives w = z exactly."""
-
-    def evaluate(self, s):
-        if not (0.0 < s < 1.0):
-            raise ValueError("s must lie in (0, 1)")
-        return float(norm.ppf(s))
-
-    def evaluate_batch(self, s):
-        return norm.ppf(s)
-
-
-class ExactBinomialQuantile(QuantileFunction):
+class ExactBinomialQuantile:
     """Quantile function of X_n = (2 S - n)/sqrt(n), S ~ Bin(n, 1/2),
     from the exact binomial CDF on the lattice."""
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be >= 1")
-        self.n = n
         k = np.arange(n + 1)
         self.values = (2.0 * k - n) / math.sqrt(n)
         self.cdf = binom.cdf(k, n, 0.5)
         self.cdf[-1] = 1.0
-
-    def evaluate(self, s):
-        if not (0.0 < s < 1.0):
-            raise ValueError("s must lie in (0, 1)")
-        idx = int(np.searchsorted(self.cdf, s, side="left"))
-        return float(self.values[idx])
 
     def evaluate_batch(self, s):
         if np.any((s <= 0.0) | (s >= 1.0)):
@@ -71,48 +44,6 @@ class ExactBinomialQuantile(QuantileFunction):
         return upper - lower
 
 
-class EmpiricalQuantile(QuantileFunction):
-    """Order-statistic quantile of a finite sample."""
-
-    def __init__(self, samples):
-        samples = np.asarray(samples, dtype=float)
-        if samples.size == 0:
-            raise ValueError("samples must be nonempty")
-        self.sorted = np.sort(samples)
-
-    def evaluate(self, s):
-        if not (0.0 < s < 1.0):
-            raise ValueError("s must lie in (0, 1)")
-        idx = math.ceil(s * self.sorted.size) - 1
-        return float(self.sorted[max(idx, 0)])
-
-    def evaluate_batch(self, s):
-        if np.any((s <= 0.0) | (s >= 1.0)):
-            raise ValueError("s must lie in (0, 1)")
-        idx = np.ceil(s * self.sorted.size).astype(int) - 1
-        return self.sorted[np.maximum(idx, 0)]
-
-
-@dataclass
-class CouplingSample:
-    z: float
-    w: float
-    deviation: float  # sqrt(n) |w - z| / ln n; nan when n not supplied
-
-
-def couple(qf: QuantileFunction, z: float, n: int | None = None) -> CouplingSample:
-    """Deterministic coupling w = H(Phi(z))."""
-    if not math.isfinite(z):
-        raise ValueError("z must be finite")
-    if n is None:
-        n = getattr(qf, "n", None)
-    w = qf.evaluate(float(norm.cdf(z)))
-    dev = math.nan
-    if n is not None and n > 1:
-        dev = math.sqrt(n) * abs(w - z) / math.log(n)
-    return CouplingSample(z=z, w=w, deviation=dev)
-
-
 @dataclass
 class CouplingReport:
     n: int
@@ -123,7 +54,6 @@ class CouplingReport:
     frac_event: float
     tail_slope: float
     tail_intercept: float
-    max_deviation: float
 
     CSV_COLUMNS = ("n", "seed", "D_hat", "tail_slope", "tail_intercept",
                    "frac_event", "budget")
@@ -139,20 +69,20 @@ def coupling_tail_report(n: int, budget: int, seed: int,
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    if not (0.0 < alpha < math.inf):
+        raise ValueError("alpha must be finite and > 0")
     if budget < 1000:
         raise ValueError("budget too small to resolve the deviation tail")
     qf = ExactBinomialQuantile(n)
     sqrt_n, log_n = math.sqrt(n), math.log(n)
     d_hat = 0.0
     on_event = 0
-    max_dev = 0.0
     devs = []
     for rng, size in seeded_chunks(seed, budget, COUPLE_CHUNK):
         z = rng.standard_normal(size)
         w = qf.evaluate_batch(norm.cdf(z))
         dev = sqrt_n * np.abs(w - z) / log_n
         devs.append(dev)
-        max_dev = max(max_dev, float(dev.max()))
         mask = np.abs(w) <= alpha * sqrt_n
         on_event += int(mask.sum())
         if mask.any():
@@ -161,8 +91,7 @@ def coupling_tail_report(n: int, budget: int, seed: int,
     slope, intercept = _fit_exponential_tail(dev)
     return CouplingReport(n=n, seed=seed, budget=budget, alpha=alpha,
                           D_hat=d_hat, frac_event=on_event / budget,
-                          tail_slope=slope, tail_intercept=intercept,
-                          max_deviation=max_dev)
+                          tail_slope=slope, tail_intercept=intercept)
 
 
 def _fit_exponential_tail(dev: np.ndarray, points: int = 12,

@@ -10,7 +10,6 @@ dominates it, and all bounds are upper bounds, so substituting psi_bar keeps
 every check conservative."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -75,20 +74,6 @@ class MarkovChainSpec:
             raise ChainError("states, P and f sizes disagree")
         if abs(float(self.pi @ self.f)) > 1e-12:
             raise ChainError("observable must be centered under pi")
-
-    def to_json(self) -> str:
-        return json.dumps({"name": self.name, "states": list(self.states),
-                           "P": [float(v) for v in self.P.ravel()],
-                           "f": [float(v) for v in self.f]})
-
-    @classmethod
-    def from_json(cls, doc) -> "MarkovChainSpec":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        S = len(doc["states"])
-        P = np.array(doc["P"], dtype=float).reshape(S, S)
-        return cls(states=doc["states"], P=P,
-                   f=np.array(doc["f"], dtype=float), name=doc.get("name", "chain"))
 
 
 def two_state_chain(a: float, b: float, name: str = "two_state") -> MarkovChainSpec:
@@ -177,8 +162,6 @@ def fit_beta_decay(beta: np.ndarray, taus=(0.5, 0.75, 1.0)):
 
 @dataclass
 class MixingCertificate:
-    beta: np.ndarray
-    psi_bar: np.ndarray
     a1: float
     a2: float
     tau: float
@@ -188,10 +171,9 @@ class MixingCertificate:
 
 def certify_chain(chain: MarkovChainSpec, n_max: int,
                   m: int | None = None) -> MixingCertificate:
-    """Exact beta/psi_bar arrays up to n_max plus the fitted decay; when a
-    block length m is supplied, exact block-moment constants c1, c2."""
+    """The decay fitted to the exact beta(1..n_max); when a block length m
+    is supplied, exact block-moment constants c1, c2."""
     beta = np.array([beta_coefficient(chain.P, n) for n in range(1, n_max + 1)])
-    psi = np.array([psi_bar_coefficient(chain.P, n) for n in range(1, n_max + 1)])
     a1, a2, tau = fit_beta_decay(beta)
     c1 = c2 = None
     if m is not None:
@@ -200,20 +182,11 @@ def certify_chain(chain: MarkovChainSpec, n_max: int,
         m_sq = _block_abs_moment(chain, m, 2.0)
         c1 = (m_abs / m ** (1.0 + rho / 2.0)) ** (1.0 / (2.0 + rho))
         c2 = math.sqrt(m_sq / m)
-    return MixingCertificate(beta=beta, psi_bar=psi, a1=a1, a2=a2, tau=tau,
-                             c1=c1, c2=c2)
+    return MixingCertificate(a1=a1, a2=a2, tau=tau, c1=c1, c2=c2)
 
 
 # ---------------------------------------------------------------------------
 # block construction
-
-
-@dataclass
-class BlockDecomposition:
-    m: int
-    k: int
-    blocks: np.ndarray   # Y_1..Y_k
-    S_n: float
 
 
 def block_indices(n: int, alpha: float):
@@ -227,14 +200,6 @@ def block_indices(n: int, alpha: float):
     if k < 1:
         raise ChainError("n too small: no complete block fits")
     return m, k, [(2 * m * j, 2 * m * j + m) for j in range(k)]
-
-
-def block_decompose(eta: np.ndarray, alpha: float) -> BlockDecomposition:
-    """Interlaced blocks of length m = floor(n^alpha) separated by gaps of m."""
-    eta = np.asarray(eta, dtype=float)
-    m, k, ranges = block_indices(eta.size, alpha)
-    blocks = np.array([eta[s:e].sum() for s, e in ranges])
-    return BlockDecomposition(m=m, k=k, blocks=blocks, S_n=float(blocks.sum()))
 
 
 # exact distribution of one block sum: DP over (sum, end state)

@@ -72,9 +72,6 @@ class ConditionalLaw:
     def second_moment(self) -> float:
         return math.fsum(p * v * v for v, p in self.atoms)
 
-    def raw_moment(self, k: int) -> float:
-        return math.fsum(p * v ** k for v, p in self.atoms)
-
     def scaled(self, factor: float) -> "ConditionalLaw":
         return ConditionalLaw(tuple((v * factor, p) for v, p in self.atoms))
 
@@ -95,14 +92,6 @@ class ConditionalLaw:
         m = max(terms)
         return m + math.log(math.fsum(math.exp(t - m) for t in terms))
 
-    def log_exp_moment_negative_part(self, c: float) -> float:
-        """log E[e^{c|v|} 1{v < 0}]."""
-        terms = [math.log(p) + c * (-v) for v, p in self.atoms if v < 0.0]
-        if not terms:
-            return -math.inf
-        m = max(terms)
-        return m + math.log(math.fsum(math.exp(t - m) for t in terms))
-
 
 def check_sakhanenko(law: ConditionalLaw, rho: float, K: float, L: float,
                      two_sided: bool = False):
@@ -113,11 +102,6 @@ def check_sakhanenko(law: ConditionalLaw, rho: float, K: float, L: float,
     log_lhs = law.log_sakhanenko_moment(rho, K, two_sided=two_sided)
     log_rhs = rho * math.log(L) + math.log(law.second_moment())
     return log_lhs <= log_rhs + ATOL, log_lhs, log_rhs
-
-
-def check_bernstein(law: ConditionalLaw, k: int, H: float) -> bool:
-    """Conditional Bernstein condition |E v^k| <= (1/2) k! H^{k-2} E v^2."""
-    return abs(law.raw_moment(k)) <= 0.5 * math.factorial(k) * H ** (k - 2) * law.second_moment()
 
 
 @dataclass(frozen=True)
@@ -150,15 +134,6 @@ class Certificate:
             "eps_n": self.eps_n, "delta_n": self.delta_n,
             "delta_n_from_L": self.delta_n_from_L,
         })
-
-
-@dataclass
-class Path:
-    """One realized trajectory: increments, partial sums and the bracket."""
-
-    increments: np.ndarray      # xi_1..xi_n (scaled)
-    partial_sums: np.ndarray    # X_0..X_n
-    bracket: np.ndarray         # <X>_0..<X>_n
 
 
 @dataclass
@@ -274,12 +249,6 @@ class MartingaleModel:
     @property
     def iid(self) -> bool:
         return len(self.table.states) == 1
-
-    def params(self) -> dict:
-        return {}
-
-    def to_spec(self) -> dict:
-        return {"name": self.name, "n": self.n, "params": self.params()}
 
     def scaled_law_at(self, state) -> ConditionalLaw:
         return self.law_at(state).scaled(1.0 / math.sqrt(self.n))
@@ -401,9 +370,6 @@ class RademacherModel(IIDModel):
         super().__init__("rademacher", n, rho)
         self._law = ConditionalLaw(((1.0, 0.5), (-1.0, 0.5)))
 
-    def params(self):
-        return {"rho": self.rho}
-
     def simulate_terminal(self, size, rng, lam=0.0):
         # X_n = (2 S - n)/sqrt(n) with S binomial under the tilted step law
         a = 1.0 / math.sqrt(self.n)
@@ -427,12 +393,7 @@ class HeavyLeftModel(IIDModel):
         super().__init__("heavy_left", n, rho)
         if tail_atoms < 2:
             raise ModelError("need at least 2 negative tail atoms")
-        self.tail_atoms = tail_atoms
-        self.depth = depth
         self._law = _build_heavy_left_law(rho, tail_atoms, depth)
-
-    def params(self):
-        return {"rho": self.rho, "tail_atoms": self.tail_atoms, "depth": self.depth}
 
 
 def _build_heavy_left_law(rho, tail_atoms, depth):
@@ -510,12 +471,9 @@ class RegimeSwitchModel(MartingaleModel):
         d = round(state[1] + 1.0 - self._sigma2_at(state), 12)
         return (1 if eta > 0 else -1, d)
 
-    def params(self):
-        return {"gamma": self.gamma, "rho": self.rho}
-
 
 # ---------------------------------------------------------------------------
-# factories and serialization
+# factories
 
 
 def make_rademacher(n: int, rho: float = 1.0) -> RademacherModel:
@@ -536,13 +494,3 @@ _FACTORIES = {
     "heavy_left": make_heavy_left,
     "regime_switch": make_regime_switch,
 }
-
-
-def model_from_spec(doc: dict | str) -> MartingaleModel:
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    try:
-        factory = _FACTORIES[doc["name"]]
-    except KeyError as e:
-        raise ModelError(f"unknown model {doc.get('name')!r}") from e
-    return factory(doc["n"], **doc.get("params", {}))

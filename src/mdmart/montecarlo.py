@@ -200,6 +200,8 @@ def mdp_scan(model_family: Callable[[int], MartingaleModel], ns: Sequence[int],
     if not (0.0 < gamma < 0.5):
         raise ValueError("a_n rule must have exponent in (0, 1/2) so that "
                          "a_n -> inf and a_n * eps_n -> 0")
+    if not math.isfinite(b):
+        raise ValueError("b must be finite")
     out = []
     for i, n in enumerate(ns):
         model = model_family(n)

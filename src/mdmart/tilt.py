@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
-from .models import ConditionalLaw, MartingaleModel, Path
+from .models import ConditionalLaw, MartingaleModel
 
 RESIDUAL_TOL = 1e-12
 
@@ -61,44 +61,6 @@ def tilt_law(law: ConditionalLaw, lam: float) -> TiltedLaw:
 def drift_step(law: ConditionalLaw, lam: float) -> float:
     """b(lam) = E[v e^{lam v}] / E[e^{lam v}], the tilted conditional mean."""
     return tilt_law(law, lam).mean()
-
-
-@dataclass
-class TiltedPath:
-    path: Path
-    lam: float
-    psi_n: float
-    b_steps: list
-    log_weight: float
-
-
-def sample_tilted_path(model: MartingaleModel, lam: float,
-                       rng: np.random.Generator) -> TiltedPath:
-    """Draw one path under P_lam, accumulating Psi_n and the drift steps;
-    lam = 0 draws a path of the model itself.  The bracket is accumulated
-    exactly from the untilted conditional laws."""
-    n = model.n
-    table = model.table
-    tilted = model.tilted_laws(lam)
-    s = 0
-    incs = np.empty(n)
-    sums = np.zeros(n + 1)
-    bracket = np.zeros(n + 1)
-    psi = 0.0
-    b_steps = []
-    for i in range(n):
-        tl = tilted[table.law_of[s]]
-        k = rng.choice(len(tl.atoms), p=[p for _, p in tl.atoms])
-        xi = tl.atoms[k][0]
-        incs[i] = xi
-        sums[i + 1] = sums[i] + xi
-        bracket[i + 1] = bracket[i] + tl.base.second_moment()
-        psi += tl.step_log_mgf
-        b_steps.append(tl.mean())
-        s = table.T[s, k]
-    path = Path(increments=incs, partial_sums=sums, bracket=bracket)
-    return TiltedPath(path=path, lam=lam, psi_n=psi, b_steps=b_steps,
-                      log_weight=-lam * sums[n] + psi)
 
 
 @dataclass

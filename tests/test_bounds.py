@@ -92,6 +92,11 @@ class TestThm21Rhs:
         b = bounds.thm21_rhs(1.0, bounds.BoundParams(rho=0.7, eps_n=hi, delta_n=0.1))
         assert a <= b + 1e-12
 
+    def test_rejects_bad_constants(self):
+        for kw in ({"c": 0.0}, {"c": math.nan}, {"eps_n": math.nan}, {"rho": 0.0}):
+            with pytest.raises(ValueError):
+                bounds.BoundParams(**{"rho": 1.0, "eps_n": 0.1, "delta_n": 0.0, **kw})
+
     def test_envelope_brackets_one(self):
         p = bounds.BoundParams(rho=1.0, eps_n=0.1, delta_n=0.05)
         lo, hi = bounds.ratio_envelope(1.3, p)
@@ -99,18 +104,6 @@ class TestThm21Rhs:
 
 
 class TestBerryEsseen:
-    def test_zero(self):
-        p = bounds.BoundParams(rho=0.5, eps_n=0.0, delta_n=0.0)
-        assert bounds.berry_esseen_term(p) == 0.0
-
-    def test_hand_arithmetic(self):
-        p = bounds.BoundParams(rho=1.0, eps_n=math.exp(-1.0), delta_n=0.0)
-        assert bounds.berry_esseen_term(p) == pytest.approx(math.exp(-1.0))
-
-    def test_matches_rhs_at_zero(self):
-        p = bounds.BoundParams(rho=0.5, eps_n=0.07, delta_n=0.03)
-        assert bounds.berry_esseen_term(p) == pytest.approx(bounds.thm21_rhs(0.0, p))
-
     def test_exact_sup_distance_decreases(self):
         d = [bounds.rademacher_sup_distance(n) for n in (100, 1000, 10000)]
         assert d[0] > d[1] > d[2]

@@ -50,7 +50,7 @@ def test_every_csv_field_parses(tmp_path):
             [float(v) for v in line.split(",")]
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["tail", "--model", "rademacher", "--n", "0"]) == 2
     assert main(["mdp", "--rule", "n^0.75"]) == 2
     assert main(["nonsense"]) == 2
@@ -60,6 +60,26 @@ def test_usage_errors_exit_2(tmp_path):
     for rho in ("0", "-1", "nan"):
         assert main(["--out", str(tmp_path), "certify", "--rho", rho]) == 2
         assert main(["--out", str(tmp_path), "tail", "--rho", rho]) == 2
+    # bad numbers are refused where they enter, before any sampling
+    for argv in (["tail", "--x", "0:4:0"], ["tail", "--x", "0:4:-1"],
+                 ["tail", "--x", "0:nan:0.5"], ["tail", "--x", "inf"],
+                 ["tail", "--x", "0.5,nan"], ["mixing", "--x", "nan"],
+                 ["tail", "--c", "nan"], ["tail", "--c", "0"],
+                 ["couple", "--alpha", "-1"], ["couple", "--alpha", "nan"],
+                 ["couple", "--alpha", "inf"], ["mdp", "--b", "inf"]):
+        assert main(["--out", str(tmp_path)] + argv) == 2, argv
+        assert "Traceback" not in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_failed_certification_exits_1(tmp_path, capsys):
+    # the moment condition fails on every grid point at rho = 0.001, so
+    # `tail` stops where `certify` does: exit 1, one FAIL line, no artifact
+    for command in ("certify", "tail"):
+        assert main(["--out", str(tmp_path), command, "--model", "rademacher",
+                     "--rho", "0.001"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("FAIL certification: ") and "Traceback" not in err
     assert not list(tmp_path.iterdir())
 
 

@@ -1,81 +1,59 @@
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.stats import binom
+from scipy.stats import binom, norm
 
-from mdmart.coupling import (CouplingReport, EmpiricalQuantile,
-                             ExactBinomialQuantile, NormalQuantile, couple,
-                             coupling_tail_report)
+from mdmart.coupling import ExactBinomialQuantile, coupling_tail_report
+
+
+def quantile(n, s):
+    """H(s) for one s, through the batch evaluator."""
+    return float(ExactBinomialQuantile(n).evaluate_batch(np.array([s]))[0])
+
+
+def coupled(n, z):
+    """The coupled lattice value w = H(Phi(z)) for one z."""
+    return quantile(n, float(norm.cdf(z)))
 
 
 class TestExactQuantile:
     def test_two_atom_law(self):
-        q = ExactBinomialQuantile(1)
-        assert q.evaluate(0.25) == -1.0  # F(-1) = .5 >= .25
-        assert q.evaluate(0.75) == 1.0
+        assert quantile(1, 0.25) == -1.0  # F(-1) = .5 >= .25
+        assert quantile(1, 0.75) == 1.0
 
     def test_n4_median(self):
-        q = ExactBinomialQuantile(4)
         # F(0) = 11/16 >= .5 while F(-1) = 5/16 < .5
-        assert q.evaluate(0.5) == 0.0
+        assert quantile(4, 0.5) == 0.0
 
     def test_rejects_bad_s(self):
         q = ExactBinomialQuantile(4)
         for s in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
-                q.evaluate(s)
+                q.evaluate_batch(np.array([0.5, s]))
 
     @given(st.floats(0.001, 0.999), st.floats(0.001, 0.999))
     def test_nondecreasing(self, s1, s2):
-        q = ExactBinomialQuantile(9)
         lo, hi = sorted((s1, s2))
-        assert q.evaluate(lo) <= q.evaluate(hi)
-
-
-class TestEmpiricalQuantile:
-    def test_small_samples(self):
-        assert EmpiricalQuantile([1, 2, 3]).evaluate(0.5) == 2.0
-        assert EmpiricalQuantile([5]).evaluate(0.3) == 5.0
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            EmpiricalQuantile([])
-
-    def test_median_of_normal_sample(self):
-        rng = np.random.default_rng(0)
-        q = EmpiricalQuantile(rng.standard_normal(10 ** 6))
-        assert abs(q.evaluate(0.5)) < 0.005
+        assert quantile(9, lo) <= quantile(9, hi)
 
 
 class TestCouple:
-    def test_identity_quantile(self):
-        for z in (-2.0, 0.0, 1.3):
-            assert couple(NormalQuantile(), z).w == pytest.approx(z, abs=1e-9)
-
     def test_sign_coupling_n1(self):
-        q = ExactBinomialQuantile(1)
-        assert couple(q, -0.5).w == -1.0
-        assert couple(q, 0.5).w == 1.0
-        assert couple(q, 0.0).w == -1.0  # Phi(0) = .5 and F(-1) = .5: inf rule
+        assert coupled(1, -0.5) == -1.0
+        assert coupled(1, 0.5) == 1.0
+        assert coupled(1, 0.0) == -1.0  # Phi(0) = .5 and F(-1) = .5: inf rule
 
     @given(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
     def test_monotone_in_z(self, z1, z2):
-        q = ExactBinomialQuantile(16)
         lo, hi = sorted((z1, z2))
-        assert couple(q, lo).w <= couple(q, hi).w
+        assert coupled(16, lo) <= coupled(16, hi)
 
     def test_atom_reproduction_n6(self):
         probs = ExactBinomialQuantile(6).atom_probabilities()
         exact = binom.pmf(np.arange(7), 6, 0.5)
         assert np.max(np.abs(probs - exact)) < 1e-12
-
-    def test_deviation_scaling(self):
-        q = ExactBinomialQuantile(100)
-        s = couple(q, 1.0)
-        assert s.deviation == pytest.approx(10.0 * abs(s.w - 1.0) / math.log(100))
 
 
 class TestTailReport:

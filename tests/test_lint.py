@@ -1,6 +1,7 @@
 """Static checks on the package source.  No linter is a dependency, so the
 unused-import rule is enforced here with the standard library's ast."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "mdmart"
@@ -88,3 +89,71 @@ def test_no_scalar_draws():
     found = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
              for line, name in scalar_draws(path.read_text())]
     assert not found, "draws of one number: " + ", ".join(found)
+
+
+# the code whose needs define the library: the package itself, the benchmark
+# and the acceptance gate; a unit test alone does not keep a definition alive
+ROOT = SRC.parent.parent
+REACHING = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py")),
+            ROOT / "tests" / "test_acceptance.py"]
+
+
+def public_definitions(tree):
+    """(qualified name, node) of each public module-level function and class,
+    and of each public method of a module-level class."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{item.name}", item) for item in node.body
+                      if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return found
+
+
+def references(node):
+    """Every name `node` reads: bare names, attribute names, and string
+    constants that name one ('f' or 'layer.f', as the benchmark's tracer
+    looks functions up by string)."""
+    refs = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            refs.append(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            refs.append(sub.value.rpartition(".")[2])
+    return refs
+
+
+def unreached(sources, reaching):
+    """'file:line qualified name' of each public definition in `sources`
+    (file name -> source) that no code in `reaching` (a list of sources)
+    references outside the definition itself."""
+    total = Counter(ref for source in reaching for ref in references(ast.parse(source)))
+    found = []
+    for filename, source in sources.items():
+        for qualname, node in public_definitions(ast.parse(source)):
+            if total[node.name] - references(node).count(node.name) <= 0:
+                found.append(f"{filename}:{node.lineno} {qualname}")
+    return found
+
+
+def test_checker_catches_an_unreached_definition():
+    lib = ("def used():\n    return helper()\n\n"
+           "def helper():\n    return helper()\n\n"
+           "class Spec:\n    def to_json(self):\n        return 1\n\n"
+           "    def stage(self):\n        return 2\n")
+    # `used` is reached only through the string, `helper` only through `used`
+    caller = "Spec().stage()\nTRACED = 'lib.used'\n"
+    assert unreached({"lib.py": lib}, [lib, caller]) == ["lib.py:8 Spec.to_json"]
+    assert unreached({"lib.py": lib}, [lib]) == [
+        "lib.py:1 used", "lib.py:7 Spec", "lib.py:8 Spec.to_json",
+        "lib.py:11 Spec.stage"]
+
+
+def test_no_unreached_definitions():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    found = unreached(sources, [path.read_text() for path in REACHING])
+    assert not found, ("public definitions that neither the package, perfbench "
+                       "nor the acceptance gate reaches: " + ", ".join(found))

@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from mdmart.mixing import (BlockDecomposition, ChainError, MarkovChainSpec,
-                           berbee_couple, berbee_mismatch_probability,
-                           beta_by_enumeration, beta_coefficient,
-                           beta_two_state_closed_form, block_decompose,
+from mdmart.mixing import (ChainError, MarkovChainSpec, berbee_couple,
+                           berbee_mismatch_probability, beta_by_enumeration,
+                           beta_coefficient, beta_two_state_closed_form,
                            block_indices, block_marginal,
                            block_sum_distribution,
                            covariance_bound_check, exact_block_sum_variance,
@@ -106,13 +105,6 @@ class TestBlocks:
     def test_tiny_alpha(self):
         m, k, _ = block_indices(100, 0.01)
         assert (m, k) == (1, 50)
-
-    def test_sum_identity(self):
-        eta = np.arange(1.0, 101.0)
-        bd = block_decompose(eta, 0.5)
-        assert bd.blocks[1] == pytest.approx(sum(range(21, 31)))
-        direct = sum(eta[s:e].sum() for s, e in block_indices(100, 0.5)[2])
-        assert bd.S_n == pytest.approx(direct)
 
     def test_k_zero_rejected(self):
         with pytest.raises(ChainError):
@@ -266,13 +258,6 @@ class TestTau:
 
 
 class TestChainSpec:
-    def test_json_roundtrip(self):
-        chain = two_state_chain(0.25, 0.4, name="demo")
-        again = MarkovChainSpec.from_json(chain.to_json())
-        assert np.allclose(again.P, chain.P)
-        assert np.allclose(again.f, chain.f)
-        assert again.name == "demo"
-
     def test_uncentered_observable_rejected(self):
         with pytest.raises(ChainError):
             MarkovChainSpec(states=[0, 1],

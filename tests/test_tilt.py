@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mdmart.models import ConditionalLaw, make_rademacher, make_regime_switch
+from mdmart.montecarlo import enumerate_terminal
 from mdmart.tilt import (SaddleError, choose_tilt, drift_step,
-                         sample_tilted_path, solve_saddle_lower,
-                         solve_saddle_upper, tilt_law)
+                         solve_saddle_lower, solve_saddle_upper, tilt_law)
 
 
 def two_point(a, b):
@@ -57,21 +57,24 @@ class TestTiltLaw:
 
 class TestTiltedPath:
     def test_zero_lambda_weight(self):
-        tp = sample_tilted_path(make_rademacher(12), 0.0, np.random.default_rng(0))
-        assert tp.log_weight == 0.0 and tp.psi_n == 0.0
+        for m in (make_rademacher(12), make_regime_switch(12, 0.3)):
+            batch = m.simulate_terminal(256, np.random.default_rng(0), 0.0)
+            assert np.all(batch.log_weight == 0.0)
 
     def test_rademacher_psi_and_drift(self):
+        # Psi_n and the summed drift of the tilted step law, n steps of it
         n, lam = 15, 0.7
-        tp = sample_tilted_path(make_rademacher(n), lam, np.random.default_rng(3))
-        assert tp.psi_n == pytest.approx(n * math.log(math.cosh(lam / math.sqrt(n))))
-        assert math.fsum(tp.b_steps) == pytest.approx(
-            math.sqrt(n) * math.tanh(lam / math.sqrt(n)))
+        tl = make_rademacher(n).tilted_laws(lam)[0]
+        assert n * tl.step_log_mgf == pytest.approx(
+            n * math.log(math.cosh(lam / math.sqrt(n))))
+        assert n * tl.mean() == pytest.approx(math.sqrt(n) * math.tanh(lam / math.sqrt(n)))
 
     def test_weight_identity(self):
-        tp = sample_tilted_path(make_regime_switch(20, 0.3), 1.1,
-                                np.random.default_rng(4))
-        assert tp.log_weight == pytest.approx(
-            -1.1 * tp.path.partial_sums[-1] + tp.psi_n, abs=1e-12)
+        # the weight e^{-lam X_n + Psi_n} is dP/dP_lam on every path, so its
+        # P_lam-mean is exactly 1 on a state-dependent model
+        paths = enumerate_terminal(make_regime_switch(12, 0.3), 1.1)
+        assert math.fsum(p * math.exp(lw) for p, _, lw in paths) == pytest.approx(
+            1.0, abs=1e-12)
 
 
 class TestSaddle:
