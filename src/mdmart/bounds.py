@@ -37,8 +37,9 @@ class BoundParams:
     def __post_init__(self):
         if not (0.0 < self.rho <= 1.0):
             raise ValueError("rho must lie in (0, 1]")
-        if not (self.eps_n >= 0.0 and self.delta_n >= 0.0 and self.c > 0.0):
-            raise ValueError("need eps_n, delta_n >= 0 and c > 0")
+        if not (self.eps_n >= 0.0 and self.delta_n >= 0.0
+                and 0.0 < self.c < math.inf):
+            raise ValueError("need eps_n, delta_n >= 0 and a finite c > 0")
 
     @property
     def eps_tilde(self) -> float:

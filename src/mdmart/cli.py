@@ -42,12 +42,12 @@ def _build_model(args):
 
 
 def _parse_grid(spec: str):
-    """'a:b:step' inclusive grid, or a comma list, of finite values; a grid's
-    step must be positive."""
+    """'a:b:step' inclusive grid, or a comma list, of finite values; a grid
+    needs a <= b and a positive step."""
     if ":" in spec:
         a, b, step = (float(v) for v in spec.split(":"))
-        if not (step > 0.0 and np.isfinite([a, b, step]).all()):
-            raise ValueError(f"grid {spec!r} needs finite ends and a step > 0")
+        if not (step > 0.0 and a <= b and np.isfinite([a, b, step]).all()):
+            raise ValueError(f"grid {spec!r} needs finite ends a <= b and a step > 0")
         return list(np.arange(a, b + step / 2.0, step))
     values = [float(v) for v in spec.split(",")]
     if not np.isfinite(values).all():

@@ -191,6 +191,8 @@ def certify_chain(chain: MarkovChainSpec, n_max: int,
 
 def block_indices(n: int, alpha: float):
     """(m, k, list of index ranges), indices 0-based [start, start+m)."""
+    if n < 1:
+        raise ChainError("horizon n must be >= 1")
     if not (0.0 < alpha <= 0.5):
         # the theorems want alpha < 1/2; the boundary value is still a valid
         # decomposition and handy for round-number examples

@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -65,9 +66,6 @@ class ConditionalLaw:
     @property
     def values(self) -> np.ndarray:
         return np.array([v for v, _ in self.atoms])
-
-    def mean(self) -> float:
-        return math.fsum(p * v for v, p in self.atoms)
 
     def second_moment(self) -> float:
         return math.fsum(p * v * v for v, p in self.atoms)
@@ -250,34 +248,52 @@ class MartingaleModel:
     def iid(self) -> bool:
         return len(self.table.states) == 1
 
-    def scaled_law_at(self, state) -> ConditionalLaw:
-        return self.law_at(state).scaled(1.0 / math.sqrt(self.n))
+    @cached_property
+    def scaled_laws(self) -> tuple[ConditionalLaw, ...]:
+        """`table.laws` scaled by 1/sqrt(n); built once, as the sampler tilts
+        them again for every chunk it draws."""
+        scale = 1.0 / math.sqrt(self.n)
+        return tuple(law.scaled(scale) for law in self.table.laws)
 
     def tilted_laws(self, lam: float) -> list:
-        """The scaled laws of `table.laws` tilted by lam (untilted: `.base`)."""
+        """`scaled_laws` tilted by lam (untilted: `.base`)."""
         from .tilt import tilt_law  # local import, avoids a cycle
-        scale = 1.0 / math.sqrt(self.n)
-        return [tilt_law(law.scaled(scale), lam) for law in self.table.laws]
+        return [tilt_law(law, lam) for law in self.scaled_laws]
 
     # -- simulation -------------------------------------------------------
 
     def simulate_terminal(self, size: int, rng: np.random.Generator,
                           lam: float = 0.0) -> TerminalBatch:
-        """X_n and log weights of `size` paths under P_lam, one uniform per
-        path per step.  With one state, each step is a searchsorted on that
-        law's cumulative row; otherwise each path carries its state's row
-        offset into the flattened (state, atom) tables."""
+        """X_n and log weights of `size` paths under P_lam.
+
+        With one state, X_n depends only on how often each atom is drawn, and
+        those counts are drawn as conditional binomials (Devroye 1986,
+        ch. XI): one draw per atom per path.  For a two-atom law that is one
+        binomial draw.  Otherwise each path draws one uniform per step and
+        carries its state's row offset into the flattened (state, atom)
+        tables."""
         t = self.table
         tilted = self.tilted_laws(lam)
-        x = np.zeros(size)
         if len(t.states) == 1:
             tl = tilted[0]
-            values = tl.values
-            cum = np.cumsum(tl.probs)
-            cum[-1] = 1.0
-            for _ in range(self.n):
-                x += values[np.searchsorted(cum, rng.random(size), side="right")]
+            probs = [p for _, p in tl.atoms]
+            values = [v for v, _ in t.laws[0].atoms]
+            # suffix sums, not a running difference, so the conditional
+            # probabilities stay in [0, 1] when trailing tilted probabilities
+            # underflow to 0; left[j] >= probs[j], and an atom after the last
+            # positive one gets probability 0
+            left = list(accumulate(reversed(probs)))[::-1]
+            count = rng.binomial(self.n, probs[0], size=size)
+            rest = self.n - count
+            x = count * values[0]
+            for p, q, v in zip(probs[1:-1], left[1:-1], values[1:-1]):
+                count = rng.binomial(rest, p / q if q > 0.0 else 0.0)
+                rest -= count
+                x += count * v
+            x += rest * values[-1]
+            x *= 1.0 / math.sqrt(self.n)
             return TerminalBatch(x=x, log_weight=-lam * x + self.n * tl.step_log_mgf)
+        x = np.zeros(size)
         width = t.T.shape[1]
         val = np.zeros((len(t.laws), width))
         cum = np.ones((len(t.laws), width))  # padded atoms are never drawn
@@ -369,15 +385,6 @@ class RademacherModel(IIDModel):
     def __init__(self, n: int, rho: float = 1.0):
         super().__init__("rademacher", n, rho)
         self._law = ConditionalLaw(((1.0, 0.5), (-1.0, 0.5)))
-
-    def simulate_terminal(self, size, rng, lam=0.0):
-        # X_n = (2 S - n)/sqrt(n) with S binomial under the tilted step law
-        a = 1.0 / math.sqrt(self.n)
-        p_plus = 1.0 / (1.0 + math.exp(-2.0 * lam * a))
-        psi = self.n * (math.log(math.cosh(lam * a)) if lam != 0.0 else 0.0)
-        s = rng.binomial(self.n, p_plus, size=size)
-        x = (2.0 * s - self.n) * a
-        return TerminalBatch(x=x, log_weight=-lam * x + psi)
 
 
 class HeavyLeftModel(IIDModel):

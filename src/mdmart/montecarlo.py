@@ -37,7 +37,11 @@ class TailEstimate:
 
 
 def seeded_stream(seed: int, j: int = 0) -> np.random.Generator:
-    """The counter-based Philox stream keyed [seed, j]."""
+    """The counter-based Philox stream keyed [seed, j].  Seeds outside
+    [0, 2^63) are refused: numpy wraps a negative key word and rounds a
+    larger one through a float, so neighbouring seeds would share a stream."""
+    if not 0 <= seed < 2 ** 63:
+        raise ValueError(f"seed {seed} outside [0, 2^63)")
     return np.random.Generator(np.random.Philox(key=[seed, j]))
 
 
@@ -87,9 +91,11 @@ def estimate_tail_tilted(model: MartingaleModel, x: float, lam: float,
     s1, s2 = [], []
     for rng, size in seeded_chunks(seed, n_samples, CHUNK):
         batch = model.simulate_terminal(size, rng, lam=lam)
-        w = np.where(batch.x > x, np.exp(batch.log_weight), 0.0)
-        s1.append(math.fsum(w))
-        s2.append(math.fsum(w * w))
+        # only paths past x carry weight; fsum of a list of floats, not a
+        # walk over numpy scalars
+        w = np.exp(batch.log_weight[batch.x > x])
+        s1.append(math.fsum(w.tolist()))
+        s2.append(math.fsum((w * w).tolist()))
     sw = math.fsum(s1)
     sw2 = math.fsum(s2)
     p = sw / n_samples

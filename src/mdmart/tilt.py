@@ -168,7 +168,7 @@ def choose_tilt(model: MartingaleModel, x: float) -> TiltSelection:
         return TiltSelection(lam=0.0, method="root", converged=True)
     if not model.iid:
         return TiltSelection(lam=x, method="fallback", converged=False)
-    law = model.scaled_law_at(model.initial_state())
+    law = model.scaled_laws[0]
     sup_drift = model.n * max(v for v, _ in law.atoms)
     if x >= sup_drift * (1.0 - 1e-12):
         return TiltSelection(lam=x, method="fallback", converged=False)

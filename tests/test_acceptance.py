@@ -8,7 +8,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 from scipy.optimize import minimize_scalar
 from scipy.stats import binom
 

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import math
 import os
 import shlex
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mdmart.cli import build_parser, main
 
@@ -70,6 +76,113 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert main(["--out", str(tmp_path)] + argv) == 2, argv
         assert "Traceback" not in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+# small valid runs of every command; the property test below spoils one flag
+BASE_ARGS = {
+    "verify": ["verify", "--budget", "2000"],
+    "certify": ["certify", "--n", "50"],
+    "tail": ["tail", "--n", "50", "--x", "0.5", "--budget", "500"],
+    "mdp": ["mdp", "--n-list", "100", "--budget", "500"],
+    "couple": ["couple", "--n-list", "100", "--budget", "2000"],
+    "mixing": ["mixing", "--n", "2000", "--x", "0.5", "--budget", "500"],
+}
+MODELS = ("rademacher", "heavy_left", "regime_switch")
+NAN = st.just(math.nan)
+# text that parses as no number at all
+JUNK = st.sampled_from(["", "abc", "1e", "0x1"])
+
+
+def floats_outside(lo, hi, lo_closed=False, hi_closed=False):
+    """Floats outside the interval from lo to hi (open at each end unless
+    closed there), the infinities among them, and NaN."""
+    return st.one_of(st.floats(max_value=lo, exclude_max=lo_closed),
+                     st.floats(min_value=hi, exclude_min=hi_closed), NAN)
+
+
+@st.composite
+def bad_grids(draw):
+    """Grid specs with a value that is not finite, a step that is not
+    positive, or an end below the start."""
+    finite = st.floats(-10.0, 10.0)
+    non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+    kind = draw(st.sampled_from(["list", "value", "step", "ends"]))
+    if kind == "list":
+        values = draw(st.lists(finite, max_size=3))
+        values.insert(draw(st.integers(0, len(values))), draw(non_finite))
+        return ",".join(map(repr, values))
+    a, b = sorted([draw(finite), draw(finite)])
+    if kind == "value":
+        return f"{a!r}:{draw(non_finite)!r}:0.5"
+    if kind == "step":
+        return f"{a!r}:{b!r}:{draw(st.floats(max_value=0.0)|non_finite)!r}"
+    return f"{b + 1.0!r}:{a!r}:0.5"
+
+
+def ints_below(bound):
+    return st.integers(max_value=bound - 1).map(str)
+
+
+SEEDS = st.one_of(st.integers(max_value=-1), st.integers(min_value=2 ** 63)).map(str)
+# the bad values of every numeric flag, per command; --gamma and
+# --tail-atoms are read only by the model that has them
+BAD_INPUTS = {
+    "verify": {"--budget": ints_below(1), "--seed": SEEDS},
+    "certify": {"--n": ints_below(1), "--rho": floats_outside(0.0, 1.0, hi_closed=True),
+                "--gamma": floats_outside(0.0, 0.5, lo_closed=True),
+                "--tail-atoms": ints_below(2)},
+    "tail": {"--n": ints_below(1), "--rho": floats_outside(0.0, 1.0, hi_closed=True),
+             "--gamma": floats_outside(0.0, 0.5, lo_closed=True),
+             "--tail-atoms": ints_below(2), "--x": bad_grids(),
+             "--budget": ints_below(1), "--c": floats_outside(0.0, math.inf),
+             "--seed": SEEDS},
+    "mdp": {"--n-list": ints_below(1), "--b": st.one_of(st.floats(max_value=-1e-300), NAN,
+                                                         st.just(math.inf)),
+            "--rule": floats_outside(0.0, 0.5).map(lambda g: f"n^{g!r}"),
+            "--budget": ints_below(1), "--seed": SEEDS},
+    "couple": {"--n-list": ints_below(2), "--budget": ints_below(1000),
+               "--alpha": floats_outside(0.0, math.inf), "--seed": SEEDS},
+    "mixing": {"--a": floats_outside(0.0, 1.0), "--b-prob": floats_outside(0.0, 1.0),
+               "--n": ints_below(1), "--alpha": floats_outside(0.0, 0.5, hi_closed=True),
+               "--x": bad_grids(), "--budget": ints_below(1), "--seed": SEEDS},
+}
+
+
+@st.composite
+def bad_commands(draw):
+    command = draw(st.sampled_from(sorted(BAD_INPUTS)))
+    flag = draw(st.sampled_from(sorted(BAD_INPUTS[command])))
+    value = draw(st.one_of(BAD_INPUTS[command][flag].map(
+        lambda v: v if isinstance(v, str) else repr(v)), JUNK))
+    argv = list(BASE_ARGS[command])
+    if command in ("certify", "tail"):
+        model = {"--gamma": "regime_switch", "--tail-atoms": "heavy_left"}.get(
+            flag, draw(st.sampled_from(MODELS)))
+        argv += ["--model", model]
+    if flag == "--seed":
+        return [f"--seed={value}"] + argv
+    return argv + [f"{flag}={value}"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(bad_commands())
+# each of these wrote an artifact or printed a traceback before it was refused
+@example(["--seed=-1", *BASE_ARGS["couple"]])
+@example([f"--seed={2 ** 63}", *BASE_ARGS["tail"]])
+@example([*BASE_ARGS["tail"], "--c=inf"])
+@example([*BASE_ARGS["tail"], "--x=1:0:0.5"])
+@example([*BASE_ARGS["mixing"], "--n=0"])
+@example([*BASE_ARGS["mixing"], "--n=-1"])
+def test_bad_numbers_exit_2(argv):
+    # every bad number given to any command is a usage error: exit 2, no
+    # traceback and no artifact.  certify draws nothing and reads no --seed
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--out", out] + argv)
+        assert code == 2, (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert not os.listdir(out), argv
 
 
 def test_failed_certification_exits_1(tmp_path, capsys):

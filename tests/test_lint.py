@@ -1,10 +1,12 @@
-"""Static checks on the package source.  No linter is a dependency, so the
-unused-import rule is enforced here with the standard library's ast."""
+"""Static checks on the package source and the tests.  No linter is a
+dependency, so the unused-import rule is enforced here with the standard
+library's ast."""
 import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).parent.parent / "src" / "mdmart"
+TESTS = Path(__file__).parent
+SRC = TESTS.parent / "src" / "mdmart"
 
 
 def unused_imports(source: str):
@@ -29,7 +31,8 @@ def test_checker_catches_an_unused_import():
 
 
 def test_no_unused_imports():
-    found = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
+    paths = [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))]
+    found = [f"{path.parent.name}/{path.name}:{line} {name}" for path in paths
              for line, name in unused_imports(path.read_text())]
     assert not found, "unused imports: " + ", ".join(found)
 
@@ -95,7 +98,7 @@ def test_no_scalar_draws():
 # and the acceptance gate; a unit test alone does not keep a definition alive
 ROOT = SRC.parent.parent
 REACHING = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py")),
-            ROOT / "tests" / "test_acceptance.py"]
+            TESTS / "test_acceptance.py"]
 
 
 def public_definitions(tree):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ class TestConditionalLaw:
 
     @given(centered_laws())
     def test_mean_zero(self, law):
-        assert abs(law.mean()) <= ATOL
+        assert abs(math.fsum(p * v for v, p in law.atoms)) <= ATOL
 
     def test_scaling(self):
         law = two_point(2.0, -0.5)
@@ -61,7 +62,7 @@ class TestRademacher:
 
     def test_scaled_law_n4(self):
         m = make_rademacher(4)
-        law = m.scaled_law_at(None)
+        law = m.scaled_laws[0]
         assert sorted(v for v, _ in law.atoms) == [-0.5, 0.5]
         assert law.second_moment() == pytest.approx(0.25)
 
@@ -89,10 +90,10 @@ class TestHeavyLeft:
     def test_moment_matching(self):
         m = make_heavy_left(100, 0.5, 8)
         law = m.law_at(None)
-        assert abs(law.mean()) <= ATOL
+        assert abs(math.fsum(p * v for v, p in law.atoms)) <= ATOL
         assert law.second_moment() == pytest.approx(1.0, abs=1e-12)
         # scaled variance is 1/n
-        assert m.scaled_law_at(None).second_moment() == pytest.approx(0.01)
+        assert m.scaled_laws[0].second_moment() == pytest.approx(0.01)
 
     def test_one_sidedness(self):
         m = make_heavy_left(100, 0.5, 8)
@@ -176,7 +177,7 @@ class TestSamplePath:
     def test_all_plus_path_value(self):
         # forced: ten up-moves give X_10 = sqrt(10)
         m = make_rademacher(10)
-        assert 10 * m.scaled_law_at(None).values.max() == pytest.approx(math.sqrt(10))
+        assert 10 * m.scaled_laws[0].values.max() == pytest.approx(math.sqrt(10))
 
     @settings(deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -186,6 +187,46 @@ class TestSamplePath:
         batch = m.simulate_terminal(4, np.random.default_rng(seed))
         lattice = (2 * np.arange(10) - 9) / 3.0
         assert np.all(np.isin(np.round(batch.x, 9), np.round(lattice, 9)))
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("x", [0.0, 3.0])
+    def test_rademacher_counts_are_one_binomial(self, x, seed):
+        # a two-atom law's counts are one binomial draw, so X_n is
+        # (2 Bin(n, p_plus) - n)/sqrt(n) bit for bit from the same stream
+        n, size = 400, 5000
+        m = make_rademacher(n)
+        lam = choose_tilt(m, x).lam
+        assert (lam > 0.0) == (x > 0.0)
+        a = 1.0 / math.sqrt(n)
+        p_plus = 1.0 / (1.0 + math.exp(-2.0 * lam * a))
+        s = np.random.default_rng(seed).binomial(n, p_plus, size=size)
+        batch = m.simulate_terminal(size, np.random.default_rng(seed), lam)
+        assert batch.x.tobytes() == ((2.0 * s - n) * a).tobytes()
+
+    @pytest.mark.parametrize("x", [1.5, 2.0])
+    def test_counts_with_underflowed_atoms(self, x):
+        # at n=1600 and the tilt for x, heavy_left's two deepest atoms have
+        # tilted probability 0: no division by a zero suffix sum, no draw of
+        # either atom, and the exact tilted mean and variance of X_n.  At
+        # x=1.5, 1 minus a running sum of the probabilities falls below the
+        # trailing ones, so only suffix sums keep every ratio in [0, 1]
+        n, size = 1600, 1 << 16
+        m = make_heavy_left(n)
+        tl = m.tilted_laws(choose_tilt(m, x).lam)[0]
+        v, p = tl.values, tl.probs
+        assert np.count_nonzero(p == 0.0) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            xs = m.simulate_terminal(size, np.random.default_rng(7), tl.lam).x
+        # one draw of a zero-probability atom would put X_n at or below this
+        assert xs.min() > (n - 1) * v.max() + v[p == 0.0].max()
+        mu = math.fsum((p * v).tolist())
+        var = math.fsum((p * (v - mu) ** 2).tolist())
+        m4 = math.fsum((p * (v - mu) ** 4).tolist())
+        # central moments of a sum of n i.i.d. steps
+        var_x, m4_x = n * var, n * m4 + 3.0 * n * (n - 1) * var * var
+        assert abs(xs.mean() - n * mu) <= 4.0 * math.sqrt(var_x / size)
+        assert abs(xs.var() - var_x) <= 4.0 * math.sqrt((m4_x - var_x ** 2) / size)
 
 
 class SignSwitch(MartingaleModel):
@@ -269,8 +310,10 @@ class TestStateTable:
 
     @pytest.mark.parametrize("lam", [0.0, 0.8])
     @pytest.mark.parametrize("model", [make_regime_switch(10, 0.3),
-                                       make_heavy_left(3), SignSwitch(6)],
-                             ids=["regime_switch", "heavy_left", "sign_switch"])
+                                       make_heavy_left(3), SignSwitch(6),
+                                       make_rademacher(12)],
+                             ids=["regime_switch", "heavy_left", "sign_switch",
+                                  "rademacher"])
     def test_sampler_law_matches_enumeration(self, model, lam):
         # importance-weighted frequency of each value of X_n against its
         # exact probability, within 4 of the estimator's exact SEs from the
