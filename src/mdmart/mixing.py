@@ -226,14 +226,25 @@ def block_sum_distribution(chain: MarkovChainSpec, m: int):
     return out
 
 
+def _block_law(chain: MarkovChainSpec, m: int):
+    """The law of one block as arrays: (ys, law), where ys holds the sorted
+    block-sum values and law[s, i, e] = P(block sum ys[i], end state e |
+    start s).  Every block-sum computation derives from this one table."""
+    per_start = block_sum_distribution(chain, m)
+    S = chain.P.shape[0]
+    ys = np.array(sorted({y for dist in per_start for y, _ in dist}))
+    index = {y: i for i, y in enumerate(ys)}
+    law = np.zeros((S, ys.size, S))
+    for s, dist in enumerate(per_start):
+        for (y, e), p in dist.items():
+            law[s, index[y], e] = p
+    return ys, law
+
+
 def block_marginal(chain: MarkovChainSpec, m: int):
     """Stationary marginal law of a block sum: dict y -> prob."""
-    per_start = block_sum_distribution(chain, m)
-    marg = {}
-    for s, dist in enumerate(per_start):
-        for (y, _), p in dist.items():
-            marg[y] = marg.get(y, 0.0) + chain.pi[s] * p
-    return marg
+    ys, law = _block_law(chain, m)
+    return dict(zip(ys.tolist(), (chain.pi @ law.sum(axis=2)).tolist()))
 
 
 def _block_abs_moment(chain: MarkovChainSpec, m: int, r: float) -> float:
@@ -265,15 +276,7 @@ class _BerbeeTables:
     cumulative end-state law given the block sum ys[i]."""
 
     def __init__(self, chain: MarkovChainSpec, m: int):
-        per_start = block_sum_distribution(chain, m)
-        S = chain.P.shape[0]
-        self.ys = np.array(sorted({y for dist in per_start for y, _ in dist}))
-        index = {y: i for i, y in enumerate(self.ys)}
-        # law[s, i, e]: P(block sum ys[i], end state e | start s)
-        law = np.zeros((S, self.ys.size, S))
-        for s, dist in enumerate(per_start):
-            for (y, e), p in dist.items():
-                law[s, index[y], e] = p
+        self.ys, law = _block_law(chain, m)
         start = np.vstack((chain.pi, np.linalg.matrix_power(chain.P, m + 1)))
         cond = np.einsum("cs,sie->cie", start, law)
         cond_y = cond.sum(axis=2)
@@ -392,56 +395,85 @@ def tau_n(psi_m: float, m: int, n: int, k: int) -> float:
 
 
 def exact_block_sum_variance(chain: MarkovChainSpec, n: int, alpha: float) -> float:
-    """E S_n^2 for the interlaced sum, exact via the stationary
-    autocovariance c(d) and the pair counts of the selected index mask."""
-    m, k, ranges = block_indices(n, alpha)
-    mask = np.zeros(n)
-    for s, e in ranges:
-        mask[s:e] = 1.0
-    # w(d) = number of selected pairs at lag d
-    w = np.correlate(mask, mask, mode="full")[n - 1:]
-    max_lag = int(np.max(np.nonzero(w)[0]))
-    pi, P, f = chain.pi, chain.P, chain.f
-    g = f.copy()
-    c = [float(pi @ (f * g))]
-    for _ in range(max_lag):
-        g = P @ g
-        c.append(float(pi @ (f * g)))
-    c = np.array(c)
-    return float(w[0] * c[0] + 2.0 * np.dot(w[1:max_lag + 1], c[1:max_lag + 1]))
+    """E S_n^2 for the interlaced sum, exact from the block law in k steps.
+
+    Every block starts stationary, so with mu and v the block sum's first
+    and second moments given the start state,
+        E S_n^2 = k pi v + 2 sum_{d=1}^{k-1} (k - d) (pi A) Q^{d-1} mu,
+    where A[s, t] = E[Y 1{next start t} | start s] and Q[s, t] = P(next
+    start t | start s)."""
+    m, k, _ = block_indices(n, alpha)
+    ys, law = _block_law(chain, m)
+    hop = np.linalg.matrix_power(chain.P, m + 1)
+    law_y = law.sum(axis=2)
+    mu, v = law_y @ ys, law_y @ (ys * ys)
+    A = np.einsum("sie,i,et->st", law, ys, hop)
+    Q = law.sum(axis=1) @ hop
+    row = chain.pi @ A
+    cross = []
+    for d in range(1, k):
+        cross.append((k - d) * float(row @ mu))
+        row = row @ Q
+    return k * float(chain.pi @ v) + 2.0 * math.fsum(cross)
+
+
+def _alias_tables(p: np.ndarray):
+    """Walker's alias tables for each row of p, built by Vose's method
+    (Vose 1991, IEEE TSE 17:972), flattened over (row, column).  Column i
+    of row s keeps itself with probability prob[s*W + i] and otherwise
+    gives alias[s*W + i]; a uniform column and one comparison then draw
+    from the row's law."""
+    S, W = p.shape
+    prob = np.ones((S, W))
+    alias = np.tile(np.arange(W), (S, 1))
+    for s in range(S):
+        q = (p[s] * (W / p[s].sum())).tolist()
+        small = [i for i in range(W) if q[i] < 1.0]
+        large = [i for i in range(W) if q[i] >= 1.0]
+        while small and large:
+            lo, hi = small.pop(), large.pop()
+            prob[s, lo], alias[s, lo] = q[lo], hi
+            q[hi] = (q[hi] + q[lo]) - 1.0
+            (small if q[hi] < 1.0 else large).append(hi)
+        # what is left over holds mass 1 up to rounding and keeps itself
+    return prob.ravel(), alias.ravel()
 
 
 def simulate_block_sums(chain: MarkovChainSpec, n: int, alpha: float,
                         budget: int, seed: int) -> np.ndarray:
-    """S_n for `budget` independent stationary realizations, visiting only
-    block indices (the gaps are bridged by an (m+1)-step transition)."""
+    """S_n for `budget` independent stationary realizations, one uniform per
+    block.
+
+    Given its start state s, a block's sum and the next block's start are
+    drawn together, as outcome (i, t) of joint[s, (i, t)] = sum_e law[s, i, e]
+    P^{m+1}[e, t], the block law bridged over the gap, through the alias
+    tables.  The last block draws from the same table and drops the start."""
     if budget < 1:
         raise ChainError("budget must be >= 1")
     m, k, _ = block_indices(n, alpha)
     S = chain.P.shape[0]
+    ys, law = _block_law(chain, m)
     hop = np.linalg.matrix_power(chain.P, m + 1)
-    cum_step = np.cumsum(chain.P, axis=1)
-    cum_hop = np.cumsum(hop, axis=1)
-    cum_pi = np.cumsum(chain.pi)
-    two_state = S == 2
-
-    def advance(state, u, cum, p_to_1):
-        if two_state:
-            return (u < p_to_1[state]).astype(np.int64)
-        return (u[:, None] >= cum[state]).sum(axis=1)
-
+    W = ys.size * S
+    prob, alias = _alias_tables(np.einsum("sie,et->sit", law, hop).reshape(S, W))
+    # per outcome (i, t): the block sum, and the offset of row t in the tables
+    value = np.repeat(ys, S)
+    row = np.tile(np.arange(S) * W, ys.size)
+    # ends at exactly 1: a plain cumsum of pi can end just below it, and a
+    # uniform past the end would start a path in no state
+    cum_pi = _cumulative(chain.pi)
     out = np.empty(budget)
     done = 0
     for rng, size in seeded_chunks(seed, budget, MIX_CHUNK):
-        state = np.searchsorted(cum_pi, rng.random(size), side="right")
-        total = chain.f[state].copy()
-        for blk in range(k):
-            for _ in range(m - 1):
-                state = advance(state, rng.random(size), cum_step, chain.P[:, 1])
-                total += chain.f[state]
-            if blk < k - 1:
-                state = advance(state, rng.random(size), cum_hop, hop[:, 1])
-                total += chain.f[state]
+        base = np.searchsorted(cum_pi, rng.random(size), side="right") * W
+        total = np.zeros(size)
+        for _ in range(k):
+            u = rng.random(size) * W
+            col = np.minimum(u.astype(np.intp), W - 1)
+            cell = base + col
+            idx = np.where(u - col < prob[cell], col, alias[cell])
+            total += value[idx]
+            base = row[idx]
         out[done:done + size] = total
         done += size
     return out

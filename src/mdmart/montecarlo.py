@@ -1,7 +1,8 @@
 """Deterministic chunked Monte Carlo engine for tail estimation.
 
 Sampling is chunked: chunk j draws from a counter-based Philox stream keyed
-(master_seed, j), and per-chunk statistics are merged in index order with
+(master_seed, j), or (master_seed, (row << 32) | j) for row `row` of a
+report, and per-chunk statistics are merged in index order with
 compensated summation.  Results are therefore a pure function of
 (model, parameters, seed); the coupling and mixing simulators draw the same way.
 """
@@ -45,12 +46,13 @@ def seeded_stream(seed: int, j: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, j]))
 
 
-def seeded_chunks(seed: int, total: int, size: int):
+def seeded_chunks(seed: int, total: int, size: int, row: int = 0):
     """Yield (rng, count) for `total` draws split into chunks of `size`; the
     last chunk holds the remainder.  Chunk j draws from the stream keyed
-    [seed, j], so each chunk is a pure function of (seed, j)."""
+    [seed, (row << 32) | j], so each chunk is a pure function of (seed, row,
+    j) and no two (seed, row) pairs share a stream; row 0 is keyed [seed, j]."""
     for j, start in enumerate(range(0, total, size)):
-        yield seeded_stream(seed, j), min(size, total - start)
+        yield seeded_stream(seed, (row << 32) | j), min(size, total - start)
 
 
 def clopper_pearson(successes: int, trials: int, level: float = 0.95):
@@ -78,8 +80,9 @@ def estimate_tail_plain(model: MartingaleModel, x: float, n_samples: int,
 
 
 def estimate_tail_tilted(model: MartingaleModel, x: float, lam: float,
-                         n_samples: int, seed: int) -> TailEstimate:
-    """Importance-sampled P(X_n > x) under the conjugate measure P_lam.
+                         n_samples: int, seed: int, row: int = 0) -> TailEstimate:
+    """Importance-sampled P(X_n > x) under the conjugate measure P_lam,
+    drawn from the streams of report row `row` (see `seeded_chunks`).
 
     Each sample contributes w = e^{-lam X_n + Psi_n} 1{X_n > x}; the identity
     E_lam[w] = P(X_n > x) holds exactly, so the estimator is unbiased.
@@ -89,7 +92,7 @@ def estimate_tail_tilted(model: MartingaleModel, x: float, lam: float,
     if lam < 0.0:
         raise ValueError("lambda must be >= 0")
     s1, s2 = [], []
-    for rng, size in seeded_chunks(seed, n_samples, CHUNK):
+    for rng, size in seeded_chunks(seed, n_samples, CHUNK, row):
         batch = model.simulate_terminal(size, rng, lam=lam)
         # only paths past x carry weight; fsum of a list of floats, not a
         # walk over numpy scalars
@@ -163,11 +166,11 @@ def write_csv(path, columns, rows, header_comment: str = ""):
 def ratio_report(model: MartingaleModel, x_grid: Sequence[float], budget: int,
                  seed: int, params: BoundParams) -> RatioReport:
     """Tilted estimates of P(X_n > x) against 1 - Phi(x) with the theorem
-    envelope attached per x."""
+    envelope attached per x; row i draws from the streams of (seed, i)."""
     rows = []
     for i, x in enumerate(x_grid):
         sel = choose_tilt(model, x)
-        est = estimate_tail_tilted(model, x, sel.lam, budget, seed + i)
+        est = estimate_tail_tilted(model, x, sel.lam, budget, seed, row=i)
         gt = gaussian_tail(x)
         ratio = est.p_hat / gt
         lo, hi = ratio_envelope(x, params)
@@ -179,7 +182,7 @@ def ratio_report(model: MartingaleModel, x_grid: Sequence[float], budget: int,
             ci_lo=est.ci95[0], ci_hi=est.ci95[1], gauss_tail=gt,
             ratio=ratio, log_ratio=math.log(ratio) if ratio > 0 else -math.inf,
             bound_lo=lo, bound_hi=hi, ess=est.ess, n_samples=budget,
-            seed=seed + i, lam=sel.lam, flags=flags))
+            seed=seed, lam=sel.lam, flags=flags))
     return RatioReport(rows=rows)
 
 
@@ -200,7 +203,7 @@ def mdp_scan(model_family: Callable[[int], MartingaleModel], ns: Sequence[int],
 
     The rate should drift toward -b^2/2.  The rule must send a_n to infinity
     while a_n * eps_n -> 0; for power rules and eps_n ~ n^{-1/2} that means
-    gamma in (0, 1/2).
+    gamma in (0, 1/2).  Row i draws from the streams of (seed, i).
     """
     gamma = parse_an_rule(a_n_rule)
     if not (0.0 < gamma < 0.5):
@@ -214,7 +217,7 @@ def mdp_scan(model_family: Callable[[int], MartingaleModel], ns: Sequence[int],
         a_n = float(n) ** gamma
         x = a_n * b
         sel = choose_tilt(model, x)
-        est = estimate_tail_tilted(model, x, sel.lam, budget, seed + i)
+        est = estimate_tail_tilted(model, x, sel.lam, budget, seed, row=i)
         rate = math.log(est.p_hat) / (a_n * a_n) if est.p_hat > 0 else -math.inf
         out.append({"n": n, "a_n": a_n, "x": x, "p_hat": est.p_hat,
                     "se": est.std_err, "rate": rate, "ess": est.ess})

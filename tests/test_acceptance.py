@@ -26,6 +26,7 @@ from mdmart.montecarlo import (enumerate_terminal, estimate_tail_plain,
                                is_expectation_by_enumeration, mdp_scan,
                                rademacher_exact_tail)
 from mdmart.tilt import choose_tilt
+from test_mixing import exact_tails
 
 
 def report(num, ok, detail):
@@ -313,15 +314,21 @@ def test_criterion_11_mixing_exactness():
 
 
 def test_criterion_12_mixing_ratio():
+    # each Monte Carlo row is held within 4 exact SE of the exact tail, from
+    # a forward pass over (chain state, visits to state 0) along all n
+    # indices; the envelope alone would let a fourfold error through
     chain = two_state_chain(0.3, 0.3)
-    rep, info = mixing_tail_experiment(chain, 10 ** 4, 0.3, [0.5, 1.0, 1.5],
-                                       5 * 10 ** 4, 9)
+    n, alpha, budget, xs = 10 ** 4, 0.3, 5 * 10 ** 4, [0.5, 1.0, 1.5]
+    rep, info = mixing_tail_experiment(chain, n, alpha, xs, budget, 9)
+    scale = math.sqrt(info["es2"])
+    exact = exact_tails(chain, (1, 0), n, alpha, [x * scale for x in xs])
     ok = info["envelope_defined"]
     details = []
-    for row in rep.rows:
+    for row, p in zip(rep.rows, exact):
         ci = 3.0 * row.se / row.gauss_tail
         inside = row.bound_lo - ci <= row.ratio <= row.bound_hi + ci
-        ok = ok and inside
-        details.append(round(row.ratio, 3))
-    report(12, ok, f"ratios {details} inside envelope +- CI, "
-                   f"tau_n = {info['tau_n']:.3f}")
+        near = abs(row.p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / budget)
+        ok = ok and inside and near
+        details.append(f"{row.ratio:.4f} (exact {p / row.gauss_tail:.4f})")
+    report(12, ok, f"ratios {', '.join(details)} within 4 exact SE and "
+                   f"inside envelope +- CI, tau_n = {info['tau_n']:.3f}")

@@ -38,6 +38,22 @@ def test_tail_byte_identical(tmp_path):
     assert target.read_bytes() == first
 
 
+def test_adjacent_seeds_draw_distinct_rows(tmp_path, capsys):
+    # row i of a report draws from the streams of (seed, i), so the second
+    # row of seed 3 and the first row of seed 4 share no stream
+    def last_row(seed, grid):
+        assert main(["--out", str(tmp_path), "--seed", str(seed), "tail",
+                     "--n", "400", "--x", grid, "--budget", "20000"]) == 0
+        path = tmp_path / f"tail_rademacher_n400_seed{seed}.csv"
+        lines = path.read_text().splitlines()
+        return dict(zip(lines[1].split(","), lines[-1].split(",")))
+
+    first, second = last_row(3, "0.5,1.0"), last_row(4, "1.0")
+    assert first["x"] == second["x"] == "1.0"
+    assert first["p_hat"] != second["p_hat"] and first["ess"] != second["ess"]
+    assert (first["seed"], second["seed"]) == ("3", "4")
+
+
 def test_every_csv_field_parses(tmp_path):
     # one writer for every artifact: '\n' line ends, every field a number
     for argv in (["tail", "--n", "100", "--x", "0.5,1", "--budget", "2000"],

@@ -44,14 +44,20 @@ OWNED_CALLS = {"law_at": "models.py", "next_state": "models.py",
                "Philox": "montecarlo.py"}
 
 
+def called_name(call: ast.Call):
+    """The name a call calls, whether bare (`f()`) or as an attribute
+    (`x.f()`); None for anything else."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def foreign_calls(source: str, filename: str):
     """(line, name) of each call to a name in OWNED_CALLS made outside the
     module that owns it, whether called bare or as an attribute."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            name = called_name(node)
             if name in OWNED_CALLS and OWNED_CALLS[name] != filename:
                 found.append((node.lineno, name))
     return found
@@ -92,6 +98,38 @@ def test_no_scalar_draws():
     found = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
              for line, name in scalar_draws(path.read_text())]
     assert not found, "draws of one number: " + ", ".join(found)
+
+
+def callers(source: str, name: str):
+    """The innermost enclosing function of each call to `name`, bare or as
+    an attribute; '<module>' for a call outside every function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and called_name(child) == name:
+                found.append(owner)
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_finds_every_caller():
+    src = ("law = block_sum_distribution(c, 1)\n"
+           "def _block_law(c, m):\n    return mixing.block_sum_distribution(c, m)\n"
+           "class T:\n    def __init__(self, c):\n"
+           "        def inner():\n            return block_sum_distribution(c, 2)\n")
+    assert callers(src, "block_sum_distribution") == ["<module>", "_block_law", "inner"]
+
+
+def test_one_block_law():
+    # the block-sum sampler, the Berbee tables, the block marginal and the
+    # exact variance all derive from the one block-law table
+    found = [(path.name, owner) for path in sorted(SRC.glob("*.py"))
+             for owner in callers(path.read_text(), "block_sum_distribution")]
+    assert found == [("mixing.py", "_block_law")], found
 
 
 # the code whose needs define the library: the package itself, the benchmark

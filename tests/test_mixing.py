@@ -265,7 +265,121 @@ class TestChainSpec:
                             f=np.array([1.0, 1.0]))
 
 
+def lag_sum_variance(chain, n, alpha):
+    """E S_n^2 from the stationary autocovariances c(d) and the number of
+    selected index pairs at each lag d: an O(n) oracle that does not use the
+    block law."""
+    _, _, ranges = block_indices(n, alpha)
+    mask = np.zeros(n)
+    for s, e in ranges:
+        mask[s:e] = 1.0
+    w = np.correlate(mask, mask, mode="full")[n - 1:]
+    max_lag = int(np.max(np.nonzero(w)[0]))
+    pi, f = chain.pi, chain.f
+    g = f.copy()
+    c = [float(pi @ (f * g))]
+    for _ in range(max_lag):
+        g = chain.P @ g
+        c.append(float(pi @ (f * g)))
+    c = np.array(c)
+    return float(w[0] * c[0] + 2.0 * np.dot(w[1:max_lag + 1], c[1:max_lag + 1]))
+
+
+def lattice_law(chain, g, n, alpha):
+    """Exact law of L = sum of g(X_i) over the selected indices, for an
+    integer label g per state, by a forward pass over (chain state, L) that
+    walks all n indices one step of P at a time from the stationary start.
+    It uses neither the block law nor P^{m+1}.  Returns (L values, probs)."""
+    _, _, ranges = block_indices(n, alpha)
+    selected = np.zeros(n, dtype=bool)
+    for s, e in ranges:
+        selected[s:e] = True
+    g = np.asarray(g)
+    lo = min(int(g.min()), 0) * int(selected.sum())
+    hi = max(int(g.max()), 0) * int(selected.sum())
+    dist = np.zeros((g.size, hi - lo + 1))
+    dist[:, -lo] = chain.pi
+    for i in range(ranges[-1][1]):
+        if i:
+            dist = chain.P.T @ dist
+        if selected[i]:
+            for s in range(g.size):
+                # the range holds every reachable L, so nothing wraps
+                dist[s] = np.roll(dist[s], g[s])
+    return np.arange(lo, hi + 1), dist.sum(axis=0)
+
+
+def lattice_map(chain, g, n, alpha):
+    """(a, b) with S_n = a L + b: f is affine in the label g."""
+    _, _, ranges = block_indices(n, alpha)
+    i, j = np.argmax(g), np.argmin(g)
+    a = (chain.f[i] - chain.f[j]) / (g[i] - g[j])
+    return a, sum(e - s for s, e in ranges) * (chain.f[i] - a * g[i])
+
+
+def exact_tails(chain, g, n, alpha, thresholds):
+    """P(S_n > t) for each t, from the lattice law; a t within 1e-6 lattice
+    units of a lattice point is refused, since float sums could fall on
+    either side of it."""
+    ls, probs = lattice_law(chain, g, n, alpha)
+    a, b = lattice_map(chain, g, n, alpha)
+    out = []
+    for t in thresholds:
+        cut = (t - b) / a
+        assert abs(cut - round(cut)) > 1e-6, f"threshold {t} on a lattice point"
+        out.append(math.fsum(probs[ls > cut]))
+    return out
+
+
+# the chains of the exact-law test, each with its integer label: visits to
+# state 0 for a two-state chain, #0 - #2 for the 3-state chain
+LATTICE_CHAINS = [(two_state_chain(0.3, 0.3), (1, 0)),
+                  (two_state_chain(0.02, 0.1), (1, 0)),
+                  (three_state_chain(), (1, 0, -1))]
+LATTICE_IDS = ["two_state(0.3,0.3)", "two_state(0.02,0.1)", "three_state"]
+
+
 class TestTailExperiment:
+    @pytest.mark.parametrize("chain, n", [
+        (two_state_chain(0.3, 0.3), 10 ** 4), (three_state_chain(), 2000),
+        (two_state_chain(0.02, 0.1), 5000), (two_state_chain(0.3, 0.3), 2000)],
+        ids=["two_state(0.3,0.3)-1e4", "three_state-2000",
+             "two_state(0.02,0.1)-5000", "two_state(0.3,0.3)-2000"])
+    @pytest.mark.parametrize("alpha", [0.25, 0.3, 0.5])
+    def test_exact_variance_matches_lag_sum(self, chain, n, alpha):
+        oracle = lag_sum_variance(chain, n, alpha)
+        assert abs(exact_block_sum_variance(chain, n, alpha) / oracle - 1.0) <= 1e-11
+
+    def test_lattice_law_matches_lag_sum(self):
+        # the forward pass is itself an oracle; its variance agrees with the
+        # autocovariance sum
+        for chain, g in LATTICE_CHAINS:
+            ls, probs = lattice_law(chain, g, 200, 0.3)
+            a, b = lattice_map(chain, g, 200, 0.3)
+            sums = a * ls + b
+            assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
+            assert math.fsum(probs * sums) == pytest.approx(0.0, abs=1e-9)
+            assert math.fsum(probs * sums ** 2) == pytest.approx(
+                lag_sum_variance(chain, 200, 0.3), rel=1e-10)
+
+    @pytest.mark.parametrize("chain, g", LATTICE_CHAINS, ids=LATTICE_IDS)
+    def test_sampler_matches_exact_law(self, chain, g):
+        # n = 200, alpha = 0.3: m = 4, k = 25.  The cuts are the lattice
+        # points at ten quantiles of the exact law, from 0.05 to 0.95, and
+        # each threshold sits halfway above its cut, so float rounding in
+        # the sums cannot move a path across it
+        n, alpha, paths = 200, 0.3, 10 ** 5
+        ls, probs = lattice_law(chain, g, n, alpha)
+        a, b = lattice_map(chain, g, n, alpha)
+        cdf = np.cumsum(probs)
+        cuts = sorted({int(ls[np.searchsorted(cdf, q)]) for q in np.linspace(0.05, 0.95, 10)})
+        assert len(cuts) >= 8
+        sums = simulate_block_sums(chain, n, alpha, paths, 4)
+        for c in cuts:
+            p = math.fsum(probs[ls > c])
+            p_hat = np.count_nonzero(sums > a * (c + 0.5) + b) / paths
+            assert abs(p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / paths), (c, p_hat, p)
+
     def test_exact_variance_matches_mc(self):
         chain = two_state_chain(0.3, 0.3)
         es2 = exact_block_sum_variance(chain, 2000, 0.3)

@@ -96,6 +96,17 @@ class TestRatioReport:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+    def test_rows_keyed_on_seed_and_row(self):
+        # row i draws from the streams of (seed, i)
+        model = make_rademacher(100)
+        params = BoundParams(rho=1.0, eps_n=0.1, delta_n=0.0)
+        rep = ratio_report(model, [0.5, 1.0, 1.5], 3000, 5, params)
+        for i, row in enumerate(rep.rows):
+            lam = choose_tilt(model, row.x).lam
+            est = estimate_tail_tilted(model, row.x, lam, 3000, 5, row=i)
+            assert (row.p_hat, row.ess, row.seed) == (est.p_hat, est.ess, 5)
+        assert len({row.ess for row in rep.rows}) == 3
+
 class TestMdpScan:
     def test_rejects_bad_rule(self):
         with pytest.raises(ValueError):
