@@ -64,9 +64,13 @@ def thm21_rhs(x: float, params: BoundParams) -> float:
 
 
 def ratio_envelope(x: float, params: BoundParams) -> tuple[float, float]:
-    """Multiplicative envelope exp(-rhs), exp(+rhs) for p/(1 - Phi(x))."""
+    """Multiplicative envelope exp(-rhs), exp(+rhs) for p/(1 - Phi(x));
+    (0, inf), which bounds nothing, once exp(rhs) overflows."""
     rhs = thm21_rhs(x, params)
-    return math.exp(-rhs), math.exp(rhs)
+    try:
+        return math.exp(-rhs), math.exp(rhs)
+    except OverflowError:
+        return 0.0, math.inf
 
 
 def bernstein_tail_bound(x: float, n: int, M: float, L: float) -> float:

@@ -110,12 +110,8 @@ def cmd_tail(args):
 
 def cmd_mdp(args):
     ns = [int(v) for v in args.n_list.split(",")]
-    try:
-        table = mdp_scan(lambda n: make_rademacher(n), ns, args.rule, args.b,
-                         args.budget, args.seed)
-    except ValueError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    table = mdp_scan(lambda n: make_rademacher(n), ns, args.rule, args.b,
+                     args.budget, args.seed)
     path = _out_path(args, f"mdp_seed{args.seed}.csv")
     write_csv(path, ("n", "a_n", "x", "p_hat", "se", "rate", "ess"), table,
               _echo_config(args))

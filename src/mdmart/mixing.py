@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundParams, gaussian_tail, ratio_envelope
-from .montecarlo import RatioReport, RatioRow, clopper_pearson, seeded_chunks
+from .bounds import BoundParams
+from .montecarlo import RatioReport, clopper_pearson, ratio_row, seeded_chunks
 
 # block-sum paths are long, so chunks are larger here than in the tail
 # estimators; the chunk size is a fixed constant, so determinism is unaffected.
@@ -70,6 +70,7 @@ class MarkovChainSpec:
         self.P = np.asarray(self.P, dtype=float)
         self.f = np.asarray(self.f, dtype=float)
         self.pi = stationary_dist(self.P)
+        self._block_laws = {}   # m -> _block_law(self, m), derived like pi
         if len(self.states) != self.P.shape[0] or self.f.size != self.P.shape[0]:
             raise ChainError("states, P and f sizes disagree")
         if abs(float(self.pi @ self.f)) > 1e-12:
@@ -165,23 +166,23 @@ class MixingCertificate:
     a1: float
     a2: float
     tau: float
-    c1: float | None = None
-    c2: float | None = None
+    c1: float
+    c2: float
 
 
-def certify_chain(chain: MarkovChainSpec, n_max: int,
-                  m: int | None = None) -> MixingCertificate:
-    """The decay fitted to the exact beta(1..n_max); when a block length m
-    is supplied, exact block-moment constants c1, c2."""
+def certify_chain(chain: MarkovChainSpec, n_max: int, m: int) -> MixingCertificate:
+    """The decay fitted to the exact beta(1..n_max), and the exact
+    block-moment constants c1, c2 from the stationary law of a length-m
+    block sum."""
     beta = np.array([beta_coefficient(chain.P, n) for n in range(1, n_max + 1)])
     a1, a2, tau = fit_beta_decay(beta)
-    c1 = c2 = None
-    if m is not None:
-        rho = 1.0
-        m_abs = _block_abs_moment(chain, m, 2.0 + rho)
-        m_sq = _block_abs_moment(chain, m, 2.0)
-        c1 = (m_abs / m ** (1.0 + rho / 2.0)) ** (1.0 / (2.0 + rho))
-        c2 = math.sqrt(m_sq / m)
+    ys, law, _ = _block_law(chain, m)
+    marg = list(zip(ys.tolist(), (chain.pi @ law.sum(axis=2)).tolist()))
+    rho = 1.0
+    m_abs = math.fsum(p * abs(y) ** (2.0 + rho) for y, p in marg)
+    m_sq = math.fsum(p * abs(y) ** 2.0 for y, p in marg)
+    c1 = (m_abs / m ** (1.0 + rho / 2.0)) ** (1.0 / (2.0 + rho))
+    c2 = math.sqrt(m_sq / m)
     return MixingCertificate(a1=a1, a2=a2, tau=tau, c1=c1, c2=c2)
 
 
@@ -227,29 +228,26 @@ def block_sum_distribution(chain: MarkovChainSpec, m: int):
 
 
 def _block_law(chain: MarkovChainSpec, m: int):
-    """The law of one block as arrays: (ys, law), where ys holds the sorted
-    block-sum values and law[s, i, e] = P(block sum ys[i], end state e |
-    start s).  Every block-sum computation derives from this one table."""
-    per_start = block_sum_distribution(chain, m)
-    S = chain.P.shape[0]
-    ys = np.array(sorted({y for dist in per_start for y, _ in dist}))
-    index = {y: i for i, y in enumerate(ys)}
-    law = np.zeros((S, ys.size, S))
-    for s, dist in enumerate(per_start):
-        for (y, e), p in dist.items():
-            law[s, index[y], e] = p
-    return ys, law
-
-
-def block_marginal(chain: MarkovChainSpec, m: int):
-    """Stationary marginal law of a block sum: dict y -> prob."""
-    ys, law = _block_law(chain, m)
-    return dict(zip(ys.tolist(), (chain.pi @ law.sum(axis=2)).tolist()))
-
-
-def _block_abs_moment(chain: MarkovChainSpec, m: int, r: float) -> float:
-    marg = block_marginal(chain, m)
-    return math.fsum(p * abs(y) ** r for y, p in marg.items())
+    """The law of one block as read-only arrays: (ys, law, hop), where ys
+    holds the sorted block-sum values, law[s, i, e] = P(block sum ys[i], end
+    state e | start s) and hop = P^{m+1} carries an end state to the next
+    block's start.  Every block-sum computation derives from this one table;
+    like pi it is derived data, so it is built once per (chain, m) and kept
+    on the chain."""
+    if m not in chain._block_laws:
+        per_start = block_sum_distribution(chain, m)
+        S = chain.P.shape[0]
+        ys = np.array(sorted({y for dist in per_start for y, _ in dist}))
+        index = {y: i for i, y in enumerate(ys)}
+        law = np.zeros((S, ys.size, S))
+        for s, dist in enumerate(per_start):
+            for (y, e), p in dist.items():
+                law[s, index[y], e] = p
+        hop = np.linalg.matrix_power(chain.P, m + 1)
+        for a in (ys, law, hop):
+            a.flags.writeable = False
+        chain._block_laws[m] = (ys, law, hop)
+    return chain._block_laws[m]
 
 
 # ---------------------------------------------------------------------------
@@ -263,80 +261,46 @@ class BerbeeResult:
     mismatch: np.ndarray  # bool per block
 
 
-class _BerbeeTables:
-    """Maximal-coupling tables for one (chain, m), as arrays over `ys`, the
-    sorted block-sum values.
-
-    The conditional block law depends on the history only through the
-    previous block's end state, so there are S+1 cases: row 0 is the
-    stationary start and row 1 + e follows end state e.  Per case, `t` is
-    the overlap mass of the conditional law and the stationary marginal;
-    `overlap`, `resid_c` and `resid_m` are the cumulative laws of the
-    overlap and of the two residuals over `ys`; and `ends[case, i]` is the
-    cumulative end-state law given the block sum ys[i]."""
-
-    def __init__(self, chain: MarkovChainSpec, m: int):
-        self.ys, law = _block_law(chain, m)
-        start = np.vstack((chain.pi, np.linalg.matrix_power(chain.P, m + 1)))
-        cond = np.einsum("cs,sie->cie", start, law)
-        cond_y = cond.sum(axis=2)
-        marg = cond_y[0]
-        resid_c = np.maximum(cond_y - marg, 0.0)
-        self.t = 1.0 - resid_c.sum(axis=1)
-        self.overlap = _cumulative(np.minimum(cond_y, marg))
-        self.resid_c = _cumulative(resid_c)
-        self.resid_m = _cumulative(np.maximum(marg - cond_y, 0.0))
-        self.ends = _cumulative(cond)
-
-
-def _cumulative(p: np.ndarray) -> np.ndarray:
-    """Cumulative sums of p normalised along its last axis.  They are set to
-    exactly 1 from the last positive entry on, so a uniform in [0, 1) never
-    searches past it; an all-zero row, never drawn from, becomes all ones."""
-    total = p.sum(axis=-1, keepdims=True)
-    cum = np.cumsum(p / np.where(total > 0.0, total, 1.0), axis=-1)
-    positive = np.cumsum(p > 0.0, axis=-1)
-    cum[positive == positive[..., -1:]] = 1.0
-    return cum
-
-
 def berbee_couple(chain: MarkovChainSpec, m: int, k: int, reps: int,
-                  rng: np.random.Generator,
-                  tables: _BerbeeTables | None = None) -> BerbeeResult:
+                  rng: np.random.Generator) -> BerbeeResult:
     """`reps` independent sequential maximal couplings of interlaced block
     sums against i.i.d. copies from the stationary block marginal; every
     array in the result has shape (reps, k).
 
-    Block 1 starts stationary, so it never mismatches; for later blocks the
-    coupling succeeds with probability 1 - TV(conditional law, marginal), and
-    averaging over the previous end state bounds the per-block mismatch
-    probability by beta(m + 1).  All reps step together, block by block,
-    grouped by their case; each block draws four uniforms per rep."""
-    if tables is None:
-        tables = _BerbeeTables(chain, m)
+    The conditional block law depends on the history only through the
+    previous block's end state, so there are S+1 cases: case 0 is the
+    stationary start and case 1 + e follows end state e.  Per block, one
+    alias draw gives the block's sum y and end state from its case's law
+    cond; the copy keeps y with probability min(cond_y, marg) / cond_y at y,
+    and is otherwise drawn from the marginal's residual (marg - cond_y)+,
+    so it follows the marginal whatever the past.  Block 1 starts
+    stationary, so it never mismatches; a later block mismatches with
+    probability TV(conditional law, marginal), which averages over the
+    previous end state to at most beta(m + 1).  All reps step together,
+    three uniforms per rep and block."""
+    ys, law, hop = _block_law(chain, m)
+    S, Y = hop.shape[0], ys.size
+    W = Y * S
+    cond = np.einsum("cs,sie->cie", np.vstack((chain.pi, hop)), law)
+    cond_y = cond.sum(axis=2)
+    marg = cond_y[0]
+    # case 0's law is the marginal itself, so it keeps with probability
+    # exactly 1 and its all-zero residual row is never drawn from
+    keep = np.divide(np.minimum(cond_y, marg), cond_y,
+                     out=np.ones_like(cond_y), where=cond_y > 0.0)
+    joint = _alias_tables(cond.reshape(S + 1, W))
+    resid = _alias_tables(np.maximum(marg - cond_y, 0.0))
     blocks = np.empty((reps, k))
     indep = np.empty((reps, k))
     mismatch = np.empty((reps, k), dtype=bool)
     case = np.zeros(reps, dtype=np.intp)
-    y = np.empty(reps, dtype=np.intp)
-    y_t = np.empty(reps, dtype=np.intp)
-    end = np.empty(reps, dtype=np.intp)
     for j in range(k):
-        u = rng.random((4, reps))
-        miss = u[0] >= tables.t[case]
-        for c in range(tables.t.size):
-            g = np.flatnonzero(case == c)
-            ug, miss_g = u[:, g], miss[g]
-            matched = np.searchsorted(tables.overlap[c], ug[1], side="right")
-            yg = np.where(miss_g, np.searchsorted(tables.resid_c[c], ug[1],
-                                                  side="right"), matched)
-            y[g] = yg
-            y_t[g] = np.where(miss_g, np.searchsorted(tables.resid_m[c], ug[2],
-                                                      side="right"), matched)
-            end[g] = (tables.ends[c, yg] <= ug[3, :, None]).sum(axis=1)
-        blocks[:, j] = tables.ys[y]
-        indep[:, j] = tables.ys[y_t]
-        mismatch[:, j] = miss
+        u = rng.random((3, reps))
+        y, end = np.divmod(_alias_draw(joint, case * W, W, u[0]), S)
+        kept = u[1] < keep[case, y]
+        blocks[:, j] = ys[y]
+        indep[:, j] = ys[np.where(kept, y, _alias_draw(resid, case * Y, Y, u[2]))]
+        mismatch[:, j] = ~kept
         case = 1 + end
     return BerbeeResult(blocks=blocks, independent=indep, mismatch=mismatch)
 
@@ -347,10 +311,9 @@ def berbee_mismatch_probability(chain: MarkovChainSpec, m: int, k: int,
     with its standard error."""
     if reps < 1:
         raise ChainError("reps must be >= 1")
-    tables = _BerbeeTables(chain, m)
     hits = 0
     for rng, size in seeded_chunks(seed, reps, MIX_CHUNK):
-        res = berbee_couple(chain, m, k, size, rng, tables=tables)
+        res = berbee_couple(chain, m, k, size, rng)
         hits += int(np.count_nonzero(res.mismatch.any(axis=1)))
     p = hits / reps
     return p, math.sqrt(p * (1.0 - p) / reps)
@@ -403,8 +366,7 @@ def exact_block_sum_variance(chain: MarkovChainSpec, n: int, alpha: float) -> fl
     where A[s, t] = E[Y 1{next start t} | start s] and Q[s, t] = P(next
     start t | start s)."""
     m, k, _ = block_indices(n, alpha)
-    ys, law = _block_law(chain, m)
-    hop = np.linalg.matrix_power(chain.P, m + 1)
+    ys, law, hop = _block_law(chain, m)
     law_y = law.sum(axis=2)
     mu, v = law_y @ ys, law_y @ (ys * ys)
     A = np.einsum("sie,i,et->st", law, ys, hop)
@@ -422,12 +384,16 @@ def _alias_tables(p: np.ndarray):
     (Vose 1991, IEEE TSE 17:972), flattened over (row, column).  Column i
     of row s keeps itself with probability prob[s*W + i] and otherwise
     gives alias[s*W + i]; a uniform column and one comparison then draw
-    from the row's law."""
+    from the row's law (`_alias_draw`).  An all-zero row, which is never
+    drawn from, keeps itself in every column."""
     S, W = p.shape
     prob = np.ones((S, W))
     alias = np.tile(np.arange(W), (S, 1))
     for s in range(S):
-        q = (p[s] * (W / p[s].sum())).tolist()
+        total = p[s].sum()
+        if total == 0.0:
+            continue
+        q = (p[s] * (W / total)).tolist()
         small = [i for i in range(W) if q[i] < 1.0]
         large = [i for i in range(W) if q[i] >= 1.0]
         while small and large:
@@ -437,6 +403,16 @@ def _alias_tables(p: np.ndarray):
             (small if q[hi] < 1.0 else large).append(hi)
         # what is left over holds mass 1 up to rounding and keeps itself
     return prob.ravel(), alias.ravel()
+
+
+def _alias_draw(tables, base, width, u):
+    """One outcome per uniform u in [0, 1), drawn through `_alias_tables`
+    from the row of `width` columns whose cells start at offset `base`."""
+    prob, alias = tables
+    u = u * width
+    col = np.minimum(u.astype(np.intp), width - 1)
+    cell = base + col
+    return np.where(u - col < prob[cell], col, alias[cell])
 
 
 def simulate_block_sums(chain: MarkovChainSpec, n: int, alpha: float,
@@ -452,26 +428,23 @@ def simulate_block_sums(chain: MarkovChainSpec, n: int, alpha: float,
         raise ChainError("budget must be >= 1")
     m, k, _ = block_indices(n, alpha)
     S = chain.P.shape[0]
-    ys, law = _block_law(chain, m)
-    hop = np.linalg.matrix_power(chain.P, m + 1)
+    ys, law, hop = _block_law(chain, m)
     W = ys.size * S
-    prob, alias = _alias_tables(np.einsum("sie,et->sit", law, hop).reshape(S, W))
+    tables = _alias_tables(np.einsum("sie,et->sit", law, hop).reshape(S, W))
     # per outcome (i, t): the block sum, and the offset of row t in the tables
     value = np.repeat(ys, S)
     row = np.tile(np.arange(S) * W, ys.size)
     # ends at exactly 1: a plain cumsum of pi can end just below it, and a
     # uniform past the end would start a path in no state
-    cum_pi = _cumulative(chain.pi)
+    cum_pi = np.cumsum(chain.pi / chain.pi.sum())
+    cum_pi[-1] = 1.0
     out = np.empty(budget)
     done = 0
     for rng, size in seeded_chunks(seed, budget, MIX_CHUNK):
         base = np.searchsorted(cum_pi, rng.random(size), side="right") * W
         total = np.zeros(size)
         for _ in range(k):
-            u = rng.random(size) * W
-            col = np.minimum(u.astype(np.intp), W - 1)
-            cell = base + col
-            idx = np.where(u - col < prob[cell], col, alias[cell])
+            idx = _alias_draw(tables, base, W, rng.random(size))
             total += value[idx]
             base = row[idx]
         out[done:done + size] = total
@@ -503,14 +476,9 @@ def mixing_tail_experiment(chain: MarkovChainSpec, n: int, alpha: float,
         p = hits / budget
         se = math.sqrt(p * (1.0 - p) / budget)
         ci = clopper_pearson(hits, budget)
-        gt = gaussian_tail(x)
-        lo, hi = ratio_envelope(x, params)
-        rows.append(RatioRow(
-            x=float(x), p_hat=p, se=se, ci_lo=ci[0], ci_hi=ci[1],
-            gauss_tail=gt, ratio=p / gt,
-            log_ratio=math.log(p / gt) if p > 0 else -math.inf,
-            bound_lo=lo, bound_hi=hi, ess=float(budget), n_samples=budget,
-            seed=seed, lam=0.0, flags=list(flags_global)))
+        rows.append(ratio_row(x, p, params, se=se, ci_lo=ci[0], ci_hi=ci[1],
+                              ess=float(budget), n_samples=budget, seed=seed,
+                              lam=0.0, flags=list(flags_global)))
     info = {"m": m, "k": k, "es2": es2, "tau_n": tau, "psi_bar_m": psi_m,
             "c1": cert.c1, "c2": cert.c2,
             "beta_fit": (cert.a1, cert.a2, cert.tau),

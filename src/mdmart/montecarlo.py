@@ -148,6 +148,21 @@ class RatioReport:
                   header_comment)
 
 
+def ratio_row(x: float, p_hat: float, params: BoundParams, **fields) -> RatioRow:
+    """The report row of an estimate p_hat of P(X > x): its ratio to
+    1 - Phi(x) and the theorem envelope at x; `fields` holds the estimate's
+    other columns.  An x whose 1 - Phi(x) underflows to 0 has no ratio and
+    is refused."""
+    gt = gaussian_tail(x)
+    if gt == 0.0:
+        raise ValueError(f"x = {float(x)!r} is too large: 1 - Phi(x) underflows to 0")
+    ratio = p_hat / gt
+    lo, hi = ratio_envelope(x, params)
+    return RatioRow(x=float(x), p_hat=p_hat, gauss_tail=gt, ratio=ratio,
+                    log_ratio=math.log(ratio) if ratio > 0 else -math.inf,
+                    bound_lo=lo, bound_hi=hi, **fields)
+
+
 def write_csv(path, columns, rows, header_comment: str = ""):
     """The one artifact format: an optional '# ' comment line, the column
     names, then one '\n'-terminated line per mapping in `rows`.  Integers are
@@ -171,18 +186,13 @@ def ratio_report(model: MartingaleModel, x_grid: Sequence[float], budget: int,
     for i, x in enumerate(x_grid):
         sel = choose_tilt(model, x)
         est = estimate_tail_tilted(model, x, sel.lam, budget, seed, row=i)
-        gt = gaussian_tail(x)
-        ratio = est.p_hat / gt
-        lo, hi = ratio_envelope(x, params)
         flags = list(est.flags)
         if not sel.converged:
             flags.append("tilt_fallback")
-        rows.append(RatioRow(
-            x=float(x), p_hat=est.p_hat, se=est.std_err,
-            ci_lo=est.ci95[0], ci_hi=est.ci95[1], gauss_tail=gt,
-            ratio=ratio, log_ratio=math.log(ratio) if ratio > 0 else -math.inf,
-            bound_lo=lo, bound_hi=hi, ess=est.ess, n_samples=budget,
-            seed=seed, lam=sel.lam, flags=flags))
+        rows.append(ratio_row(x, est.p_hat, params, se=est.std_err,
+                              ci_lo=est.ci95[0], ci_hi=est.ci95[1], ess=est.ess,
+                              n_samples=budget, seed=seed, lam=sel.lam,
+                              flags=flags))
     return RatioReport(rows=rows)
 
 

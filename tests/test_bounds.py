@@ -102,6 +102,11 @@ class TestThm21Rhs:
         lo, hi = bounds.ratio_envelope(1.3, p)
         assert lo <= 1.0 <= hi
 
+    def test_envelope_vacuous_past_overflow(self):
+        p = bounds.BoundParams(rho=1.0, eps_n=0.1, delta_n=1.0)
+        assert bounds.thm21_rhs(20.0, p) > 710.0
+        assert bounds.ratio_envelope(20.0, p) == (0.0, math.inf)
+
 
 class TestBerryEsseen:
     def test_exact_sup_distance_decreases(self):

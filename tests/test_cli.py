@@ -94,6 +94,25 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_large_x(tmp_path, capsys):
+    # past e^709 the envelope bounds nothing and is written (0, inf); an x
+    # whose 1 - Phi(x) underflows to 0 has no ratio and is a usage error
+    assert main(["--out", str(tmp_path), "tail", "--x", "20", "--budget", "2000"]) == 0
+    lines = (tmp_path / "tail_rademacher_n400_seed0.csv").read_text().splitlines()
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    assert (float(row["bound_lo"]), float(row["bound_hi"])) == (0.0, math.inf)
+    assert main(["--out", str(tmp_path), "mixing", "--n", "2000", "--x", "16",
+                 "--budget", "2000"]) == 0
+    out = tmp_path / "large"
+    for argv in (["tail", "--x", "40", "--budget", "2000"],
+                 ["mixing", "--n", "2000", "--x", "40", "--budget", "2000"]):
+        capsys.readouterr()
+        assert main(["--out", str(out)] + argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "usage error: x = 40.0" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # small valid runs of every command; the property test below spoils one flag
 BASE_ARGS = {
     "verify": ["verify", "--budget", "2000"],

@@ -125,8 +125,8 @@ def test_checker_finds_every_caller():
 
 
 def test_one_block_law():
-    # the block-sum sampler, the Berbee tables, the block marginal and the
-    # exact variance all derive from the one block-law table
+    # the block-sum sampler, the Berbee coupling, the certificate's block
+    # moments and the exact variance all derive from the one block-law table
     found = [(path.name, owner) for path in sorted(SRC.glob("*.py"))
              for owner in callers(path.read_text(), "block_sum_distribution")]
     assert found == [("mixing.py", "_block_law")], found

@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from mdmart.mixing import (ChainError, MarkovChainSpec, berbee_couple,
-                           berbee_mismatch_probability, beta_by_enumeration,
-                           beta_coefficient, beta_two_state_closed_form,
-                           block_indices, block_marginal,
-                           block_sum_distribution,
-                           covariance_bound_check, exact_block_sum_variance,
-                           fit_beta_decay, mixing_tail_experiment,
-                           psi_bar_coefficient, simulate_block_sums,
-                           stationary_dist, tau_n, two_state_chain)
+from mdmart import mixing
+from mdmart.mixing import (ChainError, MarkovChainSpec, _block_law,
+                           berbee_couple, berbee_mismatch_probability,
+                           beta_by_enumeration, beta_coefficient,
+                           beta_two_state_closed_form, block_indices,
+                           block_sum_distribution, covariance_bound_check,
+                           exact_block_sum_variance, fit_beta_decay,
+                           mixing_tail_experiment, psi_bar_coefficient,
+                           simulate_block_sums, stationary_dist, tau_n,
+                           two_state_chain)
 
 
 def three_state_chain():
@@ -189,7 +190,8 @@ class TestBerbee:
         # enumerate the true block-sum law for m = 3 and compare against the
         # empirical law of the coupled independent copies
         chain = two_state_chain(0.1, 0.1)
-        marg = block_marginal(chain, 3)
+        ys, law, _ = _block_law(chain, 3)
+        marg = dict(zip(ys.tolist(), (chain.pi @ law.sum(axis=2)).tolist()))
         # independent oracle: enumerate all length-3 state paths directly
         oracle = {}
         for path in itertools.product((0, 1), repeat=3):
@@ -211,6 +213,20 @@ class TestBerbee:
         for y, p in oracle.items():
             se = math.sqrt(p * (1 - p) / total)
             assert abs(counts.get(y, 0) / total - p) <= 5.0 * se + 1e-9
+
+    @pytest.mark.parametrize("a, b", [(0.1, 0.1), (0.02, 0.1)])
+    def test_independent_copies_uncorrelated(self, a, b):
+        # the copies are i.i.d.: consecutive ones are uncorrelated, though
+        # the chain's blocks are not.  The block sum has mean 0, so each rep
+        # contributes the mean product of its k - 1 consecutive pairs, and
+        # the reps are independent.  Copies drawn from the conditional
+        # law's residual keep the right marginal but follow the chain
+        chain = two_state_chain(a, b)
+        reps = 2 * 10 ** 4
+        y = berbee_couple(chain, 3, 10, reps, np.random.default_rng(12)).independent
+        per_rep = (y[:, 1:] * y[:, :-1]).mean(axis=1)
+        z = per_rep.mean() / (per_rep.std() / math.sqrt(reps))
+        assert abs(z) <= 4.0, z
 
 
 class TestCovarianceBound:
@@ -397,6 +413,22 @@ class TestTailExperiment:
         assert info["tau_n"] < 0.01
         for row in rep.rows:
             assert abs(row.ratio - 1.0) < 0.1
+
+    @pytest.mark.parametrize("n, alpha, builds", [(10 ** 4, 0.3, 1), (5000, 0.5, 2)])
+    def test_block_law_built_once(self, monkeypatch, n, alpha, builds):
+        # the certificate, the exact variance and the sampler share one block
+        # law per (chain, m); at n = 5000, alpha = 0.5 the certificate's
+        # m' = min(m, 20) = 20 differs from m = 70, so two laws are built
+        calls = []
+        real = mixing.block_sum_distribution
+
+        def counted(chain, m):
+            calls.append(m)
+            return real(chain, m)
+
+        monkeypatch.setattr(mixing, "block_sum_distribution", counted)
+        mixing_tail_experiment(two_state_chain(0.3, 0.3), n, alpha, [0.5, 1.0], 1000, 0)
+        assert len(calls) == builds, calls
 
     def test_envelope_flag(self):
         chain = two_state_chain(0.3, 0.3)
