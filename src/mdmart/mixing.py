@@ -15,8 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .alias import alias_draw, alias_tables
 from .bounds import BoundParams
-from .montecarlo import RatioReport, clopper_pearson, ratio_row, seeded_chunks
+from .montecarlo import (RatioReport, check_x_grid, clopper_pearson, ratio_row,
+                         seeded_chunks)
 
 # block-sum paths are long, so chunks are larger here than in the tail
 # estimators; the chunk size is a fixed constant, so determinism is unaffected.
@@ -288,18 +290,18 @@ def berbee_couple(chain: MarkovChainSpec, m: int, k: int, reps: int,
     # exactly 1 and its all-zero residual row is never drawn from
     keep = np.divide(np.minimum(cond_y, marg), cond_y,
                      out=np.ones_like(cond_y), where=cond_y > 0.0)
-    joint = _alias_tables(cond.reshape(S + 1, W))
-    resid = _alias_tables(np.maximum(marg - cond_y, 0.0))
+    joint = alias_tables(cond.reshape(S + 1, W))
+    resid = alias_tables(np.maximum(marg - cond_y, 0.0))
     blocks = np.empty((reps, k))
     indep = np.empty((reps, k))
     mismatch = np.empty((reps, k), dtype=bool)
     case = np.zeros(reps, dtype=np.intp)
     for j in range(k):
         u = rng.random((3, reps))
-        y, end = np.divmod(_alias_draw(joint, case * W, W, u[0]), S)
+        y, end = np.divmod(alias_draw(joint, case * W, W, u[0]), S)
         kept = u[1] < keep[case, y]
         blocks[:, j] = ys[y]
-        indep[:, j] = ys[np.where(kept, y, _alias_draw(resid, case * Y, Y, u[2]))]
+        indep[:, j] = ys[np.where(kept, y, alias_draw(resid, case * Y, Y, u[2]))]
         mismatch[:, j] = ~kept
         case = 1 + end
     return BerbeeResult(blocks=blocks, independent=indep, mismatch=mismatch)
@@ -379,42 +381,6 @@ def exact_block_sum_variance(chain: MarkovChainSpec, n: int, alpha: float) -> fl
     return k * float(chain.pi @ v) + 2.0 * math.fsum(cross)
 
 
-def _alias_tables(p: np.ndarray):
-    """Walker's alias tables for each row of p, built by Vose's method
-    (Vose 1991, IEEE TSE 17:972), flattened over (row, column).  Column i
-    of row s keeps itself with probability prob[s*W + i] and otherwise
-    gives alias[s*W + i]; a uniform column and one comparison then draw
-    from the row's law (`_alias_draw`).  An all-zero row, which is never
-    drawn from, keeps itself in every column."""
-    S, W = p.shape
-    prob = np.ones((S, W))
-    alias = np.tile(np.arange(W), (S, 1))
-    for s in range(S):
-        total = p[s].sum()
-        if total == 0.0:
-            continue
-        q = (p[s] * (W / total)).tolist()
-        small = [i for i in range(W) if q[i] < 1.0]
-        large = [i for i in range(W) if q[i] >= 1.0]
-        while small and large:
-            lo, hi = small.pop(), large.pop()
-            prob[s, lo], alias[s, lo] = q[lo], hi
-            q[hi] = (q[hi] + q[lo]) - 1.0
-            (small if q[hi] < 1.0 else large).append(hi)
-        # what is left over holds mass 1 up to rounding and keeps itself
-    return prob.ravel(), alias.ravel()
-
-
-def _alias_draw(tables, base, width, u):
-    """One outcome per uniform u in [0, 1), drawn through `_alias_tables`
-    from the row of `width` columns whose cells start at offset `base`."""
-    prob, alias = tables
-    u = u * width
-    col = np.minimum(u.astype(np.intp), width - 1)
-    cell = base + col
-    return np.where(u - col < prob[cell], col, alias[cell])
-
-
 def simulate_block_sums(chain: MarkovChainSpec, n: int, alpha: float,
                         budget: int, seed: int) -> np.ndarray:
     """S_n for `budget` independent stationary realizations, one uniform per
@@ -430,7 +396,7 @@ def simulate_block_sums(chain: MarkovChainSpec, n: int, alpha: float,
     S = chain.P.shape[0]
     ys, law, hop = _block_law(chain, m)
     W = ys.size * S
-    tables = _alias_tables(np.einsum("sie,et->sit", law, hop).reshape(S, W))
+    tables = alias_tables(np.einsum("sie,et->sit", law, hop).reshape(S, W))
     # per outcome (i, t): the block sum, and the offset of row t in the tables
     value = np.repeat(ys, S)
     row = np.tile(np.arange(S) * W, ys.size)
@@ -444,7 +410,7 @@ def simulate_block_sums(chain: MarkovChainSpec, n: int, alpha: float,
         base = np.searchsorted(cum_pi, rng.random(size), side="right") * W
         total = np.zeros(size)
         for _ in range(k):
-            idx = _alias_draw(tables, base, W, rng.random(size))
+            idx = alias_draw(tables, base, W, rng.random(size))
             total += value[idx]
             base = row[idx]
         out[done:done + size] = total
@@ -461,6 +427,7 @@ def mixing_tail_experiment(chain: MarkovChainSpec, n: int, alpha: float,
     Returns (RatioReport, info dict).  The envelope uses eps-like scale
     n^{-(1/2 - alpha)} and delta = tau_n from the exact psi_bar(m); it is
     flagged unusable when tau_n >= 1."""
+    check_x_grid(x_grid)
     m, k, _ = block_indices(n, alpha)
     es2 = exact_block_sum_variance(chain, n, alpha)
     scale = math.sqrt(es2)

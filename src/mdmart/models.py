@@ -16,6 +16,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .alias import alias_draw, alias_tables
+
 ATOL = 1e-12
 
 # a model whose breadth-first search visits more states than this is refused
@@ -23,6 +25,20 @@ MAX_STATES = 100_000
 
 # geometric grid on which certificates are searched
 DEFAULT_GRID = tuple(2.0 ** j for j in range(-6, 11))
+
+# the block sampler's forward pass visits at most this many (start state,
+# atom sequence) cells
+BLOCK_CELLS = 1 << 15
+
+
+def block_steps(states: int, width: int) -> int:
+    """Steps per block of the sampler for a state table with `states` rows
+    of `width` atoms: the largest b with states * width**b <= BLOCK_CELLS,
+    and at least 1."""
+    b = 1
+    while states * width ** (b + 1) <= BLOCK_CELLS:
+        b += 1
+    return b
 
 
 class ModelError(ValueError):
@@ -156,6 +172,75 @@ class StateTable:
     T: np.ndarray
 
 
+@dataclass(frozen=True)
+class BlockTable:
+    """The law of one block of `steps` steps under P_lam from each
+    block-start state, in `width` cells per state, flattened over (row,
+    cell).  Row 0 is state 0; the others are the states a block can end
+    in, in the order blocks first reach them.  Padding cells have
+    probability 0."""
+
+    steps: int
+    width: int
+    prob: np.ndarray   # outcome probability
+    dx: np.ndarray     # sum of the block's scaled values
+    dpsi: np.ndarray   # sum of psi_s(lam) over the block's states
+    end: np.ndarray    # row of the end state
+    alias: tuple       # alias_tables of prob, row by row
+
+
+@dataclass(frozen=True)
+class _BlockOutcomes:
+    """The outcomes of `steps` steps from each block-start row, grouped by
+    (row, end row, count of each (law, atom) drawn): the atom sequences of a
+    group share their probability, value sum and log mgf sum under every
+    tilt.  Group g holds `mult[g]` sequences and sits in cell `cell[g]` =
+    row * width + column; `dx` and `end` are laid out by cell."""
+
+    steps: int
+    width: int
+    cell: np.ndarray
+    count: np.ndarray
+    mult: np.ndarray
+    dx: np.ndarray
+    end: np.ndarray
+
+    @classmethod
+    def group(cls, steps, end, real, count, row_of, values):
+        """Group the cells of a forward pass from the block-start states,
+        one row each: `end` state, whether all atoms are `real` and the
+        per-(law, atom) `count`."""
+        keys = np.column_stack((np.nonzero(real)[0], row_of[end[real]],
+                                count[real]))
+        keys = keys[np.lexsort(keys.T[::-1])]
+        new = np.ones(len(keys), dtype=bool)
+        new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+        mult = np.bincount(np.cumsum(new) - 1)
+        keys = keys[new]
+        row = keys[:, 0]
+        col = np.arange(len(keys)) - np.searchsorted(row, row)
+        width = int(col.max()) + 1
+        cell = row * width + col
+        dx = np.zeros(len(end) * width)
+        dx[cell] = (keys[:, 2:] * values).sum(axis=1)
+        nxt = np.zeros(dx.size, dtype=np.intp)
+        nxt[cell] = keys[:, 1]
+        return cls(steps, width, cell, keys[:, 2:], mult, dx, nxt)
+
+    def tilted(self, q, psi) -> BlockTable:
+        """The table under the tilt whose (law, atom) probabilities are q
+        and whose per-law log mgfs, repeated per atom, are psi."""
+        prob = self.mult.astype(float)
+        for j in range(q.size):
+            prob *= q[j] ** self.count[:, j]
+        p = np.zeros(self.dx.size)
+        p[self.cell] = prob
+        dpsi = np.zeros(self.dx.size)
+        dpsi[self.cell] = (self.count * psi).sum(axis=1)
+        return BlockTable(self.steps, self.width, p, self.dx, dpsi, self.end,
+                          alias_tables(p.reshape(-1, self.width)))
+
+
 class MartingaleModel:
     """Base class: a pure state machine over history summaries.
 
@@ -174,6 +259,7 @@ class MartingaleModel:
         self.name = name
         self.n = n
         self.rho = rho
+        self._block_cache = {}  # lam -> block_tables(lam)
 
     def initial_state(self):
         raise NotImplementedError
@@ -269,13 +355,15 @@ class MartingaleModel:
         With one state, X_n depends only on how often each atom is drawn, and
         those counts are drawn as conditional binomials (Devroye 1986,
         ch. XI): one draw per atom per path.  For a two-atom law that is one
-        binomial draw.  Otherwise each path draws one uniform per step and
-        carries its state's row offset into the flattened (state, atom)
-        tables."""
+        binomial draw.  Otherwise each path draws a block of B steps at a
+        time (`block_steps`), one uniform per block: the block's sum of
+        values, its sum of log mgfs and its end state come together from the
+        alias tables of the block law at the path's block-start state
+        (`block_tables`), and the n mod B steps left over come from the
+        leftover table the same way.  B = 1 would draw step by step."""
         t = self.table
-        tilted = self.tilted_laws(lam)
         if len(t.states) == 1:
-            tl = tilted[0]
+            tl = self.tilted_laws(lam)[0]
             probs = [p for _, p in tl.atoms]
             values = [v for v, _ in t.laws[0].atoms]
             # suffix sums, not a running difference, so the conditional
@@ -293,31 +381,83 @@ class MartingaleModel:
             x += rest * values[-1]
             x *= 1.0 / math.sqrt(self.n)
             return TerminalBatch(x=x, log_weight=-lam * x + self.n * tl.step_log_mgf)
+        full, rem = self.block_tables(lam)
         x = np.zeros(size)
-        width = t.T.shape[1]
-        val = np.zeros((len(t.laws), width))
-        cum = np.ones((len(t.laws), width))  # padded atoms are never drawn
-        for i, tl in enumerate(tilted):
-            val[i, :len(tl.atoms)] = tl.values
-            cum[i, :len(tl.atoms) - 1] = np.cumsum(tl.probs)[:-1]
-        # tables flattened over (state, atom); each path carries its state's
-        # row offset s * width, and cols[a] holds cum[s, a] at that offset
-        val, cum = val[t.law_of].ravel(), cum[t.law_of]
-        cols = [np.repeat(cum[:, a], width) for a in range(width - 1)]
-        log_mgf = np.repeat([tilted[i].step_log_mgf for i in t.law_of], width)
-        nxt = (t.T * width).ravel()
-        off = np.zeros(size, dtype=np.intp)
         psi = np.zeros(size)
-        for _ in range(self.n):
-            u = rng.random(size)
-            k = off
-            for col in cols:
-                k = k + (u >= col[off])
-            x += val[k]
-            if lam != 0.0:
-                psi += log_mgf[off]
-            off = nxt[k]
+        row = np.zeros(size, dtype=np.intp)  # block-start row 0 is state 0
+        blocks, leftover = divmod(self.n, full.steps)
+        for tab, count in ((full, blocks), (rem, leftover > 0)):
+            for _ in range(count):
+                off = row * tab.width
+                cell = off + alias_draw(tab.alias, off, tab.width, rng.random(size))
+                x += tab.dx[cell]
+                psi += tab.dpsi[cell]
+                row = tab.end[cell]
         return TerminalBatch(x=x, log_weight=-lam * x + psi)
+
+    @cached_property
+    def _blocks(self):
+        """The tilt-free part of the block tables (full, leftover): the
+        grouped outcomes of a block of B steps and, when B does not divide n,
+        of the n mod B steps left over, from each block-start state reachable
+        from state 0.  One forward pass over every atom sequence from those
+        states gives both."""
+        t = self.table
+        S, width = t.T.shape
+        steps = block_steps(S, width)
+        leftover = self.n % steps
+        a = np.arange(width)
+        atoms = np.array([len(law.atoms) for law in t.laws])
+        real_atom = a < atoms[t.law_of][:, None]
+        # the block-start states: from state 0 and from every block end
+        rows, frontier = [0], [0]
+        while frontier:
+            ends = frontier
+            for _ in range(steps):
+                ends = sorted(set(t.T[ends][real_atom[ends]].tolist()))
+            frontier = [e for e in ends if e not in rows]
+            rows += frontier
+        row_of = np.zeros(S, dtype=np.intp)
+        row_of[rows] = np.arange(len(rows))
+        # one column per (law, atom); each cell counts how often it drew each
+        one_hot = np.eye(len(t.laws) * width, dtype=np.int8)  # counts <= B <= 14
+        end = np.array(rows)[:, None]
+        real = np.ones(end.shape, dtype=bool)  # no padded atom drawn
+        count = np.zeros((len(rows), 1, one_hot.shape[0]), dtype=np.int8)
+        passes = {}
+        for step in range(1, steps + 1):
+            law = t.law_of[end][..., None]
+            real = (real[..., None] & real_atom[end]).reshape(len(rows), -1)
+            count = (count[:, :, None] + one_hot[law * width + a]).reshape(
+                *real.shape, -1)
+            end = t.T[end].reshape(real.shape)
+            if step in (leftover, steps):
+                passes[step] = (end, real, count)
+        values = np.zeros(one_hot.shape[0])
+        for i, law in enumerate(self.scaled_laws):
+            values[i * width:i * width + len(law.atoms)] = law.values
+        full = _BlockOutcomes.group(steps, *passes[steps], row_of, values)
+        if not leftover:
+            return full, None
+        # nothing is drawn after the leftover steps, so their end states are
+        # not needed: all map to row 0
+        return full, _BlockOutcomes.group(leftover, *passes[leftover],
+                                          np.zeros_like(row_of), values)
+
+    def block_tables(self, lam: float):
+        """(full, leftover) `BlockTable`s under P_lam: a block of B steps and
+        the n mod B steps left over (None when B divides n).  Built once per
+        lam and kept, since the estimators draw one chunk at a time."""
+        if lam not in self._block_cache:
+            width = self.table.T.shape[1]
+            q = np.zeros(len(self.table.laws) * width)
+            psi = np.zeros_like(q)
+            for i, tl in enumerate(self.tilted_laws(lam)):
+                q[i * width:i * width + len(tl.atoms)] = tl.probs
+                psi[i * width:(i + 1) * width] = tl.step_log_mgf
+            self._block_cache[lam] = tuple(None if g is None else g.tilted(q, psi)
+                                           for g in self._blocks)
+        return self._block_cache[lam]
 
 
 def certify(model: MartingaleModel, grid=DEFAULT_GRID) -> Certificate:

@@ -148,14 +148,20 @@ class RatioReport:
                   header_comment)
 
 
+def check_x_grid(x_grid: Sequence[float]):
+    """Refuse the first x whose 1 - Phi(x) underflows to 0: it has no ratio.
+    Reports call this before they estimate anything."""
+    for x in x_grid:
+        if gaussian_tail(x) == 0.0:
+            raise ValueError(f"x = {float(x)!r} is too large: 1 - Phi(x) underflows to 0")
+
+
 def ratio_row(x: float, p_hat: float, params: BoundParams, **fields) -> RatioRow:
     """The report row of an estimate p_hat of P(X > x): its ratio to
     1 - Phi(x) and the theorem envelope at x; `fields` holds the estimate's
-    other columns.  An x whose 1 - Phi(x) underflows to 0 has no ratio and
-    is refused."""
+    other columns.  An x whose 1 - Phi(x) underflows to 0 is refused."""
+    check_x_grid((x,))
     gt = gaussian_tail(x)
-    if gt == 0.0:
-        raise ValueError(f"x = {float(x)!r} is too large: 1 - Phi(x) underflows to 0")
     ratio = p_hat / gt
     lo, hi = ratio_envelope(x, params)
     return RatioRow(x=float(x), p_hat=p_hat, gauss_tail=gt, ratio=ratio,
@@ -181,7 +187,9 @@ def write_csv(path, columns, rows, header_comment: str = ""):
 def ratio_report(model: MartingaleModel, x_grid: Sequence[float], budget: int,
                  seed: int, params: BoundParams) -> RatioReport:
     """Tilted estimates of P(X_n > x) against 1 - Phi(x) with the theorem
-    envelope attached per x; row i draws from the streams of (seed, i)."""
+    envelope attached per x; row i draws from the streams of (seed, i).  A
+    grid holding an x with no ratio is refused before any row is estimated."""
+    check_x_grid(x_grid)
     rows = []
     for i, x in enumerate(x_grid):
         sel = choose_tilt(model, x)

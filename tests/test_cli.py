@@ -113,6 +113,25 @@ def test_large_x(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bad_x_refused_before_estimating(tmp_path, capsys, monkeypatch):
+    # the grid's x from 38 on have no ratio (1 - Phi(x) underflows past
+    # 37.68), so the grid is refused before any of its 76 good rows is
+    # estimated: no estimate, exit 2 and no artifact
+    from mdmart import montecarlo
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate(*args, **kwargs)
+
+    estimate = montecarlo.estimate_tail_tilted
+    monkeypatch.setattr(montecarlo, "estimate_tail_tilted", counted)
+    out = tmp_path / "grid"
+    assert main(["--out", str(out), "tail", "--x", "0:40:0.5"]) == 2
+    assert "usage error: x = 38.0" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 # small valid runs of every command; the property test below spoils one flag
 BASE_ARGS = {
     "verify": ["verify", "--budget", "2000"],

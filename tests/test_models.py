@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdmart.models import (ATOL, CertificationError, ConditionalLaw,
-                           MartingaleModel, ModelError, certify,
-                           check_sakhanenko, make_heavy_left, make_rademacher,
+from mdmart.models import (ATOL, BLOCK_CELLS, CertificationError,
+                           ConditionalLaw, MartingaleModel, ModelError,
+                           block_steps, certify, check_sakhanenko,
+                           make_heavy_left, make_rademacher,
                            make_regime_switch, verify_certificate)
 from mdmart.montecarlo import enumerate_terminal, estimate_tail_plain
 from mdmart.tilt import choose_tilt
@@ -250,6 +251,65 @@ class SignSwitch(MartingaleModel):
         return 1 if eta > 0 else -1
 
 
+def by_value(keys, cols, tol=1e-9):
+    """Sum each column over the rows whose keys all agree within tol, so
+    sums of the same atoms taken in another order meet: (the keys of each
+    group, the column sums), sorted by key."""
+    keys = [np.asarray(k, dtype=float) for k in keys]
+    ids = np.zeros(keys[0].size, dtype=np.intp)
+    for k in keys:
+        order = np.lexsort((k, ids))
+        new = np.ones(k.size, dtype=bool)
+        new[1:] = (np.diff(ids[order]) != 0) | (np.diff(k[order]) > tol)
+        ids[order] = np.cumsum(new) - 1
+    first = np.unique(ids, return_index=True)[1]
+    return ([k[first] for k in keys],
+            [np.bincount(ids, weights=np.asarray(c, dtype=float)) for c in cols])
+
+
+def exact_terminal_law(model, lam):
+    """The values of X_n with, per value, its probability under P, its
+    probability under P_lam and E_lam[w^2; X_n = x] for the importance
+    weight w = exp(-lam X_n + Psi_n).  A forward pass over (state, X): the
+    path enumeration with the paths into one (state, X) merged, so it
+    reaches horizons that enumeration cannot."""
+    t = model.table
+    base, tilted = model.tilted_laws(0.0), model.tilted_laws(lam)
+    dist = {(0, 0.0): (1.0, 1.0, 1.0)}  # P, P_lam, E_lam[exp(2 Psi_k)]
+    for _ in range(model.n):
+        nxt = {}
+        for (s, x), (p, q, m) in dist.items():
+            law = t.law_of[s]
+            grow = math.exp(2.0 * tilted[law].step_log_mgf)
+            for a, ((v, pa), (_, qa)) in enumerate(zip(base[law].atoms,
+                                                        tilted[law].atoms)):
+                key = (int(t.T[s, a]), round(x + v, 12))
+                old = nxt.get(key, (0.0, 0.0, 0.0))
+                nxt[key] = (old[0] + p * pa, old[1] + q * qa, old[2] + m * qa * grow)
+        dist = nxt
+    xs = np.array([x for _, x in dist])
+    p, q, m = (np.array(c) for c in zip(*dist.values()))
+    # E_lam[w^2; path into (state, X)] = m e^{-2 lam X}
+    m2 = [math.exp(math.log(a) - 2.0 * lam * x) if b > 0.0 else math.nan
+          for a, b, x in zip(m, q, xs)]
+    (values,), sums = by_value([xs], [p, q, m2])
+    return values, *sums
+
+
+# the state-dependent models at horizons below the block length B, equal to
+# it, B + 2 and 2B + 3, so both the full block table and the leftover one
+# are drawn from
+_B_RS = block_steps(*make_regime_switch(1, 0.3).table.T.shape)
+_B_SS = block_steps(*SignSwitch(1).table.T.shape)
+SAMPLER_MODELS = {"regime_switch": make_regime_switch(10, 0.3),
+                  "heavy_left": make_heavy_left(3), "sign_switch": SignSwitch(6),
+                  "rademacher": make_rademacher(12)}
+SAMPLER_MODELS.update({f"{m.name}-n{m.n}": m for m in (
+    make_regime_switch(3, 0.3), make_regime_switch(_B_RS, 0.3),
+    make_regime_switch(2 * _B_RS + 3, 0.3), SignSwitch(_B_SS),
+    SignSwitch(2 * _B_SS + 3))})
+
+
 class TestStateTable:
     def test_regime_switch_machine(self):
         # finitely many states, the same at every horizon
@@ -309,43 +369,107 @@ class TestStateTable:
         assert sel.method == "fallback" and not sel.converged
 
     @pytest.mark.parametrize("lam", [0.0, 0.8])
-    @pytest.mark.parametrize("model", [make_regime_switch(10, 0.3),
-                                       make_heavy_left(3), SignSwitch(6),
-                                       make_rademacher(12)],
-                             ids=["regime_switch", "heavy_left", "sign_switch",
-                                  "rademacher"])
+    @pytest.mark.parametrize("model", SAMPLER_MODELS.values(), ids=SAMPLER_MODELS.keys())
     def test_sampler_law_matches_enumeration(self, model, lam):
         # importance-weighted frequency of each value of X_n against its
         # exact probability, within 4 of the estimator's exact SEs from the
-        # tilted path enumeration.  Values expected fewer than 10 times under
-        # P_lam are pooled into one bin, where a normal SE means something;
-        # values whose tilted probability underflows to 0 cannot be drawn
-        exact, mass, m2 = {}, {}, {}
-        for p, x, _ in enumerate_terminal(model, 0.0):
-            exact[round(x, 12)] = exact.get(round(x, 12), 0.0) + p
-        for q, x, lw in enumerate_terminal(model, lam):
-            key = round(x, 12)
-            mass[key] = mass.get(key, 0.0) + q
-            term = math.exp(math.log(q) + 2.0 * lw) if q > 0.0 else math.nan
-            m2[key] = m2.get(key, 0.0) + term
+        # exact tilted law.  Values expected fewer than 10 times under P_lam
+        # are pooled into one bin, where a normal SE means something; values
+        # whose tilted probability underflows to 0 cannot be drawn
+        values, exact, mass, m2 = exact_terminal_law(model, lam)
         size = 1 << 15
         batch = model.simulate_terminal(size, np.random.default_rng(4), lam)
-        keys = np.round(batch.x, 12)
+        # each drawn X_n is one of the exact values, up to float sum order
+        i = np.clip(np.searchsorted(values, batch.x), 1, values.size - 1)
+        i -= batch.x - values[i - 1] < values[i] - batch.x
+        assert np.abs(batch.x - values[i]).max() < 1e-9
         w = np.exp(batch.log_weight)
-        drawable = [x for x in exact if not math.isnan(m2[x])]
-        assert set(np.unique(keys)) <= set(drawable)
-        assert math.fsum(exact[x] for x in drawable) > 1.0 - 1e-6
-        rare = [x for x in drawable if size * mass[x] < 10.0]
-        bins = [[x] for x in drawable if x not in rare] + [rare]
+        drawable = ~np.isnan(m2)
+        assert drawable[i].all()
+        assert math.fsum(exact[drawable]) > 1.0 - 1e-6
+        rare = drawable & (size * mass < 10.0)
+        bins = [[j] for j in np.flatnonzero(drawable & ~rare)] + [np.flatnonzero(rare)]
         assert len(bins) >= 4
-        for xs in bins:
-            est = float(w[np.isin(keys, xs)].sum()) / size
-            p = math.fsum(exact[x] for x in xs)
-            se = math.sqrt(max(math.fsum(m2[x] for x in xs) - p * p, 0.0) / size)
-            assert abs(est - p) <= 4.0 * se, (xs[:3], est, p, se)
+        for js in bins:
+            est = float(w[np.isin(i, js)].sum()) / size
+            p = math.fsum(exact[js])
+            se = math.sqrt(max(math.fsum(m2[js]) - p * p, 0.0) / size)
+            assert abs(est - p) <= 4.0 * se, (values[js][:3], est, p, se)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.8])
+    @pytest.mark.parametrize("model", [make_regime_switch(9, 0.3), SignSwitch(7),
+                                       make_heavy_left(3), make_rademacher(12)],
+                             ids=["regime_switch", "sign_switch", "heavy_left",
+                                  "rademacher"])
+    def test_exact_law_is_the_enumeration(self, model, lam):
+        # the forward pass the sampler test holds the sampler to, against
+        # the brute-force path enumeration
+        values, *got = exact_terminal_law(model, lam)
+        paths = enumerate_terminal(model, lam)
+        q, x, lw = (np.array(c) for c in zip(*paths))
+        p = [p for p, _, _ in enumerate_terminal(model, 0.0)]
+        m2 = [math.exp(math.log(a) + 2.0 * b) if a > 0.0 else math.nan
+              for a, b in zip(q, lw)]
+        (want_values,), want = by_value([x], [p, q, m2])
+        assert np.allclose(values, want_values, rtol=0.0, atol=1e-9)
+        # probabilities to 1e-12; the second moments are exponentials of
+        # sums taken in another order, so to 1e-10
+        for g, w, rtol in zip(got, want, (1e-12, 1e-12, 1e-10)):
+            assert np.allclose(g, w, rtol=rtol, atol=0.0, equal_nan=True)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.8])
+    @pytest.mark.parametrize("make", [lambda n: make_regime_switch(n, 0.3), SignSwitch],
+                             ids=["regime_switch", "sign_switch"])
+    def test_block_law_is_the_enumeration(self, make, lam):
+        # row 0 of the block table at n = b is the law of the whole path:
+        # b = B uses the full table, b = 3 < B the leftover one
+        steps = block_steps(*make(1).table.T.shape)
+        for b in (steps, 3):
+            m = make(b)
+            full, rem = m.block_tables(lam)
+            tab = full if b == steps else rem
+            assert tab.steps == b
+            row0 = np.flatnonzero(tab.prob[:tab.width] > 0.0)
+            dx = tab.dx[row0]
+            got_keys, (got,) = by_value([dx, -lam * dx + tab.dpsi[row0]],
+                                        [tab.prob[row0]])
+            q, x, lw = (np.array(c) for c in zip(*enumerate_terminal(m, lam)))
+            want_keys, (want,) = by_value([x, lw], [q])
+            for g, w in zip(got_keys, want_keys):
+                assert np.allclose(g, w, rtol=0.0, atol=1e-12)
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_block_steps_rule(self):
+        # the largest b whose forward pass over every state fits the budget
+        assert block_steps(95, 2) == 8 and block_steps(3, 3) == 8
+        assert block_steps(BLOCK_CELLS, 2) == block_steps(BLOCK_CELLS + 1, 2) == 1
+        for states in (1, 2, 3, 95, 1000):
+            for width in (2, 3, 9):
+                b = block_steps(states, width)
+                assert b == 1 or states * width ** b <= BLOCK_CELLS
+                assert states * width ** (b + 1) > BLOCK_CELLS
+
+    def test_one_uniform_per_block(self):
+        # 2B + 3 steps take three uniforms per path: two blocks and the
+        # leftover steps
+        class Counting:
+            def __init__(self):
+                self.rng, self.calls = np.random.default_rng(0), []
+
+            def random(self, size):
+                self.calls.append(size)
+                return self.rng.random(size)
+
+        m = make_regime_switch(2 * _B_RS + 3, 0.3)
+        rng = Counting()
+        m.simulate_terminal(100, rng, 0.8)
+        assert rng.calls == [100, 100, 100]
 
     def test_plain_stream_pinned(self):
-        # the value drawn before the table sampler existed; any change to the
-        # stream layout or the per-step draw shows here
+        # the value the block sampler draws; any change to the stream layout
+        # or the per-block draw shows here.  The per-step sampler it replaced
+        # drew 0.1555 from the same streams; the two are independent
+        # estimates of one probability, so they agree within 4 sqrt(2) SE
         est = estimate_tail_plain(make_regime_switch(200, 0.3), 1.0, 20000, 5)
-        assert est.p_hat == 0.1555
+        assert est.p_hat == 0.1573
+        assert abs(est.p_hat - 0.1555) <= 4.0 * math.sqrt(2.0) * est.std_err
