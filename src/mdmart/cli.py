@@ -17,7 +17,7 @@ import numpy as np
 
 from . import verify as verify_suites
 from .bounds import BoundParams
-from .coupling import CouplingReport, coupling_tail_report
+from .coupling import CouplingReport, exact_coupling_report
 from .mixing import mixing_tail_experiment, two_state_chain
 from .models import (_FACTORIES, CertificationError, ModelError, certify,
                      make_rademacher)
@@ -124,13 +124,12 @@ def cmd_mdp(args):
 
 def cmd_couple(args):
     ns = [int(v) for v in args.n_list.split(",")]
-    reports = [coupling_tail_report(n, args.budget, args.seed, alpha=args.alpha)
-               for n in ns]
-    path = _out_path(args, f"couple_seed{args.seed}.csv")
+    reports = [exact_coupling_report(n, alpha=args.alpha) for n in ns]
+    path = _out_path(args, "couple.csv")
     write_csv(path, CouplingReport.CSV_COLUMNS, [vars(r) for r in reports],
               _echo_config(args))
     for r in reports:
-        print(f"n={r.n:>6}  D_hat={r.D_hat:.4f}  tail_slope={r.tail_slope:.2f}"
+        print(f"n={r.n:>6}  D={r.D:.4f}  tail_slope={r.tail_slope:.2f}"
               f"  frac_event={r.frac_event:.3f}")
     print(f"wrote {path}")
     slopes_ok = all(r.tail_slope < 0.0 for r in reports)
@@ -199,10 +198,10 @@ def build_parser():
     p.add_argument("--budget", type=int, default=10 ** 5)
     p.set_defaults(func=cmd_mdp)
 
-    p = sub.add_parser("couple", help="quantile-coupling deviation report")
+    p = sub.add_parser("couple", help="exact quantile-coupling deviation report")
     p.add_argument("--n-list", default="100,400,1600")
-    p.add_argument("--budget", type=int, default=2 * 10 ** 5)
-    p.add_argument("--alpha", type=float, default=0.125)
+    p.add_argument("--alpha", type=float, default=0.125,
+                   help="the event is |W| <= alpha sqrt(n); alpha in (0, 1)")
     p.set_defaults(func=cmd_couple)
 
     p = sub.add_parser("mixing", help="block-sum tail ratios for a two-state chain")
@@ -246,6 +245,9 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(parser, args)
             args = parser.parse_args(argv)
+        if not 0 <= args.seed < 2 ** 63:
+            # refused by every command, also one that draws nothing
+            parser.error(f"--seed {args.seed} outside [0, 2^63)")
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:

@@ -4,7 +4,7 @@ Sampling is chunked: chunk j draws from a counter-based Philox stream keyed
 (master_seed, j), or (master_seed, (row << 32) | j) for row `row` of a
 report, and per-chunk statistics are merged in index order with
 compensated summation.  Results are therefore a pure function of
-(model, parameters, seed); the coupling and mixing simulators draw the same way.
+(model, parameters, seed); the mixing simulators draw the same way.
 """
 from __future__ import annotations
 
@@ -24,6 +24,10 @@ from .tilt import choose_tilt
 CHUNK = 8192
 
 MIN_ESS = 10.0
+
+# most paths `enumerate_terminal` builds: it holds all of them at once, and
+# a 9-atom law reaches 9^14 at n = 14
+MAX_PATHS = 1 << 20
 
 
 @dataclass
@@ -255,38 +259,54 @@ def rademacher_exact_tail(n: int, x: float) -> float:
 
 
 def enumerate_terminal(model: MartingaleModel, lam: float = 0.0):
-    """Exhaustive path enumeration, walking the model's state table.
+    """Exhaustive path enumeration, walking the model's state table one step
+    at a time: each step extends every path by every atom of its state's law.
 
-    Yields (prob under P_lam, X_n, log_weight) per path.  Exponential in n;
-    guarded to n <= 14.
+    Returns arrays (prob under P_lam, X_n, log_weight), one entry per path.
+    Each path's products and sums are taken in step order, as a walk down
+    that path takes them.  Exponential in n; guarded to n <= 14 and to
+    MAX_PATHS paths.
     """
     if model.n > 14:
         raise ValueError("enumeration limited to n <= 14")
     table = model.table
     tilted = model.tilted_laws(lam)
-    results = []
+    width = table.T.shape[1]
+    # per law, its atoms padded to the table's width; `real` marks the atoms
+    real = np.zeros((len(tilted), width), dtype=bool)
+    value = np.zeros((len(tilted), width))
+    prob_of = np.zeros((len(tilted), width))
+    for i, tl in enumerate(tilted):
+        real[i, :len(tl.atoms)] = True
+        value[i, :len(tl.atoms)] = tl.values
+        prob_of[i, :len(tl.atoms)] = tl.probs
+    log_mgf = np.array([tl.step_log_mgf for tl in tilted])
 
-    def rec(step, s, prob, x, psi):
-        if step == model.n:
-            results.append((prob, x, -lam * x + psi))
-            return
-        tl = tilted[table.law_of[s]]
-        for a, (v, p) in enumerate(tl.atoms):
-            rec(step + 1, table.T[s, a], prob * p, x + v,
-                psi + tl.step_log_mgf)
-
-    rec(0, 0, 1.0, 0.0, 0.0)
-    return results
+    state = np.zeros(1, dtype=np.intp)
+    prob, x, psi = np.ones(1), np.zeros(1), np.zeros(1)
+    for _ in range(model.n):
+        law = table.law_of[state]
+        keep = real[law].ravel()
+        if np.count_nonzero(keep) > MAX_PATHS:
+            raise ValueError(f"enumeration limited to {MAX_PATHS} paths")
+        prob = (prob[:, None] * prob_of[law]).ravel()[keep]
+        x = (x[:, None] + value[law]).ravel()[keep]
+        psi = np.repeat(psi + log_mgf[law], width)[keep]
+        state = table.T[state].ravel()[keep]
+    return prob, x, -lam * x + psi
 
 
 def exact_tail_by_enumeration(model: MartingaleModel, x: float) -> float:
-    return math.fsum(p for p, xn, _ in enumerate_terminal(model, 0.0)
-                     if xn > x)
+    prob, xn, _ = enumerate_terminal(model, 0.0)
+    return math.fsum(prob[xn > x].tolist())
 
 
 def is_expectation_by_enumeration(model: MartingaleModel, x: float,
                                   lam: float) -> float:
     """Sum over all tilted paths of P_lam(path) e^{log_weight} 1{X_n > x};
     equals the exact tail when the importance identity holds."""
-    return math.fsum(p * math.exp(lw) for p, xn, lw in
-                     enumerate_terminal(model, lam) if xn > x)
+    prob, xn, lw = enumerate_terminal(model, lam)
+    past = xn > x
+    # math.exp, not np.exp: the sum is then bit for bit the walk's
+    return math.fsum(p * math.exp(w) for p, w in
+                     zip(prob[past].tolist(), lw[past].tolist()))

@@ -13,7 +13,7 @@ from scipy.stats import binom
 
 from mdmart import bounds, verify
 from mdmart.bounds import BoundParams, gaussian_tail, thm21_rhs
-from mdmart.coupling import ExactBinomialQuantile, coupling_tail_report
+from mdmart.coupling import ExactBinomialQuantile, exact_coupling_report
 from mdmart.mixing import (MarkovChainSpec, berbee_mismatch_probability,
                            beta_by_enumeration, beta_coefficient,
                            beta_two_state_closed_form, covariance_bound_check,
@@ -98,11 +98,11 @@ def test_criterion_3_variance_reduction():
     oracle_err = 0.0
     for xs in (1.15, x):
         for lam in (0.5, xs):
-            paths = enumerate_terminal(make_rademacher(12), lam)
+            prob, xn, lw = enumerate_terminal(make_rademacher(12), lam)
+            past = list(zip(prob[xn > xs].tolist(), lw[xn > xs].tolist()))
             for k, exact in zip((1, 2, 3, 4), _rademacher_tail_moments(
                     12, xs, lam, (1, 2, 3, 4))):
-                brute = math.fsum(pr * math.exp(k * lw)
-                                  for pr, xn, lw in paths if xn > xs)
+                brute = math.fsum(pr * math.exp(k * w) for pr, w in past)
                 oracle_err = max(oracle_err, abs(exact - brute) / brute)
 
     m = make_rademacher(n)
@@ -252,11 +252,13 @@ def test_criterion_9_mdp_trend():
 
 
 def test_criterion_10_quantile_coupling():
+    """The exact coupling report (no sampling): negative tail slopes, and D
+    stable within a factor 2 over n in {100, 400, 1600} at alpha = 0.125."""
     probs = ExactBinomialQuantile(6).atom_probabilities()
     atom_err = float(np.max(np.abs(probs - binom.pmf(np.arange(7), 6, 0.5))))
-    reports = [coupling_tail_report(n, 2 * 10 ** 5, 42) for n in (100, 400, 1600)]
+    reports = [exact_coupling_report(n, alpha=0.125) for n in (100, 400, 1600)]
     slopes_neg = all(r.tail_slope < 0.0 for r in reports)
-    ds = [r.D_hat for r in reports]
+    ds = [r.D for r in reports]
     factor = max(ds) / min(ds)
     report(10, atom_err < 1e-12 and slopes_neg and factor <= 2.0,
            f"atom error {atom_err:.2g}, slopes "

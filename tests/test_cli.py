@@ -58,7 +58,7 @@ def test_every_csv_field_parses(tmp_path):
     # one writer for every artifact: '\n' line ends, every field a number
     for argv in (["tail", "--n", "100", "--x", "0.5,1", "--budget", "2000"],
                  ["mdp", "--n-list", "100", "--budget", "2000"],
-                 ["couple", "--n-list", "100", "--budget", "2000"],
+                 ["couple", "--n-list", "100"],
                  ["mixing", "--n", "2000", "--x", "0.5", "--budget", "2000"]):
         assert main(["--out", str(tmp_path)] + argv) == 0
     paths = sorted(tmp_path.glob("*.csv"))
@@ -88,7 +88,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  ["tail", "--x", "0.5,nan"], ["mixing", "--x", "nan"],
                  ["tail", "--c", "nan"], ["tail", "--c", "0"],
                  ["couple", "--alpha", "-1"], ["couple", "--alpha", "nan"],
-                 ["couple", "--alpha", "inf"], ["mdp", "--b", "inf"]):
+                 ["couple", "--alpha", "inf"], ["couple", "--alpha", "1"],
+                 ["mdp", "--b", "inf"]):
         assert main(["--out", str(tmp_path)] + argv) == 2, argv
         assert "Traceback" not in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
@@ -138,7 +139,7 @@ BASE_ARGS = {
     "certify": ["certify", "--n", "50"],
     "tail": ["tail", "--n", "50", "--x", "0.5", "--budget", "500"],
     "mdp": ["mdp", "--n-list", "100", "--budget", "500"],
-    "couple": ["couple", "--n-list", "100", "--budget", "2000"],
+    "couple": ["couple", "--n-list", "100"],
     "mixing": ["mixing", "--n", "2000", "--x", "0.5", "--budget", "500"],
 }
 MODELS = ("rademacher", "heavy_left", "regime_switch")
@@ -179,12 +180,13 @@ def ints_below(bound):
 
 SEEDS = st.one_of(st.integers(max_value=-1), st.integers(min_value=2 ** 63)).map(str)
 # the bad values of every numeric flag, per command; --gamma and
-# --tail-atoms are read only by the model that has them
+# --tail-atoms are read only by the model that has them, and --seed is
+# refused by every command, also by those that draw nothing
 BAD_INPUTS = {
     "verify": {"--budget": ints_below(1), "--seed": SEEDS},
     "certify": {"--n": ints_below(1), "--rho": floats_outside(0.0, 1.0, hi_closed=True),
                 "--gamma": floats_outside(0.0, 0.5, lo_closed=True),
-                "--tail-atoms": ints_below(2)},
+                "--tail-atoms": ints_below(2), "--seed": SEEDS},
     "tail": {"--n": ints_below(1), "--rho": floats_outside(0.0, 1.0, hi_closed=True),
              "--gamma": floats_outside(0.0, 0.5, lo_closed=True),
              "--tail-atoms": ints_below(2), "--x": bad_grids(),
@@ -194,8 +196,8 @@ BAD_INPUTS = {
                                                          st.just(math.inf)),
             "--rule": floats_outside(0.0, 0.5).map(lambda g: f"n^{g!r}"),
             "--budget": ints_below(1), "--seed": SEEDS},
-    "couple": {"--n-list": ints_below(2), "--budget": ints_below(1000),
-               "--alpha": floats_outside(0.0, math.inf), "--seed": SEEDS},
+    "couple": {"--n-list": ints_below(2), "--alpha": floats_outside(0.0, 1.0),
+               "--seed": SEEDS},
     "mixing": {"--a": floats_outside(0.0, 1.0), "--b-prob": floats_outside(0.0, 1.0),
                "--n": ints_below(1), "--alpha": floats_outside(0.0, 0.5, hi_closed=True),
                "--x": bad_grids(), "--budget": ints_below(1), "--seed": SEEDS},
@@ -222,6 +224,8 @@ def bad_commands(draw):
 @given(bad_commands())
 # each of these wrote an artifact or printed a traceback before it was refused
 @example(["--seed=-1", *BASE_ARGS["couple"]])
+@example(["--seed=-1", *BASE_ARGS["certify"]])
+@example([*BASE_ARGS["couple"], "--alpha=1"])
 @example([f"--seed={2 ** 63}", *BASE_ARGS["tail"]])
 @example([*BASE_ARGS["tail"], "--c=inf"])
 @example([*BASE_ARGS["tail"], "--x=1:0:0.5"])
@@ -229,7 +233,7 @@ def bad_commands(draw):
 @example([*BASE_ARGS["mixing"], "--n=-1"])
 def test_bad_numbers_exit_2(argv):
     # every bad number given to any command is a usage error: exit 2, no
-    # traceback and no artifact.  certify draws nothing and reads no --seed
+    # traceback and no artifact
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out:
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):

@@ -405,9 +405,8 @@ class TestStateTable:
         # the forward pass the sampler test holds the sampler to, against
         # the brute-force path enumeration
         values, *got = exact_terminal_law(model, lam)
-        paths = enumerate_terminal(model, lam)
-        q, x, lw = (np.array(c) for c in zip(*paths))
-        p = [p for p, _, _ in enumerate_terminal(model, 0.0)]
+        q, x, lw = enumerate_terminal(model, lam)
+        p = enumerate_terminal(model, 0.0)[0]
         m2 = [math.exp(math.log(a) + 2.0 * b) if a > 0.0 else math.nan
               for a, b in zip(q, lw)]
         (want_values,), want = by_value([x], [p, q, m2])
@@ -433,7 +432,7 @@ class TestStateTable:
             dx = tab.dx[row0]
             got_keys, (got,) = by_value([dx, -lam * dx + tab.dpsi[row0]],
                                         [tab.prob[row0]])
-            q, x, lw = (np.array(c) for c in zip(*enumerate_terminal(m, lam)))
+            q, x, lw = enumerate_terminal(m, lam)
             want_keys, (want,) = by_value([x, lw], [q])
             for g, w in zip(got_keys, want_keys):
                 assert np.allclose(g, w, rtol=0.0, atol=1e-12)

@@ -1,12 +1,31 @@
 import pytest
 
 from mdmart.bounds import BoundParams
-from mdmart.models import make_rademacher, make_regime_switch
-from mdmart.montecarlo import (estimate_tail_plain, estimate_tail_tilted,
+from mdmart.models import make_heavy_left, make_rademacher, make_regime_switch
+from mdmart.montecarlo import (MAX_PATHS, enumerate_terminal,
+                               estimate_tail_plain, estimate_tail_tilted,
                                exact_tail_by_enumeration,
                                is_expectation_by_enumeration, mdp_scan,
                                rademacher_exact_tail, ratio_report)
 from mdmart.tilt import choose_tilt
+from test_models import SignSwitch
+
+
+def walk_paths(model, lam):
+    """(P_lam(path), X_n, log weight) of every path, depth first, atom 0
+    first: the recursive walk that the level-by-level enumeration replaced."""
+    table, tilted, paths = model.table, model.tilted_laws(lam), []
+
+    def walk(step, s, prob, x, psi):
+        if step == model.n:
+            paths.append((prob, x, -lam * x + psi))
+            return
+        tl = tilted[table.law_of[s]]
+        for a, (v, p) in enumerate(tl.atoms):
+            walk(step + 1, table.T[s, a], prob * p, x + v, psi + tl.step_log_mgf)
+
+    walk(0, 0, 1.0, 0.0, 0.0)
+    return paths
 
 
 class TestExactOracles:
@@ -23,6 +42,27 @@ class TestExactOracles:
         for x in (0.05, 0.8, 1.5):
             assert exact_tail_by_enumeration(m, x) == pytest.approx(
                 rademacher_exact_tail(10, x), abs=1e-14)
+
+    @pytest.mark.parametrize("make", [make_rademacher,
+                                      lambda n: make_regime_switch(n, 0.3),
+                                      SignSwitch],
+                             ids=["rademacher", "regime_switch", "sign_switch"])
+    def test_enumeration_is_the_walk(self, make):
+        # the same paths in the same order, every float bit for bit: each
+        # path's products and sums are taken in step order either way
+        for n in range(1, 9):
+            for lam in (0.0, 0.5, 1.3):
+                got = enumerate_terminal(make(n), lam)
+                assert list(zip(*(c.tolist() for c in got))) == walk_paths(make(n), lam)
+
+    def test_enumeration_path_guard(self):
+        # heavy_left has 9 atoms, so n = 7 would be 9^7 > MAX_PATHS paths
+        assert 9 ** 6 <= MAX_PATHS < 9 ** 7
+        assert len(enumerate_terminal(make_heavy_left(6))[0]) == 9 ** 6
+        with pytest.raises(ValueError):
+            enumerate_terminal(make_heavy_left(7))
+        with pytest.raises(ValueError):
+            enumerate_terminal(make_rademacher(15))
 
     def test_importance_identity_enumerated(self):
         for model in (make_rademacher(10), make_regime_switch(10, 0.3)):
