@@ -41,19 +41,31 @@ class ExactBinomialQuantile:
         k = np.arange(n + 1)
         self.n = n
         self.values = (2.0 * k - n) / math.sqrt(n)
-        cdf = binom.cdf(k, n, 0.5)
-        sf = binom.sf(k, n, 0.5)
+        # F_k is below 1/2 only at k <= n/2 and 1 - F_k only at k >= (n-1)/2,
+        # so each is evaluated on its half and left at 1 on the other, where
+        # every test below reads it as large
+        cdf, sf = np.ones(n + 1), np.ones(n + 1)
+        cdf[:n // 2 + 1] = binom.cdf(k[:n // 2 + 1], n, 0.5)
+        sf[(n - 1) // 2:] = binom.sf(k[(n - 1) // 2:], n, 0.5)
         # each z_k from the smaller of F_k and 1 - F_k: F_k rounds to 1 in
         # the upper tail, where 1 - F_k keeps its digits
         lower = cdf < 0.5
         tail = np.where(lower, cdf, sf)
         z = ndtri(tail)
-        # a tail below the smallest normal float is summed in log space
+        # a tail below the smallest normal float is summed in log space, from
+        # its end of the lattice over the deep atoms only
         deep = tail < np.finfo(float).tiny
         if deep.any():
-            logpmf = binom.logpmf(k, n, 0.5)
-            log_sf = np.append(np.logaddexp.accumulate(logpmf[::-1])[-2::-1], -math.inf)
-            log_tail = np.where(lower, np.logaddexp.accumulate(logpmf), log_sf)
+            log_tail = np.zeros(n + 1)
+            below = np.flatnonzero(deep & lower)
+            if below.size:
+                top = below[-1] + 1
+                log_tail[:top] = np.logaddexp.accumulate(binom.logpmf(k[:top], n, 0.5))
+            above = np.flatnonzero(deep & ~lower)
+            if above.size:
+                bottom = above[0]
+                log_sf = np.logaddexp.accumulate(binom.logpmf(k[:bottom:-1], n, 0.5))
+                log_tail[bottom:] = np.append(log_sf[::-1], -math.inf)
             z[deep] = ndtri_exp(log_tail[deep])
         self.z = np.where(lower, z, -z)
         self.z[-1] = math.inf

@@ -95,10 +95,11 @@ def two_state_chain(a: float, b: float, name: str = "two_state") -> MarkovChainS
 # mixing coefficients
 
 
-def beta_coefficient(P: np.ndarray, n: int) -> float:
-    """beta(n) = sum_i pi(i) * TV(P^n(i, .), pi), exact via matrix powers."""
+def beta_coefficient(P: np.ndarray, n: int, pi: np.ndarray | None = None) -> float:
+    """beta(n) = sum_i pi(i) * TV(P^n(i, .), pi), exact via matrix powers;
+    pi, P's stationary law, is solved for when not given."""
     P = np.asarray(P, dtype=float)
-    pi = stationary_dist(P)
+    pi = stationary_dist(P) if pi is None else pi
     Pn = np.linalg.matrix_power(P, n)
     tv = 0.5 * np.abs(Pn - pi[None, :]).sum(axis=1)
     return float(pi @ tv)
@@ -108,10 +109,11 @@ def beta_two_state_closed_form(a: float, b: float, n: int) -> float:
     return 2.0 * a * b * abs(1.0 - a - b) ** n / (a + b) ** 2
 
 
-def psi_bar_coefficient(P: np.ndarray, n: int) -> float:
-    """Ratio-mixing dominator: max_ij |P^n(i,j)/pi(j) - 1|."""
+def psi_bar_coefficient(P: np.ndarray, n: int, pi: np.ndarray | None = None) -> float:
+    """Ratio-mixing dominator: max_ij |P^n(i,j)/pi(j) - 1|; pi, P's
+    stationary law, is solved for when not given."""
     P = np.asarray(P, dtype=float)
-    pi = stationary_dist(P)
+    pi = stationary_dist(P) if pi is None else pi
     Pn = np.linalg.matrix_power(P, n)
     return float(np.max(np.abs(Pn / pi[None, :] - 1.0)))
 
@@ -176,7 +178,8 @@ def certify_chain(chain: MarkovChainSpec, n_max: int, m: int) -> MixingCertifica
     """The decay fitted to the exact beta(1..n_max), and the exact
     block-moment constants c1, c2 from the stationary law of a length-m
     block sum."""
-    beta = np.array([beta_coefficient(chain.P, n) for n in range(1, n_max + 1)])
+    beta = np.array([beta_coefficient(chain.P, n, chain.pi)
+                     for n in range(1, n_max + 1)])
     a1, a2, tau = fit_beta_decay(beta)
     ys, law, _ = _block_law(chain, m)
     marg = list(zip(ys.tolist(), (chain.pi @ law.sum(axis=2)).tolist()))
@@ -338,7 +341,7 @@ def covariance_bound_check(chain: MarkovChainSpec, n: int, f: np.ndarray,
     Pn = np.linalg.matrix_power(chain.P, n)
     exy = float(np.einsum("s,s,st,t->", pi, g, Pn, f))
     lhs = abs(exy - float(pi @ f) * float(pi @ g))
-    psi = psi_bar_coefficient(chain.P, n)
+    psi = psi_bar_coefficient(chain.P, n, pi)
     rhs = (2.0 * psi ** (1.0 / p)
            * float(pi @ np.abs(f) ** p) ** (1.0 / p)
            * float(pi @ np.abs(g) ** q) ** (1.0 / q))
@@ -431,7 +434,7 @@ def mixing_tail_experiment(chain: MarkovChainSpec, n: int, alpha: float,
     m, k, _ = block_indices(n, alpha)
     es2 = exact_block_sum_variance(chain, n, alpha)
     scale = math.sqrt(es2)
-    psi_m = psi_bar_coefficient(chain.P, m)
+    psi_m = psi_bar_coefficient(chain.P, m, chain.pi)
     tau = tau_n(psi_m, m, n, k)
     cert = certify_chain(chain, n_max=max(m, 10), m=min(m, 20))
     params = BoundParams(rho=rho, eps_n=n ** -(0.5 - alpha), delta_n=tau, c=1.0)

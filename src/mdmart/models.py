@@ -15,6 +15,7 @@ from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
 from .alias import alias_draw, alias_tables
 
@@ -29,6 +30,11 @@ DEFAULT_GRID = tuple(2.0 ** j for j in range(-6, 11))
 # the block sampler's forward pass visits at most this many (start state,
 # atom sequence) cells
 BLOCK_CELLS = 1 << 15
+
+# most cells `terminal_law` tabulates (a two-atom i.i.d. law has n + 1): an
+# estimate on the cells holds about 80 bytes a cell, 20 MB at this cap, and
+# past it the paths of a 10^5 budget cost less to draw
+LATTICE_CELLS = 1 << 18
 
 
 def block_steps(states: int, width: int) -> int:
@@ -156,6 +162,16 @@ class TerminalBatch:
 
     x: np.ndarray           # X_n per path
     log_weight: np.ndarray  # -lam*X_n + Psi_n per path (zeros when lam == 0)
+
+
+@dataclass(frozen=True)
+class TerminalLaw:
+    """The exact law of a model's terminal value under P_lam on finitely
+    many cells."""
+
+    log_prob: np.ndarray    # log P_lam(cell)
+    x: np.ndarray           # X_n on the cell
+    log_weight: np.ndarray  # -lam*X_n + Psi_n on the cell
 
 
 @dataclass(frozen=True)
@@ -394,6 +410,34 @@ class MartingaleModel:
                 psi += tab.dpsi[cell]
                 row = tab.end[cell]
         return TerminalBatch(x=x, log_weight=-lam * x + psi)
+
+    def terminal_law(self, lam: float = 0.0) -> TerminalLaw | None:
+        """The exact law of X_n and its log weight under P_lam when it lives
+        on the n + 1 values of one count: one state with a two-atom law, cell
+        k holding the paths that draw atom 0 k times.  None for every other
+        model, and from LATTICE_CELLS cells on.
+
+        X_n and the log weight of cell k are what `simulate_terminal` makes
+        of a drawn count k, float for float.  log P_lam(k) = log C(n, k) +
+        k log p_0 + (n - k) log p_1 is taken in log space from the tilted
+        atom probabilities themselves, so it is relatively accurate in both
+        tails."""
+        t, n = self.table, self.n
+        if len(t.states) > 1 or len(t.laws[0].atoms) != 2 or n >= LATTICE_CELLS:
+            return None
+        tl = self.tilted_laws(lam)[0]
+        (_, p0), (_, p1) = tl.atoms
+        (v0, _), (v1, _) = t.laws[0].atoms
+        k = np.arange(n + 1)
+        # simulate_terminal's one-state arithmetic, with count = k
+        x = k * v0
+        x += (n - k) * v1
+        x *= 1.0 / math.sqrt(n)
+        log_fact = gammaln(k + 1.0)  # log k!
+        log_prob = (log_fact[-1] - log_fact - log_fact[::-1]
+                    + xlogy(k, p0) + xlogy(n - k, p1))
+        return TerminalLaw(log_prob=log_prob, x=x,
+                           log_weight=-lam * x + n * tl.step_log_mgf)
 
     @cached_property
     def _blocks(self):

@@ -3,8 +3,10 @@
 Sampling is chunked: chunk j draws from a counter-based Philox stream keyed
 (master_seed, j), or (master_seed, (row << 32) | j) for row `row` of a
 report, and per-chunk statistics are merged in index order with
-compensated summation.  Results are therefore a pure function of
-(model, parameters, seed); the mixing simulators draw the same way.
+compensated summation.  A model with an exact finite terminal law has its
+paths' histogram drawn at once instead, from the stream of chunk 0.
+Results are therefore a pure function of (model, parameters, seed); the
+mixing simulators draw the same way.
 """
 from __future__ import annotations
 
@@ -66,16 +68,80 @@ def clopper_pearson(successes: int, trials: int, level: float = 0.95):
     return float(lo), float(hi)
 
 
+def lattice_histogram(prob: np.ndarray, total: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """How many of `total` independent draws land in each cell, the cells
+    weighted by `prob` (masses, normalised by their sum): one
+    Multinomial(total; prob / sum(prob)) vector.
+
+    The draw runs down a pairwise-sum tree (Devroye 1986, ch. XI): every
+    node's mass is the plain sum of its two children's, and a node's count
+    is split between its children by one binomial draw for the lighter
+    child, at share = lighter / node <= 1/2.  That share is relatively
+    accurate however deep in a tail the child lies, where 1 - (running sum)
+    is not.  One vectorized binomial call per tree level, about
+    log2(len(prob)) in all."""
+    size = 1 << (len(prob) - 1).bit_length()
+    masses = [np.zeros(size)]
+    masses[0][:len(prob)] = prob
+    while masses[-1].size > 1:
+        below = masses[-1]
+        masses.append(below[0::2] + below[1::2])
+    count = np.array([total], dtype=np.int64)
+    for below, node in zip(masses[-2::-1], masses[::-1]):
+        left, right = below[0::2], below[1::2]
+        share = np.divide(np.minimum(left, right), node,
+                          out=np.zeros_like(node), where=node > 0.0)
+        drawn = rng.binomial(count, share)
+        first = np.where(left <= right, drawn, count - drawn)
+        count = np.column_stack((first, count - first)).ravel()
+    return count[:len(prob)]
+
+
+def _weighted_sums(count, w):
+    """(sum count * w, sum count * w^2), each fsum'd over a list of floats,
+    not walked over numpy scalars.  count = 1 gives w and w * w bit for bit."""
+    cw = count * w
+    return math.fsum(cw.tolist()), math.fsum((cw * w).tolist())
+
+
+def _tail_sums(model: MartingaleModel, x: float, lam: float, n_samples: int,
+               seed: int, row: int):
+    """(paths past x, sum of their weights w, sum of w^2) over n_samples
+    paths under P_lam, w = e^{-lam X_n + Psi_n}.
+
+    When the model has an exact finite terminal law (`terminal_law`), the
+    paths' histogram over its cells is drawn at once from the stream keyed
+    [seed, row << 32], and each cell counts its paths (`lattice_histogram`);
+    the time this takes does not grow with n_samples.  Otherwise the paths
+    are drawn in chunks of CHUNK from the streams of `seeded_chunks`, each
+    path counting once, and the chunks' sums are fsum'd in order."""
+    if not 1 <= n_samples < 2 ** 63:
+        raise ValueError("n_samples must lie in [1, 2^63)")
+    law = model.terminal_law(lam)
+    if law is not None:
+        count = lattice_histogram(np.exp(law.log_prob), n_samples,
+                                  seeded_stream(seed, row << 32))
+        # a cell that no path reached may weigh inf, and 0 * inf is nan
+        past = (law.x > x) & (count > 0)
+        parts = [(int(count[past].sum()),
+                  *_weighted_sums(count[past], np.exp(law.log_weight[past])))]
+    else:
+        parts = []
+        for rng, size in seeded_chunks(seed, n_samples, CHUNK, row):
+            batch = model.simulate_terminal(size, rng, lam=lam)
+            past = batch.x > x
+            parts.append((int(np.count_nonzero(past)),
+                          *_weighted_sums(1, np.exp(batch.log_weight[past]))))
+    hits, s1, s2 = zip(*parts)
+    return sum(hits), math.fsum(s1), math.fsum(s2)
+
+
 def estimate_tail_plain(model: MartingaleModel, x: float, n_samples: int,
                         seed: int) -> TailEstimate:
-    """Plain-MC P(X_n > x) with a Clopper-Pearson 95% interval."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    counts = []
-    for rng, size in seeded_chunks(seed, n_samples, CHUNK):
-        batch = model.simulate_terminal(size, rng)
-        counts.append(float(np.count_nonzero(batch.x > x)))
-    k = int(math.fsum(counts))
+    """Plain-MC P(X_n > x) with a Clopper-Pearson 95% interval; the paths
+    are those of `estimate_tail_tilted` at lam = 0 and row 0."""
+    k = _tail_sums(model, x, 0.0, n_samples, seed, 0)[0]
     p = k / n_samples
     se = math.sqrt(p * (1.0 - p) / n_samples)
     return TailEstimate(p_hat=p, std_err=se, ci95=clopper_pearson(k, n_samples),
@@ -86,25 +152,14 @@ def estimate_tail_plain(model: MartingaleModel, x: float, n_samples: int,
 def estimate_tail_tilted(model: MartingaleModel, x: float, lam: float,
                          n_samples: int, seed: int, row: int = 0) -> TailEstimate:
     """Importance-sampled P(X_n > x) under the conjugate measure P_lam,
-    drawn from the streams of report row `row` (see `seeded_chunks`).
+    drawn from the streams of report row `row` (see `_tail_sums`).
 
     Each sample contributes w = e^{-lam X_n + Psi_n} 1{X_n > x}; the identity
     E_lam[w] = P(X_n > x) holds exactly, so the estimator is unbiased.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     if lam < 0.0:
         raise ValueError("lambda must be >= 0")
-    s1, s2 = [], []
-    for rng, size in seeded_chunks(seed, n_samples, CHUNK, row):
-        batch = model.simulate_terminal(size, rng, lam=lam)
-        # only paths past x carry weight; fsum of a list of floats, not a
-        # walk over numpy scalars
-        w = np.exp(batch.log_weight[batch.x > x])
-        s1.append(math.fsum(w.tolist()))
-        s2.append(math.fsum((w * w).tolist()))
-    sw = math.fsum(s1)
-    sw2 = math.fsum(s2)
+    _, sw, sw2 = _tail_sums(model, x, lam, n_samples, seed, row)
     p = sw / n_samples
     var = max(sw2 / n_samples - p * p, 0.0)
     se = math.sqrt(var / n_samples)

@@ -89,7 +89,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  ["tail", "--c", "nan"], ["tail", "--c", "0"],
                  ["couple", "--alpha", "-1"], ["couple", "--alpha", "nan"],
                  ["couple", "--alpha", "inf"], ["couple", "--alpha", "1"],
-                 ["mdp", "--b", "inf"]):
+                 ["mdp", "--b", "inf"], ["tail", "--budget", str(2 ** 63)],
+                 ["mdp", "--budget", str(2 ** 63)]):
         assert main(["--out", str(tmp_path)] + argv) == 2, argv
         assert "Traceback" not in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

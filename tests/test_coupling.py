@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from scipy.special import log_ndtr, ndtri
+from scipy.special import log_ndtr, ndtri, ndtri_exp
 from scipy.stats import binom, norm
 
 from mdmart.coupling import (TAIL_CUT, ExactBinomialQuantile,
@@ -151,6 +151,29 @@ class TestTailReport:
             else:
                 want, got = log_sum(log_pmf[k + 1:]), log_ndtr(-qf.z[k])
             assert abs(got - want) <= 1e-10 * abs(want), k
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 11, 1600, 6400, 6401])
+    def test_half_lattice_evaluation(self, n):
+        # z and the tail atoms are bit for bit those of F_k, 1 - F_k and
+        # log pmf evaluated on every atom
+        k = np.arange(n + 1)
+        cdf, sf = binom.cdf(k, n, 0.5), binom.sf(k, n, 0.5)
+        lower = cdf < 0.5
+        tail = np.where(lower, cdf, sf)
+        z = ndtri(tail)
+        deep = tail < np.finfo(float).tiny
+        logpmf = binom.logpmf(k, n, 0.5)
+        log_sf = np.append(np.logaddexp.accumulate(logpmf[::-1])[-2::-1], -math.inf)
+        log_tail = np.where(lower, np.logaddexp.accumulate(logpmf), log_sf)
+        z[deep] = ndtri_exp(log_tail[deep])
+        z = np.where(lower, z, -z)
+        z[-1] = math.inf
+        qf = ExactBinomialQuantile(n)
+        assert qf.z.tobytes() == z.tobytes()
+        at_or_above = np.concatenate(([1.0], sf[:-1]))
+        cut = TAIL_CUT / 2.0
+        assert qf._tail_atoms.tolist() == np.flatnonzero(
+            (cdf >= cut) & (at_or_above >= cut)).tolist()
 
     def test_tail_cut_is_bounded(self):
         # the atoms cut from the tail sums carry at most TAIL_CUT in all

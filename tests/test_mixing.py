@@ -430,6 +430,22 @@ class TestTailExperiment:
         mixing_tail_experiment(two_state_chain(0.3, 0.3), n, alpha, [0.5, 1.0], 1000, 0)
         assert len(calls) == builds, calls
 
+    def test_stationary_law_solved_once(self, monkeypatch):
+        # the chain solves pi when it is built; the mixing coefficients of
+        # the experiment and of the covariance check reuse it
+        chain = two_state_chain(0.3, 0.3)
+        calls = []
+        real = mixing.stationary_dist
+
+        def counted(P):
+            calls.append(P)
+            return real(P)
+
+        monkeypatch.setattr(mixing, "stationary_dist", counted)
+        mixing_tail_experiment(chain, 10 ** 4, 0.3, [0.5, 1.0], 1000, 0)
+        covariance_bound_check(chain, 3, chain.f, chain.f, 2.0)
+        assert not calls
+
     def test_envelope_flag(self):
         chain = two_state_chain(0.3, 0.3)
         rep, info = mixing_tail_experiment(chain, 2000, 0.3, [0.5], 20000, 6)

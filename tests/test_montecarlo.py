@@ -1,12 +1,20 @@
+import math
+import tracemalloc
+
+import numpy as np
 import pytest
+from scipy.stats import binom
 
 from mdmart.bounds import BoundParams
-from mdmart.models import make_heavy_left, make_rademacher, make_regime_switch
+from mdmart.models import (LATTICE_CELLS, make_heavy_left, make_rademacher,
+                           make_regime_switch)
 from mdmart.montecarlo import (MAX_PATHS, enumerate_terminal,
                                estimate_tail_plain, estimate_tail_tilted,
                                exact_tail_by_enumeration,
-                               is_expectation_by_enumeration, mdp_scan,
-                               rademacher_exact_tail, ratio_report)
+                               is_expectation_by_enumeration,
+                               lattice_histogram, mdp_scan,
+                               rademacher_exact_tail, ratio_report,
+                               seeded_stream)
 from mdmart.tilt import choose_tilt
 from test_models import SignSwitch
 
@@ -106,8 +114,11 @@ class TestTiltedEstimator:
         assert est.std_err / est.p_hat < 0.01
 
     def test_ess_flag(self):
-        # absurd over-tilt: nearly all weight on a handful of samples
-        est = estimate_tail_tilted(make_rademacher(20), 0.0, 25.0, 64, 5)
+        # absurd over-tilt: nearly all weight on a handful of samples.  On
+        # the fine lattice of n = 10^4 the lowest of the 64 paths outweighs
+        # the next by about e^8, whatever the seed; at n = 20 all 64 paths
+        # mostly share the top cell, and ESS is then truly 64
+        est = estimate_tail_tilted(make_rademacher(10_000), 0.0, 25.0, 64, 5)
         assert est.ess < 10.0 and "low_ess" in est.flags
 
     def test_rejects_bad_args(self):
@@ -116,6 +127,137 @@ class TestTiltedEstimator:
             estimate_tail_tilted(m, 1.0, -0.5, 100, 0)
         with pytest.raises(ValueError):
             estimate_tail_plain(m, 1.0, 0, 0)
+        # a count the histogram's int64 cells cannot hold
+        for model in (m, make_regime_switch(10, 0.3)):
+            with pytest.raises(ValueError):
+                estimate_tail_plain(model, 1.0, 2 ** 63, 0)
+            with pytest.raises(ValueError):
+                estimate_tail_tilted(model, 1.0, 1.0, 2 ** 63, 0)
+
+
+# (p_hat, SE, ESS) as float.hex, taken before the estimators shared one
+# reduction with the histogram route: regime_switch and heavy_left draw
+# paths, and these floats must not move
+PER_PATH_PINS = {
+    "regime_switch": ("0x1.0938b8009531bp-4", "0x1.7150ce104ad9cp-10",
+                      "0x1.5c6af8507d9e9p+10"),
+    "heavy_left": ("0x1.c792e19ff8532p-5", "0x1.2f41063ca8d14p-10",
+                   "0x1.715bbe0cd58b7p+10"),
+}
+PLAIN_PINS = {
+    "regime_switch": ("0x1.4580000000000p-3", "0x1.2ed2c2147efc6p-3",
+                      "0x1.5d2d7ec10b87dp-3"),
+    "heavy_left": ("0x1.3200000000000p-3", "0x1.1be8b3228ee83p-3",
+                   "0x1.491ecd5ca291cp-3"),
+}
+
+
+class TestPerPathRoute:
+    @pytest.mark.parametrize("model", [make_regime_switch(1600, 0.3),
+                                       make_heavy_left(1600, 0.5)],
+                             ids=lambda m: m.name)
+    def test_pinned_floats(self, model):
+        assert model.terminal_law() is None
+        lam = choose_tilt(model, 1.5).lam
+        est = estimate_tail_tilted(model, 1.5, lam, 4096, 5)
+        assert (est.p_hat.hex(), est.std_err.hex(), est.ess.hex()) == \
+            PER_PATH_PINS[model.name]
+        est = estimate_tail_plain(model, 1.0, 4096, 5)
+        assert (est.p_hat.hex(), *(c.hex() for c in est.ci95)) == \
+            PLAIN_PINS[model.name]
+
+
+class TestLatticeRoute:
+    @pytest.mark.parametrize("n", [1, 7, 400])
+    @pytest.mark.parametrize("lam", [0.0, 0.7, 3.0])
+    def test_cells_are_the_sampler(self, n, lam):
+        # every path simulate_terminal draws is one of the law's cells, both
+        # floats bit for bit, and the cells carry the Bin(n, p_lam) law
+        model = make_rademacher(n)
+        law = model.terminal_law(lam)
+        batch = model.simulate_terminal(5000, seeded_stream(3), lam=lam)
+        cells = set(zip(law.x.tolist(), law.log_weight.tolist()))
+        assert set(zip(batch.x.tolist(), batch.log_weight.tolist())) <= cells
+        p_up = model.tilted_laws(lam)[0].atoms[0][1]
+        assert np.allclose(law.log_prob, binom.logpmf(np.arange(n + 1), n, p_up),
+                           rtol=1e-12, atol=0.0)
+
+    def test_no_lattice_past_cap(self):
+        assert make_rademacher(LATTICE_CELLS - 1).terminal_law() is not None
+        assert make_rademacher(LATTICE_CELLS).terminal_law() is None
+
+    def test_histogram_law(self):
+        # 200 histograms of 1000 draws: each cell's total within 4 SE of
+        # 200 * 1000 * pmf, and every histogram sums to its budget
+        law = make_rademacher(20).terminal_law(1.0)
+        pmf = np.exp(law.log_prob)
+        total = np.zeros(pmf.size, dtype=np.int64)
+        for s in range(200):
+            counts = lattice_histogram(pmf, 1000, seeded_stream(s))
+            assert counts.sum() == 1000 and counts.min() >= 0
+            total += counts
+        mean = 200 * 1000 * pmf
+        assert np.all(np.abs(total - mean) <= 4.0 * np.sqrt(mean * (1.0 - pmf)) + 1e-9)
+
+    def test_tilted_z_law(self):
+        # the tilted estimate's z against the exact tail over 200 seeds
+        m = make_rademacher(20)
+        lam = choose_tilt(m, 2.0).lam
+        exact = rademacher_exact_tail(20, 2.0)
+        z = np.array([(e.p_hat - exact) / e.std_err for e in
+                      (estimate_tail_tilted(m, 2.0, lam, 10 ** 5, s)
+                       for s in range(200))])
+        assert abs(z.mean()) <= 4.0 / math.sqrt(200)
+        assert abs(z.std(ddof=1) - 1.0) <= 0.2
+
+    def test_lighter_child_is_drawn(self):
+        # a cell at 1e-17 of the mass gets Bin(10^18, 1e-17) draws, mean 10;
+        # a split that draws the heavier child at share 1 - 1e-17, which
+        # rounds to 1, would never put a draw there
+        prob = np.array([1.0, 1e-17])
+        hits = [lattice_histogram(prob, 10 ** 18, seeded_stream(s))[1]
+                for s in range(50)]
+        assert abs(np.mean(hits) - 10.0) <= 4.0 * math.sqrt(10.0 / 50)
+
+    def test_zero_mass_cells_stay_empty(self):
+        prob = np.array([0.0, 0.25, 0.0, 0.75, 0.0])
+        for s in range(20):
+            counts = lattice_histogram(prob, 10 ** 6, seeded_stream(s))
+            assert counts.sum() == 10 ** 6
+            assert not counts[[0, 2, 4]].any()
+
+    def test_unreached_cells_weigh_nothing(self):
+        # at lam = 40 and n = 10^4, 87 cells past x weigh e^{>709} = inf, and
+        # no path reaches them
+        est = estimate_tail_tilted(make_rademacher(10_000), 0.0, 40.0, 1000, 0)
+        assert math.isfinite(est.p_hat) and math.isfinite(est.std_err)
+
+    def test_deep_tail(self):
+        # P(X_n > 8) = 5.54e-16 at n = 10^4: 10^18 paths put about 554 past
+        # x, and each estimate lies within 4 SE of the exact tail.  A
+        # 1 - (running sum) split, as numpy's multinomial takes, is 40% off
+        # here
+        m = make_rademacher(10_000)
+        exact = rademacher_exact_tail(10_000, 8.0)
+        assert exact == pytest.approx(5.54e-16, rel=1e-3)
+        for s in range(5):
+            est = estimate_tail_plain(m, 8.0, 10 ** 18, s)
+            assert abs(est.p_hat - exact) <= 4.0 * est.std_err
+
+    def test_budget_costs_no_memory(self):
+        # 10^18 paths are one histogram over n + 1 cells
+        m = make_rademacher(400)
+        tracemalloc.start()
+        try:
+            plain = estimate_tail_plain(m, 3.0, 10 ** 18, 1)
+            tilted = estimate_tail_tilted(m, 3.0, 3.0, 10 ** 18, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert plain.n_samples == tilted.n_samples == 10 ** 18
+        exact = rademacher_exact_tail(400, 3.0)
+        assert abs(tilted.p_hat - exact) <= 4.0 * tilted.std_err
 
 
 class TestRatioReport:
