@@ -31,9 +31,9 @@ DEFAULT_GRID = tuple(2.0 ** j for j in range(-6, 11))
 # atom sequence) cells
 BLOCK_CELLS = 1 << 15
 
-# most cells `terminal_law` tabulates (a two-atom i.i.d. law has n + 1): an
-# estimate on the cells holds about 80 bytes a cell, 20 MB at this cap, and
-# past it the paths of a 10^5 budget cost less to draw
+# most cells `terminal_law` tabulates (a two-atom i.i.d. law has n + 1): a
+# memory bound, as an estimate on the cells holds about 80 bytes a cell,
+# 20 MB at this cap
 LATTICE_CELLS = 1 << 18
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import logsumexp
 from scipy.stats import beta as beta_dist
 from scipy.stats import binom
 
@@ -105,10 +106,23 @@ def _weighted_sums(count, w):
     return math.fsum(cw.tolist()), math.fsum((cw * w).tolist())
 
 
+def _law_ess(law, x: float, n_samples: int) -> float:
+    """The ESS of n_samples paths by the exact law, n (E_lam[w 1{X_n > x}])^2
+    / E_lam[w^2 1{X_n > x}], taken in log space: 0 when no cell past x has
+    mass under P_lam."""
+    past = (law.x > x) & (law.log_prob > -math.inf)
+    if not past.any():
+        return 0.0
+    lp, lw = law.log_prob[past], law.log_weight[past]
+    return math.exp(math.log(n_samples) + 2.0 * logsumexp(lp + lw)
+                    - logsumexp(lp + 2.0 * lw))
+
+
 def _tail_sums(model: MartingaleModel, x: float, lam: float, n_samples: int,
                seed: int, row: int):
     """(paths past x, sum of their weights w, sum of w^2) over n_samples
-    paths under P_lam, w = e^{-lam X_n + Psi_n}.
+    paths under P_lam, w = e^{-lam X_n + Psi_n}, and the terminal law the
+    paths were drawn from, or None.
 
     When the model has an exact finite terminal law (`terminal_law`), the
     paths' histogram over its cells is drawn at once from the stream keyed
@@ -134,7 +148,7 @@ def _tail_sums(model: MartingaleModel, x: float, lam: float, n_samples: int,
             parts.append((int(np.count_nonzero(past)),
                           *_weighted_sums(1, np.exp(batch.log_weight[past]))))
     hits, s1, s2 = zip(*parts)
-    return sum(hits), math.fsum(s1), math.fsum(s2)
+    return sum(hits), math.fsum(s1), math.fsum(s2), law
 
 
 def estimate_tail_plain(model: MartingaleModel, x: float, n_samples: int,
@@ -156,14 +170,22 @@ def estimate_tail_tilted(model: MartingaleModel, x: float, lam: float,
 
     Each sample contributes w = e^{-lam X_n + Psi_n} 1{X_n > x}; the identity
     E_lam[w] = P(X_n > x) holds exactly, so the estimator is unbiased.
+
+    The ESS is the sample's (sum w)^2 / sum w^2, or the exact law's where
+    the model has one (`_law_ess`), whichever is smaller.  The sample's
+    cannot see the cells no path reached: a tilt that puts every path in
+    one far cell gives equal weights and a full ESS, and only the law's
+    reads it as the handful of paths it is worth.
     """
     if lam < 0.0:
         raise ValueError("lambda must be >= 0")
-    _, sw, sw2 = _tail_sums(model, x, lam, n_samples, seed, row)
+    _, sw, sw2, law = _tail_sums(model, x, lam, n_samples, seed, row)
     p = sw / n_samples
     var = max(sw2 / n_samples - p * p, 0.0)
     se = math.sqrt(var / n_samples)
     ess = sw * sw / sw2 if sw2 > 0.0 else 0.0
+    if law is not None:
+        ess = min(ess, _law_ess(law, x, n_samples))
     flags = [] if ess >= MIN_ESS else ["low_ess"]
     ci = (max(p - 1.96 * se, 0.0), min(p + 1.96 * se, 1.0))
     return TailEstimate(p_hat=p, std_err=se, ci95=ci, ess=ess,

@@ -114,12 +114,20 @@ class TestTiltedEstimator:
         assert est.std_err / est.p_hat < 0.01
 
     def test_ess_flag(self):
-        # absurd over-tilt: nearly all weight on a handful of samples.  On
-        # the fine lattice of n = 10^4 the lowest of the 64 paths outweighs
-        # the next by about e^8, whatever the seed; at n = 20 all 64 paths
-        # mostly share the top cell, and ESS is then truly 64
-        est = estimate_tail_tilted(make_rademacher(10_000), 0.0, 25.0, 64, 5)
+        # absurd over-tilt: nearly all weight on a handful of samples
+        est = estimate_tail_tilted(make_rademacher(20), 0.0, 25.0, 64, 5)
         assert est.ess < 10.0 and "low_ess" in est.flags
+
+    def test_ess_flag_sees_unreached_cells(self):
+        # at n = 20 and lam = 25 a path lands in the top cell with
+        # probability 0.99972, so all 64 paths mostly share it and their
+        # weights are equal: only the exact law's ESS sees the over-tilt.
+        # At n = 10^4 the lowest of the 64 paths outweighs the next by about
+        # e^8, and the sample's ESS sees it too
+        for n in (20, 10_000):
+            for s in range(50):
+                est = estimate_tail_tilted(make_rademacher(n), 0.0, 25.0, 64, s)
+                assert est.ess < 10.0 and "low_ess" in est.flags
 
     def test_rejects_bad_args(self):
         m = make_rademacher(10)
@@ -209,6 +217,21 @@ class TestLatticeRoute:
                        for s in range(200))])
         assert abs(z.mean()) <= 4.0 / math.sqrt(200)
         assert abs(z.std(ddof=1) - 1.0) <= 0.2
+
+    def test_ess_is_the_smaller_of_sample_and_law(self):
+        # the law's ESS is n (sum P_lam w)^2 / sum P_lam w^2 over the cells
+        # past x; the estimate reports it when the sample's is larger
+        m = make_rademacher(20)
+        lam = choose_tilt(m, 2.0).lam
+        law = m.terminal_law(lam)
+        past = law.x > 2.0
+        pw = np.exp(law.log_prob[past] + law.log_weight[past])
+        w = np.exp(law.log_weight[past])
+        exact = 10 ** 5 * pw.sum() ** 2 / (pw * w).sum()
+        ess = [estimate_tail_tilted(m, 2.0, lam, 10 ** 5, s).ess
+               for s in range(20)]
+        assert max(ess) == pytest.approx(exact, rel=1e-12)
+        assert min(ess) < exact * (1.0 - 1e-6)
 
     def test_lighter_child_is_drawn(self):
         # a cell at 1e-17 of the mass gets Bin(10^18, 1e-17) draws, mean 10;
