@@ -9,8 +9,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
-from scipy.stats import binom, norm
+from scipy.special import erfc, ndtr
+from scipy.stats import binom
 
 
 def gaussian_tail(x: float) -> float:
@@ -117,7 +117,7 @@ def rademacher_sup_distance(n: int) -> float:
     k = np.arange(n + 1)
     lattice = (2.0 * k - n) / math.sqrt(n)
     F = binom.cdf(k, n, 0.5)
-    Phi = norm.cdf(lattice)
+    Phi = ndtr(lattice)
     left_limits = np.concatenate(([0.0], F[:-1]))
     return float(max(np.abs(F - Phi).max(), np.abs(left_limits - Phi).max()))
 

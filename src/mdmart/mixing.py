@@ -79,7 +79,7 @@ class MarkovChainSpec:
             raise ChainError("observable must be centered under pi")
 
 
-def two_state_chain(a: float, b: float, name: str = "two_state") -> MarkovChainSpec:
+def two_state_chain(a: float, b: float) -> MarkovChainSpec:
     """Two-state chain [[1-a, a], [b, 1-b]] with a centered unit-variance
     observable."""
     if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
@@ -88,7 +88,7 @@ def two_state_chain(a: float, b: float, name: str = "two_state") -> MarkovChainS
     pi0, pi1 = b / (a + b), a / (a + b)
     t = 1.0 / math.sqrt(pi0 * pi1)
     return MarkovChainSpec(states=[0, 1], P=P,
-                           f=np.array([pi1 * t, -pi0 * t]), name=name)
+                           f=np.array([pi1 * t, -pi0 * t]), name="two_state")
 
 
 # ---------------------------------------------------------------------------
@@ -118,24 +118,17 @@ def psi_bar_coefficient(P: np.ndarray, n: int, pi: np.ndarray | None = None) -> 
     return float(np.max(np.abs(Pn / pi[None, :] - 1.0)))
 
 
-def beta_by_enumeration(P: np.ndarray, n: int, horizon: int = 2) -> float:
+def beta_by_enumeration(P: np.ndarray, n: int) -> float:
     """Brute-force beta(n): TV between the joint law of a past window and a
-    future window separated by n steps and the product of their marginals,
-    enumerating every path segment.  Oracle for small chains only."""
+    future window of two states each, separated by n steps, and the product
+    of their marginals, enumerating every path segment.  Oracle for small
+    chains only."""
     P = np.asarray(P, dtype=float)
     S = P.shape[0]
     pi = stationary_dist(P)
     Pn = np.linalg.matrix_power(P, n)
-
-    def segments():
-        # all state paths of length `horizon`, with their transition weight
-        paths = [((s,), 1.0) for s in range(S)]
-        for _ in range(horizon - 1):
-            paths = [(p + (t,), w * P[p[-1], t])
-                     for p, w in paths for t in range(S) if P[p[-1], t] > 0]
-        return paths
-
-    segs = segments()
+    # every state path of length 2, with its transition weight
+    segs = [((s, t), P[s, t]) for s in range(S) for t in range(S) if P[s, t] > 0]
     total = 0.0
     for past, w_past in segs:
         p_past = pi[past[0]] * w_past
@@ -146,15 +139,15 @@ def beta_by_enumeration(P: np.ndarray, n: int, horizon: int = 2) -> float:
     return 0.5 * total
 
 
-def fit_beta_decay(beta: np.ndarray, taus=(0.5, 0.75, 1.0)):
+def fit_beta_decay(beta: np.ndarray):
     """Fit beta(n) ~ a1 exp(-a2 n^tau) by linear regression of ln beta on
-    n^tau, picking the tau with the smallest residual."""
+    n^tau, picking the tau in {1/2, 3/4, 1} with the smallest residual."""
     ns = np.arange(1, beta.size + 1, dtype=float)
     mask = beta > 0.0
     if mask.sum() < 2:
         return math.inf, 0.0, 1.0
     best = None
-    for tau in taus:
+    for tau in (0.5, 0.75, 1.0):
         xs = ns[mask] ** tau
         ys = np.log(beta[mask])
         slope, intercept = np.polyfit(xs, ys, 1)
@@ -422,13 +415,12 @@ def simulate_block_sums(chain: MarkovChainSpec, n: int, alpha: float,
 
 
 def mixing_tail_experiment(chain: MarkovChainSpec, n: int, alpha: float,
-                           x_grid, budget: int, seed: int,
-                           rho: float = 1.0):
+                           x_grid, budget: int, seed: int):
     """P(S_n / sqrt(E S_n^2) > x) against 1 - Phi(x), with the block-sum
     theorem envelope attached.
 
-    Returns (RatioReport, info dict).  The envelope uses eps-like scale
-    n^{-(1/2 - alpha)} and delta = tau_n from the exact psi_bar(m); it is
+    Returns (RatioReport, info dict).  The envelope uses rho = 1, eps-like
+    scale n^{-(1/2 - alpha)} and delta = tau_n from the exact psi_bar(m); it is
     flagged unusable when tau_n >= 1."""
     check_x_grid(x_grid)
     m, k, _ = block_indices(n, alpha)
@@ -437,7 +429,7 @@ def mixing_tail_experiment(chain: MarkovChainSpec, n: int, alpha: float,
     psi_m = psi_bar_coefficient(chain.P, m, chain.pi)
     tau = tau_n(psi_m, m, n, k)
     cert = certify_chain(chain, n_max=max(m, 10), m=min(m, 20))
-    params = BoundParams(rho=rho, eps_n=n ** -(0.5 - alpha), delta_n=tau, c=1.0)
+    params = BoundParams(rho=1.0, eps_n=n ** -(0.5 - alpha), delta_n=tau, c=1.0)
     sums = simulate_block_sums(chain, n, alpha, budget, seed)
     rows = []
     flags_global = ["envelope_undefined"] if tau >= 1.0 else []

@@ -358,7 +358,7 @@ class MartingaleModel:
         return tuple(law.scaled(scale) for law in self.table.laws)
 
     def tilted_laws(self, lam: float) -> list:
-        """`scaled_laws` tilted by lam (untilted: `.base`)."""
+        """`scaled_laws` tilted by lam."""
         from .tilt import tilt_law  # local import, avoids a cycle
         return [tilt_law(law, lam) for law in self.scaled_laws]
 
@@ -574,27 +574,27 @@ class RademacherModel(IIDModel):
 class HeavyLeftModel(IIDModel):
     """i.i.d. differences with one positive atom and a heavy negative tail.
 
-    The negative side carries atoms down to -depth whose (2+rho)-moment stays
+    The negative side carries atoms down to -1e5 whose (2+rho)-moment stays
     small while any two-sided exponential moment is astronomically large, so
     the one-sided moment condition holds where two-sided conditions (Bernstein,
     two-sided Sakhanenko) fail.
     """
 
-    def __init__(self, n: int, rho: float, tail_atoms: int, depth: float = 1e5):
+    def __init__(self, n: int, rho: float, tail_atoms: int):
         super().__init__("heavy_left", n, rho)
         if tail_atoms < 2:
             raise ModelError("need at least 2 negative tail atoms")
-        self._law = _build_heavy_left_law(rho, tail_atoms, depth)
+        self._law = _build_heavy_left_law(rho, tail_atoms)
 
 
-def _build_heavy_left_law(rho, tail_atoms, depth):
+def _build_heavy_left_law(rho, tail_atoms):
     """Mean-zero unit-variance law: positive atom +a, negatives at -b_j.
 
     Shape q_j ~ b_j^-(2+rho) makes every negative atom contribute equally to
     E[|v|^{2+rho}], keeping the one-sided moment small; the deepest atom still
     dominates the 6th moment, which breaks the Bernstein condition.
     """
-    b = np.array([2.0 * (depth / 2.0) ** (j / (tail_atoms - 1))
+    b = np.array([2.0 * (1e5 / 2.0) ** (j / (tail_atoms - 1))
                   for j in range(tail_atoms)])
     shape = b ** -(2.0 + rho)
     Q = math.fsum(shape)
@@ -671,9 +671,8 @@ def make_rademacher(n: int, rho: float = 1.0) -> RademacherModel:
     return RademacherModel(n, rho=rho)
 
 
-def make_heavy_left(n: int, rho: float = 0.5, tail_atoms: int = 8,
-                    depth: float = 1e5) -> HeavyLeftModel:
-    return HeavyLeftModel(n, rho, tail_atoms, depth=depth)
+def make_heavy_left(n: int, rho: float = 0.5, tail_atoms: int = 8) -> HeavyLeftModel:
+    return HeavyLeftModel(n, rho, tail_atoms)
 
 
 def make_regime_switch(n: int, gamma: float, rho: float = 1.0) -> RegimeSwitchModel:

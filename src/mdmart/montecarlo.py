@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv, logsumexp
 from scipy.stats import binom
 
 from .bounds import BoundParams, gaussian_tail, ratio_envelope
@@ -62,10 +61,12 @@ def seeded_chunks(seed: int, total: int, size: int, row: int = 0):
         yield seeded_stream(seed, (row << 32) | j), min(size, total - start)
 
 
-def clopper_pearson(successes: int, trials: int, level: float = 0.95):
-    a = (1.0 - level) / 2.0
-    lo = 0.0 if successes == 0 else beta_dist.ppf(a, successes, trials - successes + 1)
-    hi = 1.0 if successes == trials else beta_dist.ppf(1.0 - a, successes + 1, trials - successes)
+def clopper_pearson(successes: int, trials: int):
+    """The 95% Clopper-Pearson interval.  Its tail level (1 - 0.95) / 2 is
+    one ulp above 0.025, and the literal would move some interval ends."""
+    a = (1.0 - 0.95) / 2.0
+    lo = 0.0 if successes == 0 else betaincinv(successes, trials - successes + 1, a)
+    hi = 1.0 if successes == trials else betaincinv(successes + 1, trials - successes, 1.0 - a)
     return float(lo), float(hi)
 
 
@@ -224,7 +225,7 @@ class RatioReport:
                    "ratio", "log_ratio", "bound_lo", "bound_hi", "ess",
                    "n_samples", "seed")
 
-    def write_csv(self, path, header_comment: str = ""):
+    def write_csv(self, path, header_comment: str):
         write_csv(path, self.CSV_COLUMNS, [vars(r) for r in self.rows],
                   header_comment)
 
@@ -250,13 +251,12 @@ def ratio_row(x: float, p_hat: float, params: BoundParams, **fields) -> RatioRow
                     bound_lo=lo, bound_hi=hi, **fields)
 
 
-def write_csv(path, columns, rows, header_comment: str = ""):
-    """The one artifact format: an optional '# ' comment line, the column
-    names, then one '\n'-terminated line per mapping in `rows`.  Integers are
+def write_csv(path, columns, rows, header_comment: str):
+    """The one artifact format: '# ' + header_comment, the column names,
+    then one '\n'-terminated line per mapping in `rows`.  Integers are
     written as themselves and all else as repr(float(v)), so fields parse."""
     with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
+        fh.write(f"# {header_comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:

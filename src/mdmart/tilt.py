@@ -25,7 +25,6 @@ class SaddleError(RuntimeError):
 
 @dataclass(frozen=True)
 class TiltedLaw:
-    base: ConditionalLaw
     lam: float
     atoms: tuple[tuple[float, float], ...]
     step_log_mgf: float
@@ -48,14 +47,13 @@ def tilt_law(law: ConditionalLaw, lam: float) -> TiltedLaw:
     if not (lam >= 0.0 and math.isfinite(lam)):
         raise ValueError("lambda must be finite and >= 0")
     if lam == 0.0:
-        return TiltedLaw(base=law, lam=0.0, atoms=law.atoms, step_log_mgf=0.0)
+        return TiltedLaw(lam=0.0, atoms=law.atoms, step_log_mgf=0.0)
     # stabilize: factor out the max exponent before normalizing
     shift = max(lam * v for v, _ in law.atoms)
     raw = [(v, p * math.exp(lam * v - shift)) for v, p in law.atoms]
     z = math.fsum(w for _, w in raw)
     atoms = tuple((v, w / z) for v, w in raw)
-    return TiltedLaw(base=law, lam=lam, atoms=atoms,
-                     step_log_mgf=math.log(z) + shift)
+    return TiltedLaw(lam=lam, atoms=atoms, step_log_mgf=math.log(z) + shift)
 
 
 def drift_step(law: ConditionalLaw, lam: float) -> float:
@@ -65,87 +63,57 @@ def drift_step(law: ConditionalLaw, lam: float) -> float:
 
 @dataclass
 class SaddleSolution:
-    x: float
     lam: float
     equation_residual: float
-    c_const: float
-    kind: str  # "upper" or "lower"
 
 
 def solve_saddle_upper(x: float, rho: float, eps: float, delta: float,
                        c: float = 6.0) -> SaddleSolution:
     """Positive root of lam + lam*delta^2 + c*lam^{1+rho}*eps^rho = x."""
-    if x < 0.0 or eps < 0.0 or delta < 0.0 or c <= 0.0:
-        raise ValueError("need x, eps, delta >= 0 and c > 0")
-
-    def g(lam):
-        return lam * (1.0 + delta * delta) + c * lam ** (1.0 + rho) * eps ** rho - x
-
-    if x == 0.0 or (eps == 0.0 and delta == 0.0):
-        lam = x / (1.0 + delta * delta) if delta else x
-        return SaddleSolution(x=x, lam=lam, equation_residual=abs(g(lam)),
-                              c_const=c, kind="upper")
-    # g is increasing, g(0) = -x < 0 and g(x) >= 0: root in (0, x]
-    lam = brentq(g, 0.0, x, xtol=1e-300, rtol=8.9e-16, maxiter=200)
-    lam = _newton_polish(g, lam, x, rho, eps, delta, c, upper=True)
-    res = abs(g(lam))
-    if res >= RESIDUAL_TOL * (1.0 + x):
-        raise SaddleError(f"upper saddle residual {res:.3g} too large")
-    return SaddleSolution(x=x, lam=lam, equation_residual=res, c_const=c,
-                          kind="upper")
+    return _solve_saddle(x, rho, eps, delta, c, 1.0)
 
 
 def solve_saddle_lower(x: float, rho: float, eps: float, delta: float,
                        c: float = 6.0) -> SaddleSolution:
-    """Smallest positive root of lam - lam*delta^2 - c*lam^{1+rho}*eps^rho = x.
+    """Smallest positive root of lam - lam*delta^2 - c*lam^{1+rho}*eps^rho = x."""
+    return _solve_saddle(x, rho, eps, delta, c, -1.0)
 
-    The left side increases up to a stationary point and decreases after it,
-    so a root exists iff the peak value reaches x; past the peak monotonicity
-    is lost and we refuse to extrapolate.
-    """
+
+def _solve_saddle(x, rho, eps, delta, c, sign):
+    """Smallest positive root of g(lam) = lam (1 + sign delta^2)
+    + sign c lam^{1+rho} eps^rho - x, the upper equation at sign = 1 and
+    the lower at sign = -1.
+
+    The upper g increases, from g(0) = -x to g(x) >= 0.  The lower g
+    increases up to a stationary point and decreases after it, so a root
+    exists iff the peak value reaches x; past the peak monotonicity is lost
+    and we refuse to extrapolate."""
     if x < 0.0 or eps < 0.0 or delta < 0.0 or c <= 0.0:
         raise ValueError("need x, eps, delta >= 0 and c > 0")
-    d2 = delta * delta
-    if d2 >= 1.0 and x > 0.0:
-        raise SaddleError("no positive root: delta^2 >= 1")
+    slope = 1.0 + sign * delta * delta
 
     def g(lam):
-        return lam * (1.0 - d2) - c * lam ** (1.0 + rho) * eps ** rho - x
+        return lam * slope + sign * c * lam ** (1.0 + rho) * eps ** rho - x
 
     if x == 0.0:
-        return SaddleSolution(x=x, lam=0.0, equation_residual=0.0, c_const=c,
-                              kind="lower")
+        return SaddleSolution(lam=0.0, equation_residual=0.0)
+    if slope <= 0.0:
+        raise SaddleError("no positive root: delta^2 >= 1")
     if eps == 0.0:
-        lam = x / (1.0 - d2)
-        return SaddleSolution(x=x, lam=lam, equation_residual=abs(g(lam)),
-                              c_const=c, kind="lower")
-    lam_peak = ((1.0 - d2) / (c * (1.0 + rho) * eps ** rho)) ** (1.0 / rho)
-    if g(lam_peak) < 0.0:
-        raise SaddleError(
-            f"no positive root: x={x:.6g} exceeds the equation's maximum "
-            f"{g(lam_peak) + x:.6g} at lambda={lam_peak:.6g}")
-    lam = brentq(g, 0.0, lam_peak, xtol=1e-300, rtol=8.9e-16, maxiter=200)
-    lam = _newton_polish(g, lam, x, rho, eps, delta, c, upper=False)
+        lam = x / slope
+        return SaddleSolution(lam=lam, equation_residual=abs(g(lam)))
+    hi = x
+    if sign < 0.0:
+        hi = (slope / (c * (1.0 + rho) * eps ** rho)) ** (1.0 / rho)
+        if g(hi) < 0.0:
+            raise SaddleError(
+                f"no positive root: x={x:.6g} exceeds the equation's maximum "
+                f"{g(hi) + x:.6g} at lambda={hi:.6g}")
+    lam = brentq(g, 0.0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
     res = abs(g(lam))
     if res >= RESIDUAL_TOL * (1.0 + x):
-        raise SaddleError(f"lower saddle residual {res:.3g} too large")
-    return SaddleSolution(x=x, lam=lam, equation_residual=res, c_const=c,
-                          kind="lower")
-
-
-def _newton_polish(g, lam, x, rho, eps, delta, c, upper, steps=3):
-    sign = 1.0 if upper else -1.0
-    d2 = delta * delta
-    for _ in range(steps):
-        dg = (1.0 + sign * d2) + sign * c * (1.0 + rho) * lam ** rho * eps ** rho
-        if dg == 0.0:
-            break
-        step = g(lam) / dg
-        nxt = lam - step
-        if nxt <= 0.0 or not math.isfinite(nxt):
-            break
-        lam = nxt
-    return lam
+        raise SaddleError(f"saddle residual {res:.3g} too large")
+    return SaddleSolution(lam=lam, equation_residual=res)
 
 
 @dataclass

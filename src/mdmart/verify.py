@@ -35,8 +35,8 @@ def suite_remainder_inequalities(samples: int = 10 ** 6, seed: int = 0):
     return "remainder_inequalities", bad == 0, f"{bad} violations in {samples}"
 
 
-def suite_gaussian_sandwich(step: float = 0.01):
-    xs = np.arange(0.0, 10.0 + step / 2, step)
+def suite_gaussian_sandwich():
+    xs = np.arange(0.0, 10.005, 0.01)  # 0, 0.01, ..., 10
     bad = 0
     for x in xs:
         lo, hi = bounds.gaussian_sandwich(float(x))
@@ -46,12 +46,10 @@ def suite_gaussian_sandwich(step: float = 0.01):
     return "gaussian_sandwich", bad == 0, f"{bad} violations on {xs.size} points"
 
 
-def suite_second_moment_vs_eps(models=None):
+def suite_second_moment_vs_eps():
     """Every certified law satisfies E[xi^2] <= eps_n^2 (scaled units)."""
-    if models is None:
-        models = [make_rademacher(100), make_rademacher(400)]
     bad = []
-    for m in models:
+    for m in (make_rademacher(100), make_rademacher(400)):
         cert = certify(m)
         for law in m.reachable_laws():
             if law.second_moment() / m.n > cert.eps_n ** 2 * (1.0 + 1e-12):
@@ -59,12 +57,13 @@ def suite_second_moment_vs_eps(models=None):
     return "second_moment_vs_eps", not bad, f"violating models: {bad}"
 
 
-def suite_drift_bound(n: int = 400, grid_points: int = 1000):
+def suite_drift_bound():
     """Rademacher closed form: |B_n(lam) - lam| <= lam delta^2
     + 6 lam^{1+rho} eps^rho over lam in [0, 1/eps]."""
+    n = 400
     cert = certify(make_rademacher(n))
     eps = cert.eps_n
-    lams = np.linspace(0.0, 1.0 / eps, grid_points)
+    lams = np.linspace(0.0, 1.0 / eps, 1000)
     b = math.sqrt(n) * np.tanh(lams / math.sqrt(n))
     lhs = np.abs(b - lams)
     rhs = 6.0 * lams ** (1.0 + cert.rho) * eps ** cert.rho
@@ -73,15 +72,16 @@ def suite_drift_bound(n: int = 400, grid_points: int = 1000):
     return "drift_bound", bad == 0, f"{bad} violations; implied constant {implied:.4g}"
 
 
-def suite_cumulant_bound(n: int = 400, grid_points: int = 1000, c1: float = 1.0):
+def suite_cumulant_bound():
     """Rademacher closed form: |Psi_n(lam) - lam^2/2| <=
-    2 (1 + c1 (lam eps)^{2-rho}) lam^{2+rho} eps^rho + lam^2 delta^2 / 2."""
+    2 (1 + (lam eps)^{2-rho}) lam^{2+rho} eps^rho + lam^2 delta^2 / 2."""
+    n = 400
     cert = certify(make_rademacher(n))
     eps, rho = cert.eps_n, cert.rho
-    lams = np.linspace(0.0, 1.0 / eps, grid_points)
+    lams = np.linspace(0.0, 1.0 / eps, 1000)
     psi = n * np.log(np.cosh(lams / math.sqrt(n)))
     lhs = np.abs(psi - lams ** 2 / 2.0)
-    rhs = 2.0 * (1.0 + c1 * (lams * eps) ** (2.0 - rho)) * lams ** (2.0 + rho) * eps ** rho
+    rhs = 2.0 * (1.0 + (lams * eps) ** (2.0 - rho)) * lams ** (2.0 + rho) * eps ** rho
     bad = int(np.sum(lhs > rhs + 1e-12))
     with np.errstate(divide="ignore", invalid="ignore"):
         implied = float(np.nanmax(lhs[1:] / (lams[1:] ** (2.0 + rho) * eps ** rho)))

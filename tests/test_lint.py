@@ -198,3 +198,93 @@ def test_no_unreached_definitions():
     found = unreached(sources, [path.read_text() for path in REACHING])
     assert not found, ("public definitions that neither the package, perfbench "
                        "nor the acceptance gate reaches: " + ", ".join(found))
+
+
+# the code whose calls set a function's parameters: the package, the
+# benchmark and every test
+CALLING = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py")),
+           *sorted(TESTS.glob("*.py"))]
+
+
+def defaulted_parameters(tree):
+    """(qualified name, line, called names, positional index, name) of each
+    parameter with a default of a function or method in `tree`.  A method
+    is called by its own name and its index skips self or cls; a class's
+    __init__ is also called by the class's name."""
+    methods = {id(item): node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, ast.FunctionDef)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        cls = methods.get(id(node))
+        qualname, names, skip = node.name, {node.name}, 0
+        if cls is not None:
+            qualname, skip = f"{cls.name}.{node.name}", 1
+            if node.name == "__init__":
+                names.add(cls.name)
+        a = node.args
+        positional = a.posonlyargs + a.args
+        for i, arg in enumerate(positional[len(positional) - len(a.defaults):],
+                                start=len(positional) - len(a.defaults)):
+            found.append((qualname, node.lineno, names, i - skip, arg.arg))
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                found.append((qualname, node.lineno, names, None, arg.arg))
+    return found
+
+
+def unset_options(sources, calling):
+    """'file:line function(parameter)' of each defaulted parameter of a
+    function or method in `sources` (file name -> source) that no call in
+    `calling` (a list of sources) sets, by position or by keyword.  Calls are
+    matched by the name they call.  A call with * or ** sets every
+    parameter; a function named other than as a call's callee is passed as
+    a value (a factory table, say) and exempt."""
+    positions, keywords, spread, passed = Counter(), set(), set(), set()
+    for source in calling:
+        # a callee, or the object an attribute is read from, is not passed
+        callees = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute):
+                callees.add(id(node.value))
+            if isinstance(node, ast.Call):
+                callees.add(id(node.func))
+                name = called_name(node)
+                if (any(isinstance(arg, ast.Starred) for arg in node.args)
+                        or any(kw.arg is None for kw in node.keywords)):
+                    spread.add(name)
+                positions[name] = max(positions[name], len(node.args))
+                keywords.update((name, kw.arg) for kw in node.keywords)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in callees:
+                passed.add(node.id if isinstance(node, ast.Name) else node.attr)
+    found = []
+    for filename, source in sources.items():
+        for qualname, line, names, index, param in defaulted_parameters(ast.parse(source)):
+            if not any(name in spread or name in passed or (name, param) in keywords
+                       or (index is not None and index < positions[name])
+                       for name in names):
+                found.append(f"{filename}:{line} {qualname}({param})")
+    return found
+
+
+def test_checker_catches_an_unset_option():
+    lib = ("def f(a, b=1, c=2):\n    return a\n\n"
+           "def made(n, depth=1e5):\n    return n\n\n"
+           "class K:\n    def __init__(self, n, depth=1e5):\n        self.n = n\n\n"
+           "    def ci(self, k, level=0.95, *, tail=2):\n        return k\n\n"
+           "TABLE = {'made': made}\n")
+    # made is passed as a value; K.__name__ reads K but does not pass it
+    caller = "f(1, 2)\nk = K(3)\nk.ci(1, tail=1)\nname = K.__name__\n"
+    assert unset_options({"lib.py": lib}, [lib, caller]) == [
+        "lib.py:1 f(c)", "lib.py:8 K.__init__(depth)", "lib.py:11 K.ci(level)"]
+    # a spread call sets everything; a keyword or a position sets its own
+    caller = "f(*args)\nK(3, depth=2)\nk.ci(1, 0.9)\n"
+    assert unset_options({"lib.py": lib}, [lib, caller]) == ["lib.py:11 K.ci(tail)"]
+
+
+def test_no_unset_options():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    found = unset_options(sources, [path.read_text() for path in CALLING])
+    assert not found, ("defaulted parameters that no call in the package, "
+                       "perfbench or the tests sets: " + ", ".join(found))

@@ -3,12 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import beta, binom
 
 from mdmart.bounds import BoundParams
 from mdmart.models import (LATTICE_CELLS, make_heavy_left, make_rademacher,
                            make_regime_switch)
-from mdmart.montecarlo import (MAX_PATHS, enumerate_terminal,
+from mdmart.montecarlo import (MAX_PATHS, clopper_pearson, enumerate_terminal,
                                estimate_tail_plain, estimate_tail_tilted,
                                exact_tail_by_enumeration,
                                is_expectation_by_enumeration,
@@ -79,6 +79,22 @@ class TestExactOracles:
                 for lam in (0.0, 0.5, x):
                     est = is_expectation_by_enumeration(model, x, lam)
                     assert abs(est - exact) < 1e-10
+
+
+def test_clopper_pearson_is_the_beta_quantiles():
+    # bit for bit the interval from scipy.stats.beta.ppf, at the tail level
+    # (1 - 0.95) / 2, on counts from 1 trial to 2^63 - 1; repr compares
+    # floats exactly and also matches the nan that both give at some counts
+    # near 2^63
+    a = (1.0 - 0.95) / 2.0
+    for trials in (1, 2, 3, 10, 99, 1000, 50000, 10 ** 6, 10 ** 9, 2 ** 53,
+                   2 ** 63 - 1):
+        ks = {0, 1, 2, 7, trials // 1000, trials // 3, trials // 2,
+              trials - 2, trials - 1, trials}
+        for k in sorted(k for k in ks if 0 <= k <= trials):
+            lo = 0.0 if k == 0 else float(beta.ppf(a, k, trials - k + 1))
+            hi = 1.0 if k == trials else float(beta.ppf(1.0 - a, k + 1, trials - k))
+            assert repr(clopper_pearson(k, trials)) == repr((lo, hi)), (k, trials)
 
 
 class TestPlainEstimator:

@@ -79,9 +79,13 @@ class TestTiltedPath:
 
 class TestSaddle:
     def test_trivial_reduction(self):
+        # eps = 0 leaves lam (1 +- delta^2) = x
         for x in (0.0, 0.7, 3.0):
-            assert solve_saddle_upper(x, 0.5, 0.0, 0.0).lam == pytest.approx(x)
-            assert solve_saddle_lower(x, 0.5, 0.0, 0.0).lam == pytest.approx(x)
+            for delta in (0.0, 0.5):
+                assert solve_saddle_upper(x, 0.5, 0.0, delta).lam == pytest.approx(
+                    x / (1.0 + delta * delta), rel=1e-15)
+                assert solve_saddle_lower(x, 0.5, 0.0, delta).lam == pytest.approx(
+                    x / (1.0 - delta * delta), rel=1e-15)
 
     def test_quadratic_oracle(self):
         # rho=1, eps=0.1, delta=0, c=6: lam + 0.6 lam^2 = 1
@@ -90,17 +94,36 @@ class TestSaddle:
         assert s.lam == pytest.approx(root, abs=1e-12)
         assert s.equation_residual < 1e-12 * 2.0
 
+    def test_zero_target(self):
+        # x = 0 is a root for every delta, also at delta = 1, where the lower
+        # equation's linear coefficient 1 - delta^2 vanishes
+        for delta in (0.0, 0.5, 1.0, 2.0):
+            for solve in (solve_saddle_upper, solve_saddle_lower):
+                s = solve(0.0, 1.0, 0.1, delta)
+                assert s.lam == 0.0 and s.equation_residual == 0.0
+
     def test_ordering(self):
-        for x in (0.05, 0.2, 0.35):
-            up = solve_saddle_upper(x, 1.0, 0.1, 0.05)
-            lo = solve_saddle_lower(x, 1.0, 0.1, 0.05)
-            assert up.lam <= x <= lo.lam
-            assert up.equation_residual < 1e-12 * (1.0 + x)
-            assert lo.equation_residual < 1e-12 * (1.0 + x)
+        # the first case, then the benchmark's sweep; every residual is
+        # recomputed here from the equation itself
+        delta, c = 0.05, 6.0
+        sweep = [0.2 * i for i in range(1, 21)]
+        for rho, eps, xs in ((1.0, 0.1, (0.05, 0.2, 0.35)),
+                             (1.0, 0.01, sweep), (0.5, 1e-4, sweep)):
+            for x in xs:
+                up = solve_saddle_upper(x, rho, eps, delta)
+                lo = solve_saddle_lower(x, rho, eps, delta)
+                assert up.lam <= x <= lo.lam
+                for s, sign in ((up, 1.0), (lo, -1.0)):
+                    g = (s.lam * (1.0 + sign * delta * delta)
+                         + sign * c * s.lam ** (1.0 + rho) * eps ** rho - x)
+                    assert s.lam > 0.0 and abs(g) < 1e-12 * (1.0 + x)
+                    assert s.equation_residual < 1e-12 * (1.0 + x)
 
     def test_lower_no_root_reported(self):
         with pytest.raises(SaddleError):
             solve_saddle_lower(1.0, 1.0, 0.1, 0.0, c=6.0)
+        with pytest.raises(SaddleError):
+            solve_saddle_lower(1.0, 1.0, 0.1, 1.0)
 
     def test_residual_scale(self):
         s = solve_saddle_upper(250.0, 0.5, 0.01, 0.2)
