@@ -1,6 +1,7 @@
 """Walker's alias method for drawing from tabulated finite laws, shared by
 the block-sum sampler and the Berbee coupling in `mixing` and the block
-sampler of every state-dependent model in `models`."""
+sampler of every state-dependent model in `models`, and the doubling of a
+block-law table that lets the block-sum sampler draw 2^b blocks at once."""
 from __future__ import annotations
 
 import numpy as np
@@ -40,3 +41,37 @@ def alias_draw(tables, base, width, u):
     col = np.minimum(u.astype(np.intp), width - 1)
     cell = base + col
     return np.where(u - col < prob[cell], col, alias[cell])
+
+
+def double_block_law(values, joint, max_cells):
+    """The law of two consecutive blocks of a chain whose block total and
+    next start state depend only on the block's start state.
+
+    joint[s, i, t] = P(total values[i], next start t | start s); values are
+    sorted and rounded to 12 decimals.  The doubled law is the table
+    composed with itself,
+        joint2[s, v, t] = sum_r sum_{v1 + v2 = v} joint[s, v1, r] joint[r, v2, t],
+    with the pair totals rounded to 12 decimals, so that sums on a lattice
+    fall on one value.  Returns (values2, joint2), or None when the doubled
+    table would have more than `max_cells` (total, next start) cells per
+    start state."""
+    S, Y = joint.shape[:2]
+    values2, pair_to = np.unique(np.round(np.add.outer(values, values), 12),
+                                 return_inverse=True)
+    V = values2.size
+    if V * S > max_cells:
+        return None
+    pair = np.einsum("sar,rbt->sabt", joint, joint)
+    # outcome (s, a, b, t) of the pair adds to cell (s, pair_to[a, b], t)
+    cell = (np.arange(S)[:, None, None] * V + pair_to.reshape(1, Y * Y, 1)) * S + np.arange(S)
+    joint2 = np.bincount(cell.ravel(), weights=pair.ravel(), minlength=S * V * S)
+    return values2, joint2.reshape(S, V, S)
+
+
+def draw_plan(k, levels):
+    """Which table each draw of a k-block path uses, given the tables for
+    2^0, ..., 2^(levels-1) blocks: k >> (levels-1) draws from the largest,
+    then one draw from table b for each set bit b of the remainder, largest
+    first.  The plan's block counts add up to k."""
+    top = levels - 1
+    return [top] * (k >> top) + [b for b in range(top - 1, -1, -1) if k >> b & 1]

@@ -7,7 +7,12 @@ mixing bound used downstream is exact rather than estimated.  The true
 psi-mixing coefficient involves a sup over infinite-future events; for a
 finite chain the ratio coefficient psi_bar(n) = max_ij |P^n(i,j)/pi(j) - 1|
 dominates it, and all bounds are upper bounds, so substituting psi_bar keeps
-every check conservative."""
+every check conservative.
+
+Everything about one block of m steps derives from one exact table, the
+joint law of its sum and end state given its start (`_block_law`).  The
+block-sum sampler draws 2^b blocks with one uniform, from that table
+bridged over the gap and doubled b times (`_block_tables`)."""
 from __future__ import annotations
 
 import math
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alias import alias_draw, alias_tables
+from .alias import alias_draw, alias_tables, double_block_law, draw_plan
 from .bounds import BoundParams
 from .montecarlo import (RatioReport, check_x_grid, clopper_pearson, ratio_row,
                          seeded_chunks)
@@ -24,6 +29,12 @@ from .montecarlo import (RatioReport, check_x_grid, clopper_pearson, ratio_row,
 # estimators; the chunk size is a fixed constant, so determinism is unaffected.
 # The Berbee coupling draws its reps in chunks of the same size.
 MIX_CHUNK = 65536
+
+# most (block total, next start) cells per start state in a doubled block-law
+# table.  A larger table lets one uniform draw more blocks, but its alias
+# tables take longer to build than the draws they save; 256 was fastest in a
+# sweep of 128 to 1024 on the benchmark's chains (see CHANGES.md)
+BLOCK_TABLE_CELLS = 256
 
 
 class ChainError(ValueError):
@@ -73,6 +84,7 @@ class MarkovChainSpec:
         self.f = np.asarray(self.f, dtype=float)
         self.pi = stationary_dist(self.P)
         self._block_laws = {}   # m -> _block_law(self, m), derived like pi
+        self._block_tables = {}  # m -> the doubling ladder of _block_tables
         if len(self.states) != self.P.shape[0] or self.f.size != self.P.shape[0]:
             raise ChainError("states, P and f sizes disagree")
         if abs(float(self.pi @ self.f)) > 1e-12:
@@ -377,25 +389,56 @@ def exact_block_sum_variance(chain: MarkovChainSpec, n: int, alpha: float) -> fl
     return k * float(chain.pi @ v) + 2.0 * math.fsum(cross)
 
 
+def _block_tables(chain: MarkovChainSpec, m: int, k: int):
+    """The tables that draw 1, 2, 4, ..., j consecutive blocks of length m
+    with one uniform each, for a path of k blocks.  Entry b is (values,
+    joint, tables) for 2^b blocks: joint[s, i, t] = P(total values[i], next
+    start t | start s), and `tables` are the alias tables of its rows, one
+    per start state, flattened over (i, t).
+
+    The first is the block law bridged over the gap, joint[s, i, t] =
+    sum_e law[s, i, e] P^{m+1}[e, t]; each next one is its predecessor
+    doubled (`double_block_law`).  The doubling stops before 2j > k, or
+    before a table would have more than BLOCK_TABLE_CELLS cells per row.
+    Like the block law, the tables are kept on the chain, per m; a later
+    call with a larger k extends them."""
+    ladder = chain._block_tables.setdefault(m, [])
+    S = chain.P.shape[0]
+    while len(ladder) < k.bit_length():
+        if ladder:
+            table = double_block_law(*ladder[-1][:2], BLOCK_TABLE_CELLS)
+            if table is None:
+                break
+        else:
+            ys, law, hop = _block_law(chain, m)
+            table = ys, np.einsum("sie,et->sit", law, hop)
+        values, joint = table
+        ladder.append((values, joint, alias_tables(joint.reshape(S, -1))))
+    return ladder[:k.bit_length()]
+
+
 def simulate_block_sums(chain: MarkovChainSpec, n: int, alpha: float,
                         budget: int, seed: int) -> np.ndarray:
-    """S_n for `budget` independent stationary realizations, one uniform per
-    block.
+    """S_n for `budget` independent stationary realizations.
 
-    Given its start state s, a block's sum and the next block's start are
-    drawn together, as outcome (i, t) of joint[s, (i, t)] = sum_e law[s, i, e]
-    P^{m+1}[e, t], the block law bridged over the gap, through the alias
-    tables.  The last block draws from the same table and drops the start."""
+    A block's sum and the next block's start depend only on its start
+    state, so the joint law of 2j consecutive blocks is that of j blocks
+    composed with itself (`_block_tables`).  One uniform draws the start
+    state from pi; then each uniform draws, from the current start state's
+    row of one table, the total of 2^b blocks together with the next start:
+    k // j draws from the table of the largest j, and one from the table of
+    2^b blocks for each set bit b of k mod j (`draw_plan`).  The last draw's
+    next start is dropped."""
     if budget < 1:
         raise ChainError("budget must be >= 1")
     m, k, _ = block_indices(n, alpha)
     S = chain.P.shape[0]
-    ys, law, hop = _block_law(chain, m)
-    W = ys.size * S
-    tables = alias_tables(np.einsum("sie,et->sit", law, hop).reshape(S, W))
-    # per outcome (i, t): the block sum, and the offset of row t in the tables
-    value = np.repeat(ys, S)
-    row = np.tile(np.arange(S) * W, ys.size)
+    levels = []
+    for values, _, tables in _block_tables(chain, m, k):
+        # per outcome (i, t): the total, and the next start t
+        levels.append((np.repeat(values, S), np.tile(np.arange(S), values.size),
+                       tables, values.size * S))
+    plan = [levels[b] for b in draw_plan(k, len(levels))]
     # ends at exactly 1: a plain cumsum of pi can end just below it, and a
     # uniform past the end would start a path in no state
     cum_pi = np.cumsum(chain.pi / chain.pi.sum())
@@ -403,12 +446,12 @@ def simulate_block_sums(chain: MarkovChainSpec, n: int, alpha: float,
     out = np.empty(budget)
     done = 0
     for rng, size in seeded_chunks(seed, budget, MIX_CHUNK):
-        base = np.searchsorted(cum_pi, rng.random(size), side="right") * W
+        state = np.searchsorted(cum_pi, rng.random(size), side="right")
         total = np.zeros(size)
-        for _ in range(k):
-            idx = alias_draw(tables, base, W, rng.random(size))
+        for value, nxt, tables, width in plan:
+            idx = alias_draw(tables, state * width, width, rng.random(size))
             total += value[idx]
-            base = row[idx]
+            state = nxt[idx]
         out[done:done + size] = total
         done += size
     return out
@@ -421,7 +464,10 @@ def mixing_tail_experiment(chain: MarkovChainSpec, n: int, alpha: float,
 
     Returns (RatioReport, info dict).  The envelope uses rho = 1, eps-like
     scale n^{-(1/2 - alpha)} and delta = tau_n from the exact psi_bar(m); it is
-    flagged unusable when tau_n >= 1."""
+    flagged unusable when tau_n >= 1.  The info also records how the sums
+    were drawn: `blocks_per_draw`, the most blocks one uniform draws, and
+    `draws_per_path`, the table draws per path (one more uniform draws its
+    start state)."""
     check_x_grid(x_grid)
     m, k, _ = block_indices(n, alpha)
     es2 = exact_block_sum_variance(chain, n, alpha)
@@ -431,6 +477,7 @@ def mixing_tail_experiment(chain: MarkovChainSpec, n: int, alpha: float,
     cert = certify_chain(chain, n_max=max(m, 10), m=min(m, 20))
     params = BoundParams(rho=1.0, eps_n=n ** -(0.5 - alpha), delta_n=tau, c=1.0)
     sums = simulate_block_sums(chain, n, alpha, budget, seed)
+    levels = len(_block_tables(chain, m, k))
     rows = []
     flags_global = ["envelope_undefined"] if tau >= 1.0 else []
     for x in x_grid:
@@ -444,5 +491,7 @@ def mixing_tail_experiment(chain: MarkovChainSpec, n: int, alpha: float,
     info = {"m": m, "k": k, "es2": es2, "tau_n": tau, "psi_bar_m": psi_m,
             "c1": cert.c1, "c2": cert.c2,
             "beta_fit": (cert.a1, cert.a2, cert.tau),
-            "envelope_defined": tau < 1.0}
+            "envelope_defined": tau < 1.0,
+            "blocks_per_draw": 1 << (levels - 1),
+            "draws_per_path": len(draw_plan(k, levels))}
     return RatioReport(rows=rows), info

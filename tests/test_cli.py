@@ -296,6 +296,8 @@ def test_mixing_command(tmp_path, capsys):
                  "--budget", "10000", "--x", "0.5"]) == 0
     info = json.loads((tmp_path / "mixing_n2000_seed0_info.json").read_text())
     assert info["m"] == 9 and info["k"] == 111
+    # 111 blocks = 13 draws of 8 blocks, then 4, 2 and 1
+    assert info["blocks_per_draw"] == 8 and info["draws_per_path"] == 16
 
 
 def test_readme_commands_parse(monkeypatch):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from mdmart import mixing
-from mdmart.mixing import (ChainError, MarkovChainSpec, _block_law,
+from mdmart.alias import draw_plan
+from mdmart.mixing import (BLOCK_TABLE_CELLS, MIX_CHUNK, ChainError,
+                           MarkovChainSpec, _block_law, _block_tables,
                            berbee_couple, berbee_mismatch_probability,
                            beta_by_enumeration, beta_coefficient,
                            beta_two_state_closed_form, block_indices,
@@ -414,21 +416,34 @@ class TestTailExperiment:
         for row in rep.rows:
             assert abs(row.ratio - 1.0) < 0.1
 
-    @pytest.mark.parametrize("n, alpha, builds", [(10 ** 4, 0.3, 1), (5000, 0.5, 2)])
-    def test_block_law_built_once(self, monkeypatch, n, alpha, builds):
+    @pytest.mark.parametrize("n, alpha, builds, doublings", [
+        (10 ** 4, 0.3, 1, 3), (5000, 0.5, 2, 0)], ids=["10000-0.3-1", "5000-0.5-2"])
+    def test_block_law_built_once(self, monkeypatch, n, alpha, builds, doublings):
         # the certificate, the exact variance and the sampler share one block
         # law per (chain, m); at n = 5000, alpha = 0.5 the certificate's
-        # m' = min(m, 20) = 20 differs from m = 70, so two laws are built
-        calls = []
-        real = mixing.block_sum_distribution
+        # m' = min(m, 20) = 20 differs from m = 70, so two laws are built.
+        # The sampler's doubled tables are built once too, though the
+        # sampler and the info both ask for them: at m = 15, k = 333 the
+        # tables of 2, 4 and 8 blocks (16 would pass BLOCK_TABLE_CELLS); at
+        # m = 70 the 141 sums of two blocks would take 282 cells, so none
+        calls, doubled = [], []
+        real, real_double = mixing.block_sum_distribution, mixing.double_block_law
 
         def counted(chain, m):
             calls.append(m)
             return real(chain, m)
 
+        def counted_double(values, joint, max_cells):
+            table = real_double(values, joint, max_cells)
+            if table is not None:
+                doubled.append(table[0].size)
+            return table
+
         monkeypatch.setattr(mixing, "block_sum_distribution", counted)
+        monkeypatch.setattr(mixing, "double_block_law", counted_double)
         mixing_tail_experiment(two_state_chain(0.3, 0.3), n, alpha, [0.5, 1.0], 1000, 0)
         assert len(calls) == builds, calls
+        assert len(doubled) == doublings, doubled
 
     def test_stationary_law_solved_once(self, monkeypatch):
         # the chain solves pi when it is built; the mixing coefficients of
@@ -451,3 +466,101 @@ class TestTailExperiment:
         rep, info = mixing_tail_experiment(chain, 2000, 0.3, [0.5], 20000, 6)
         assert not info["envelope_defined"]
         assert "envelope_undefined" in rep.rows[0].flags
+
+
+def composed_tables(chain, m, levels):
+    """The tables of 1, 2, 4, ... blocks by brute force: dicts (total, next
+    start) -> prob per start state, the first from `block_sum_distribution`
+    and P^{m+1}, each next one by summing the products of every pair of
+    outcomes that chain through a middle start state."""
+    S = chain.P.shape[0]
+    hop = np.linalg.matrix_power(chain.P, m + 1)
+    table = []
+    for dist in block_sum_distribution(chain, m):
+        row = {}
+        for (y, e), p in dist.items():
+            for t in range(S):
+                row[(y, t)] = row.get((y, t), 0.0) + p * hop[e, t]
+        table.append(row)
+    out = [table]
+    for _ in range(levels - 1):
+        doubled = []
+        for s in range(S):
+            row = {}
+            for (y1, r), p1 in table[s].items():
+                for (y2, t), p2 in table[r].items():
+                    key = (round(y1 + y2, 12), t)
+                    row[key] = row.get(key, 0.0) + p1 * p2
+            doubled.append(row)
+        table = doubled
+        out.append(table)
+    return out
+
+
+class TestDoubledTables:
+    @pytest.mark.parametrize("chain, g", LATTICE_CHAINS, ids=LATTICE_IDS)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_tables_are_the_composed_block_law(self, chain, g, m):
+        # every doubling up to the cell bound matches the brute-force
+        # composition; a lattice chain's 2^b-block totals take
+        # 2^b (Y - 1) + 1 values, where one block's take Y
+        S = chain.P.shape[0]
+        k = 1 << 10
+        ladder = _block_tables(chain, m, k)
+        composed = composed_tables(chain, m, len(ladder))
+        Y = ladder[0][0].size
+        for b, ((values, joint, _), table) in enumerate(zip(ladder, composed)):
+            assert values.size == (Y - 1 << b) + 1
+            assert values.size * S <= BLOCK_TABLE_CELLS
+            keys = sorted({y for row in table for y, _ in row})
+            assert np.allclose(values, keys, rtol=0.0, atol=1e-12)
+            want = np.zeros_like(joint)
+            for s, row in enumerate(table):
+                for (y, t), p in row.items():
+                    want[s, keys.index(y), t] = p
+            assert np.abs(joint - want).max() <= 1e-15, b
+            # a row's rounding error grows with each doubling: 6.8e-15 at
+            # most here, on 32 blocks
+            assert np.abs(joint.sum(axis=(1, 2)) - 1.0).max() <= 1e-14, b
+        # the next doubling would pass the cell bound
+        assert ((Y - 1 << len(ladder)) + 1) * S > BLOCK_TABLE_CELLS
+
+    def test_doubling_stops_at_k(self):
+        # no table of more blocks than the path has; a larger k extends the
+        # tables kept on the chain
+        chain = two_state_chain(0.3, 0.3)
+        assert len(_block_tables(chain, 2, 1)) == 1
+        assert len(_block_tables(chain, 2, 5)) == 3
+        assert len(_block_tables(chain, 2, 8)) == 4
+        assert len(chain._block_tables[2]) == 4
+        assert len(_block_tables(chain, 2, 7)) == 3
+
+    def test_draw_plan(self):
+        for k in range(1, 200):
+            for levels in range(1, k.bit_length() + 1):
+                plan = draw_plan(k, levels)
+                assert sum(1 << b for b in plan) == k
+                assert plan == sorted(plan, reverse=True)
+                assert len(plan) == (k >> levels - 1) + bin(k % (1 << levels - 1)).count("1")
+
+    def test_one_uniform_per_draw(self, monkeypatch):
+        # n = 200, alpha = 0.3: m = 4 and k = 25 = 16 + 8 + 1 blocks, so
+        # each chunk takes four uniforms per path: the start and three draws
+        calls = []
+        real = mixing.seeded_chunks
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, size):
+                calls.append(size)
+                return self.rng.random(size)
+
+        def chunks(seed, total, size):
+            for rng, count in real(seed, total, size):
+                yield Counting(rng), count
+
+        monkeypatch.setattr(mixing, "seeded_chunks", chunks)
+        simulate_block_sums(two_state_chain(0.3, 0.3), 200, 0.3, MIX_CHUNK + 100, 4)
+        assert calls == [MIX_CHUNK] * 4 + [100] * 4

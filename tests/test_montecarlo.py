@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 from scipy.stats import beta, binom
 
 from mdmart.bounds import BoundParams
@@ -82,19 +83,50 @@ class TestExactOracles:
 
 
 def test_clopper_pearson_is_the_beta_quantiles():
-    # bit for bit the interval from scipy.stats.beta.ppf, at the tail level
-    # (1 - 0.95) / 2, on counts from 1 trial to 2^63 - 1; repr compares
-    # floats exactly and also matches the nan that both give at some counts
-    # near 2^63
+    # bit for bit each end that scipy.stats.beta.ppf gives, at the tail
+    # level (1 - 0.95) / 2, on counts from 1 trial to 2^63 - 1, wherever
+    # that end is valid: finite and on its side of p_hat = k / trials.  Near
+    # 2^63 some are not (nan at k = trials // 1000, hi < p_hat at
+    # trials // 3); there the end must still be valid, and the beta law must
+    # put its tail level there within 1e-6
     a = (1.0 - 0.95) / 2.0
+    replaced = 0
     for trials in (1, 2, 3, 10, 99, 1000, 50000, 10 ** 6, 10 ** 9, 2 ** 53,
                    2 ** 63 - 1):
         ks = {0, 1, 2, 7, trials // 1000, trials // 3, trials // 2,
               trials - 2, trials - 1, trials}
         for k in sorted(k for k in ks if 0 <= k <= trials):
-            lo = 0.0 if k == 0 else float(beta.ppf(a, k, trials - k + 1))
-            hi = 1.0 if k == trials else float(beta.ppf(1.0 - a, k + 1, trials - k))
-            assert repr(clopper_pearson(k, trials)) == repr((lo, hi)), (k, trials)
+            p = k / trials
+            lo, hi = clopper_pearson(k, trials)
+            assert 0.0 <= lo <= p <= hi <= 1.0, (k, trials)
+            ppf_lo = 0.0 if k == 0 else float(beta.ppf(a, k, trials - k + 1))
+            ppf_hi = 1.0 if k == trials else float(beta.ppf(1.0 - a, k + 1, trials - k))
+            if 0.0 <= ppf_lo <= p:
+                assert repr(lo) == repr(ppf_lo), (k, trials)
+            else:
+                replaced += 1
+                assert abs(betainc(k, trials - k + 1, lo) - a) <= 1e-6, (k, trials)
+            if p <= ppf_hi <= 1.0:
+                assert repr(hi) == repr(ppf_hi), (k, trials)
+            else:
+                replaced += 1
+                assert abs(betainc(k + 1, trials - k, hi) - (1.0 - a)) <= 1e-6, (k, trials)
+    assert replaced == 3
+
+
+def test_clopper_pearson_valid_at_every_budget():
+    # the plain estimator draws 2^63 - 1 paths in one histogram; its
+    # interval was (nan, nan) before the invalid ends were replaced
+    est = estimate_tail_plain(make_rademacher(400), 3.0, 2 ** 63 - 1, 0)
+    lo, hi = est.ci95
+    assert 0.0 < lo <= est.p_hat <= hi < 1.0
+    assert hi - lo == pytest.approx(2.0 * 1.959964 * est.std_err, rel=1e-3)
+    # counts where betaincinv fails, from a few paths to all of them
+    for trials in (10 ** 17, 10 ** 18, 2 ** 63 - 1):
+        for k in (1, 14, 46, 10 ** 6, trials // 7, trials // 3, trials - 14,
+                  trials - 1):
+            lo, hi = clopper_pearson(k, trials)
+            assert 0.0 <= lo <= k / trials <= hi <= 1.0, (k, trials)
 
 
 class TestPlainEstimator:

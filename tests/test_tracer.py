@@ -2,6 +2,7 @@
 rename breaks the benchmark run.  This loads the tracer as it stands and
 installs it, so such a rename fails here first."""
 import importlib.util
+import inspect
 from pathlib import Path
 
 from mdmart import mixing
@@ -9,12 +10,16 @@ from mdmart import mixing
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
 
 
-def test_tracer_installs():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs():
     real = mixing.simulate_block_sums
-    tracer = module.Tracer()
+    tracer = load_tracer().Tracer()
     try:
         tracer.install()
         assert tracer._patches
@@ -22,3 +27,21 @@ def test_tracer_installs():
     finally:
         tracer.uninstall()
     assert mixing.simulate_block_sums is real
+
+
+def test_block_sum_counter_reads_its_arguments():
+    # the tracer's block-sum counter reads n and alpha from the call, by
+    # position or keyword, and counts one entry of the result per path
+    assert list(inspect.signature(mixing.simulate_block_sums).parameters) == [
+        "chain", "n", "alpha", "budget", "seed"]
+    tracer = load_tracer().Tracer()
+    chain = mixing.two_state_chain(0.3, 0.3)
+    try:
+        tracer.install()
+        sums = mixing.simulate_block_sums(chain, 200, 0.3, 100, 1)
+        assert sums.shape == (100,)
+        mixing.simulate_block_sums(chain, n=200, alpha=0.3, budget=50, seed=1)
+    finally:
+        tracer.uninstall()
+    # n = 200, alpha = 0.3: m = 4 and k = 25, so m·k = 100 indices per path
+    assert tracer.counts["mixing.block_sum_steps"] == 150 * 4 * 25
