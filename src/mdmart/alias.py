@@ -1,10 +1,19 @@
 """Walker's alias method for drawing from tabulated finite laws, shared by
 the block-sum sampler and the Berbee coupling in `mixing` and the block
-sampler of every state-dependent model in `models`, and the doubling of a
-block-law table that lets the block-sum sampler draw 2^b blocks at once."""
+sampler of every state-dependent model in `models`; the doubling of a
+block-law table; and the plan by which both block samplers draw 2^b blocks
+with one uniform."""
 from __future__ import annotations
 
 import numpy as np
+
+# most cells per start state in a doubled block table, the block-sum
+# sampler's (block total, next start) cells and a model's (end row, atom
+# counts) groups alike.  A larger table lets one uniform draw more blocks,
+# but its alias tables take longer to build than the draws they save; 256 was
+# fastest in a sweep of 128 to 1024 on the benchmark's chains (see
+# CHANGES.md)
+BLOCK_TABLE_CELLS = 256
 
 
 def alias_tables(p: np.ndarray):
@@ -24,12 +33,14 @@ def alias_tables(p: np.ndarray):
         q = (p[s] * (W / total)).tolist()
         small = [i for i in range(W) if q[i] < 1.0]
         large = [i for i in range(W) if q[i] >= 1.0]
+        keep, other = [1.0] * W, list(range(W))
         while small and large:
             lo, hi = small.pop(), large.pop()
-            prob[s, lo], alias[s, lo] = q[lo], hi
+            keep[lo], other[lo] = q[lo], hi
             q[hi] = (q[hi] + q[lo]) - 1.0
             (small if q[hi] < 1.0 else large).append(hi)
         # what is left over holds mass 1 up to rounding and keeps itself
+        prob[s], alias[s] = keep, other
     return prob.ravel(), alias.ravel()
 
 

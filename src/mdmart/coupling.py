@@ -75,6 +75,10 @@ class ExactBinomialQuantile:
         at_or_above = np.concatenate(([1.0], sf[:-1]))
         self._tail_atoms = np.flatnonzero((cdf >= TAIL_CUT / 2.0)
                                           & (at_or_above >= TAIL_CUT / 2.0))
+        # Phi at -+ each end of every atom's z-interval: the ends are the
+        # same for every t, so the tail sums evaluate only the moving ones
+        self._ends_ndtr = (ndtr(-self.z_lower), ndtr(self.z_lower),
+                           ndtr(-self.z), ndtr(self.z))
 
     def atom_probabilities(self) -> np.ndarray:
         """P(W = values[k]) for the coupled W: the normal measure of
@@ -89,8 +93,17 @@ class ExactBinomialQuantile:
         u = np.asarray(t, dtype=float)[:, None] * math.log(self.n) / math.sqrt(self.n)
         i = self._tail_atoms
         w, a, b = self.values[i], self.z_lower[i], self.z[i]
-        below = _normal_mass(a, np.clip(w - u, a, b))
-        above = _normal_mass(np.clip(w + u, a, b), b)
+        sf_a, cdf_a, sf_b, cdf_b = (e[i] for e in self._ends_ndtr)
+        # _normal_mass(a, c) and _normal_mass(d, b), with Phi taken once at
+        # the moving end, on the side that _normal_mass measures
+        c = np.clip(w - u, a, b)
+        right = a > 0.0
+        at_c = ndtr(np.where(right, -c, c))
+        below = np.where(right, sf_a - at_c, at_c - cdf_a)
+        d = np.clip(w + u, a, b)
+        right = d > 0.0
+        at_d = ndtr(np.where(right, -d, d))
+        above = np.where(right, at_d - sf_b, cdf_b - at_d)
         return (below + above).sum(axis=1)
 
 

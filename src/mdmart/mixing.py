@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alias import alias_draw, alias_tables, double_block_law, draw_plan
+from .alias import (BLOCK_TABLE_CELLS, alias_draw, alias_tables,
+                    double_block_law, draw_plan)
 from .bounds import BoundParams
 from .montecarlo import (RatioReport, check_x_grid, clopper_pearson, ratio_row,
                          seeded_chunks)
@@ -29,12 +30,6 @@ from .montecarlo import (RatioReport, check_x_grid, clopper_pearson, ratio_row,
 # estimators; the chunk size is a fixed constant, so determinism is unaffected.
 # The Berbee coupling draws its reps in chunks of the same size.
 MIX_CHUNK = 65536
-
-# most (block total, next start) cells per start state in a doubled block-law
-# table.  A larger table lets one uniform draw more blocks, but its alias
-# tables take longer to build than the draws they save; 256 was fastest in a
-# sweep of 128 to 1024 on the benchmark's chains (see CHANGES.md)
-BLOCK_TABLE_CELLS = 256
 
 
 class ChainError(ValueError):

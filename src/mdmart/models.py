@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .alias import alias_draw, alias_tables
+from .alias import BLOCK_TABLE_CELLS, alias_draw, alias_tables, draw_plan
 
 ATOL = 1e-12
 
@@ -30,6 +30,10 @@ DEFAULT_GRID = tuple(2.0 ** j for j in range(-6, 11))
 # the block sampler's forward pass visits at most this many (start state,
 # atom sequence) cells
 BLOCK_CELLS = 1 << 15
+
+# most outcome pairs one doubling of the block tables forms: a memory bound,
+# as grouping them takes about 100 bytes a pair, 55 MB at this cap
+DOUBLING_PAIRS = 1 << 19
 
 # most cells `terminal_law` tabulates (a two-atom i.i.d. law has n + 1): a
 # memory bound, as an estimate on the cells holds about 80 bytes a cell,
@@ -211,7 +215,10 @@ class _BlockOutcomes:
     (row, end row, count of each (law, atom) drawn): the atom sequences of a
     group share their probability, value sum and log mgf sum under every
     tilt.  Group g holds `mult[g]` sequences and sits in cell `cell[g]` =
-    row * width + column; `dx` and `end` are laid out by cell."""
+    row * width + column; `dx` and `end` are laid out by cell, and `values`
+    are the scaled atom values per (law, atom).  Doubling adds counts, so
+    they are int32, past int8, and multiplies multiplicities, so they are
+    float64, past int64."""
 
     steps: int
     width: int
@@ -220,33 +227,93 @@ class _BlockOutcomes:
     mult: np.ndarray
     dx: np.ndarray
     end: np.ndarray
+    values: np.ndarray
 
     @classmethod
-    def group(cls, steps, end, real, count, row_of, values):
-        """Group the cells of a forward pass from the block-start states,
-        one row each: `end` state, whether all atoms are `real` and the
-        per-(law, atom) `count`."""
-        keys = np.column_stack((np.nonzero(real)[0], row_of[end[real]],
-                                count[real]))
-        keys = keys[np.lexsort(keys.T[::-1])]
-        new = np.ones(len(keys), dtype=bool)
-        new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-        mult = np.bincount(np.cumsum(new) - 1)
-        keys = keys[new]
-        row = keys[:, 0]
-        col = np.arange(len(keys)) - np.searchsorted(row, row)
+    def group(cls, steps, rows, row, end, count, mult, values):
+        """Group outcomes i, which start in row `row[i]`, end in row
+        `end[i]`, draw (law, atom) j `count[i, j]` times and stand for
+        `mult[i]` atom sequences each, by (row, end row, count); a group's
+        multiplicity is the sum of its outcomes'."""
+        # sorted lexicographically by (row, end, count): the key columns are
+        # folded into as few int64 sort keys as hold them, each a
+        # mixed-radix number, which keeps that order
+        folded, size = [], 0
+        for col in (row, end, *count.T):
+            span = int(col.max()) + 1
+            if folded and size * span < 1 << 62:
+                folded[-1] = folded[-1] * span + col
+                size *= span
+            else:
+                folded.append(col.astype(np.int64, copy=False))
+                size = span
+        order = np.lexsort(folded[::-1])
+        new = np.zeros(row.size, dtype=bool)
+        new[0] = True
+        for f in folded:
+            f = f[order]
+            new[1:] |= f[1:] != f[:-1]
+        mult = np.bincount(np.cumsum(new) - 1, weights=mult[order])
+        first = order[new]
+        row, count = row[first], count[first].astype(np.int32)
+        col = np.arange(row.size) - np.searchsorted(row, row)
         width = int(col.max()) + 1
         cell = row * width + col
-        dx = np.zeros(len(end) * width)
-        dx[cell] = (keys[:, 2:] * values).sum(axis=1)
+        dx = np.zeros(rows * width)
+        dx[cell] = (count * values).sum(axis=1)
         nxt = np.zeros(dx.size, dtype=np.intp)
-        nxt[cell] = keys[:, 1]
-        return cls(steps, width, cell, keys[:, 2:], mult, dx, nxt)
+        nxt[cell] = end[first]
+        return cls(steps, width, cell, count, mult, dx, nxt, values)
+
+    def cells_bound(self):
+        """A lower bound on the cells of each row of the doubled outcomes,
+        from the group counts alone.  With A the count vectors from row s
+        into row r and B those from r into row t, the cells from s into t
+        hold A + B, and |A + B| >= |A| + |B| - 1 for finite sets of integer
+        vectors (list both in lexicographic order).  Summed over t, row s
+        has at least size(r) + ends(r) (|A| - 1) cells for each r it ends
+        in, size(r) being the groups of row r and ends(r) the rows they end
+        in."""
+        rows = self.dx.size // self.width
+        row, end = self.cell // self.width, self.end[self.cell]
+        into, per = np.unique(row * rows + end, return_counts=True)
+        starts, middle = np.divmod(into, rows)
+        size = np.bincount(row, minlength=rows)
+        ends = np.bincount(starts, minlength=rows)
+        bound = np.zeros(rows, dtype=np.intp)
+        np.maximum.at(bound, starts, size[middle] + ends[middle] * (per - 1))
+        return bound
+
+    def doubled(self, max_cells):
+        """The outcomes of 2 * steps steps: each outcome from row s that ends
+        in row r followed by each outcome from row r, regrouped, a pair
+        standing for the product of its parts' multiplicities.  None when a
+        row would have more than `max_cells` cells, which `cells_bound`
+        mostly shows before any pair is formed, or when there would be more
+        than DOUBLING_PAIRS pairs."""
+        if self.cells_bound().max() > max_cells:
+            return None
+        rows = self.dx.size // self.width
+        row, end = self.cell // self.width, self.end[self.cell]
+        # pair each group with every group of the row it ends in; a row's
+        # groups are contiguous, from first[row]
+        size = np.bincount(row, minlength=rows)
+        take = size[end]
+        if take.sum() > DOUBLING_PAIRS:
+            return None
+        g = np.repeat(np.arange(row.size), take)
+        first = np.cumsum(size) - size
+        h = np.arange(g.size) + np.repeat(first[end] - (np.cumsum(take) - take), take)
+        count = self.count[g]
+        count += self.count[h]
+        out = _BlockOutcomes.group(2 * self.steps, rows, row[g], end[h], count,
+                                   self.mult[g] * self.mult[h], self.values)
+        return out if out.width <= max_cells else None
 
     def tilted(self, q, psi) -> BlockTable:
         """The table under the tilt whose (law, atom) probabilities are q
         and whose per-law log mgfs, repeated per atom, are psi."""
-        prob = self.mult.astype(float)
+        prob = self.mult.copy()
         for j in range(q.size):
             prob *= q[j] ** self.count[:, j]
         p = np.zeros(self.dx.size)
@@ -371,11 +438,14 @@ class MartingaleModel:
         With one state, X_n depends only on how often each atom is drawn, and
         those counts are drawn as conditional binomials (Devroye 1986,
         ch. XI): one draw per atom per path.  For a two-atom law that is one
-        binomial draw.  Otherwise each path draws a block of B steps at a
-        time (`block_steps`), one uniform per block: the block's sum of
-        values, its sum of log mgfs and its end state come together from the
-        alias tables of the block law at the path's block-start state
-        (`block_tables`), and the n mod B steps left over come from the
+        binomial draw.  Otherwise the path is cut into blocks of B steps
+        (`block_steps`), and one uniform draws 2^b blocks at once: their sum
+        of values, their sum of log mgfs and their end state come together
+        from the alias tables of the law of 2^b blocks at the path's
+        block-start state (`block_tables`).  A path of k = n // B blocks
+        draws as `draw_plan` says: k // j times from the table of the most
+        blocks j, and once from the table of 2^b blocks for each set bit b
+        of k mod j.  The n mod B steps left over come last, from the
         leftover table the same way.  B = 1 would draw step by step."""
         t = self.table
         if len(t.states) == 1:
@@ -397,18 +467,19 @@ class MartingaleModel:
             x += rest * values[-1]
             x *= 1.0 / math.sqrt(self.n)
             return TerminalBatch(x=x, log_weight=-lam * x + self.n * tl.step_log_mgf)
-        full, rem = self.block_tables(lam)
+        ladder, rem = self.block_tables(lam)
+        draws = [ladder[b] for b in self._blocks[1]]
+        if rem is not None:
+            draws.append(rem)
         x = np.zeros(size)
         psi = np.zeros(size)
         row = np.zeros(size, dtype=np.intp)  # block-start row 0 is state 0
-        blocks, leftover = divmod(self.n, full.steps)
-        for tab, count in ((full, blocks), (rem, leftover > 0)):
-            for _ in range(count):
-                off = row * tab.width
-                cell = off + alias_draw(tab.alias, off, tab.width, rng.random(size))
-                x += tab.dx[cell]
-                psi += tab.dpsi[cell]
-                row = tab.end[cell]
+        for tab in draws:
+            off = row * tab.width
+            cell = off + alias_draw(tab.alias, off, tab.width, rng.random(size))
+            x += tab.dx[cell]
+            psi += tab.dpsi[cell]
+            row = tab.end[cell]
         return TerminalBatch(x=x, log_weight=-lam * x + psi)
 
     def terminal_law(self, lam: float = 0.0) -> TerminalLaw | None:
@@ -441,11 +512,14 @@ class MartingaleModel:
 
     @cached_property
     def _blocks(self):
-        """The tilt-free part of the block tables (full, leftover): the
-        grouped outcomes of a block of B steps and, when B does not divide n,
-        of the n mod B steps left over, from each block-start state reachable
-        from state 0.  One forward pass over every atom sequence from those
-        states gives both."""
+        """The tilt-free part of the block tables (ladder, plan, leftover).
+        ladder[b] holds the grouped outcomes of 2^b blocks of B steps, from
+        each block-start state reachable from state 0: one forward pass over
+        every atom sequence from those states gives the first, and each next
+        one is its predecessor doubled, while 2^b blocks fit in n and a row
+        has at most BLOCK_TABLE_CELLS cells.  plan is the level each draw of
+        a path uses (`draw_plan`), and leftover the outcomes of the n mod B
+        steps left over, from the same pass (None when B divides n)."""
         t = self.table
         S, width = t.T.shape
         steps = block_steps(S, width)
@@ -463,8 +537,9 @@ class MartingaleModel:
             rows += frontier
         row_of = np.zeros(S, dtype=np.intp)
         row_of[rows] = np.arange(len(rows))
-        # one column per (law, atom); each cell counts how often it drew each
-        one_hot = np.eye(len(t.laws) * width, dtype=np.int8)  # counts <= B <= 14
+        # one column per (law, atom); each cell counts how often it drew each.
+        # int8 holds the counts of one pass (<= B <= 14); grouping widens them
+        one_hot = np.eye(len(t.laws) * width, dtype=np.int8)
         end = np.array(rows)[:, None]
         real = np.ones(end.shape, dtype=bool)  # no padded atom drawn
         count = np.zeros((len(rows), 1, one_hot.shape[0]), dtype=np.int8)
@@ -480,18 +555,31 @@ class MartingaleModel:
         values = np.zeros(one_hot.shape[0])
         for i, law in enumerate(self.scaled_laws):
             values[i * width:i * width + len(law.atoms)] = law.values
-        full = _BlockOutcomes.group(steps, *passes[steps], row_of, values)
-        if not leftover:
-            return full, None
+
+        def grouped(step, row_of):
+            end, real, count = passes[step]
+            row = np.nonzero(real)[0]
+            return _BlockOutcomes.group(step, len(rows), row, row_of[end[real]],
+                                        count[real], np.ones(row.size), values)
+
+        ladder = [grouped(steps, row_of)]
+        k = self.n // steps
+        while len(ladder) < k.bit_length():
+            doubled = ladder[-1].doubled(BLOCK_TABLE_CELLS)
+            if doubled is None:
+                break
+            ladder.append(doubled)
         # nothing is drawn after the leftover steps, so their end states are
         # not needed: all map to row 0
-        return full, _BlockOutcomes.group(leftover, *passes[leftover],
-                                          np.zeros_like(row_of), values)
+        rem = grouped(leftover, np.zeros_like(row_of)) if leftover else None
+        return ladder, draw_plan(k, len(ladder)), rem
 
     def block_tables(self, lam: float):
-        """(full, leftover) `BlockTable`s under P_lam: a block of B steps and
-        the n mod B steps left over (None when B divides n).  Built once per
-        lam and kept, since the estimators draw one chunk at a time."""
+        """(ladder, leftover) `BlockTable`s under P_lam: ladder[b] draws 2^b
+        blocks of B steps, and is None when no draw of a path uses it;
+        leftover draws the n mod B steps left over (None when B divides n).
+        Built once per lam and kept, since the estimators draw one chunk at
+        a time."""
         if lam not in self._block_cache:
             width = self.table.T.shape[1]
             q = np.zeros(len(self.table.laws) * width)
@@ -499,8 +587,10 @@ class MartingaleModel:
             for i, tl in enumerate(self.tilted_laws(lam)):
                 q[i * width:i * width + len(tl.atoms)] = tl.probs
                 psi[i * width:(i + 1) * width] = tl.step_log_mgf
-            self._block_cache[lam] = tuple(None if g is None else g.tilted(q, psi)
-                                           for g in self._blocks)
+            ladder, plan, rem = self._blocks
+            self._block_cache[lam] = (
+                [g.tilted(q, psi) if b in plan else None for b, g in enumerate(ladder)],
+                None if rem is None else rem.tilted(q, psi))
         return self._block_cache[lam]
 
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from mdmart import mixing
-from mdmart.alias import draw_plan
-from mdmart.mixing import (BLOCK_TABLE_CELLS, MIX_CHUNK, ChainError,
-                           MarkovChainSpec, _block_law, _block_tables,
+from mdmart.alias import BLOCK_TABLE_CELLS, draw_plan
+from mdmart.mixing import (MIX_CHUNK, ChainError, MarkovChainSpec,
+                           _block_law, _block_tables,
                            berbee_couple, berbee_mismatch_probability,
                            beta_by_enumeration, beta_coefficient,
                            beta_two_state_closed_form, block_indices,

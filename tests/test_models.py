@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdmart import models
+from mdmart.alias import BLOCK_TABLE_CELLS, draw_plan
 from mdmart.models import (ATOL, BLOCK_CELLS, CertificationError,
                            ConditionalLaw, MartingaleModel, ModelError,
-                           block_steps, certify, check_sakhanenko,
-                           make_heavy_left, make_rademacher,
+                           _BlockOutcomes, block_steps, certify,
+                           check_sakhanenko, make_heavy_left, make_rademacher,
                            make_regime_switch, verify_certificate)
 from mdmart.montecarlo import enumerate_terminal, estimate_tail_plain
 from mdmart.tilt import choose_tilt
@@ -297,8 +299,9 @@ def exact_terminal_law(model, lam):
 
 
 # the state-dependent models at horizons below the block length B, equal to
-# it, B + 2 and 2B + 3, so both the full block table and the leftover one
-# are drawn from
+# it, B + 2 and 2B + 3, so both the block tables and the leftover one are
+# drawn from; regime_switch also at 3B and 4B + 3, whose paths draw from the
+# tables of one and of two blocks, or of two blocks and the leftover steps
 _B_RS = block_steps(*make_regime_switch(1, 0.3).table.T.shape)
 _B_SS = block_steps(*SignSwitch(1).table.T.shape)
 SAMPLER_MODELS = {"regime_switch": make_regime_switch(10, 0.3),
@@ -306,8 +309,28 @@ SAMPLER_MODELS = {"regime_switch": make_regime_switch(10, 0.3),
                   "rademacher": make_rademacher(12)}
 SAMPLER_MODELS.update({f"{m.name}-n{m.n}": m for m in (
     make_regime_switch(3, 0.3), make_regime_switch(_B_RS, 0.3),
-    make_regime_switch(2 * _B_RS + 3, 0.3), SignSwitch(_B_SS),
+    make_regime_switch(2 * _B_RS + 3, 0.3), make_regime_switch(3 * _B_RS, 0.3),
+    make_regime_switch(4 * _B_RS + 3, 0.3), SignSwitch(_B_SS),
     SignSwitch(2 * _B_SS + 3))})
+
+
+def row0_law(tab, lam):
+    """(X, log weight, P_lam) of the cells of row 0 of a `BlockTable`: the
+    law of the table's steps from state 0."""
+    row0 = np.flatnonzero(tab.prob[:tab.width] > 0.0)
+    dx = tab.dx[row0]
+    return dx, -lam * dx + tab.dpsi[row0], tab.prob[row0]
+
+
+class CountingRng:
+    """A generator that records the size of every `random` call."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    def random(self, size):
+        self.calls.append(size)
+        return self.rng.random(size)
 
 
 class TestStateTable:
@@ -417,26 +440,87 @@ class TestStateTable:
             assert np.allclose(g, w, rtol=rtol, atol=0.0, equal_nan=True)
 
     @pytest.mark.parametrize("lam", [0.0, 0.8])
-    @pytest.mark.parametrize("make", [lambda n: make_regime_switch(n, 0.3), SignSwitch],
-                             ids=["regime_switch", "sign_switch"])
-    def test_block_law_is_the_enumeration(self, make, lam):
-        # row 0 of the block table at n = b is the law of the whole path:
-        # b = B uses the full table, b = 3 < B the leftover one
+    @pytest.mark.parametrize("make, levels", [
+        (lambda n: make_regime_switch(n, 0.3), 2),
+        (lambda n: make_regime_switch(n, 0.45), 2), (SignSwitch, 1)],
+        ids=["regime_switch", "regime_switch-0.45", "sign_switch"])
+    def test_block_law_is_the_enumeration(self, make, levels, lam):
+        # row 0 of a table at n = its steps is the law of the whole path:
+        # at n = 2^b B the path is one draw from the table of 2^b blocks,
+        # and at n = 3 < B one draw from the leftover table.  The tables
+        # with n <= 14, the enumeration's guard, are held to it: at
+        # gamma = 0.45 B = 7, so that includes its doubled table, at
+        # n = 14; gamma = 0.3's, at n = 16, is held to the forward pass in
+        # the next test.  sign_switch's doubling is refused, as its rows
+        # would pass BLOCK_TABLE_CELLS
         steps = block_steps(*make(1).table.T.shape)
-        for b in (steps, 3):
-            m = make(b)
-            full, rem = m.block_tables(lam)
-            tab = full if b == steps else rem
-            assert tab.steps == b
-            row0 = np.flatnonzero(tab.prob[:tab.width] > 0.0)
-            dx = tab.dx[row0]
-            got_keys, (got,) = by_value([dx, -lam * dx + tab.dpsi[row0]],
-                                        [tab.prob[row0]])
-            q, x, lw = enumerate_terminal(m, lam)
+        assert len(make(2 * steps)._blocks[0]) == levels
+        tables = [(steps << b, make(steps << b).block_tables(lam)[0][b])
+                  for b in range(levels) if steps << b <= 14]
+        tables.append((3, make(3).block_tables(lam)[1]))
+        for n, tab in tables:
+            assert tab.steps == n
+            dx, lw, prob = row0_law(tab, lam)
+            got_keys, (got,) = by_value([dx, lw], [prob])
+            q, x, lw = enumerate_terminal(make(n), lam)
             want_keys, (want,) = by_value([x, lw], [q])
             for g, w in zip(got_keys, want_keys):
                 assert np.allclose(g, w, rtol=0.0, atol=1e-12)
             assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("lam", [0.0, 0.8])
+    def test_doubled_table_is_the_forward_pass(self, lam):
+        # regime_switch's table of two blocks at n = 2B = 16, past the
+        # enumeration's guard: per value of X_n, its P_lam and E_lam[w^2]
+        # against the forward pass over (state, X)
+        m = make_regime_switch(2 * _B_RS, 0.3)
+        tab = m.block_tables(lam)[0][1]
+        assert tab.steps == m.n
+        dx, lw, prob = row0_law(tab, lam)
+        (got_x,), (mass, m2) = by_value([dx], [prob, prob * np.exp(2.0 * lw)])
+        values, _, want_mass, want_m2 = exact_terminal_law(m, lam)
+        assert np.allclose(got_x, values, rtol=0.0, atol=1e-9)
+        assert np.abs(mass - want_mass).max() <= 1e-12
+        assert np.allclose(m2, want_m2, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("model", [
+        make_regime_switch(1600, 0.3), make_regime_switch(1600, 0.1),
+        make_regime_switch(1600, 0.0), SignSwitch(1600)],
+        ids=["regime_switch", "regime_switch-0.1", "regime_switch-0.0", "sign_switch"])
+    def test_doubling_stops_at_the_cell_bound(self, model):
+        # each level's cells_bound is at most the true cell count of each
+        # row of its doubling, and the ladder stops at the first doubling
+        # past BLOCK_TABLE_CELLS; all four stop there before 2^b blocks
+        # would pass n
+        ladder = model._blocks[0]
+        assert 1 << len(ladder) <= model.n // ladder[0].steps
+        for b, level in enumerate(ladder):
+            bound = level.cells_bound()
+            full = level.doubled(math.inf)
+            cells = np.bincount(full.cell // full.width, minlength=bound.size)
+            assert (bound <= cells).all()
+            assert (full.width <= BLOCK_TABLE_CELLS) == (b + 1 < len(ladder))
+
+    def test_doubling_refused_before_pairing(self, monkeypatch):
+        # regime_switch's table of four blocks would have 1008 cells in a
+        # row; the bound shows that before its 345k pairs are formed, so
+        # only the forward pass (3328 atom sequences) and the one doubling
+        # group outcomes
+        real, sizes = _BlockOutcomes.group.__func__, []
+
+        def counted(cls, steps, rows, row, *rest):
+            sizes.append(row.size)
+            return real(cls, steps, rows, row, *rest)
+
+        monkeypatch.setattr(_BlockOutcomes, "group", classmethod(counted))
+        ladder = make_regime_switch(1600, 0.3)._blocks[0]
+        assert [level.steps for level in ladder] == [8, 16]
+        assert ladder[1].cells_bound().max() > BLOCK_TABLE_CELLS
+        assert sizes == [3328, 26112]
+        # the first doubling forms 26112 pairs, so a DOUBLING_PAIRS one
+        # below that refuses it
+        monkeypatch.setattr(models, "DOUBLING_PAIRS", 26111)
+        assert len(make_regime_switch(1600, 0.3)._blocks[0]) == 1
 
     def test_block_steps_rule(self):
         # the largest b whose forward pass over every state fits the budget
@@ -448,27 +532,36 @@ class TestStateTable:
                 assert b == 1 or states * width ** b <= BLOCK_CELLS
                 assert states * width ** (b + 1) > BLOCK_CELLS
 
-    def test_one_uniform_per_block(self):
-        # 2B + 3 steps take three uniforms per path: two blocks and the
-        # leftover steps
-        class Counting:
-            def __init__(self):
-                self.rng, self.calls = np.random.default_rng(0), []
-
-            def random(self, size):
-                self.calls.append(size)
-                return self.rng.random(size)
-
-        m = make_regime_switch(2 * _B_RS + 3, 0.3)
-        rng = Counting()
+    @pytest.mark.parametrize("n", [3, _B_RS, 2 * _B_RS + 3, 3 * _B_RS,
+                                   4 * _B_RS + 3, 7 * _B_RS + 5])
+    def test_one_uniform_per_planned_draw(self, n):
+        # a path of k = n // B blocks takes one uniform per draw of
+        # draw_plan(k, levels), and one for the leftover steps; the tables
+        # drawn from cover the n steps
+        m = make_regime_switch(n, 0.3)
+        rng = CountingRng(0)
         m.simulate_terminal(100, rng, 0.8)
-        assert rng.calls == [100, 100, 100]
+        ladder, plan, rem = m._blocks
+        assert plan == draw_plan(n // _B_RS, len(ladder))
+        assert rng.calls == [100] * (len(plan) + (n % _B_RS > 0))
+        tables, leftover = m.block_tables(0.8)
+        assert sum(tables[b].steps for b in plan) + n % _B_RS == n
+        assert (leftover is None) == (rem is None) == (n % _B_RS == 0)
+
+    def test_regime_switch_draw_count(self):
+        # at n = 1600 a regime_switch path takes at most 100 uniforms: the
+        # 200 blocks of 8 steps are drawn two at a time
+        rng = CountingRng(0)
+        make_regime_switch(1600, 0.3).simulate_terminal(10, rng, 1.0)
+        assert len(rng.calls) <= 100
 
     def test_plain_stream_pinned(self):
         # the value the block sampler draws; any change to the stream layout
-        # or the per-block draw shows here.  The per-step sampler it replaced
-        # drew 0.1555 from the same streams; the two are independent
-        # estimates of one probability, so they agree within 4 sqrt(2) SE
+        # or the per-draw tables shows here.  From the same streams, the
+        # per-step sampler drew 0.1555 and the sampler of one block per
+        # uniform 0.1573; all are independent estimates of one probability,
+        # so each pair agrees within 4 sqrt(2) SE
         est = estimate_tail_plain(make_regime_switch(200, 0.3), 1.0, 20000, 5)
-        assert est.p_hat == 0.1573
-        assert abs(est.p_hat - 0.1555) <= 4.0 * math.sqrt(2.0) * est.std_err
+        assert est.p_hat == 0.1629
+        for earlier in (0.1555, 0.1573):
+            assert abs(est.p_hat - earlier) <= 4.0 * math.sqrt(2.0) * est.std_err
