@@ -52,6 +52,17 @@ def seeded_stream(seed: int, j: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, j]))
 
 
+def positioned_stream(seed: int, skip: int) -> np.random.Generator:
+    """`seeded_stream(seed)` as it stands after `skip` doubles were drawn
+    from it, reached without drawing them: Philox makes four 64-bit words
+    per counter step and a double takes one word, so the counter is advanced
+    skip // 4 steps and the skip % 4 doubles left are drawn and dropped."""
+    rng = seeded_stream(seed)
+    rng.bit_generator.advance(skip // 4)
+    rng.random(skip % 4)
+    return rng
+
+
 def seeded_chunks(seed: int, total: int, size: int, row: int = 0):
     """Yield (rng, count) for `total` draws split into chunks of `size`; the
     last chunk holds the remainder.  Chunk j draws from the stream keyed

@@ -11,27 +11,33 @@ import numpy as np
 
 from . import bounds
 from .models import certify, make_rademacher
-from .montecarlo import seeded_stream
+from .montecarlo import positioned_stream, seeded_stream
 
-# the remainder suite checks its samples this many at a time, which keeps the
-# check's temporaries small next to the drawn arrays
+# the remainder suite draws, checks and drops its samples this many at a
+# time, so its memory is bounded by the slice whatever the budget
 REMAINDER_SLICE = 65536
 
 
 def suite_remainder_inequalities(samples: int = 10 ** 6, seed: int = 0):
     """|x(e^x-1-x)| <= 2|x|^{2+rho} e^{x+} and the second-order analogue on
-    random (x, rho)."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = seeded_stream(seed)
-    xs = rng.uniform(-50.0, 50.0, samples)
-    rhos = rng.uniform(0.0, 1.0, samples)
-    rhos[rhos == 0.0] = 1.0
+    random (x, rho).
+
+    The x's are the first `samples` doubles of the stream keyed [seed, 0]
+    and the rho's the next `samples`.  A second generator on that key starts
+    at position `samples` (`positioned_stream`), so each slice of
+    REMAINDER_SLICE pairs is drawn from the two generators, checked and
+    dropped: memory does not grow with `samples`."""
+    if not 1 <= samples < 2 ** 63:
+        raise ValueError("samples must lie in [1, 2^63)")
+    x_rng = seeded_stream(seed)
+    rho_rng = positioned_stream(seed, samples)
     bad = 0
-    for i in range(0, samples, REMAINDER_SLICE):
-        ok = bounds.check_remainder_bounds(xs[i:i + REMAINDER_SLICE],
-                                           rhos[i:i + REMAINDER_SLICE])
-        bad += int(np.count_nonzero(~ok))
+    for start in range(0, samples, REMAINDER_SLICE):
+        size = min(REMAINDER_SLICE, samples - start)
+        xs = x_rng.uniform(-50.0, 50.0, size)
+        rhos = rho_rng.uniform(0.0, 1.0, size)
+        rhos[rhos == 0.0] = 1.0
+        bad += int(np.count_nonzero(~bounds.check_remainder_bounds(xs, rhos)))
     return "remainder_inequalities", bad == 0, f"{bad} violations in {samples}"
 
 

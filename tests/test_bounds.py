@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mdmart import bounds
+from mdmart import bounds, verify
 from mdmart.montecarlo import seeded_stream
+from mdmart.verify import REMAINDER_SLICE
 
 
 def reference_remainders(x):
@@ -165,3 +167,47 @@ class TestRemainderInequalities:
         for x in (1e-5, -1e-5, 9e-5):
             direct = x * (math.expm1(x) - x)
             assert bounds.taylor_remainder1(x) == pytest.approx(direct, rel=1e-6)
+
+
+def traced_peak(call):
+    """Peak bytes tracemalloc sees while `call` runs; numpy's buffers are
+    traced."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRemainderSuite:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("samples", [1, 3, 4, 5, REMAINDER_SLICE + 1,
+                                         2 * REMAINDER_SLICE + 3])
+    def test_checks_the_unsliced_draws(self, monkeypatch, samples, seed):
+        # the x's are the first `samples` doubles of the seed's stream and
+        # the rho's the next `samples`, checked pair by pair in slices
+        seen = []
+        check = bounds.check_remainder_bounds
+
+        def record(xs, rhos):
+            seen.append((xs.copy(), rhos.copy()))
+            return check(xs, rhos)
+
+        monkeypatch.setattr(bounds, "check_remainder_bounds", record)
+        assert verify.suite_remainder_inequalities(samples, seed)[1]
+        rng = seeded_stream(seed)
+        xs = rng.uniform(-50.0, 50.0, samples)
+        rhos = rng.uniform(0.0, 1.0, samples)
+        rhos[rhos == 0.0] = 1.0
+        assert max(x.size for x, _ in seen) <= REMAINDER_SLICE
+        assert np.concatenate([x for x, _ in seen]).tobytes() == xs.tobytes()
+        assert np.concatenate([r for _, r in seen]).tobytes() == rhos.tobytes()
+
+    def test_memory_does_not_grow_with_samples(self):
+        # the 2e6 doubles of a 1e6 budget would take 16 MB at once
+        small = traced_peak(
+            lambda: verify.suite_remainder_inequalities(2 * REMAINDER_SLICE))
+        peak = traced_peak(lambda: verify.suite_remainder_inequalities(10 ** 6))
+        assert peak < 4e6
+        assert peak < small + 2e5

@@ -90,7 +90,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  ["couple", "--alpha", "-1"], ["couple", "--alpha", "nan"],
                  ["couple", "--alpha", "inf"], ["couple", "--alpha", "1"],
                  ["mdp", "--b", "inf"], ["tail", "--budget", str(2 ** 63)],
-                 ["mdp", "--budget", str(2 ** 63)]):
+                 ["mdp", "--budget", str(2 ** 63)],
+                 ["verify", "--budget", str(2 ** 63)]):
         assert main(["--out", str(tmp_path)] + argv) == 2, argv
         assert "Traceback" not in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

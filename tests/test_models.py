@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from mdmart import models
 from mdmart.alias import BLOCK_TABLE_CELLS, draw_plan
-from mdmart.models import (ATOL, BLOCK_CELLS, CertificationError,
-                           ConditionalLaw, MartingaleModel, ModelError,
+from mdmart.models import (ATOL, BLOCK_CELLS, DEFAULT_GRID, Certificate,
+                           CertificationError, ConditionalLaw,
+                           MartingaleModel, ModelError,
                            _BlockOutcomes, block_steps, certify,
                            check_sakhanenko, make_heavy_left, make_rademacher,
                            make_regime_switch, verify_certificate)
@@ -160,6 +161,40 @@ class TestCertify:
             certify(m, grid=(64.0,))
         assert exc.value.witness_law is not None
         assert exc.value.log_lhs > exc.value.log_rhs
+
+    @staticmethod
+    def searched(model, grid=DEFAULT_GRID):
+        """What `certify` gives when it calls `check_sakhanenko` afresh for
+        every candidate and law: the Certificate, or the witness (law,
+        log_lhs, log_rhs) of the CertificationError."""
+        laws = list(model.reachable_laws())
+        worst = None
+        for _, L, K in sorted((max(K, L), L, K) for K in grid for L in grid):
+            for law in laws:
+                ok, log_lhs, log_rhs = check_sakhanenko(law, model.rho, K, L)
+                if not ok:
+                    if worst is None or log_lhs - log_rhs > worst[1] - worst[2]:
+                        worst = (law, log_lhs, log_rhs)
+                    break
+            else:
+                return Certificate(rho=model.rho, K=K, L=L, n=model.n,
+                                   N=math.sqrt(model.variance_deviation()))
+        return worst
+
+    @pytest.mark.parametrize("model", [
+        make_heavy_left(400, 0.5), make_heavy_left(400, 1.0),
+        make_heavy_left(1600), make_regime_switch(400, 0.3),
+        make_rademacher(400, 0.7)], ids=lambda m: f"{m.name}-rho{m.rho}")
+    def test_certificate_is_the_full_search(self, model):
+        assert certify(model) == self.searched(model)
+
+    @pytest.mark.parametrize("grid", [(64.0,), DEFAULT_GRID[:4]])
+    def test_witness_is_the_full_search(self, grid):
+        model = make_heavy_left(400)
+        with pytest.raises(CertificationError) as exc:
+            certify(model, grid=grid)
+        witness = (exc.value.witness_law, exc.value.log_lhs, exc.value.log_rhs)
+        assert witness == self.searched(model, grid)
 
     def test_certificate_json(self):
         import json
