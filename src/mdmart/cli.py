@@ -8,6 +8,7 @@ mdp (moderate-deviation scan), couple (quantile coupling report) and mixing
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -21,7 +22,7 @@ from .coupling import CouplingReport, exact_coupling_report
 from .mixing import mixing_tail_experiment, two_state_chain
 from .models import (_FACTORIES, CertificationError, ModelError, certify,
                      make_rademacher)
-from .montecarlo import mdp_scan, ratio_report, write_csv
+from .montecarlo import RatioReport, mdp_scan, ratio_report, write_csv
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -39,6 +40,38 @@ def _build_model(args):
     model = factory(args.n, **kwargs)
     args.rho = model.rho
     return model
+
+
+def _add_model_flags(p):
+    """The flags that pick and parametrize a model, for `certify` and `tail`."""
+    p.add_argument("--model", default="rademacher", choices=list(_FACTORIES))
+    p.add_argument("--n", type=int, default=400)
+    p.add_argument("--rho", type=float,
+                   help="moment exponent in (0, 1]; default: the model's own")
+    p.add_argument("--gamma", type=float, default=0.3)
+    p.add_argument("--tail-atoms", type=int, default=8)
+
+
+@functools.cache
+def _model_flag_defaults():
+    """The model flags' own defaults, unchanged by --config: from a parser of
+    those flags alone, built once."""
+    flags = argparse.ArgumentParser(add_help=False)
+    _add_model_flags(flags)
+    return vars(flags.parse_args([]))
+
+
+def _model_tag(args):
+    """'_rho0.7_tail_atoms4' and the like: each model flag that the model's
+    factory takes and whose value differs from its default, in flag order;
+    '' at the defaults.  A flag's default is the factory's, or the flag's
+    own where the factory has none.  Call after `_build_model`, which sets
+    rho."""
+    accepted = inspect.signature(_FACTORIES[args.model]).parameters
+    defaults = {**_model_flag_defaults(),
+                **{k: p.default for k, p in accepted.items() if p.default is not p.empty}}
+    return "".join(f"_{k}{getattr(args, k)}" for k in ("rho", "gamma", "tail_atoms")
+                   if k in accepted and getattr(args, k) != defaults[k])
 
 
 def _parse_grid(spec: str):
@@ -79,7 +112,7 @@ def cmd_certify(args):
     model = _build_model(args)
     doc = certify(model).to_json()
     print(doc)
-    path = _out_path(args, f"certificate_{model.name}_n{model.n}.json")
+    path = _out_path(args, f"certificate_{model.name}_n{model.n}{_model_tag(args)}.json")
     with open(path, "w") as fh:
         fh.write(doc + "\n")
     print(f"wrote {path}")
@@ -94,7 +127,8 @@ def cmd_tail(args):
     grid = _parse_grid(args.x)
     report = ratio_report(model, grid, args.budget, args.seed, params)
     path = _out_path(args, f"tail_{model.name}_n{model.n}_seed{args.seed}.csv")
-    report.write_csv(path, header_comment=_echo_config(args))
+    write_csv(path, RatioReport.CSV_COLUMNS, [vars(r) for r in report.rows],
+              _echo_config(args))
     warned = False
     print(f"{'x':>6} {'p_hat':>12} {'ratio':>8} {'ess':>10}")
     for r in report.rows:
@@ -110,8 +144,8 @@ def cmd_tail(args):
 
 def cmd_mdp(args):
     ns = [int(v) for v in args.n_list.split(",")]
-    table = mdp_scan(lambda n: make_rademacher(n), ns, args.rule, args.b,
-                     args.budget, args.seed)
+    table = mdp_scan(make_rademacher, ns, args.rule, args.b, args.budget,
+                     args.seed)
     path = _out_path(args, f"mdp_seed{args.seed}.csv")
     write_csv(path, ("n", "a_n", "x", "p_hat", "se", "rate", "ess"), table,
               _echo_config(args))
@@ -142,10 +176,11 @@ def cmd_mixing(args):
     report, info = mixing_tail_experiment(chain, args.n, args.alpha, grid,
                                           args.budget, args.seed)
     path = _out_path(args, f"mixing_n{args.n}_seed{args.seed}.csv")
-    report.write_csv(path, header_comment=_echo_config(args))
+    write_csv(path, RatioReport.CSV_COLUMNS, [vars(r) for r in report.rows],
+              _echo_config(args))
     info_path = _out_path(args, f"mixing_n{args.n}_seed{args.seed}_info.json")
     with open(info_path, "w") as fh:
-        json.dump({k: v for k, v in info.items()}, fh, default=float)
+        json.dump(info, fh, default=float)
     print(f"m={info['m']} k={info['k']} tau_n={info['tau_n']:.4f} "
           f"ES2={info['es2']:.4f}")
     if not info["envelope_defined"]:
@@ -167,24 +202,16 @@ def build_parser():
     parser.add_argument("--out", default=".", help="artifact directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_flags(p):
-        p.add_argument("--model", default="rademacher", choices=list(_FACTORIES))
-        p.add_argument("--n", type=int, default=400)
-        p.add_argument("--rho", type=float,
-                       help="moment exponent in (0, 1]; default: the model's own")
-        p.add_argument("--gamma", type=float, default=0.3)
-        p.add_argument("--tail-atoms", type=int, default=8)
-
     p = sub.add_parser("verify", help="run all closed-form inequality suites")
     p.add_argument("--budget", type=int, default=10 ** 6)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("certify", help="compute a moment-condition certificate")
-    add_model_flags(p)
+    _add_model_flags(p)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("tail", help="tilted tail estimates vs the normal tail")
-    add_model_flags(p)
+    _add_model_flags(p)
     p.add_argument("--x", default="0:4:0.5", help="grid a:b:step or comma list")
     p.add_argument("--budget", type=int, default=10 ** 5)
     p.add_argument("--c", type=float, default=1.0,

@@ -41,6 +41,14 @@ DOUBLING_PAIRS = 1 << 19
 LATTICE_CELLS = 1 << 18
 
 
+def _check_horizon(n: int, rho: float):
+    """Refuse a horizon below 1 or a rho outside (0, 1]."""
+    if n < 1:
+        raise ModelError("horizon n must be >= 1")
+    if not (0.0 < rho <= 1.0):
+        raise ModelError("rho must lie in (0, 1]")
+
+
 def block_steps(states: int, width: int) -> int:
     """Steps per block of the sampler for a state table with `states` rows
     of `width` atoms: the largest b with states * width**b <= BLOCK_CELLS,
@@ -88,10 +96,6 @@ class ConditionalLaw:
             raise ModelError("atom probs must sum to 1")
         if abs(math.fsum(p * v for v, p in self.atoms)) > ATOL:
             raise ModelError("law must have mean zero (martingale difference)")
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([v for v, _ in self.atoms])
 
     def second_moment(self) -> float:
         return math.fsum(p * v * v for v, p in self.atoms)
@@ -184,12 +188,16 @@ class StateTable:
     in breadth-first first-visit order from the initial state 0; `laws` holds
     the distinct conditional laws in first-visit order, `law_of[s]` indexes
     state s's law, and `T[s, a]` is the state after atom a of that law (rows
-    of laws with fewer atoms are padded with their last entry)."""
+    of laws with fewer atoms are padded with their last entry).  `values[i,
+    a]` is atom a's unscaled value in law i, padded with 0.0 to the table's
+    width, and `real[i, a]` marks the atoms that are not padding."""
 
     states: tuple
     laws: tuple[ConditionalLaw, ...]
     law_of: np.ndarray
     T: np.ndarray
+    values: np.ndarray
+    real: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -335,10 +343,7 @@ class MartingaleModel:
     """
 
     def __init__(self, name: str, n: int, rho: float):
-        if n < 1:
-            raise ModelError("horizon n must be >= 1")
-        if not (0.0 < rho <= 1.0):
-            raise ModelError("rho must lie in (0, 1]")
+        _check_horizon(n, rho)
         self.name = name
         self.n = n
         self.rho = rho
@@ -377,8 +382,12 @@ class MartingaleModel:
             rows.append(row)
         width = max(len(r) for r in rows)
         T = np.array([r + r[-1:] * (width - len(r)) for r in rows], dtype=np.intp)
+        real = np.arange(width) < np.array([len(law.atoms) for law in laws])[:, None]
+        values = np.zeros(real.shape)
+        values[real] = [v for law in laws for v, _ in law.atoms]
         return StateTable(states=tuple(states), laws=tuple(laws),
-                          law_of=np.array(law_of, dtype=np.intp), T=T)
+                          law_of=np.array(law_of, dtype=np.intp), T=T,
+                          values=values, real=real)
 
     def reachable_laws(self) -> Iterator[ConditionalLaw]:
         return iter(self.table.laws)
@@ -429,6 +438,18 @@ class MartingaleModel:
         from .tilt import tilt_law  # local import, avoids a cycle
         return [tilt_law(law, lam) for law in self.scaled_laws]
 
+    def law_arrays(self, lam: float):
+        """(values, probs, log_mgf) of `tilted_laws(lam)` as arrays, float
+        for float: the scaled atom values and tilted probabilities per (law,
+        atom), padded with 0.0 where `table.real` is False, and the log mgf
+        of each law.  Every consumer of the laws as arrays reads them here."""
+        real = self.table.real
+        tilted = self.tilted_laws(lam)
+        values, probs = np.zeros(real.shape), np.zeros(real.shape)
+        values[real] = [v for tl in tilted for v, _ in tl.atoms]
+        probs[real] = [p for tl in tilted for _, p in tl.atoms]
+        return values, probs, np.array([tl.step_log_mgf for tl in tilted])
+
     # -- simulation -------------------------------------------------------
 
     def simulate_terminal(self, size: int, rng: np.random.Generator,
@@ -449,9 +470,8 @@ class MartingaleModel:
         leftover table the same way.  B = 1 would draw step by step."""
         t = self.table
         if len(t.states) == 1:
-            tl = self.tilted_laws(lam)[0]
-            probs = [p for _, p in tl.atoms]
-            values = [v for v, _ in t.laws[0].atoms]
+            _, probs, log_mgf = self.law_arrays(lam)
+            probs, values = probs[0].tolist(), t.values[0].tolist()
             # suffix sums, not a running difference, so the conditional
             # probabilities stay in [0, 1] when trailing tilted probabilities
             # underflow to 0; left[j] >= probs[j], and an atom after the last
@@ -466,7 +486,7 @@ class MartingaleModel:
                 x += count * v
             x += rest * values[-1]
             x *= 1.0 / math.sqrt(self.n)
-            return TerminalBatch(x=x, log_weight=-lam * x + self.n * tl.step_log_mgf)
+            return TerminalBatch(x=x, log_weight=-lam * x + self.n * log_mgf[0])
         ladder, rem = self.block_tables(lam)
         draws = [ladder[b] for b in self._blocks[1]]
         if rem is not None:
@@ -494,11 +514,10 @@ class MartingaleModel:
         atom probabilities themselves, so it is relatively accurate in both
         tails."""
         t, n = self.table, self.n
-        if len(t.states) > 1 or len(t.laws[0].atoms) != 2 or n >= LATTICE_CELLS:
+        if t.T.shape != (1, 2) or n >= LATTICE_CELLS:
             return None
-        tl = self.tilted_laws(lam)[0]
-        (_, p0), (_, p1) = tl.atoms
-        (v0, _), (v1, _) = t.laws[0].atoms
+        _, probs, log_mgf = self.law_arrays(lam)
+        (p0, p1), (v0, v1) = probs[0].tolist(), t.values[0].tolist()
         k = np.arange(n + 1)
         # simulate_terminal's one-state arithmetic, with count = k
         x = k * v0
@@ -508,7 +527,7 @@ class MartingaleModel:
         log_prob = (log_fact[-1] - log_fact - log_fact[::-1]
                     + xlogy(k, p0) + xlogy(n - k, p1))
         return TerminalLaw(log_prob=log_prob, x=x,
-                           log_weight=-lam * x + n * tl.step_log_mgf)
+                           log_weight=-lam * x + n * log_mgf[0])
 
     @cached_property
     def _blocks(self):
@@ -525,8 +544,7 @@ class MartingaleModel:
         steps = block_steps(S, width)
         leftover = self.n % steps
         a = np.arange(width)
-        atoms = np.array([len(law.atoms) for law in t.laws])
-        real_atom = a < atoms[t.law_of][:, None]
+        real_atom = t.real[t.law_of]
         # the block-start states: from state 0 and from every block end
         rows, frontier = [0], [0]
         while frontier:
@@ -552,9 +570,7 @@ class MartingaleModel:
             end = t.T[end].reshape(real.shape)
             if step in (leftover, steps):
                 passes[step] = (end, real, count)
-        values = np.zeros(one_hot.shape[0])
-        for i, law in enumerate(self.scaled_laws):
-            values[i * width:i * width + len(law.atoms)] = law.values
+        values = self.law_arrays(0.0)[0].ravel()
 
         def grouped(step, row_of):
             end, real, count = passes[step]
@@ -581,12 +597,8 @@ class MartingaleModel:
         Built once per lam and kept, since the estimators draw one chunk at
         a time."""
         if lam not in self._block_cache:
-            width = self.table.T.shape[1]
-            q = np.zeros(len(self.table.laws) * width)
-            psi = np.zeros_like(q)
-            for i, tl in enumerate(self.tilted_laws(lam)):
-                q[i * width:i * width + len(tl.atoms)] = tl.probs
-                psi[i * width:(i + 1) * width] = tl.step_log_mgf
+            _, q, log_mgf = self.law_arrays(lam)
+            q, psi = q.ravel(), np.repeat(log_mgf, q.shape[1])
             ladder, plan, rem = self._blocks
             self._block_cache[lam] = (
                 [g.tilted(q, psi) if b in plan else None for b, g in enumerate(ladder)],
@@ -646,7 +658,11 @@ def verify_certificate(model: MartingaleModel, cert: Certificate) -> bool:
 
 
 class IIDModel(MartingaleModel):
-    """Differences that all follow the one law `_law`: a single state."""
+    """Differences that all follow the one law `law`: a single state."""
+
+    def __init__(self, name: str, n: int, rho: float, law: ConditionalLaw):
+        super().__init__(name, n, rho)
+        self._law = law
 
     def initial_state(self):
         return None
@@ -658,30 +674,6 @@ class IIDModel(MartingaleModel):
         return None
 
 
-class RademacherModel(IIDModel):
-    """i.i.d. +-1 differences; the canonical exactly-standardized instance."""
-
-    def __init__(self, n: int, rho: float = 1.0):
-        super().__init__("rademacher", n, rho)
-        self._law = ConditionalLaw(((1.0, 0.5), (-1.0, 0.5)))
-
-
-class HeavyLeftModel(IIDModel):
-    """i.i.d. differences with one positive atom and a heavy negative tail.
-
-    The negative side carries atoms down to -1e5 whose (2+rho)-moment stays
-    small while any two-sided exponential moment is astronomically large, so
-    the one-sided moment condition holds where two-sided conditions (Bernstein,
-    two-sided Sakhanenko) fail.
-    """
-
-    def __init__(self, n: int, rho: float, tail_atoms: int):
-        super().__init__("heavy_left", n, rho)
-        if tail_atoms < 2:
-            raise ModelError("need at least 2 negative tail atoms")
-        self._law = _build_heavy_left_law(rho, tail_atoms)
-
-
 def _build_heavy_left_law(rho, tail_atoms):
     """Mean-zero unit-variance law: positive atom +a, negatives at -b_j.
 
@@ -689,6 +681,8 @@ def _build_heavy_left_law(rho, tail_atoms):
     E[|v|^{2+rho}], keeping the one-sided moment small; the deepest atom still
     dominates the 6th moment, which breaks the Bernstein condition.
     """
+    if tail_atoms < 2:
+        raise ModelError("need at least 2 negative tail atoms")
     b = np.array([2.0 * (1e5 / 2.0) ** (j / (tail_atoms - 1))
                   for j in range(tail_atoms)])
     shape = b ** -(2.0 + rho)
@@ -762,12 +756,21 @@ class RegimeSwitchModel(MartingaleModel):
 # factories
 
 
-def make_rademacher(n: int, rho: float = 1.0) -> RademacherModel:
-    return RademacherModel(n, rho=rho)
+def make_rademacher(n: int, rho: float = 1.0) -> IIDModel:
+    """i.i.d. +-1 differences; the canonical exactly-standardized instance."""
+    return IIDModel("rademacher", n, rho, ConditionalLaw(((1.0, 0.5), (-1.0, 0.5))))
 
 
-def make_heavy_left(n: int, rho: float = 0.5, tail_atoms: int = 8) -> HeavyLeftModel:
-    return HeavyLeftModel(n, rho, tail_atoms)
+def make_heavy_left(n: int, rho: float = 0.5, tail_atoms: int = 8) -> IIDModel:
+    """i.i.d. differences with one positive atom and a heavy negative tail.
+
+    The negative side carries atoms down to -1e5 whose (2+rho)-moment stays
+    small while any two-sided exponential moment is astronomically large, so
+    the one-sided moment condition holds where two-sided conditions (Bernstein,
+    two-sided Sakhanenko) fail.
+    """
+    _check_horizon(n, rho)  # first: the law is built from rho
+    return IIDModel("heavy_left", n, rho, _build_heavy_left_law(rho, tail_atoms))
 
 
 def make_regime_switch(n: int, gamma: float, rho: float = 1.0) -> RegimeSwitchModel:

@@ -267,10 +267,6 @@ class RatioReport:
                    "ratio", "log_ratio", "bound_lo", "bound_hi", "ess",
                    "n_samples", "seed")
 
-    def write_csv(self, path, header_comment: str):
-        write_csv(path, self.CSV_COLUMNS, [vars(r) for r in self.rows],
-                  header_comment)
-
 
 def check_x_grid(x_grid: Sequence[float]):
     """Refuse the first x whose 1 - Phi(x) underflows to 0: it has no ratio.
@@ -379,7 +375,8 @@ def rademacher_exact_tail(n: int, x: float) -> float:
 
 def enumerate_terminal(model: MartingaleModel, lam: float = 0.0):
     """Exhaustive path enumeration, walking the model's state table one step
-    at a time: each step extends every path by every atom of its state's law.
+    at a time: each step extends every path by every atom of its state's law,
+    read from the padded arrays of `law_arrays`.
 
     Returns arrays (prob under P_lam, X_n, log_weight), one entry per path.
     Each path's products and sums are taken in step order, as a walk down
@@ -389,17 +386,8 @@ def enumerate_terminal(model: MartingaleModel, lam: float = 0.0):
     if model.n > 14:
         raise ValueError("enumeration limited to n <= 14")
     table = model.table
-    tilted = model.tilted_laws(lam)
-    width = table.T.shape[1]
-    # per law, its atoms padded to the table's width; `real` marks the atoms
-    real = np.zeros((len(tilted), width), dtype=bool)
-    value = np.zeros((len(tilted), width))
-    prob_of = np.zeros((len(tilted), width))
-    for i, tl in enumerate(tilted):
-        real[i, :len(tl.atoms)] = True
-        value[i, :len(tl.atoms)] = tl.values
-        prob_of[i, :len(tl.atoms)] = tl.probs
-    log_mgf = np.array([tl.step_log_mgf for tl in tilted])
+    real, width = table.real, table.T.shape[1]
+    value, prob_of, log_mgf = model.law_arrays(lam)
 
     state = np.zeros(1, dtype=np.intp)
     prob, x, psi = np.ones(1), np.zeros(1), np.zeros(1)

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
 from scipy.optimize import brentq
 
 from .models import ConditionalLaw, MartingaleModel
@@ -28,14 +27,6 @@ class TiltedLaw:
     lam: float
     atoms: tuple[tuple[float, float], ...]
     step_log_mgf: float
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([v for v, _ in self.atoms])
-
-    @property
-    def probs(self) -> np.ndarray:
-        return np.array([p for _, p in self.atoms])
 
     def mean(self) -> float:
         return math.fsum(p * v for v, p in self.atoms)

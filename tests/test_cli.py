@@ -27,6 +27,29 @@ def test_certify_writes_artifact(tmp_path, capsys):
     assert doc["N"] == 0.0 and doc["eps_n"] == doc["L"] / 10.0
 
 
+def test_certificates_at_other_parameters_keep_apart(tmp_path, capsys):
+    # a model flag that differs from its default is in the certificate's
+    # name, so it does not replace the default's; at the defaults, given or
+    # not, the name is certificate_{model}_n{n}.json
+    runs = [("rademacher", []), ("rademacher", ["--rho", "0.5"]),
+            ("rademacher", ["--gamma", "0.2"]), ("heavy_left", ["--rho", "0.5"]),
+            ("heavy_left", ["--tail-atoms", "4"]),
+            ("regime_switch", ["--gamma", "0.3"]),
+            ("regime_switch", ["--gamma", "0.2", "--rho", "0.7"])]
+    for model, extra in runs:
+        assert main(["--out", str(tmp_path), "certify", "--model", model,
+                     "--n", "400", *extra]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "certificate_heavy_left_n400.json",
+        "certificate_heavy_left_n400_tail_atoms4.json",
+        "certificate_rademacher_n400.json",
+        "certificate_rademacher_n400_rho0.5.json",
+        "certificate_regime_switch_n400.json",
+        "certificate_regime_switch_n400_rho0.7_gamma0.2.json"]
+    doc = json.loads((tmp_path / "certificate_rademacher_n400_rho0.5.json").read_text())
+    assert doc["rho"] == 0.5
+
+
 def test_tail_byte_identical(tmp_path):
     # exactly the same config twice; the artifact is overwritten in place
     args = ["--out", str(tmp_path), "--seed", "3", "tail", "--model",

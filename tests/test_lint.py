@@ -38,10 +38,10 @@ def test_no_unused_imports():
 
 
 # calls that belong to one module: a model's law and transition are read only
-# through its compiled state table, and every Philox stream is built by the
-# chunk engine
+# through its compiled state table, its tilted laws only as the padded arrays
+# of `law_arrays`, and every Philox stream is built by the chunk engine
 OWNED_CALLS = {"law_at": "models.py", "next_state": "models.py",
-               "Philox": "montecarlo.py"}
+               "tilted_laws": "models.py", "Philox": "montecarlo.py"}
 
 
 def called_name(call: ast.Call):
@@ -64,8 +64,10 @@ def foreign_calls(source: str, filename: str):
 
 
 def test_checker_catches_a_foreign_call():
-    src = "law = model.law_at(s)\nnp.random.Philox(key=1)\nm.scaled_law_at(s)\n"
-    assert foreign_calls(src, "tilt.py") == [(1, "law_at"), (2, "Philox")]
+    src = ("law = model.law_at(s)\nnp.random.Philox(key=1)\nm.scaled_law_at(s)\n"
+           "tilted = model.tilted_laws(0.5)\n")
+    assert foreign_calls(src, "tilt.py") == [(1, "law_at"), (2, "Philox"),
+                                             (4, "tilted_laws")]
     assert foreign_calls(src, "models.py") == [(2, "Philox")]
 
 

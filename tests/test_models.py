@@ -107,6 +107,14 @@ class TestHeavyLeft:
         ok_two, _, _ = check_sakhanenko(law, 0.5, cert.K, cert.L, two_sided=True)
         assert ok_one and not ok_two
 
+    def test_rho_checked_before_the_law(self):
+        # the law is built from rho, so a rho outside (0, 1] is refused first
+        for rho in (0.0, -1.0, 1.5):
+            with pytest.raises(ModelError, match="rho must lie in"):
+                make_heavy_left(400, rho=rho)
+        with pytest.raises(ModelError, match="tail atoms"):
+            make_heavy_left(400, tail_atoms=1)
+
     def test_bernstein_violated(self):
         law = make_heavy_left(100, 0.5, 8).law_at(None)
         for H in (1.0, 10.0, 100.0, 1000.0):
@@ -215,7 +223,7 @@ class TestSamplePath:
     def test_all_plus_path_value(self):
         # forced: ten up-moves give X_10 = sqrt(10)
         m = make_rademacher(10)
-        assert 10 * m.scaled_laws[0].values.max() == pytest.approx(math.sqrt(10))
+        assert 10 * max(v for v, _ in m.scaled_laws[0].atoms) == pytest.approx(math.sqrt(10))
 
     @settings(deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -251,7 +259,7 @@ class TestSamplePath:
         n, size = 1600, 1 << 16
         m = make_heavy_left(n)
         tl = m.tilted_laws(choose_tilt(m, x).lam)[0]
-        v, p = tl.values, tl.probs
+        v, p = (np.array(c) for c in zip(*tl.atoms))
         assert np.count_nonzero(p == 0.0) == 2
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -378,6 +386,32 @@ class TestStateTable:
         assert make_regime_switch(10, 0.3).table.states == m.table.states
         assert make_heavy_left(10).iid and not m.iid
         assert SignSwitch(5).table.T.tolist() == [[1, 2, 2], [1, 1, 2], [1, 2, 2]]
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.1])
+    @pytest.mark.parametrize("model", [make_rademacher(9), make_heavy_left(9),
+                                       make_regime_switch(9, 0.3), SignSwitch(9)],
+                             ids=["rademacher", "heavy_left", "regime_switch",
+                                  "sign_switch"])
+    def test_law_arrays_are_the_tilted_laws(self, model, lam):
+        # each law's row holds its atoms bit for bit, then 0.0 padding, and
+        # the mask marks exactly its atoms
+        def same(a, b):
+            return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+        t = model.table
+        values, probs, log_mgf = model.law_arrays(lam)
+        tilted = model.tilted_laws(lam)
+        width = t.T.shape[1]
+        assert values.shape == probs.shape == t.values.shape == t.real.shape
+        for i, (law, tl) in enumerate(zip(t.laws, tilted)):
+            k = len(law.atoms)
+            assert t.real[i].tolist() == [True] * k + [False] * (width - k)
+            assert same(t.values[i], [v for v, _ in law.atoms] + [0.0] * (width - k))
+            assert same(values[i], [v for v, _ in tl.atoms] + [0.0] * (width - k))
+            assert same(probs[i], [p for _, p in tl.atoms] + [0.0] * (width - k))
+        assert same(log_mgf, [tl.step_log_mgf for tl in tilted])
+        if isinstance(model, SignSwitch):
+            assert not t.real.all()  # some rows are padded
 
     def test_variance_deviation_by_enumeration(self):
         # the forward pass against max |sum_i (E[eta_i^2 | F_{i-1}] - 1)|

@@ -9,13 +9,14 @@ from scipy.stats import beta, binom
 from mdmart.bounds import BoundParams
 from mdmart.models import (LATTICE_CELLS, make_heavy_left, make_rademacher,
                            make_regime_switch)
-from mdmart.montecarlo import (MAX_PATHS, clopper_pearson, enumerate_terminal,
+from mdmart.montecarlo import (MAX_PATHS, RatioReport, clopper_pearson,
+                               enumerate_terminal,
                                estimate_tail_plain, estimate_tail_tilted,
                                exact_tail_by_enumeration,
                                is_expectation_by_enumeration,
                                lattice_histogram, mdp_scan,
                                rademacher_exact_tail, ratio_report,
-                               seeded_stream)
+                               seeded_stream, write_csv)
 from mdmart.tilt import choose_tilt
 from test_models import SignSwitch
 
@@ -351,8 +352,8 @@ class TestRatioReport:
         rep1 = ratio_report(make_rademacher(400), [0.5, 1.0], 20000, 11, params)
         rep2 = ratio_report(make_rademacher(400), [0.5, 1.0], 20000, 11, params)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        rep1.write_csv(p1, header_comment="run")
-        rep2.write_csv(p2, header_comment="run")
+        for rep, path in ((rep1, p1), (rep2, p2)):
+            write_csv(path, RatioReport.CSV_COLUMNS, [vars(r) for r in rep.rows], "run")
         assert p1.read_bytes() == p2.read_bytes()
 
 
