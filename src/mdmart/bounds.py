@@ -122,12 +122,61 @@ def rademacher_sup_distance(n: int) -> float:
     return float(max(np.abs(F - Phi).max(), np.abs(left_limits - Phi).max()))
 
 
-def check_remainder_bounds(x, rho):
+def remainder_work(size: int):
+    """Scratch for `check_remainder_bounds` on up to `size` pairs: four
+    float arrays and two bool arrays.  They are six allocations, not one
+    block: freeing one block of all six raises glibc's dynamic mmap
+    threshold, which changes how every later array of the process faults
+    (the benchmark's reference kernel among them)."""
+    return [np.empty(size) for _ in range(4)] + [np.empty(size, dtype=bool) for _ in range(2)]
+
+
+def _remainder_verdicts(x, rho, work):
+    """The check on a 1-d x of m values, in the first m entries of the
+    scratch.  One expm1 serves both remainders, and the series below
+    |x| = 1e-4 is evaluated only where x is that small."""
+    r1, r2, a, t, ok, hit = (w[:x.size] for w in work)
+    np.abs(x, out=a)
+    small = np.flatnonzero(np.less(a, 1e-4, out=ok))
+    np.expm1(x, out=r2)
+    r2 -= x                      # e^x - 1 - x
+    np.multiply(x, r2, out=r1)   # x(e^x - 1 - x)
+    np.multiply(x, 0.5, out=t)
+    t *= x
+    r2 -= t                      # e^x - 1 - x - x^2/2
+    if small.size:
+        r1[small] = taylor_remainder1(x[small])
+        r2[small] = taylor_remainder2(x[small])
+    # envelope |x|^{2+rho} e^{x+}; a scalar rho stays a scalar exponent,
+    # which numpy powers by 2.0 otherwise than an array of 2.0's
+    np.power(a, 2.0 + rho if np.ndim(rho) == 0 else np.add(rho, 2.0, out=t), out=a)
+    np.maximum(x, 0.0, out=t)
+    np.exp(t, out=t)
+    a *= t
+    np.multiply(a, 2.0, out=t)
+    t *= 1.0 + 1e-12
+    np.less_equal(np.abs(r1, out=r1), t, out=ok)
+    a *= 1.0 + 1e-12
+    ok &= np.less_equal(np.abs(r2, out=r2), a, out=hit)
+    ok |= np.equal(x, 0.0, out=hit)
+    return ok
+
+
+def check_remainder_bounds(x, rho, work=None):
     """|x(e^x-1-x)| <= 2|x|^{2+rho} e^{x+} and
     |e^x-1-x-x^2/2| <= |x|^{2+rho} e^{x+}, elementwise over the broadcast
-    of x and rho; a scalar for scalars."""
+    of x and rho; a scalar for scalars.
+
+    A caller that checks slice after slice passes `work`, the scratch of
+    `remainder_work(size)`, with a 1-d x of m <= size and rho a scalar or a
+    1-d array of m.  The check then allocates nothing per slice but for the
+    few |x| below the series cut, writes neither input, and returns its
+    verdicts as a view of `work` that the next call overwrites."""
+    if work is not None:
+        return _remainder_verdicts(x, rho, work)
     x = np.asarray(x, dtype=float)
-    envelope = np.abs(x) ** (2.0 + rho) * np.exp(np.maximum(x, 0.0))
-    ok = ((np.abs(taylor_remainder1(x)) <= 2.0 * envelope * (1.0 + 1e-12))
-          & (np.abs(taylor_remainder2(x)) <= envelope * (1.0 + 1e-12)))
-    return (ok | (x == 0.0))[()]
+    shape = np.broadcast_shapes(x.shape, np.shape(rho))
+    flat = np.broadcast_to(x, shape).ravel()
+    if np.ndim(rho):
+        rho = np.broadcast_to(rho, shape).ravel()
+    return _remainder_verdicts(flat, rho, remainder_work(flat.size)).reshape(shape)[()]

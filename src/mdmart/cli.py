@@ -126,7 +126,7 @@ def cmd_tail(args):
                          c=args.c)
     grid = _parse_grid(args.x)
     report = ratio_report(model, grid, args.budget, args.seed, params)
-    path = _out_path(args, f"tail_{model.name}_n{model.n}_seed{args.seed}.csv")
+    path = _out_path(args, f"tail_{model.name}_n{model.n}{_model_tag(args)}_seed{args.seed}.csv")
     write_csv(path, RatioReport.CSV_COLUMNS, [vars(r) for r in report.rows],
               _echo_config(args))
     warned = False

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,31 @@ def reference_remainders(x):
         return (x * (x * x / 2.0 + x ** 3 / 6.0 + x ** 4 / 24.0),
                 x ** 3 / 6.0 + x ** 4 / 24.0 + x ** 5 / 120.0)
     return x * (math.expm1(x) - x), math.expm1(x) - x - 0.5 * x * x
+
+
+def array_check(x, rho):
+    """The remainder check as one array formula, every temporary fresh:
+    both remainders on expm1, the series on the |x| < 1e-4 mask."""
+    small = np.abs(x) < 1e-4
+    xs = x[small]
+    r1 = x * (np.expm1(x) - x)
+    r1[small] = xs * (xs * xs / 2.0 + xs ** 3 / 6.0 + xs ** 4 / 24.0)
+    r2 = np.expm1(x) - x - 0.5 * x * x
+    r2[small] = xs ** 3 / 6.0 + xs ** 4 / 24.0 + xs ** 5 / 120.0
+    envelope = np.abs(x) ** (2.0 + rho) * np.exp(np.maximum(x, 0.0))
+    ok = ((np.abs(r1) <= 2.0 * envelope * (1.0 + 1e-12))
+          & (np.abs(r2) <= envelope * (1.0 + 1e-12)))
+    return ok | (x == 0.0)
+
+
+def suite_draws(seed, samples):
+    """The first `samples` (x, rho) pairs the remainder suite checks at
+    `seed` with a budget of `samples`."""
+    rng = seeded_stream(seed)
+    xs = rng.uniform(-50.0, 50.0, samples)
+    rhos = rng.uniform(0.0, 1.0, samples)
+    rhos[rhos == 0.0] = 1.0
+    return xs, rhos
 
 
 def reference_check(x, rho):
@@ -155,12 +184,48 @@ class TestRemainderInequalities:
 
     def test_array_matches_reference_on_suite_draws(self):
         # the first 1e4 samples verify's remainder suite checks at seed 0
-        rng = seeded_stream(0)
-        xs = rng.uniform(-50.0, 50.0, 10 ** 6)[:10 ** 4]
-        rhos = rng.uniform(0.0, 1.0, 10 ** 6)[:10 ** 4]
-        rhos[rhos == 0.0] = 1.0
+        xs, rhos = (a[:10 ** 4] for a in suite_draws(0, 10 ** 6))
         assert bounds.check_remainder_bounds(xs, rhos).tolist() == [
             reference_check(float(x), float(r)) for x, r in zip(xs, rhos)]
+
+    # ±0, the smallest subnormal, both sides of the series cut and the ends
+    # of the suite's range; rho = 4 lies outside the moment range, where
+    # the bounds fail near 0, so the verdicts are not all True
+    STRESS = np.array([0.0, 5e-324, 5e-5, math.nextafter(1e-4, 0.0), 1e-4,
+                       math.nextafter(1e-4, 1.0), 1.0, 50.0])
+
+    @pytest.mark.parametrize("rho", [1e-300, 0.5, 1.0, 4.0])
+    def test_buffered_matches_array_formula_on_stress(self, rho):
+        x = np.concatenate((self.STRESS, -self.STRESS))
+        expected = array_check(x, np.full(x.size, rho))
+        assert expected.all() == (rho <= 1.0)
+        # scratch wider than the slice and full of garbage, then reused
+        work = bounds.remainder_work(x.size + 3)
+        for w in work:
+            w.fill(np.nan if w.dtype == float else True)
+        for _ in range(2):
+            before = x.copy()
+            ok = bounds.check_remainder_bounds(x, np.full(x.size, rho), work)
+            assert ok.tolist() == expected.tolist()
+            assert x.tobytes() == before.tobytes()
+        scalar = bounds.check_remainder_bounds(x, rho, work)
+        assert scalar.tolist() == array_check(x, rho).tolist()
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_buffered_matches_array_formula_on_suite_draws(self, seed):
+        # the first 1e5 pairs the suite checks, as one slice and as slices
+        # through one set of scratch; at rho + 3 some of them fail
+        xs, rhos = suite_draws(seed, 10 ** 5)
+        for shift in (0.0, 3.0):
+            rho = rhos + shift
+            expected = array_check(xs, rho)
+            assert expected.all() == (shift == 0.0)
+            assert bounds.check_remainder_bounds(xs, rho).tolist() == expected.tolist()
+            work = bounds.remainder_work(REMAINDER_SLICE)
+            sliced = [bounds.check_remainder_bounds(
+                xs[i:i + REMAINDER_SLICE], rho[i:i + REMAINDER_SLICE], work).copy()
+                for i in range(0, xs.size, REMAINDER_SLICE)]
+            assert np.concatenate(sliced).tolist() == expected.tolist()
 
     def test_small_x_stability(self):
         # the series branch must agree with the direct formula
@@ -182,24 +247,23 @@ def traced_peak(call):
 
 class TestRemainderSuite:
     @pytest.mark.parametrize("seed", [0, 7])
+    # one slice and a pair past it, and 65537 and 131075, which end a pair
+    # or three past a slice boundary for any power-of-two slice up to 65536
     @pytest.mark.parametrize("samples", [1, 3, 4, 5, REMAINDER_SLICE + 1,
-                                         2 * REMAINDER_SLICE + 3])
+                                         65537, 131075])
     def test_checks_the_unsliced_draws(self, monkeypatch, samples, seed):
         # the x's are the first `samples` doubles of the seed's stream and
         # the rho's the next `samples`, checked pair by pair in slices
         seen = []
         check = bounds.check_remainder_bounds
 
-        def record(xs, rhos):
+        def record(xs, rhos, work):
             seen.append((xs.copy(), rhos.copy()))
-            return check(xs, rhos)
+            return check(xs, rhos, work)
 
         monkeypatch.setattr(bounds, "check_remainder_bounds", record)
         assert verify.suite_remainder_inequalities(samples, seed)[1]
-        rng = seeded_stream(seed)
-        xs = rng.uniform(-50.0, 50.0, samples)
-        rhos = rng.uniform(0.0, 1.0, samples)
-        rhos[rhos == 0.0] = 1.0
+        xs, rhos = suite_draws(seed, samples)
         assert max(x.size for x, _ in seen) <= REMAINDER_SLICE
         assert np.concatenate([x for x, _ in seen]).tobytes() == xs.tobytes()
         assert np.concatenate([r for _, r in seen]).tobytes() == rhos.tobytes()
@@ -211,3 +275,25 @@ class TestRemainderSuite:
         peak = traced_peak(lambda: verify.suite_remainder_inequalities(10 ** 6))
         assert peak < 4e6
         assert peak < small + 2e5
+
+    def test_page_faults_do_not_grow_with_slices(self):
+        # every slice is checked in buffers allocated once per call, so a
+        # budget of many slices faults in no more pages than one of two.
+        # Whether freed arrays go back to the kernel depends on what the
+        # process allocated before, so this is measured in a fresh one, as
+        # `mdmart verify` runs, after a first call has warmed it.
+        pytest.importorskip("resource")
+        code = (
+            "import resource\n"
+            "from mdmart.verify import REMAINDER_SLICE, suite_remainder_inequalities\n"
+            "def minor_faults(samples):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    suite_remainder_inequalities(samples)\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+            "minor_faults(2 * REMAINDER_SLICE)\n"
+            "print(minor_faults(2 * REMAINDER_SLICE), minor_faults(10 ** 6))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(verify.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        two, many = map(int, out.split())
+        assert many - two < 200, (two, many)

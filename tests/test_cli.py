@@ -61,6 +61,25 @@ def test_tail_byte_identical(tmp_path):
     assert target.read_bytes() == first
 
 
+def test_tails_at_other_parameters_keep_apart(tmp_path, capsys):
+    # as for certificates: a model flag that differs from its default is in
+    # the CSV's name; at the defaults, given or not, the name is
+    # tail_{model}_n{n}_seed{seed}.csv, as for the benchmark's tail flags
+    runs = [("rademacher", ["--rho", "1"]), ("rademacher", ["--rho", "0.5"]),
+            ("regime_switch", ["--gamma", "0.3"]),
+            ("heavy_left", ["--rho", "0.5", "--tail-atoms", "8"])]
+    for model, extra in runs:
+        assert main(["--out", str(tmp_path), "--seed", "3", "tail", "--model", model,
+                     "--n", "50", "--x", "0.5", "--budget", "500", *extra]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "tail_heavy_left_n50_seed3.csv", "tail_rademacher_n50_rho0.5_seed3.csv",
+        "tail_rademacher_n50_seed3.csv", "tail_regime_switch_n50_seed3.csv"]
+    for name, rho in (("tail_rademacher_n50_seed3.csv", 1.0),
+                      ("tail_rademacher_n50_rho0.5_seed3.csv", 0.5)):
+        header = (tmp_path / name).read_text().splitlines()[0]
+        assert json.loads(header[2:])["rho"] == rho
+
+
 def test_adjacent_seeds_draw_distinct_rows(tmp_path, capsys):
     # row i of a report draws from the streams of (seed, i), so the second
     # row of seed 3 and the first row of seed 4 share no stream
@@ -305,7 +324,7 @@ def test_config_file_defaults(tmp_path, capsys):
     assert main(["--config", str(atoms), "--out", str(tmp_path), "tail",
                  "--model", "heavy_left", "--rho", "0.5", "--x", "0.5",
                  "--tail-atoms", "3"]) == 0
-    header = (tmp_path / "tail_heavy_left_n100_seed0.csv").read_text()
+    header = (tmp_path / "tail_heavy_left_n100_tail_atoms3_seed0.csv").read_text()
     assert json.loads(header.splitlines()[0][2:])["tail_atoms"] == 3
     bad = tmp_path / "bad.json"
     for doc in ({"no_such_flag": 1}, {"n": "abc"}, {"n": 1.5}):
