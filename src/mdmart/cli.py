@@ -52,26 +52,35 @@ def _add_model_flags(p):
     p.add_argument("--tail-atoms", type=int, default=8)
 
 
+def _commands(parser):
+    """The parsers of the commands, by name."""
+    return next(a.choices for a in parser._actions if a.dest == "command")
+
+
 @functools.cache
-def _model_flag_defaults():
-    """The model flags' own defaults, unchanged by --config: from a parser of
-    those flags alone, built once."""
-    flags = argparse.ArgumentParser(add_help=False)
-    _add_model_flags(flags)
-    return vars(flags.parse_args([]))
+def _flag_defaults(command):
+    """The built-in defaults of `command`'s flags, unchanged by --config:
+    from a parser of their own, built once per command."""
+    return vars(_commands(build_parser())[command].parse_args([]))
+
+
+def _flag_tag(args, flags, defaults=None):
+    """'_a0.5_b_prob0.4' and the like, for an artifact's name: each of
+    `flags` whose value differs from its default, in the order given; '' at
+    the defaults.  A flag's default is its entry in `defaults`, else its
+    built-in one, so runs at other parameters write other files."""
+    defaults = {**_flag_defaults(args.command), **(defaults or {})}
+    return "".join(f"_{k}{getattr(args, k)}" for k in flags
+                   if getattr(args, k) != defaults[k])
 
 
 def _model_tag(args):
-    """'_rho0.7_tail_atoms4' and the like: each model flag that the model's
-    factory takes and whose value differs from its default, in flag order;
-    '' at the defaults.  A flag's default is the factory's, or the flag's
-    own where the factory has none.  Call after `_build_model`, which sets
-    rho."""
+    """`_flag_tag` of the model flags that the model's factory takes, a
+    flag's default being the factory's, or the flag's own where the factory
+    has none.  Call after `_build_model`, which sets rho."""
     accepted = inspect.signature(_FACTORIES[args.model]).parameters
-    defaults = {**_model_flag_defaults(),
-                **{k: p.default for k, p in accepted.items() if p.default is not p.empty}}
-    return "".join(f"_{k}{getattr(args, k)}" for k in ("rho", "gamma", "tail_atoms")
-                   if k in accepted and getattr(args, k) != defaults[k])
+    return _flag_tag(args, [k for k in ("rho", "gamma", "tail_atoms") if k in accepted],
+                     {k: p.default for k, p in accepted.items() if p.default is not p.empty})
 
 
 def _parse_grid(spec: str):
@@ -146,7 +155,7 @@ def cmd_mdp(args):
     ns = [int(v) for v in args.n_list.split(",")]
     table = mdp_scan(make_rademacher, ns, args.rule, args.b, args.budget,
                      args.seed)
-    path = _out_path(args, f"mdp_seed{args.seed}.csv")
+    path = _out_path(args, f"mdp{_flag_tag(args, ('rule', 'b'))}_seed{args.seed}.csv")
     write_csv(path, ("n", "a_n", "x", "p_hat", "se", "rate", "ess"), table,
               _echo_config(args))
     target = -args.b ** 2 / 2.0
@@ -159,7 +168,7 @@ def cmd_mdp(args):
 def cmd_couple(args):
     ns = [int(v) for v in args.n_list.split(",")]
     reports = [exact_coupling_report(n, alpha=args.alpha) for n in ns]
-    path = _out_path(args, "couple.csv")
+    path = _out_path(args, f"couple{_flag_tag(args, ('alpha',))}.csv")
     write_csv(path, CouplingReport.CSV_COLUMNS, [vars(r) for r in reports],
               _echo_config(args))
     for r in reports:
@@ -175,10 +184,11 @@ def cmd_mixing(args):
     grid = _parse_grid(args.x)
     report, info = mixing_tail_experiment(chain, args.n, args.alpha, grid,
                                           args.budget, args.seed)
-    path = _out_path(args, f"mixing_n{args.n}_seed{args.seed}.csv")
+    stem = f"mixing_n{args.n}{_flag_tag(args, ('a', 'b_prob', 'alpha'))}_seed{args.seed}"
+    path = _out_path(args, f"{stem}.csv")
     write_csv(path, RatioReport.CSV_COLUMNS, [vars(r) for r in report.rows],
               _echo_config(args))
-    info_path = _out_path(args, f"mixing_n{args.n}_seed{args.seed}_info.json")
+    info_path = _out_path(args, f"{stem}_info.json")
     with open(info_path, "w") as fh:
         json.dump(info, fh, default=float)
     print(f"m={info['m']} k={info['k']} tau_n={info['tau_n']:.4f} "
@@ -254,7 +264,7 @@ def _apply_config(parser, args):
         parser.error(f"config error in {args.config}: {e}")
     if not isinstance(fields, dict):
         parser.error(f"config error in {args.config}: expected a JSON object")
-    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    commands = _commands(parser)
     for key, value in fields.items():
         dest = key.replace("-", "_")
         owners = [p for p in (parser, commands[args.command]) if any(

@@ -469,7 +469,7 @@ def mixing_tail_experiment(chain: MarkovChainSpec, n: int, alpha: float,
     scale = math.sqrt(es2)
     psi_m = psi_bar_coefficient(chain.P, m, chain.pi)
     tau = tau_n(psi_m, m, n, k)
-    cert = certify_chain(chain, n_max=max(m, 10), m=min(m, 20))
+    cert = certify_chain(chain, n_max=max(m, 10), m=m)
     params = BoundParams(rho=1.0, eps_n=n ** -(0.5 - alpha), delta_n=tau, c=1.0)
     sums = simulate_block_sums(chain, n, alpha, budget, seed)
     levels = len(_block_tables(chain, m, k))

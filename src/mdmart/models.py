@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterator
 
 import numpy as np
 from scipy.special import gammaln, xlogy
@@ -100,9 +99,6 @@ class ConditionalLaw:
     def second_moment(self) -> float:
         return math.fsum(p * v * v for v, p in self.atoms)
 
-    def scaled(self, factor: float) -> "ConditionalLaw":
-        return ConditionalLaw(tuple((v * factor, p) for v, p in self.atoms))
-
     def log_sakhanenko_moment(self, rho: float, K: float, two_sided: bool = False) -> float:
         """log E[|v|^{2+rho} e^{K v+}] (or e^{K|v|} for the two-sided variant).
 
@@ -189,14 +185,16 @@ class StateTable:
     the distinct conditional laws in first-visit order, `law_of[s]` indexes
     state s's law, and `T[s, a]` is the state after atom a of that law (rows
     of laws with fewer atoms are padded with their last entry).  `values[i,
-    a]` is atom a's unscaled value in law i, padded with 0.0 to the table's
-    width, and `real[i, a]` marks the atoms that are not padding."""
+    a]` and `probs[i, a]` are atom a's unscaled value and its probability in
+    law i, padded with 0.0 to the table's width, and `real[i, a]` marks the
+    atoms that are not padding."""
 
     states: tuple
     laws: tuple[ConditionalLaw, ...]
     law_of: np.ndarray
     T: np.ndarray
     values: np.ndarray
+    probs: np.ndarray
     real: np.ndarray
 
 
@@ -383,14 +381,12 @@ class MartingaleModel:
         width = max(len(r) for r in rows)
         T = np.array([r + r[-1:] * (width - len(r)) for r in rows], dtype=np.intp)
         real = np.arange(width) < np.array([len(law.atoms) for law in laws])[:, None]
-        values = np.zeros(real.shape)
+        values, probs = np.zeros(real.shape), np.zeros(real.shape)
         values[real] = [v for law in laws for v, _ in law.atoms]
+        probs[real] = [p for law in laws for _, p in law.atoms]
         return StateTable(states=tuple(states), laws=tuple(laws),
                           law_of=np.array(law_of, dtype=np.intp), T=T,
-                          values=values, real=real)
-
-    def reachable_laws(self) -> Iterator[ConditionalLaw]:
-        return iter(self.table.laws)
+                          values=values, probs=probs, real=real)
 
     def variance_deviation(self) -> float:
         """Exact worst case of |sum_i E[eta_i^2 | F_{i-1}] - n| over paths:
@@ -426,29 +422,34 @@ class MartingaleModel:
     def iid(self) -> bool:
         return len(self.table.states) == 1
 
-    @cached_property
-    def scaled_laws(self) -> tuple[ConditionalLaw, ...]:
-        """`table.laws` scaled by 1/sqrt(n); built once, as the sampler tilts
-        them again for every chunk it draws."""
-        scale = 1.0 / math.sqrt(self.n)
-        return tuple(law.scaled(scale) for law in self.table.laws)
-
-    def tilted_laws(self, lam: float) -> list:
-        """`scaled_laws` tilted by lam."""
-        from .tilt import tilt_law  # local import, avoids a cycle
-        return [tilt_law(law, lam) for law in self.scaled_laws]
-
     def law_arrays(self, lam: float):
-        """(values, probs, log_mgf) of `tilted_laws(lam)` as arrays, float
-        for float: the scaled atom values and tilted probabilities per (law,
-        atom), padded with 0.0 where `table.real` is False, and the log mgf
-        of each law.  Every consumer of the laws as arrays reads them here."""
-        real = self.table.real
-        tilted = self.tilted_laws(lam)
-        values, probs = np.zeros(real.shape), np.zeros(real.shape)
-        values[real] = [v for tl in tilted for v, _ in tl.atoms]
-        probs[real] = [p for tl in tilted for _, p in tl.atoms]
-        return values, probs, np.array([tl.step_log_mgf for tl in tilted])
+        """(values, probs, log_mgf) of the laws under the conjugate measure
+        P_lam: the atom values scaled by 1/sqrt(n) and their probabilities
+        proportional to p e^{lam v} per (law, atom), padded with 0.0 where
+        `table.real` is False, and the log mgf log E[e^{lam v}] of each law.
+        Every consumer of the tilted laws reads them here.
+
+        Per law, the largest lam v is factored out before the exponentials
+        are taken, and they are normalized by their exactly rounded sum, so
+        no weight overflows and the atoms that underflow get probability
+        0.0."""
+        if not (lam >= 0.0 and math.isfinite(lam)):
+            raise ValueError("lambda must be finite and >= 0")
+        t = self.table
+        values = t.values * (1.0 / math.sqrt(self.n))
+        log_mgf = np.zeros(len(t.laws))
+        if lam == 0.0:
+            return values, t.probs.copy(), log_mgf
+        probs = np.zeros(t.real.shape)
+        for i, k in enumerate(t.real.sum(axis=1).tolist()):
+            v = values[i, :k].tolist()
+            shift = max(lam * a for a in v)
+            w = [p * math.exp(lam * a - shift)
+                 for a, p in zip(v, t.probs[i, :k].tolist())]
+            z = math.fsum(w)
+            probs[i, :k] = [x / z for x in w]
+            log_mgf[i] = math.log(z) + shift
+        return values, probs, log_mgf
 
     # -- simulation -------------------------------------------------------
 
@@ -614,7 +615,7 @@ def certify(model: MartingaleModel, grid=DEFAULT_GRID) -> Certificate:
     'Smallest' means lexicographically smallest (max(K, L), L, K), since the
     theorem range constant is max(K, L)/sqrt(n).
     """
-    laws = list(model.reachable_laws())
+    laws = model.table.laws
     if not laws:
         raise CertificationError("model has no reachable laws")
     candidates = sorted(
@@ -646,7 +647,7 @@ def certify(model: MartingaleModel, grid=DEFAULT_GRID) -> Certificate:
 
 def verify_certificate(model: MartingaleModel, cert: Certificate) -> bool:
     """Re-verify a certificate exactly against the model's reachable laws."""
-    for law in model.reachable_laws():
+    for law in model.table.laws:
         ok, _, _ = check_sakhanenko(law, cert.rho, cert.K, cert.L)
         if not ok:
             return False

@@ -1,55 +1,24 @@
-"""Conjugate-measure (exponential tilt) machinery and saddle-point solvers.
+"""The choice of the conjugate measure's lam, and saddle-point solvers.
 
-The tilted law reweights atoms by e^{lam*v}; accumulating the per-step log
-mgf gives the cumulant process Psi_n(lam) and the exact importance weight
-exp(-lam*X_n + Psi_n(lam)) that converts tilted expectations back to the
-original measure.
+The conjugate laws themselves, probabilities proportional to p e^{lam*v}
+and their log mgfs, come from `MartingaleModel.law_arrays`; the samplers
+accumulate the log mgfs into Psi_n(lam) and the exact importance weight
+exp(-lam*X_n + Psi_n(lam)).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from scipy.optimize import brentq
 
-from .models import ConditionalLaw, MartingaleModel
+from .models import MartingaleModel
 
 RESIDUAL_TOL = 1e-12
 
 
 class SaddleError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class TiltedLaw:
-    lam: float
-    atoms: tuple[tuple[float, float], ...]
-    step_log_mgf: float
-
-    def mean(self) -> float:
-        return math.fsum(p * v for v, p in self.atoms)
-
-
-@lru_cache(maxsize=4096)
-def tilt_law(law: ConditionalLaw, lam: float) -> TiltedLaw:
-    """Conjugate law: probs proportional to p * e^{lam*v}, exact renormalization."""
-    if not (lam >= 0.0 and math.isfinite(lam)):
-        raise ValueError("lambda must be finite and >= 0")
-    if lam == 0.0:
-        return TiltedLaw(lam=0.0, atoms=law.atoms, step_log_mgf=0.0)
-    # stabilize: factor out the max exponent before normalizing
-    shift = max(lam * v for v, _ in law.atoms)
-    raw = [(v, p * math.exp(lam * v - shift)) for v, p in law.atoms]
-    z = math.fsum(w for _, w in raw)
-    atoms = tuple((v, w / z) for v, w in raw)
-    return TiltedLaw(lam=lam, atoms=atoms, step_log_mgf=math.log(z) + shift)
-
-
-def drift_step(law: ConditionalLaw, lam: float) -> float:
-    """b(lam) = E[v e^{lam v}] / E[e^{lam v}], the tilted conditional mean."""
-    return tilt_law(law, lam).mean()
 
 
 @dataclass
@@ -117,9 +86,10 @@ class TiltSelection:
 def choose_tilt(model: MartingaleModel, x: float) -> TiltSelection:
     """Pick lam so the tilted mean of X_n hits x; fallback lam = x flagged.
 
-    For i.i.d. models the total drift is n * b(scaled law, lam), a strictly
-    increasing function of lam bounded by sqrt(n) * max atom, so a bracketed
-    root either exists or x sits outside the attainable range.
+    For i.i.d. models the total drift is n times the tilted mean of the
+    scaled law (`law_arrays`), a strictly increasing function of lam bounded
+    by sqrt(n) * max atom, so a bracketed root either exists or x sits
+    outside the attainable range.
     """
     if x < 0.0:
         raise ValueError("x must be >= 0")
@@ -127,13 +97,13 @@ def choose_tilt(model: MartingaleModel, x: float) -> TiltSelection:
         return TiltSelection(lam=0.0, method="root", converged=True)
     if not model.iid:
         return TiltSelection(lam=x, method="fallback", converged=False)
-    law = model.scaled_laws[0]
-    sup_drift = model.n * max(v for v, _ in law.atoms)
+    sup_drift = model.n * max(model.law_arrays(0.0)[0][0].tolist())
     if x >= sup_drift * (1.0 - 1e-12):
         return TiltSelection(lam=x, method="fallback", converged=False)
 
     def g(lam):
-        return model.n * drift_step(law, lam) - x
+        values, probs, _ = model.law_arrays(lam)
+        return model.n * math.fsum((probs[0] * values[0]).tolist()) - x
 
     hi = max(x, 1.0)
     while g(hi) < 0.0:

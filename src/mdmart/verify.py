@@ -71,7 +71,7 @@ def suite_second_moment_vs_eps():
     bad = []
     for m in (make_rademacher(100), make_rademacher(400)):
         cert = certify(m)
-        for law in m.reachable_laws():
+        for law in m.table.laws:
             if law.second_moment() / m.n > cert.eps_n ** 2 * (1.0 + 1e-12):
                 bad.append(m.name)
     return "second_moment_vs_eps", not bad, f"violating models: {bad}"

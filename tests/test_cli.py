@@ -80,6 +80,35 @@ def test_tails_at_other_parameters_keep_apart(tmp_path, capsys):
         assert json.loads(header[2:])["rho"] == rho
 
 
+def test_runs_at_other_parameters_keep_apart(tmp_path, capsys):
+    # as for tails: a flag of mixing, mdp or couple that differs from its
+    # built-in default is in the artifact's name, also where --config set
+    # it; at the defaults, given or not, the names are the benchmark's
+    runs = [["mixing", "--a", "0.3", "--b-prob", "0.3", "--alpha", "0.3"],
+            ["mixing", "--a", "0.5", "--b-prob", "0.4"], ["mixing", "--alpha", "0.25"],
+            ["mdp"], ["mdp", "--rule", "n^0.3", "--b", "2"],
+            ["couple", "--alpha", "0.125"], ["couple", "--alpha", "0.25"]]
+    small = {"mixing": ["--n", "2000", "--x", "0.5", "--budget", "2000"],
+             "mdp": ["--n-list", "100", "--budget", "2000"],
+             "couple": ["--n-list", "100"]}
+    out = tmp_path / "out"
+    for argv in runs:
+        assert main(["--out", str(out), *argv, *small[argv[0]]]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "couple.csv", "couple_alpha0.25.csv", "mdp_rulen^0.3_b2.0_seed0.csv",
+        "mdp_seed0.csv", "mixing_n2000_a0.5_b_prob0.4_seed0.csv",
+        "mixing_n2000_a0.5_b_prob0.4_seed0_info.json",
+        "mixing_n2000_alpha0.25_seed0.csv", "mixing_n2000_alpha0.25_seed0_info.json",
+        "mixing_n2000_seed0.csv", "mixing_n2000_seed0_info.json"]
+    cfg = tmp_path / "cfg.json"
+    for command, fields in (("couple", {"alpha": 0.25}), ("mdp", {"b": 2})):
+        cfg.write_text(json.dumps(fields))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "cfg"), command,
+                     *small[command]]) == 0
+    assert sorted(p.name for p in (tmp_path / "cfg").iterdir()) == [
+        "couple_alpha0.25.csv", "mdp_b2.0_seed0.csv"]
+
+
 def test_adjacent_seeds_draw_distinct_rows(tmp_path, capsys):
     # row i of a report draws from the streams of (seed, i), so the second
     # row of seed 3 and the first row of seed 4 share no stream

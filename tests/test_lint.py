@@ -37,6 +37,41 @@ def test_no_unused_imports():
     assert not found, "unused imports: " + ", ".join(found)
 
 
+def local_package_imports(source: str):
+    """(line, module) of each import of a module of the package, relative
+    or from `mdmart`, made inside a function.  Such an import hides a cycle
+    between the package's modules; a function may still import a
+    third-party module lazily."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.ImportFrom):
+                names = ["." * node.level + (node.module or "")]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found.update((node.lineno, name) for name in names
+                         if name.startswith(".") or name.split(".")[0] == "mdmart")
+    return sorted(found)
+
+
+def test_checker_catches_a_local_package_import():
+    src = ("from .models import law\n"
+           "def f():\n    from .tilt import tilt\n    from scipy.optimize import brentq\n"
+           "    def g():\n        import mdmart.cli\n        from . import verify\n"
+           "    import numpy\n")
+    assert local_package_imports(src) == [(3, ".tilt"), (6, "mdmart.cli"), (7, ".")]
+
+
+def test_no_local_package_imports():
+    found = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
+             for line, name in local_package_imports(path.read_text())]
+    assert not found, "package modules imported inside a function: " + ", ".join(found)
+
+
 # calls that belong to one module: a model's law and transition are read only
 # through its compiled state table, its tilted laws only as the padded arrays
 # of `law_arrays`, and every Philox stream is built by the chunk engine

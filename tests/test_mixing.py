@@ -11,7 +11,8 @@ from mdmart.mixing import (MIX_CHUNK, ChainError, MarkovChainSpec,
                            berbee_couple, berbee_mismatch_probability,
                            beta_by_enumeration, beta_coefficient,
                            beta_two_state_closed_form, block_indices,
-                           block_sum_distribution, covariance_bound_check,
+                           block_sum_distribution, certify_chain,
+                           covariance_bound_check,
                            exact_block_sum_variance, fit_beta_decay,
                            mixing_tail_experiment, psi_bar_coefficient,
                            simulate_block_sums, stationary_dist, tau_n,
@@ -417,11 +418,10 @@ class TestTailExperiment:
             assert abs(row.ratio - 1.0) < 0.1
 
     @pytest.mark.parametrize("n, alpha, builds, doublings", [
-        (10 ** 4, 0.3, 1, 3), (5000, 0.5, 2, 0)], ids=["10000-0.3-1", "5000-0.5-2"])
+        (10 ** 4, 0.3, 1, 3), (5000, 0.5, 1, 0)], ids=["10000-0.3-1", "5000-0.5-1"])
     def test_block_law_built_once(self, monkeypatch, n, alpha, builds, doublings):
         # the certificate, the exact variance and the sampler share one block
-        # law per (chain, m); at n = 5000, alpha = 0.5 the certificate's
-        # m' = min(m, 20) = 20 differs from m = 70, so two laws are built.
+        # law per (chain, m), also at n = 5000, alpha = 0.5, where m = 70.
         # The sampler's doubled tables are built once too, though the
         # sampler and the info both ask for them: at m = 15, k = 333 the
         # tables of 2, 4 and 8 blocks (16 would pass BLOCK_TABLE_CELLS); at
@@ -444,6 +444,16 @@ class TestTailExperiment:
         mixing_tail_experiment(two_state_chain(0.3, 0.3), n, alpha, [0.5, 1.0], 1000, 0)
         assert len(calls) == builds, calls
         assert len(doubled) == doublings, doubled
+
+    def test_block_constants_are_the_blocks(self):
+        # the info's c1 and c2 are those of the experiment's m-step blocks,
+        # also past m = 20: at n = 10^5, alpha = 0.3, m = 31
+        chain = two_state_chain(0.3, 0.3)
+        _, info = mixing_tail_experiment(chain, 10 ** 5, 0.3, [1.0], 200, 0)
+        m = info["m"]
+        assert m == 31
+        cert = certify_chain(chain, max(m, 10), m)
+        assert (info["c1"], info["c2"]) == (cert.c1, cert.c2)
 
     def test_stationary_law_solved_once(self, monkeypatch):
         # the chain solves pi when it is built; the mixing coefficients of

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mdmart import models
 from mdmart.alias import BLOCK_TABLE_CELLS, draw_plan
 from mdmart.models import (ATOL, BLOCK_CELLS, DEFAULT_GRID, Certificate,
-                           CertificationError, ConditionalLaw,
+                           CertificationError, ConditionalLaw, IIDModel,
                            MartingaleModel, ModelError,
                            _BlockOutcomes, block_steps, certify,
                            check_sakhanenko, make_heavy_left, make_rademacher,
@@ -22,6 +22,26 @@ def two_point(a, b):
     # mean-zero two-point law with positive atom a and negative atom b
     p = -b / (a - b)
     return ConditionalLaw(((a, p), (b, 1.0 - p)))
+
+
+def reference_tilt(law, lam, n):
+    """`law` scaled by 1/sqrt(n) and tilted by lam, atom by atom in scalar
+    arithmetic: ([(value, prob), ...], log mgf), the probabilities
+    proportional to p e^{lam v} after factoring out the largest lam v.  The
+    oracle the models' law arrays are held to, float for float."""
+    scale = 1.0 / math.sqrt(n)
+    atoms = [(v * scale, p) for v, p in law.atoms]
+    if lam == 0.0:
+        return atoms, 0.0
+    shift = max(lam * v for v, _ in atoms)
+    raw = [(v, p * math.exp(lam * v - shift)) for v, p in atoms]
+    z = math.fsum(w for _, w in raw)
+    return [(v, w / z) for v, w in raw], math.log(z) + shift
+
+
+def second_moment(values, probs):
+    """E[v^2] of the law arrays of a one-law model."""
+    return math.fsum((probs * values * values).ravel().tolist())
 
 
 def check_bernstein(law, k, H):
@@ -54,8 +74,8 @@ class TestConditionalLaw:
 
     def test_scaling(self):
         law = two_point(2.0, -0.5)
-        scaled = law.scaled(0.1)
-        assert scaled.second_moment() == pytest.approx(0.01 * law.second_moment())
+        values, probs, _ = IIDModel("law", 100, 1.0, law).law_arrays(0.0)
+        assert second_moment(values, probs) == pytest.approx(0.01 * law.second_moment())
 
 
 class TestRademacher:
@@ -65,10 +85,9 @@ class TestRademacher:
         assert set(law.atoms) == {(1.0, 0.5), (-1.0, 0.5)}
 
     def test_scaled_law_n4(self):
-        m = make_rademacher(4)
-        law = m.scaled_laws[0]
-        assert sorted(v for v, _ in law.atoms) == [-0.5, 0.5]
-        assert law.second_moment() == pytest.approx(0.25)
+        values, probs, _ = make_rademacher(4).law_arrays(0.0)
+        assert sorted(values[0].tolist()) == [-0.5, 0.5]
+        assert second_moment(values, probs) == pytest.approx(0.25)
 
     def test_certificate_bounded_increment_rule(self):
         # |eta| <= 1 gives E|eta|^3 e^{K eta+} <= e^K E eta^2, i.e. the
@@ -97,7 +116,7 @@ class TestHeavyLeft:
         assert abs(math.fsum(p * v for v, p in law.atoms)) <= ATOL
         assert law.second_moment() == pytest.approx(1.0, abs=1e-12)
         # scaled variance is 1/n
-        assert m.scaled_laws[0].second_moment() == pytest.approx(0.01)
+        assert second_moment(*m.law_arrays(0.0)[:2]) == pytest.approx(0.01)
 
     def test_one_sidedness(self):
         m = make_heavy_left(100, 0.5, 8)
@@ -175,7 +194,7 @@ class TestCertify:
         """What `certify` gives when it calls `check_sakhanenko` afresh for
         every candidate and law: the Certificate, or the witness (law,
         log_lhs, log_rhs) of the CertificationError."""
-        laws = list(model.reachable_laws())
+        laws = model.table.laws
         worst = None
         for _, L, K in sorted((max(K, L), L, K) for K in grid for L in grid):
             for law in laws:
@@ -223,7 +242,7 @@ class TestSamplePath:
     def test_all_plus_path_value(self):
         # forced: ten up-moves give X_10 = sqrt(10)
         m = make_rademacher(10)
-        assert 10 * max(v for v, _ in m.scaled_laws[0].atoms) == pytest.approx(math.sqrt(10))
+        assert 10 * m.law_arrays(0.0)[0].max() == pytest.approx(math.sqrt(10))
 
     @settings(deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -258,12 +277,13 @@ class TestSamplePath:
         # trailing ones, so only suffix sums keep every ratio in [0, 1]
         n, size = 1600, 1 << 16
         m = make_heavy_left(n)
-        tl = m.tilted_laws(choose_tilt(m, x).lam)[0]
-        v, p = (np.array(c) for c in zip(*tl.atoms))
+        lam = choose_tilt(m, x).lam
+        values, probs, _ = m.law_arrays(lam)
+        v, p = values[0], probs[0]
         assert np.count_nonzero(p == 0.0) == 2
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            xs = m.simulate_terminal(size, np.random.default_rng(7), tl.lam).x
+            xs = m.simulate_terminal(size, np.random.default_rng(7), lam).x
         # one draw of a zero-probability atom would put X_n at or below this
         assert xs.min() > (n - 1) * v.max() + v[p == 0.0].max()
         mu = math.fsum((p * v).tolist())
@@ -319,15 +339,16 @@ def exact_terminal_law(model, lam):
     path enumeration with the paths into one (state, X) merged, so it
     reaches horizons that enumeration cannot."""
     t = model.table
-    base, tilted = model.tilted_laws(0.0), model.tilted_laws(lam)
+    base = [reference_tilt(law, 0.0, model.n)[0] for law in t.laws]
+    tilted = [reference_tilt(law, lam, model.n) for law in t.laws]
     dist = {(0, 0.0): (1.0, 1.0, 1.0)}  # P, P_lam, E_lam[exp(2 Psi_k)]
     for _ in range(model.n):
         nxt = {}
         for (s, x), (p, q, m) in dist.items():
             law = t.law_of[s]
-            grow = math.exp(2.0 * tilted[law].step_log_mgf)
-            for a, ((v, pa), (_, qa)) in enumerate(zip(base[law].atoms,
-                                                        tilted[law].atoms)):
+            atoms, log_mgf = tilted[law]
+            grow = math.exp(2.0 * log_mgf)
+            for a, ((v, pa), (_, qa)) in enumerate(zip(base[law], atoms)):
                 key = (int(t.T[s, a]), round(x + v, 12))
                 old = nxt.get(key, (0.0, 0.0, 0.0))
                 nxt[key] = (old[0] + p * pa, old[1] + q * qa, old[2] + m * qa * grow)
@@ -357,6 +378,21 @@ SAMPLER_MODELS.update({f"{m.name}-n{m.n}": m for m in (
     SignSwitch(2 * _B_SS + 3))})
 
 
+# (model, lam, atoms whose tilted probability underflows to 0.0); heavy_left
+# at n = 1600 also at the tilt for x = 2 and at lam = 40
+_HL = make_heavy_left(1600)
+LAW_ARRAY_CASES = {
+    f"{name}-{lam}": (model, lam, zeros)
+    for lam in (0.0, 0.5, 1.1)
+    for name, model, zeros in (
+        ("rademacher", make_rademacher(9), 0),
+        ("heavy_left", make_heavy_left(9), 0 if lam == 0.0 else 3),
+        ("regime_switch", make_regime_switch(9, 0.3), 0),
+        ("sign_switch", SignSwitch(9), 0))}
+LAW_ARRAY_CASES.update({"heavy_left-n1600-x2": (_HL, choose_tilt(_HL, 2.0).lam, 2),
+                        "heavy_left-n1600-40.0": (_HL, 40.0, 4)})
+
+
 def row0_law(tab, lam):
     """(X, log weight, P_lam) of the cells of row 0 of a `BlockTable`: the
     law of the table's steps from state 0."""
@@ -382,36 +418,41 @@ class TestStateTable:
         m = make_regime_switch(400, 0.3)
         assert len(m.table.states) == 95
         assert len(m.table.laws) == 3
-        assert list(m.reachable_laws()) == list(m.table.laws)
         assert make_regime_switch(10, 0.3).table.states == m.table.states
         assert make_heavy_left(10).iid and not m.iid
         assert SignSwitch(5).table.T.tolist() == [[1, 2, 2], [1, 1, 2], [1, 2, 2]]
 
-    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.1])
-    @pytest.mark.parametrize("model", [make_rademacher(9), make_heavy_left(9),
-                                       make_regime_switch(9, 0.3), SignSwitch(9)],
-                             ids=["rademacher", "heavy_left", "regime_switch",
-                                  "sign_switch"])
-    def test_law_arrays_are_the_tilted_laws(self, model, lam):
+    @pytest.mark.parametrize("model, lam, zeros", LAW_ARRAY_CASES.values(),
+                             ids=LAW_ARRAY_CASES.keys())
+    def test_law_arrays_are_the_tilted_laws(self, model, lam, zeros):
         # each law's row holds its atoms bit for bit, then 0.0 padding, and
-        # the mask marks exactly its atoms
+        # the mask marks exactly its atoms; `zeros` atoms underflow to
+        # probability 0.0
         def same(a, b):
             return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
         t = model.table
         values, probs, log_mgf = model.law_arrays(lam)
-        tilted = model.tilted_laws(lam)
         width = t.T.shape[1]
         assert values.shape == probs.shape == t.values.shape == t.real.shape
-        for i, (law, tl) in enumerate(zip(t.laws, tilted)):
-            k = len(law.atoms)
+        for i, law in enumerate(t.laws):
+            k, pad = len(law.atoms), [0.0] * (width - len(law.atoms))
+            atoms, psi = reference_tilt(law, lam, model.n)
             assert t.real[i].tolist() == [True] * k + [False] * (width - k)
-            assert same(t.values[i], [v for v, _ in law.atoms] + [0.0] * (width - k))
-            assert same(values[i], [v for v, _ in tl.atoms] + [0.0] * (width - k))
-            assert same(probs[i], [p for _, p in tl.atoms] + [0.0] * (width - k))
-        assert same(log_mgf, [tl.step_log_mgf for tl in tilted])
+            assert same(t.values[i], [v for v, _ in law.atoms] + pad)
+            assert same(t.probs[i], [p for _, p in law.atoms] + pad)
+            assert same(values[i], [v for v, _ in atoms] + pad)
+            assert same(probs[i], [p for _, p in atoms] + pad)
+            assert same(log_mgf[i], psi)
+        assert np.count_nonzero(probs[t.real] == 0.0) == zeros
         if isinstance(model, SignSwitch):
             assert not t.real.all()  # some rows are padded
+
+    @pytest.mark.parametrize("lam", [-0.1, math.inf, math.nan])
+    def test_law_arrays_refuse_bad_tilts(self, lam):
+        for model in (make_rademacher(9), make_regime_switch(9, 0.3)):
+            with pytest.raises(ValueError, match="lambda"):
+                model.law_arrays(lam)
 
     def test_variance_deviation_by_enumeration(self):
         # the forward pass against max |sum_i (E[eta_i^2 | F_{i-1}] - 1)|

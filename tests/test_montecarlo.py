@@ -18,21 +18,22 @@ from mdmart.montecarlo import (MAX_PATHS, RatioReport, clopper_pearson,
                                rademacher_exact_tail, ratio_report,
                                seeded_stream, write_csv)
 from mdmart.tilt import choose_tilt
-from test_models import SignSwitch
+from test_models import SignSwitch, reference_tilt
 
 
 def walk_paths(model, lam):
     """(P_lam(path), X_n, log weight) of every path, depth first, atom 0
     first: the recursive walk that the level-by-level enumeration replaced."""
-    table, tilted, paths = model.table, model.tilted_laws(lam), []
+    table, paths = model.table, []
+    tilted = [reference_tilt(law, lam, model.n) for law in table.laws]
 
     def walk(step, s, prob, x, psi):
         if step == model.n:
             paths.append((prob, x, -lam * x + psi))
             return
-        tl = tilted[table.law_of[s]]
-        for a, (v, p) in enumerate(tl.atoms):
-            walk(step + 1, table.T[s, a], prob * p, x + v, psi + tl.step_log_mgf)
+        atoms, log_mgf = tilted[table.law_of[s]]
+        for a, (v, p) in enumerate(atoms):
+            walk(step + 1, table.T[s, a], prob * p, x + v, psi + log_mgf)
 
     walk(0, 0, 1.0, 0.0, 0.0)
     return paths
@@ -242,7 +243,7 @@ class TestLatticeRoute:
         batch = model.simulate_terminal(5000, seeded_stream(3), lam=lam)
         cells = set(zip(law.x.tolist(), law.log_weight.tolist()))
         assert set(zip(batch.x.tolist(), batch.log_weight.tolist())) <= cells
-        p_up = model.tilted_laws(lam)[0].atoms[0][1]
+        p_up = model.law_arrays(lam)[1][0, 0]
         assert np.allclose(law.log_prob, binom.logpmf(np.arange(n + 1), n, p_up),
                            rtol=1e-12, atol=0.0)
 

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mdmart.models import ConditionalLaw, make_rademacher, make_regime_switch
+from mdmart.models import (ConditionalLaw, IIDModel, make_heavy_left,
+                           make_rademacher, make_regime_switch)
 from mdmart.montecarlo import enumerate_terminal
-from mdmart.tilt import (SaddleError, choose_tilt, drift_step,
-                         solve_saddle_lower, solve_saddle_upper, tilt_law)
+from mdmart.tilt import (SaddleError, choose_tilt, solve_saddle_lower,
+                         solve_saddle_upper)
 
 
 def two_point(a, b):
@@ -16,39 +17,45 @@ def two_point(a, b):
     return ConditionalLaw(((a, p), (b, 1.0 - p)))
 
 
+def tilted(law, lam):
+    """(values, probs, log mgf) of `law` tilted by lam: the law arrays of a
+    one-step model, whose scale 1/sqrt(n) is 1."""
+    values, probs, log_mgf = IIDModel("law", 1, 1.0, law).law_arrays(lam)
+    return values[0], probs[0], log_mgf[0]
+
+
+def mean(values, probs):
+    return math.fsum((probs * values).tolist())
+
+
 class TestTiltLaw:
     def test_identity_tilt(self):
         law = two_point(1.0, -1.0)
-        tl = tilt_law(law, 0.0)
-        assert tl.atoms == law.atoms and tl.step_log_mgf == 0.0
+        values, probs, log_mgf = tilted(law, 0.0)
+        assert list(zip(values.tolist(), probs.tolist())) == list(law.atoms)
+        assert log_mgf == 0.0
 
     def test_rademacher_closed_form(self):
         lam = 0.8
-        tl = tilt_law(two_point(1.0, -1.0), lam)
-        p_plus = dict(tl.atoms)[1.0]
+        values, probs, log_mgf = tilted(two_point(1.0, -1.0), lam)
+        p_plus = probs[values == 1.0][0]
         assert p_plus == pytest.approx(math.exp(lam) / (math.exp(lam) + math.exp(-lam)))
-        assert tl.step_log_mgf == pytest.approx(math.log(math.cosh(lam)))
+        assert log_mgf == pytest.approx(math.log(math.cosh(lam)))
 
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):
-            tilt_law(two_point(1.0, -1.0), -0.1)
+            tilted(two_point(1.0, -1.0), -0.1)
 
     @given(st.floats(0.1, 5.0), st.floats(-5.0, -0.1), st.floats(0.01, 3.0))
     def test_tilted_mean_positive(self, a, b, lam):
-        law = two_point(a, b)
-        assert tilt_law(law, lam).mean() > 0.0
-
-    @given(st.floats(0.1, 5.0), st.floats(-5.0, -0.1), st.floats(0.0, 3.0))
-    def test_drift_equals_tilted_mean(self, a, b, lam):
-        law = two_point(a, b)
-        assert drift_step(law, lam) == pytest.approx(tilt_law(law, lam).mean(),
-                                                     abs=1e-14)
+        values, probs, _ = tilted(two_point(a, b), lam)
+        assert mean(values, probs) > 0.0
 
     def test_drift_closed_form_and_monotone(self):
         a = 0.7
         law = two_point(a, -a)
         lams = np.linspace(0.0, 4.0, 25)
-        drifts = [drift_step(law, float(l)) for l in lams]
+        drifts = [mean(*tilted(law, float(l))[:2]) for l in lams]
         assert drifts[0] == 0.0
         assert drifts == sorted(drifts)
         for l, d in zip(lams, drifts):
@@ -64,10 +71,11 @@ class TestTiltedPath:
     def test_rademacher_psi_and_drift(self):
         # Psi_n and the summed drift of the tilted step law, n steps of it
         n, lam = 15, 0.7
-        tl = make_rademacher(n).tilted_laws(lam)[0]
-        assert n * tl.step_log_mgf == pytest.approx(
+        values, probs, log_mgf = make_rademacher(n).law_arrays(lam)
+        assert n * log_mgf[0] == pytest.approx(
             n * math.log(math.cosh(lam / math.sqrt(n))))
-        assert n * tl.mean() == pytest.approx(math.sqrt(n) * math.tanh(lam / math.sqrt(n)))
+        assert n * mean(values[0], probs[0]) == pytest.approx(
+            math.sqrt(n) * math.tanh(lam / math.sqrt(n)))
 
     def test_weight_identity(self):
         # the weight e^{-lam X_n + Psi_n} is dP/dP_lam on every path, so its
@@ -146,6 +154,20 @@ class TestChooseTilt:
         sel = choose_tilt(make_rademacher(100), 10.0)  # x = sqrt(n): unreachable
         assert not sel.converged and sel.method == "fallback"
         assert sel.lam == 10.0
+
+    @pytest.mark.parametrize("model, x, lam", [
+        (make_rademacher(400), 3.0, "0x1.82eb656680ca0p+1"),
+        (make_heavy_left(1600, 0.5, 8), 0.5, "0x1.229a22003aa99p-1"),
+        (make_heavy_left(1600, 0.5, 8), 1.0, "0x1.3496a1df49189p+0"),
+        (make_heavy_left(1600, 0.5, 8), 1.5, "0x1.e67bcc7a10514p+0"),
+        (make_heavy_left(1600, 0.5, 8), 2.0, "0x1.532cdf2f2f80fp+1")],
+        ids=["rademacher-3", "heavy_left-0.5", "heavy_left-1", "heavy_left-1.5",
+             "heavy_left-2"])
+    def test_root_pinned(self, model, x, lam):
+        # the root bit for bit: any change to the tilted laws' arithmetic or
+        # to the drift sum shows here
+        sel = choose_tilt(model, x)
+        assert sel.converged and sel.lam.hex() == lam
 
     def test_non_iid_fallback(self):
         sel = choose_tilt(make_regime_switch(100, 0.3), 1.5)
