@@ -1,18 +1,21 @@
 """Walker's alias method for drawing from tabulated finite laws, shared by
 the block-sum sampler and the Berbee coupling in `mixing` and the block
 sampler of every state-dependent model in `models`; the doubling of a
-block-law table; and the plan by which both block samplers draw 2^b blocks
-with one uniform."""
+block-sum table whose totals lie on one lattice, by convolution along the
+totals; and the plan by which both block samplers draw 2^b blocks with one
+uniform."""
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-# most cells per start state in a doubled block table, the block-sum
-# sampler's (block total, next start) cells and a model's (end row, atom
-# counts) groups alike.  A larger table lets one uniform draw more blocks,
-# but its alias tables take longer to build than the draws they save; 256 was
-# fastest in a sweep of 128 to 1024 on the benchmark's chains (see
-# CHANGES.md)
+# most (end row, atom counts) groups per row in a doubled block table of a
+# state-dependent model.  A larger table lets one uniform draw more blocks,
+# but it takes longer to build than the draws it saves: 256 was fastest in a
+# sweep of 128 to 1024 cells on the mixing-blocks chains, made when the
+# block-sum sampler shared this cap, and regime_switch's ladder level 2
+# alone costs 65 ms to build (see CHANGES.md).  The block-sum sampler, whose
+# doubling is a convolution, has its own cap, `mixing.BLOCK_SUM_CELLS`
 BLOCK_TABLE_CELLS = 256
 
 
@@ -62,21 +65,31 @@ def double_block_law(values, joint, max_cells):
     sorted and rounded to 12 decimals.  The doubled law is the table
     composed with itself,
         joint2[s, v, t] = sum_r sum_{v1 + v2 = v} joint[s, v1, r] joint[r, v2, t],
-    with the pair totals rounded to 12 decimals, so that sums on a lattice
-    fall on one value.  Returns (values2, joint2), or None when the doubled
-    table would have more than `max_cells` (total, next start) cells per
-    start state."""
+    with the pair totals rounded to 12 decimals.  The totals lie on one
+    lattice when the rounded pair total round(values[a] + values[b], 12)
+    depends on a + b only and grows with it, as it does for totals equally
+    spaced up to that rounding.  Then the doubled table has 2Y - 1 totals,
+    the j-th that of every pair with a + b = j (so they are the distinct
+    rounded pair totals, bit for bit), and the sum over pairs is a
+    convolution along the totals:
+        joint2[s, :, t] = sum_r convolve(joint[s, :, r], joint[r, :, t]).
+    Returns (values2, joint2), or None when the totals are not on one
+    lattice, or when the doubled table would have more than `max_cells`
+    (total, next start) cells per start state."""
     S, Y = joint.shape[:2]
-    values2, pair_to = np.unique(np.round(np.add.outer(values, values), 12),
-                                 return_inverse=True)
-    V = values2.size
-    if V * S > max_cells:
+    if (2 * Y - 1) * S > max_cells:
         return None
-    pair = np.einsum("sar,rbt->sabt", joint, joint)
-    # outcome (s, a, b, t) of the pair adds to cell (s, pair_to[a, b], t)
-    cell = (np.arange(S)[:, None, None] * V + pair_to.reshape(1, Y * Y, 1)) * S + np.arange(S)
-    joint2 = np.bincount(cell.ravel(), weights=pair.ravel(), minlength=S * V * S)
-    return values2, joint2.reshape(S, V, S)
+    pairs = np.round(np.add.outer(values, values), 12)
+    values2 = np.concatenate((pairs[0], pairs[1:, -1]))
+    # window a of values2 holds values2[a + b] at b
+    if not (np.array_equal(pairs, sliding_window_view(values2, Y))
+            and np.all(values2[1:] > values2[:-1])):
+        return None
+    joint2 = np.empty((S, 2 * Y - 1, S))
+    for s in range(S):
+        for t in range(S):
+            joint2[s, :, t] = sum(np.convolve(joint[s, :, r], joint[r, :, t]) for r in range(S))
+    return values2, joint2
 
 
 def draw_plan(k, levels):

@@ -22,7 +22,8 @@ from .coupling import CouplingReport, exact_coupling_report
 from .mixing import mixing_tail_experiment, two_state_chain
 from .models import (_FACTORIES, CertificationError, ModelError, certify,
                      make_rademacher)
-from .montecarlo import RatioReport, mdp_scan, ratio_report, write_csv
+from .montecarlo import (RatioReport, mdp_scan, parse_an_rule, ratio_report,
+                         write_csv)
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -81,6 +82,15 @@ def _model_tag(args):
     accepted = inspect.signature(_FACTORIES[args.model]).parameters
     return _flag_tag(args, [k for k in ("rho", "gamma", "tail_atoms") if k in accepted],
                      {k: p.default for k, p in accepted.items() if p.default is not p.empty})
+
+
+def _an_rule(rule: str) -> str:
+    """An a_n rule 'n^gamma' spelled the one way, 'n^' and the repr of the
+    gamma that `parse_an_rule` reads, so that one rule names one artifact."""
+    try:
+        return f"n^{parse_an_rule(rule)!r}"
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _parse_grid(spec: str):
@@ -230,7 +240,7 @@ def build_parser():
 
     p = sub.add_parser("mdp", help="moderate-deviation rate scan")
     p.add_argument("--n-list", default="100,1000,10000")
-    p.add_argument("--rule", default="n^0.25")
+    p.add_argument("--rule", type=_an_rule, default="n^0.25")
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--budget", type=int, default=10 ** 5)
     p.set_defaults(func=cmd_mdp)

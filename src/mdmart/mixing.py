@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alias import (BLOCK_TABLE_CELLS, alias_draw, alias_tables,
-                    double_block_law, draw_plan)
+from .alias import alias_draw, alias_tables, double_block_law, draw_plan
 from .bounds import BoundParams
 from .montecarlo import (RatioReport, check_x_grid, clopper_pearson, ratio_row,
                          seeded_chunks)
@@ -30,6 +29,13 @@ from .montecarlo import (RatioReport, check_x_grid, clopper_pearson, ratio_row,
 # estimators; the chunk size is a fixed constant, so determinism is unaffected.
 # The Berbee coupling draws its reps in chunks of the same size.
 MIX_CHUNK = 65536
+
+# most (block total, next start) cells per start state in a doubled table of
+# the block-sum sampler.  A larger table lets one uniform draw more blocks,
+# but its alias tables take longer to build than the draws they save; 1024
+# was fastest in a sweep of 512, 1024 and 2048 on the benchmark's chains
+# (see CHANGES.md)
+BLOCK_SUM_CELLS = 1024
 
 
 class ChainError(ValueError):
@@ -393,15 +399,17 @@ def _block_tables(chain: MarkovChainSpec, m: int, k: int):
 
     The first is the block law bridged over the gap, joint[s, i, t] =
     sum_e law[s, i, e] P^{m+1}[e, t]; each next one is its predecessor
-    doubled (`double_block_law`).  The doubling stops before 2j > k, or
-    before a table would have more than BLOCK_TABLE_CELLS cells per row.
-    Like the block law, the tables are kept on the chain, per m; a later
-    call with a larger k extends them."""
+    doubled by a convolution along the totals (`double_block_law`).  The
+    doubling stops before 2j > k, before a table would have more than
+    BLOCK_SUM_CELLS cells per row, or at once when the block totals do not
+    lie on one lattice; such a chain draws one block per uniform.  Like the
+    block law, the tables are kept on the chain, per m; a later call with a
+    larger k extends them."""
     ladder = chain._block_tables.setdefault(m, [])
     S = chain.P.shape[0]
     while len(ladder) < k.bit_length():
         if ladder:
-            table = double_block_law(*ladder[-1][:2], BLOCK_TABLE_CELLS)
+            table = double_block_law(*ladder[-1][:2], BLOCK_SUM_CELLS)
             if table is None:
                 break
         else:

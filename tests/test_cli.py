@@ -83,10 +83,11 @@ def test_tails_at_other_parameters_keep_apart(tmp_path, capsys):
 def test_runs_at_other_parameters_keep_apart(tmp_path, capsys):
     # as for tails: a flag of mixing, mdp or couple that differs from its
     # built-in default is in the artifact's name, also where --config set
-    # it; at the defaults, given or not, the names are the benchmark's
+    # it; at the defaults, given or not, the names are the benchmark's.  An
+    # mdp rule is compared by its exponent, so n^0.250 is the default n^0.25
     runs = [["mixing", "--a", "0.3", "--b-prob", "0.3", "--alpha", "0.3"],
             ["mixing", "--a", "0.5", "--b-prob", "0.4"], ["mixing", "--alpha", "0.25"],
-            ["mdp"], ["mdp", "--rule", "n^0.3", "--b", "2"],
+            ["mdp"], ["mdp", "--rule", "n^0.250"], ["mdp", "--rule", "n^0.3", "--b", "2"],
             ["couple", "--alpha", "0.125"], ["couple", "--alpha", "0.25"]]
     small = {"mixing": ["--n", "2000", "--x", "0.5", "--budget", "2000"],
              "mdp": ["--n-list", "100", "--budget", "2000"],
@@ -368,8 +369,8 @@ def test_mixing_command(tmp_path, capsys):
                  "--budget", "10000", "--x", "0.5"]) == 0
     info = json.loads((tmp_path / "mixing_n2000_seed0_info.json").read_text())
     assert info["m"] == 9 and info["k"] == 111
-    # 111 blocks = 13 draws of 8 blocks, then 4, 2 and 1
-    assert info["blocks_per_draw"] == 8 and info["draws_per_path"] == 16
+    # 111 blocks = 3 draws of 32 blocks, then 8, 4, 2 and 1
+    assert info["blocks_per_draw"] == 32 and info["draws_per_path"] == 7
 
 
 def test_readme_commands_parse(monkeypatch):

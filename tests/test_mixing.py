@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mdmart import mixing
-from mdmart.alias import BLOCK_TABLE_CELLS, draw_plan
-from mdmart.mixing import (MIX_CHUNK, ChainError, MarkovChainSpec,
+from mdmart.alias import draw_plan
+from mdmart.mixing import (BLOCK_SUM_CELLS, MIX_CHUNK, ChainError, MarkovChainSpec,
                            _block_law, _block_tables,
                            berbee_couple, berbee_mismatch_probability,
                            beta_by_enumeration, beta_coefficient,
@@ -418,14 +418,15 @@ class TestTailExperiment:
             assert abs(row.ratio - 1.0) < 0.1
 
     @pytest.mark.parametrize("n, alpha, builds, doublings", [
-        (10 ** 4, 0.3, 1, 3), (5000, 0.5, 1, 0)], ids=["10000-0.3-1", "5000-0.5-1"])
+        (10 ** 4, 0.3, 1, 5), (5000, 0.5, 1, 2)], ids=["10000-0.3-1", "5000-0.5-1"])
     def test_block_law_built_once(self, monkeypatch, n, alpha, builds, doublings):
         # the certificate, the exact variance and the sampler share one block
         # law per (chain, m), also at n = 5000, alpha = 0.5, where m = 70.
         # The sampler's doubled tables are built once too, though the
         # sampler and the info both ask for them: at m = 15, k = 333 the
-        # tables of 2, 4 and 8 blocks (16 would pass BLOCK_TABLE_CELLS); at
-        # m = 70 the 141 sums of two blocks would take 282 cells, so none
+        # tables of 2, 4, 8, 16 and 32 blocks (64 blocks take 961 totals,
+        # 1922 cells, past BLOCK_SUM_CELLS); at m = 70, k = 35 those of 2
+        # and 4 blocks (8 blocks take 561 totals, 1122 cells)
         calls, doubled = [], []
         real, real_double = mixing.block_sum_distribution, mixing.double_block_law
 
@@ -479,10 +480,12 @@ class TestTailExperiment:
 
 
 def composed_tables(chain, m, levels):
-    """The tables of 1, 2, 4, ... blocks by brute force: dicts (total, next
-    start) -> prob per start state, the first from `block_sum_distribution`
-    and P^{m+1}, each next one by summing the products of every pair of
-    outcomes that chain through a middle start state."""
+    """The tables of 1, 2, 4, ... blocks by brute force, each as per start
+    state the outcomes' arrays (total, next start, prob), one outcome per
+    (total, next start): the first from `block_sum_distribution` and
+    P^{m+1}, each next one by summing the products of every pair of
+    outcomes that chain through a middle start state, with the pair's total
+    rounded to 12 decimals."""
     S = chain.P.shape[0]
     hop = np.linalg.matrix_power(chain.P, m + 1)
     table = []
@@ -491,49 +494,136 @@ def composed_tables(chain, m, levels):
         for (y, e), p in dist.items():
             for t in range(S):
                 row[(y, t)] = row.get((y, t), 0.0) + p * hop[e, t]
-        table.append(row)
+        ys, ts, ps = zip(*((y, t, p) for (y, t), p in row.items()))
+        table.append((np.array(ys), np.array(ts), np.array(ps)))
     out = [table]
     for _ in range(levels - 1):
         doubled = []
-        for s in range(S):
-            row = {}
-            for (y1, r), p1 in table[s].items():
-                for (y2, t), p2 in table[r].items():
-                    key = (round(y1 + y2, 12), t)
-                    row[key] = row.get(key, 0.0) + p1 * p2
-            doubled.append(row)
+        for y1, r1, p1 in table:
+            pairs = [(np.add.outer(y1[r1 == r], y2),
+                      np.broadcast_to(t2, (np.sum(r1 == r), t2.size)),
+                      np.multiply.outer(p1[r1 == r], p2))
+                     for r, (y2, t2, p2) in enumerate(table)]
+            y, t, p = (np.concatenate([a.ravel() for a in arrays]) for arrays in zip(*pairs))
+            totals, total = np.unique(np.round(y, 12), return_inverse=True)
+            cells, cell = np.unique(total * S + t, return_inverse=True)
+            doubled.append((totals[cells // S], cells % S, np.bincount(cell, weights=p)))
         table = doubled
         out.append(table)
     return out
+
+
+def dense(table, values):
+    """A `composed_tables` table as an array [s, i, t] over the totals
+    `values`."""
+    S = len(table)
+    out = np.zeros((S, values.size, S))
+    for s, (y, t, p) in enumerate(table):
+        out[s, np.searchsorted(values, y), t] = p
+    return out
+
+
+# the unit roundoff of a float64
+EPS = 2.0 ** -53
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u): the relative error of a sum of n
+    + 1 nonnegative floats in any order, or of n rounded operations in
+    sequence (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, sec. 3.1)."""
+    return n * EPS / (1.0 - n * EPS)
 
 
 class TestDoubledTables:
     @pytest.mark.parametrize("chain, g", LATTICE_CHAINS, ids=LATTICE_IDS)
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_tables_are_the_composed_block_law(self, chain, g, m):
+        self.check_ladder(chain, m, 1 << 10)
+
+    @pytest.mark.parametrize("chain, m, k", [
+        (two_state_chain(0.3, 0.3), 15, 333), (three_state_chain(), 9, 111)],
+        ids=["two_state(0.3,0.3)", "three_state"])
+    def test_benchmark_tables_are_the_composed_block_law(self, chain, m, k):
+        # the mixing-blocks benchmark's chains at the (m, k) of its runs,
+        # n = 10^4 and n = 2000 at alpha = 0.3
+        self.check_ladder(chain, m, k)
+
+    @staticmethod
+    def check_ladder(chain, m, k):
         # every doubling up to the cell bound matches the brute-force
         # composition; a lattice chain's 2^b-block totals take
-        # 2^b (Y - 1) + 1 values, where one block's take Y
+        # 2^b (Y - 1) + 1 values, where one block's take Y, and they are
+        # the rounded pair sums of the level below, bit for bit
         S = chain.P.shape[0]
-        k = 1 << 10
         ladder = _block_tables(chain, m, k)
         composed = composed_tables(chain, m, len(ladder))
         Y = ladder[0][0].size
         for b, ((values, joint, _), table) in enumerate(zip(ladder, composed)):
             assert values.size == (Y - 1 << b) + 1
-            assert values.size * S <= BLOCK_TABLE_CELLS
-            keys = sorted({y for row in table for y, _ in row})
+            assert values.size * S <= BLOCK_SUM_CELLS
+            if b:
+                below = ladder[b - 1][0]
+                assert np.array_equal(
+                    values, np.unique(np.round(np.add.outer(below, below), 12))), b
+            keys = np.unique(np.concatenate([y for y, _, _ in table]))
             assert np.allclose(values, keys, rtol=0.0, atol=1e-12)
-            want = np.zeros_like(joint)
-            for s, row in enumerate(table):
-                for (y, t), p in row.items():
-                    want[s, keys.index(y), t] = p
-            assert np.abs(joint - want).max() <= 1e-15, b
-            # a row's rounding error grows with each doubling: 6.8e-15 at
-            # most here, on 32 blocks
-            assert np.abs(joint.sum(axis=(1, 2)) - 1.0).max() <= 1e-14, b
+            assert np.abs(joint - dense(table, keys)).max() <= 1e-15, b
+            # Row mass.  Say every row of the table below has mass within
+            # e of 1.  Doubled row s has the mass sum_r q(s, r) M(r) before
+            # rounding, where q(s, r), the mass of row s that moves to
+            # start r, adds up to M(s); so it lies within (1 + e)^2 - 1 of
+            # 1.  Each doubled cell is a sum of at most Y' products of
+            # nonnegative floats along a convolution, Y' the width of the
+            # table below, then a sum over S middle states: every term
+            # takes at most Y' + S - 1 roundings, so rounding moves each
+            # cell, and the row, by at most gamma(Y' + S - 1) of its exact
+            # value.  The one-block table is held to a fixed 1e-14, and from
+            # that e the bound about doubles per doubling and gains the
+            # rounding of each, so no level's bound reads a measured error.
+            # `math.fsum` rounds a row's mass once, so a measured error is
+            # within 2 EPS of the exact one.
+            error = max(abs(math.fsum(row) - 1.0) for row in joint.reshape(S, -1))
+            if b:
+                width = ladder[b - 1][0].size
+                bound = (1.0 + bound) ** 2 * (1.0 + gamma(width + S - 1)) - 1.0
+            else:
+                bound = 1e-14
+            assert error <= bound + 2.0 * EPS, (b, error, bound)
         # the next doubling would pass the cell bound
-        assert ((Y - 1 << len(ladder)) + 1) * S > BLOCK_TABLE_CELLS
+        assert ((Y - 1 << len(ladder)) + 1) * S > BLOCK_SUM_CELLS
+
+    def test_chain_off_a_lattice_draws_one_block_per_uniform(self):
+        # a centred standard-normal f: the totals of two steps are not
+        # equally spaced, so no table is doubled, and a path of k blocks
+        # takes k draws; its totals still follow the law of k = 8 blocks
+        # composed by brute force.  n = 32, alpha = 0.25: m = 2, k = 8
+        P = three_state_chain().P
+        f = np.random.default_rng(5).standard_normal(3)
+        chain = MarkovChainSpec(states=[0, 1, 2], P=P, f=f - stationary_dist(P) @ f)
+        n, alpha, paths = 32, 0.25, 10 ** 5
+        m, k, _ = block_indices(n, alpha)
+        assert (m, k) == (2, 8)
+        assert len(_block_tables(chain, m, k)) == 1
+        _, info = mixing_tail_experiment(chain, n, alpha, [1.0], 100, 0)
+        assert info["blocks_per_draw"] == 1 and info["draws_per_path"] == k
+        # the stationary law of the total of 8 blocks
+        table = composed_tables(chain, m, 4)[3]
+        values, cell = np.unique(np.concatenate([y for y, _, _ in table]), return_inverse=True)
+        probs = np.bincount(cell, weights=np.concatenate(
+            [chain.pi[s] * p for s, (_, _, p) in enumerate(table)]))
+        assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
+        # thresholds halfway between adjacent totals at ten quantiles, far
+        # from any total, so float rounding in the sums cannot cross them
+        cdf = np.cumsum(probs)
+        cuts = sorted({int(np.searchsorted(cdf, q)) for q in np.linspace(0.05, 0.95, 10)})
+        assert len(cuts) >= 8
+        sums = simulate_block_sums(chain, n, alpha, paths, 4)
+        for i in cuts:
+            assert values[i + 1] - values[i] > 1e-9
+            p = math.fsum(probs[i + 1:])
+            p_hat = np.count_nonzero(sums > (values[i] + values[i + 1]) / 2.0) / paths
+            assert abs(p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / paths), (i, p_hat, p)
 
     def test_doubling_stops_at_k(self):
         # no table of more blocks than the path has; a larger k extends the
