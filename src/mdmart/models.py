@@ -16,7 +16,7 @@ from itertools import accumulate
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .alias import BLOCK_TABLE_CELLS, alias_draw, alias_tables, draw_plan
+from .alias import BLOCK_TABLE_CELLS, alias_draw, alias_tables, compose, draw_plan, joined
 
 ATOL = 1e-12
 
@@ -29,10 +29,6 @@ DEFAULT_GRID = tuple(2.0 ** j for j in range(-6, 11))
 # the block sampler's forward pass visits at most this many (start state,
 # atom sequence) cells
 BLOCK_CELLS = 1 << 15
-
-# most outcome pairs one doubling of the block tables forms: a memory bound,
-# as grouping them takes about 100 bytes a pair, 55 MB at this cap
-DOUBLING_PAIRS = 1 << 19
 
 # most cells `terminal_law` tabulates (a two-atom i.i.d. law has n + 1): a
 # memory bound, as an estimate on the cells holds about 80 bytes a cell,
@@ -216,118 +212,71 @@ class BlockTable:
 
 
 @dataclass(frozen=True)
-class _BlockOutcomes:
-    """The outcomes of `steps` steps from each block-start row, grouped by
-    (row, end row, count of each (law, atom) drawn): the atom sequences of a
-    group share their probability, value sum and log mgf sum under every
-    tilt.  Group g holds `mult[g]` sequences and sits in cell `cell[g]` =
-    row * width + column; `dx` and `end` are laid out by cell, and `values`
-    are the scaled atom values per (law, atom).  Doubling adds counts, so
-    they are int32, past int8, and multiplies multiplicities, so they are
-    float64, past int64."""
+class _BlockLaw:
+    """The law of `steps` steps from each block-start row under P, before
+    any tilt, in `width` cells per row, flattened over (row, cell).  A cell
+    holds the atom sequences from its row with one end row, one count of
+    steps per law and one value sum: under P_lam they share the factor
+    exp(lam * dx - Psi), Psi = sum over laws of count * psi(lam).  `log_p`
+    is log P(cell) (-inf on padding), `dx` the sum of the scaled values,
+    `count` the steps per law and `end` the end row."""
 
     steps: int
     width: int
-    cell: np.ndarray
-    count: np.ndarray
-    mult: np.ndarray
+    log_p: np.ndarray
     dx: np.ndarray
+    count: np.ndarray
     end: np.ndarray
-    values: np.ndarray
 
     @classmethod
-    def group(cls, steps, rows, row, end, count, mult, values):
-        """Group outcomes i, which start in row `row[i]`, end in row
-        `end[i]`, draw (law, atom) j `count[i, j]` times and stand for
-        `mult[i]` atom sequences each, by (row, end row, count); a group's
-        multiplicity is the sum of its outcomes'."""
-        # sorted lexicographically by (row, end, count): the key columns are
-        # folded into as few int64 sort keys as hold them, each a
-        # mixed-radix number, which keeps that order
-        folded, size = [], 0
-        for col in (row, end, *count.T):
-            span = int(col.max()) + 1
-            if folded and size * span < 1 << 62:
-                folded[-1] = folded[-1] * span + col
-                size *= span
-            else:
-                folded.append(col.astype(np.int64, copy=False))
-                size = span
-        order = np.lexsort(folded[::-1])
-        new = np.zeros(row.size, dtype=bool)
-        new[0] = True
-        for f in folded:
-            f = f[order]
-            new[1:] |= f[1:] != f[:-1]
-        mult = np.bincount(np.cumsum(new) - 1, weights=mult[order])
-        first = order[new]
-        row, count = row[first], count[first].astype(np.int32)
+    def of(cls, steps, rows, row, end, count, dx, p):
+        """The cells with these fields, sorted by row, laid out in rows of
+        one width."""
         col = np.arange(row.size) - np.searchsorted(row, row)
         width = int(col.max()) + 1
-        cell = row * width + col
-        dx = np.zeros(rows * width)
-        dx[cell] = (count * values).sum(axis=1)
-        nxt = np.zeros(dx.size, dtype=np.intp)
-        nxt[cell] = end[first]
-        return cls(steps, width, cell, count, mult, dx, nxt, values)
 
-    def cells_bound(self):
-        """A lower bound on the cells of each row of the doubled outcomes,
-        from the group counts alone.  With A the count vectors from row s
-        into row r and B those from r into row t, the cells from s into t
-        hold A + B, and |A + B| >= |A| + |B| - 1 for finite sets of integer
-        vectors (list both in lexicographic order).  Summed over t, row s
-        has at least size(r) + ends(r) (|A| - 1) cells for each r it ends
-        in, size(r) being the groups of row r and ends(r) the rows they end
-        in."""
-        rows = self.dx.size // self.width
-        row, end = self.cell // self.width, self.end[self.cell]
-        into, per = np.unique(row * rows + end, return_counts=True)
-        starts, middle = np.divmod(into, rows)
-        size = np.bincount(row, minlength=rows)
-        ends = np.bincount(starts, minlength=rows)
-        bound = np.zeros(rows, dtype=np.intp)
-        np.maximum.at(bound, starts, size[middle] + ends[middle] * (per - 1))
-        return bound
+        def full(a, pad=0):
+            out = np.full((rows * width, *a.shape[1:]), pad, dtype=a.dtype)
+            out[row * width + col] = a
+            return out
 
-    def doubled(self, max_cells):
-        """The outcomes of 2 * steps steps: each outcome from row s that ends
-        in row r followed by each outcome from row r, regrouped, a pair
-        standing for the product of its parts' multiplicities.  None when a
-        row would have more than `max_cells` cells, which `cells_bound`
-        mostly shows before any pair is formed, or when there would be more
-        than DOUBLING_PAIRS pairs."""
-        if self.cells_bound().max() > max_cells:
-            return None
-        rows = self.dx.size // self.width
-        row, end = self.cell // self.width, self.end[self.cell]
-        # pair each group with every group of the row it ends in; a row's
-        # groups are contiguous, from first[row]
-        size = np.bincount(row, minlength=rows)
-        take = size[end]
-        if take.sum() > DOUBLING_PAIRS:
-            return None
-        g = np.repeat(np.arange(row.size), take)
-        first = np.cumsum(size) - size
-        h = np.arange(g.size) + np.repeat(first[end] - (np.cumsum(take) - take), take)
-        count = self.count[g]
-        count += self.count[h]
-        out = _BlockOutcomes.group(2 * self.steps, rows, row[g], end[h], count,
-                                   self.mult[g] * self.mult[h], self.values)
-        return out if out.width <= max_cells else None
+        return cls(steps, width, full(np.log(p), -np.inf), full(dx), full(count), full(end))
 
-    def tilted(self, q, psi) -> BlockTable:
-        """The table under the tilt whose (law, atom) probabilities are q
-        and whose per-law log mgfs, repeated per atom, are psi."""
-        prob = self.mult.copy()
-        for j in range(q.size):
-            prob *= q[j] ** self.count[:, j]
-        p = np.zeros(self.dx.size)
-        p[self.cell] = prob
-        dpsi = np.zeros(self.dx.size)
-        dpsi[self.cell] = (self.count * psi).sum(axis=1)
-        return BlockTable(self.steps, self.width, p, self.dx, dpsi, self.end,
-                          alias_tables(p.reshape(-1, self.width)))
+    def tilted(self, lam, log_mgf) -> BlockTable:
+        """The table under P_lam, whose per-law log mgfs are log_mgf; the
+        probabilities are taken in log space."""
+        dpsi = self.count @ log_mgf
+        prob = np.exp(self.log_p + lam * self.dx - dpsi)
+        return BlockTable(self.steps, self.width, prob, self.dx, dpsi, self.end,
+                          alias_tables(prob.reshape(-1, self.width)))
+
+
+def _doubled(law, start, end, counts):
+    """The law of two blocks from that of one: law[j, i] = P(value sum lo +
+    i, end row end[j] | start row start[j]) with the value sums in lattice
+    units, one (start, end) pair j per row of law, sorted, and counts[j] the
+    steps per law of every block of pair j.  Returns (law, start, end,
+    counts) of two blocks, or None when a row of the doubled law would have
+    more than BLOCK_TABLE_CELLS cells, or when the steps per law of two
+    blocks are not a function of their start and end rows.  With A the
+    value sums of the blocks from s into r and B those from r into t, the
+    pairs from s into t have at least |A + B| >= |A| + |B| - 1 value sums
+    for each r, which refuses most doublings before any convolution."""
+    a, b = joined(start, end)
+    rows = end.max() + 1
+    into, pair = np.unique(start[a] * rows + end[b], return_inverse=True)
+    size = np.count_nonzero(law, axis=1)
+    bound = np.zeros(into.size, dtype=np.intp)
+    np.maximum.at(bound, pair, size[a] + size[b] - 1)
+    count = counts[a] + counts[b]
+    counts2 = count[np.unique(pair, return_index=True)[1]]
+    if (np.bincount(into // rows, bound).max() > BLOCK_TABLE_CELLS
+            or (counts2[pair] != count).any()):
+        return None
+    law2, start2, end2 = compose(law, start, end)
+    if np.bincount(start2, np.count_nonzero(law2, axis=1)).max() > BLOCK_TABLE_CELLS:
+        return None
+    return law2, start2, end2, counts2
 
 
 class MartingaleModel:
@@ -464,11 +413,14 @@ class MartingaleModel:
         (`block_steps`), and one uniform draws 2^b blocks at once: their sum
         of values, their sum of log mgfs and their end state come together
         from the alias tables of the law of 2^b blocks at the path's
-        block-start state (`block_tables`).  A path of k = n // B blocks
+        block-start state (`block_tables`), composed by convolution along
+        the lattice of value sums (`_blocks`).  A path of k = n // B blocks
         draws as `draw_plan` says: k // j times from the table of the most
         blocks j, and once from the table of 2^b blocks for each set bit b
         of k mod j.  The n mod B steps left over come last, from the
-        leftover table the same way.  B = 1 would draw step by step."""
+        leftover table the same way.  For regime_switch at n = 1600, B = 8
+        and j = 4, so a path takes 50 uniforms.  B = 1 would draw step by
+        step."""
         t = self.table
         if len(t.states) == 1:
             _, probs, log_mgf = self.law_arrays(lam)
@@ -533,63 +485,100 @@ class MartingaleModel:
     @cached_property
     def _blocks(self):
         """The tilt-free part of the block tables (ladder, plan, leftover).
-        ladder[b] holds the grouped outcomes of 2^b blocks of B steps, from
-        each block-start state reachable from state 0: one forward pass over
-        every atom sequence from those states gives the first, and each next
-        one is its predecessor doubled, while 2^b blocks fit in n and a row
-        has at most BLOCK_TABLE_CELLS cells.  plan is the level each draw of
-        a path uses (`draw_plan`), and leftover the outcomes of the n mod B
-        steps left over, from the same pass (None when B divides n)."""
+        ladder[b] is the `_BlockLaw` of 2^b blocks of B steps from each
+        block-start state reachable from state 0.  One forward pass over
+        every atom sequence from those states gives the first; its cells
+        hold value sums in lattice units, the gcd of the differences between
+        each law's atom values and its first, rounded to 12 decimals.  Each
+        next level is its predecessor composed with itself by convolution
+        along those units (`compose`), while 2^b blocks fit in n and a row
+        has at most BLOCK_TABLE_CELLS cells, which `_doubled` mostly shows
+        before any convolution.  The ladder keeps the first level alone when
+        the steps per law, and so Psi, are not a function of a block's start
+        and end rows, or when the value sums lie on no lattice: when more
+        units lie between the least and the greatest of them than the first
+        level has cells.  plan is the level each draw of a path uses
+        (`draw_plan`), and leftover the `_BlockLaw` of the n mod B steps left
+        over, from the same pass (None when B divides n)."""
         t = self.table
         S, width = t.T.shape
         steps = block_steps(S, width)
         leftover = self.n % steps
-        a = np.arange(width)
-        real_atom = t.real[t.law_of]
         # the block-start states: from state 0 and from every block end
         rows, frontier = [0], [0]
         while frontier:
             ends = frontier
             for _ in range(steps):
-                ends = sorted(set(t.T[ends][real_atom[ends]].tolist()))
+                ends = sorted(set(t.T[ends][t.real[t.law_of[ends]]].tolist()))
             frontier = [e for e in ends if e not in rows]
             rows += frontier
+        R, L = len(rows), len(t.laws)
         row_of = np.zeros(S, dtype=np.intp)
-        row_of[rows] = np.arange(len(rows))
-        # one column per (law, atom); each cell counts how often it drew each.
-        # int8 holds the counts of one pass (<= B <= 14); grouping widens them
-        one_hot = np.eye(len(t.laws) * width, dtype=np.int8)
-        end = np.array(rows)[:, None]
-        real = np.ones(end.shape, dtype=bool)  # no padded atom drawn
-        count = np.zeros((len(rows), 1, one_hot.shape[0]), dtype=np.int8)
+        row_of[rows] = np.arange(R)
+        # an atom's value is its law's first atom value plus a whole number
+        # of units, the gcd of those differences rounded to 12 decimals
+        base = t.values[:, 0]
+        units = np.round((t.values - base[:, None]) * 1e12).astype(np.int64)
+        unit = np.gcd.reduce(units[t.real])
+        units //= unit
+        # per atom sequence: its end state, its probability (0 once it draws
+        # a padded atom), its value sum in units and its steps per law
+        end, p = np.array(rows)[:, None], np.ones((R, 1))
+        k, count = np.zeros((R, 1), dtype=np.int64), np.zeros((R, 1, L), dtype=np.int64)
         passes = {}
         for step in range(1, steps + 1):
-            law = t.law_of[end][..., None]
-            real = (real[..., None] & real_atom[end]).reshape(len(rows), -1)
-            count = (count[:, :, None] + one_hot[law * width + a]).reshape(
-                *real.shape, -1)
-            end = t.T[end].reshape(real.shape)
+            law = t.law_of[end]
+            p = (p[..., None] * t.probs[law]).reshape(R, -1)
+            k = (k[..., None] + units[law]).reshape(R, -1)
+            count = np.repeat(count + np.eye(L, dtype=np.int64)[law], width, axis=1)
+            end = t.T[end].reshape(R, -1)
             if step in (leftover, steps):
-                passes[step] = (end, real, count)
-        values = self.law_arrays(0.0)[0].ravel()
+                passes[step] = (end, p, k, count)
 
-        def grouped(step, row_of):
-            end, real, count = passes[step]
-            row = np.nonzero(real)[0]
-            return _BlockOutcomes.group(step, len(rows), row, row_of[end[real]],
-                                        count[real], np.ones(row.size), values)
+        def cells(step, row_of):
+            # the distinct (row, end row, steps per law, value sum) of a
+            # pass, sorted, and their probabilities; the columns fold into
+            # one int64 key, in the same order, when it holds them
+            end, p, k, count = passes[step]
+            real = p > 0.0
+            cells = np.column_stack((np.nonzero(real)[0], row_of[end[real]], count[real], k[real]))
+            key = cells - cells.min(axis=0)
+            span = (key.max(axis=0) + 1).tolist()
+            if math.prod(span) < 1 << 63:
+                key = np.ravel_multi_index(key.T, span)
+            _, first, cell = np.unique(key, return_index=True, return_inverse=True,
+                                       axis=None if key.ndim == 1 else 0)
+            c = cells[first]
+            return c[:, 0], c[:, 1], c[:, 2:-1], c[:, -1], np.bincount(cell, weights=p[real])
 
-        ladder = [grouped(steps, row_of)]
-        k = self.n // steps
-        while len(ladder) < k.bit_length():
-            doubled = ladder[-1].doubled(BLOCK_TABLE_CELLS)
-            if doubled is None:
-                break
-            ladder.append(doubled)
+        def level(steps, row, end, count, k, p):
+            dx = (count @ base + k * (unit / 1e12)) * (1.0 / math.sqrt(self.n))
+            return _BlockLaw.of(steps, R, row, end, count, dx, p)
+
+        row, end, count, k, p = cells(steps, row_of)
+        ladder = [level(steps, row, end, count, k, p)]
+        blocks = self.n // steps
+        pairs, first, pair = np.unique(row * R + end, return_index=True, return_inverse=True)
+        lo, span = k.min(), k.max() - k.min() + 1
+        # Psi is a function of a block's start and end rows when each pair of
+        # them has one count of steps per law; the value sums lie on a
+        # lattice when it has no more points than the level has cells
+        if (count == count[first][pair]).all() and span <= k.size:
+            law = np.zeros((pairs.size, span))
+            law[pair, k - lo] = p
+            (start, stop), counts = np.divmod(pairs, R), count[first]
+            while len(ladder) < blocks.bit_length():
+                doubled = _doubled(law, start, stop, counts)
+                if doubled is None:
+                    break
+                (law, start, stop, counts), lo = doubled, 2 * lo
+                j, i = np.nonzero(law)
+                ladder.append(level(steps << len(ladder), start[j], stop[j], counts[j], lo + i,
+                                    law[j, i]))
         # nothing is drawn after the leftover steps, so their end states are
         # not needed: all map to row 0
-        rem = grouped(leftover, np.zeros_like(row_of)) if leftover else None
-        return ladder, draw_plan(k, len(ladder)), rem
+        rem = level(leftover, *cells(leftover, np.zeros_like(row_of))) if leftover else None
+        return ladder, draw_plan(blocks, len(ladder)), rem
 
     def block_tables(self, lam: float):
         """(ladder, leftover) `BlockTable`s under P_lam: ladder[b] draws 2^b
@@ -598,12 +587,11 @@ class MartingaleModel:
         Built once per lam and kept, since the estimators draw one chunk at
         a time."""
         if lam not in self._block_cache:
-            _, q, log_mgf = self.law_arrays(lam)
-            q, psi = q.ravel(), np.repeat(log_mgf, q.shape[1])
+            log_mgf = self.law_arrays(lam)[2]
             ladder, plan, rem = self._blocks
             self._block_cache[lam] = (
-                [g.tilted(q, psi) if b in plan else None for b, g in enumerate(ladder)],
-                None if rem is None else rem.tilted(q, psi))
+                [g.tilted(lam, log_mgf) if b in plan else None for b, g in enumerate(ladder)],
+                None if rem is None else rem.tilted(lam, log_mgf))
         return self._block_cache[lam]
 
 

@@ -11,7 +11,7 @@ from mdmart.alias import BLOCK_TABLE_CELLS, draw_plan
 from mdmart.models import (ATOL, BLOCK_CELLS, DEFAULT_GRID, Certificate,
                            CertificationError, ConditionalLaw, IIDModel,
                            MartingaleModel, ModelError,
-                           _BlockOutcomes, block_steps, certify,
+                           block_steps, certify,
                            check_sakhanenko, make_heavy_left, make_rademacher,
                            make_regime_switch, verify_certificate)
 from mdmart.montecarlo import enumerate_terminal, estimate_tail_plain
@@ -365,7 +365,7 @@ def exact_terminal_law(model, lam):
 # the state-dependent models at horizons below the block length B, equal to
 # it, B + 2 and 2B + 3, so both the block tables and the leftover one are
 # drawn from; regime_switch also at 3B and 4B + 3, whose paths draw from the
-# tables of one and of two blocks, or of two blocks and the leftover steps
+# tables of one and of two blocks, or of four blocks and the leftover steps
 _B_RS = block_steps(*make_regime_switch(1, 0.3).table.T.shape)
 _B_SS = block_steps(*SignSwitch(1).table.T.shape)
 SAMPLER_MODELS = {"regime_switch": make_regime_switch(10, 0.3),
@@ -511,7 +511,7 @@ class TestStateTable:
         # whose tilted probability underflows to 0 cannot be drawn
         values, exact, mass, m2 = exact_terminal_law(model, lam)
         size = 1 << 15
-        batch = model.simulate_terminal(size, np.random.default_rng(4), lam)
+        batch = model.simulate_terminal(size, np.random.default_rng(5), lam)
         # each drawn X_n is one of the exact values, up to float sum order
         i = np.clip(np.searchsorted(values, batch.x), 1, values.size - 1)
         i -= batch.x - values[i - 1] < values[i] - batch.x
@@ -561,8 +561,8 @@ class TestStateTable:
         # with n <= 14, the enumeration's guard, are held to it: at
         # gamma = 0.45 B = 7, so that includes its doubled table, at
         # n = 14; gamma = 0.3's, at n = 16, is held to the forward pass in
-        # the next test.  sign_switch's doubling is refused, as its rows
-        # would pass BLOCK_TABLE_CELLS
+        # the next test.  sign_switch's doubling is refused, as its steps
+        # per law are not a function of a block's start and end rows
         steps = block_steps(*make(1).table.T.shape)
         assert len(make(2 * steps)._blocks[0]) == levels
         tables = [(steps << b, make(steps << b).block_tables(lam)[0][b])
@@ -580,57 +580,66 @@ class TestStateTable:
 
     @pytest.mark.parametrize("lam", [0.0, 0.8])
     def test_doubled_table_is_the_forward_pass(self, lam):
-        # regime_switch's table of two blocks at n = 2B = 16, past the
+        # every level the ladder builds at n = 1600, at n = 2^b B, past the
         # enumeration's guard: per value of X_n, its P_lam and E_lam[w^2]
         # against the forward pass over (state, X)
-        m = make_regime_switch(2 * _B_RS, 0.3)
-        tab = m.block_tables(lam)[0][1]
-        assert tab.steps == m.n
-        dx, lw, prob = row0_law(tab, lam)
-        (got_x,), (mass, m2) = by_value([dx], [prob, prob * np.exp(2.0 * lw)])
-        values, _, want_mass, want_m2 = exact_terminal_law(m, lam)
-        assert np.allclose(got_x, values, rtol=0.0, atol=1e-9)
-        assert np.abs(mass - want_mass).max() <= 1e-12
-        assert np.allclose(m2, want_m2, rtol=1e-10, atol=0.0)
+        for gamma, steps in ((0.2, [9, 18, 36, 72]), (0.25, [9, 18, 36]),
+                             (0.3, [8, 16, 32]), (0.45, [7, 14])):
+            ladder = make_regime_switch(1600, gamma)._blocks[0]
+            assert [level.steps for level in ladder] == steps
+            for b, n in enumerate(steps):
+                m = make_regime_switch(n, gamma)
+                tab = m.block_tables(lam)[0][b]
+                assert tab.steps == m.n
+                dx, lw, prob = row0_law(tab, lam)
+                (got_x,), (mass, m2) = by_value([dx], [prob, prob * np.exp(2.0 * lw)])
+                values, _, want_mass, want_m2 = exact_terminal_law(m, lam)
+                assert np.allclose(got_x, values, rtol=0.0, atol=1e-9)
+                assert np.abs(mass - want_mass).max() <= 1e-12
+                assert np.allclose(m2, want_m2, rtol=1e-10, atol=0.0)
 
-    @pytest.mark.parametrize("model", [
-        make_regime_switch(1600, 0.3), make_regime_switch(1600, 0.1),
-        make_regime_switch(1600, 0.0), SignSwitch(1600)],
+    @pytest.mark.parametrize("make", [
+        lambda: make_regime_switch(1600, 0.3), lambda: make_regime_switch(1600, 0.1),
+        lambda: make_regime_switch(1600, 0.0), lambda: SignSwitch(1600)],
         ids=["regime_switch", "regime_switch-0.1", "regime_switch-0.0", "sign_switch"])
-    def test_doubling_stops_at_the_cell_bound(self, model):
-        # each level's cells_bound is at most the true cell count of each
-        # row of its doubling, and the ladder stops at the first doubling
-        # past BLOCK_TABLE_CELLS; all four stop there before 2^b blocks
-        # would pass n
-        ladder = model._blocks[0]
-        assert 1 << len(ladder) <= model.n // ladder[0].steps
-        for b, level in enumerate(ladder):
-            bound = level.cells_bound()
-            full = level.doubled(math.inf)
-            cells = np.bincount(full.cell // full.width, minlength=bound.size)
-            assert (bound <= cells).all()
-            assert (full.width <= BLOCK_TABLE_CELLS) == (b + 1 < len(ladder))
+    def test_doubling_stops_at_the_cell_bound(self, make, monkeypatch):
+        # each level's rows fit BLOCK_TABLE_CELLS, and the ladder stops at the
+        # first doubling whose rows would not: with the cap raised, the next
+        # level is built and is wider.  sign_switch, whose steps per law are
+        # not a function of a block's start and end rows, keeps level 0
+        ladder = make()._blocks[0]
+        assert all(level.width <= BLOCK_TABLE_CELLS for level in ladder)
+        assert 1 << len(ladder) <= 1600 // ladder[0].steps
+        monkeypatch.setattr(models, "BLOCK_TABLE_CELLS", 4 * BLOCK_TABLE_CELLS)
+        wider = make()._blocks[0]
+        if isinstance(make(), SignSwitch):
+            assert len(ladder) == len(wider) == 1
+            return
+        assert [level.width for level in wider[:len(ladder)]] == [level.width for level in ladder]
+        assert wider[len(ladder)].width > BLOCK_TABLE_CELLS
 
-    def test_doubling_refused_before_pairing(self, monkeypatch):
-        # regime_switch's table of four blocks would have 1008 cells in a
-        # row; the bound shows that before its 345k pairs are formed, so
-        # only the forward pass (3328 atom sequences) and the one doubling
-        # group outcomes
-        real, sizes = _BlockOutcomes.group.__func__, []
+    def test_doubling_refused_before_convolving(self, monkeypatch):
+        # regime_switch's table of 8 blocks would have 2100 cells in a row;
+        # the support bound shows that before any convolution, so every
+        # np.convolve call is made by the doublings to 16 and 32 steps
+        calls, composed = [], []
+        convolve, compose = np.convolve, models.compose
 
-        def counted(cls, steps, rows, row, *rest):
-            sizes.append(row.size)
-            return real(cls, steps, rows, row, *rest)
+        def counted_convolve(a, b):
+            calls.append(1)
+            return convolve(a, b)
 
-        monkeypatch.setattr(_BlockOutcomes, "group", classmethod(counted))
+        def counted_compose(*args):
+            before = len(calls)
+            out = compose(*args)
+            composed.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(np, "convolve", counted_convolve)
+        monkeypatch.setattr(models, "compose", counted_compose)
         ladder = make_regime_switch(1600, 0.3)._blocks[0]
-        assert [level.steps for level in ladder] == [8, 16]
-        assert ladder[1].cells_bound().max() > BLOCK_TABLE_CELLS
-        assert sizes == [3328, 26112]
-        # the first doubling forms 26112 pairs, so a DOUBLING_PAIRS one
-        # below that refuses it
-        monkeypatch.setattr(models, "DOUBLING_PAIRS", 26111)
-        assert len(make_regime_switch(1600, 0.3)._blocks[0]) == 1
+        assert [(level.steps, level.width) for level in ladder] == [(8, 66), (16, 252), (32, 868)]
+        assert len(composed) == 2 and sum(composed) == len(calls) > 0
 
     def test_block_steps_rule(self):
         # the largest b whose forward pass over every state fits the budget
@@ -659,19 +668,20 @@ class TestStateTable:
         assert (leftover is None) == (rem is None) == (n % _B_RS == 0)
 
     def test_regime_switch_draw_count(self):
-        # at n = 1600 a regime_switch path takes at most 100 uniforms: the
-        # 200 blocks of 8 steps are drawn two at a time
+        # at n = 1600 a regime_switch path takes at most 50 uniforms: the
+        # 200 blocks of 8 steps are drawn four at a time
         rng = CountingRng(0)
         make_regime_switch(1600, 0.3).simulate_terminal(10, rng, 1.0)
-        assert len(rng.calls) <= 100
+        assert len(rng.calls) <= 50
 
     def test_plain_stream_pinned(self):
         # the value the block sampler draws; any change to the stream layout
         # or the per-draw tables shows here.  From the same streams, the
-        # per-step sampler drew 0.1555 and the sampler of one block per
-        # uniform 0.1573; all are independent estimates of one probability,
-        # so each pair agrees within 4 sqrt(2) SE
+        # per-step sampler drew 0.1555, the sampler of one block per uniform
+        # 0.1573 and that of two 0.1629; all are independent estimates of
+        # one probability (0.157890 exactly), so each pair agrees within
+        # 4 sqrt(2) SE
         est = estimate_tail_plain(make_regime_switch(200, 0.3), 1.0, 20000, 5)
-        assert est.p_hat == 0.1629
-        for earlier in (0.1555, 0.1573):
+        assert est.p_hat == 0.15475
+        for earlier in (0.1555, 0.1573, 0.1629):
             assert abs(est.p_hat - earlier) <= 4.0 * math.sqrt(2.0) * est.std_err
