@@ -90,7 +90,7 @@ def joined(start, end):
     return a, np.arange(a.size) + np.repeat(first - (np.cumsum(many) - many), many)
 
 
-def compose(law, start, end):
+def compose(law, start, end, cap):
     """The law of two consecutive blocks of a chain whose block total and
     next start state depend only on the block's start state, from the law
     of one.  law[j, i] = P(total i, end row end[j] | start row start[j]) >
@@ -100,11 +100,17 @@ def compose(law, start, end):
         law2[(s, t), :] = sum_r convolve(law[(s, r)], law[(r, t)]),
     summed over r in increasing order, with 2Y - 1 totals.  Returns (law2,
     start2, end2) for the pairs (s, t) that some r joins, sorted; a pair no
-    r joins has probability 0."""
+    r joins has probability 0.  Returns None as soon as the pairs of one
+    start row hold more than `cap` nonzero cells; a row's count only grows,
+    as the laws are nonnegative."""
     law2, begin, to = {}, start.tolist(), end.tolist()
+    cells = dict.fromkeys(begin, 0)  # nonzero cells per start row
     for i, j in zip(*(a.tolist() for a in joined(start, end))):
-        pair, c = (begin[i], to[j]), np.convolve(law[i], law[j])
-        law2[pair] = law2[pair] + c if pair in law2 else c
+        old = law2.get((begin[i], to[j]), 0)
+        law2[begin[i], to[j]] = c = np.convolve(law[i], law[j]) + old
+        cells[begin[i]] += np.count_nonzero(c) - np.count_nonzero(old)
+        if cells[begin[i]] > cap:
+            return None
     pairs = sorted(law2)
     return np.array([law2[k] for k in pairs]), *np.array(pairs).T
 
@@ -130,7 +136,8 @@ def double_block_law(values, joint, max_cells):
             and np.all(values2[1:] > values2[:-1])):
         return None
     s, t = np.nonzero(joint.any(axis=1))
-    law2, s, t = compose(joint[s, :, t], s, t)
+    # S (2Y - 1) <= max_cells, so no row reaches the cap
+    law2, s, t = compose(joint[s, :, t], s, t, max_cells)
     joint2 = np.zeros((S, 2 * Y - 1, S))
     joint2[s, :, t] = law2
     return values2, joint2

@@ -74,15 +74,16 @@ class CertificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConditionalLaw:
-    """Finite-support law of one martingale difference: ((value, prob), ...)."""
+    """Finite-support law of one martingale difference: ((value, prob), ...),
+    validated as a model gives it.  Its moments are read from the model's
+    state table (`MartingaleModel.second_moments`, `moment_condition`)."""
 
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         if len(self.atoms) < 2:
             raise ModelError("need at least 2 atoms")
-        values = [v for v, _ in self.atoms]
-        probs = [p for _, p in self.atoms]
+        values, probs = zip(*self.atoms)
         if len(set(values)) != len(values):
             raise ModelError("atom values must be distinct")
         if any(not (0.0 < p <= 1.0) for p in probs):
@@ -91,37 +92,6 @@ class ConditionalLaw:
             raise ModelError("atom probs must sum to 1")
         if abs(math.fsum(p * v for v, p in self.atoms)) > ATOL:
             raise ModelError("law must have mean zero (martingale difference)")
-
-    def second_moment(self) -> float:
-        return math.fsum(p * v * v for v, p in self.atoms)
-
-    def log_sakhanenko_moment(self, rho: float, K: float, two_sided: bool = False) -> float:
-        """log E[|v|^{2+rho} e^{K v+}] (or e^{K|v|} for the two-sided variant).
-
-        Computed in log space so deep negative atoms with enormous
-        exponential moments do not overflow.
-        """
-        terms = []
-        for v, p in self.atoms:
-            if v == 0.0:
-                continue
-            exponent = K * (abs(v) if two_sided else max(v, 0.0))
-            terms.append(math.log(p) + (2.0 + rho) * math.log(abs(v)) + exponent)
-        if not terms:
-            return -math.inf
-        m = max(terms)
-        return m + math.log(math.fsum(math.exp(t - m) for t in terms))
-
-
-def check_sakhanenko(law: ConditionalLaw, rho: float, K: float, L: float,
-                     two_sided: bool = False):
-    """Check E[|v|^{2+rho} e^{K v+}] <= L^rho E[v^2] on one law.
-
-    Returns (ok, log_lhs, log_rhs); comparison done in log space.
-    """
-    log_lhs = law.log_sakhanenko_moment(rho, K, two_sided=two_sided)
-    log_rhs = rho * math.log(L) + math.log(law.second_moment())
-    return log_lhs <= log_rhs + ATOL, log_lhs, log_rhs
 
 
 @dataclass(frozen=True)
@@ -261,7 +231,8 @@ def _doubled(law, start, end, counts):
     blocks are not a function of their start and end rows.  With A the
     value sums of the blocks from s into r and B those from r into t, the
     pairs from s into t have at least |A + B| >= |A| + |B| - 1 value sums
-    for each r, which refuses most doublings before any convolution."""
+    for each r, which refuses most doublings before any convolution;
+    `compose` refuses the rest as soon as one start row passes the cap."""
     a, b = joined(start, end)
     rows = end.max() + 1
     into, pair = np.unique(start[a] * rows + end[b], return_inverse=True)
@@ -273,10 +244,8 @@ def _doubled(law, start, end, counts):
     if (np.bincount(into // rows, bound).max() > BLOCK_TABLE_CELLS
             or (counts2[pair] != count).any()):
         return None
-    law2, start2, end2 = compose(law, start, end)
-    if np.bincount(start2, np.count_nonzero(law2, axis=1)).max() > BLOCK_TABLE_CELLS:
-        return None
-    return law2, start2, end2, counts2
+    doubled = compose(law, start, end, BLOCK_TABLE_CELLS)
+    return None if doubled is None else (*doubled, counts2)
 
 
 class MartingaleModel:
@@ -337,35 +306,104 @@ class MartingaleModel:
                           law_of=np.array(law_of, dtype=np.intp), T=T,
                           values=values, probs=probs, real=real)
 
+    @cached_property
+    def second_moments(self) -> np.ndarray:
+        """E[eta^2] of each law of `table`: the math.fsum of p v^2 over its
+        atoms, from `table.values` and `.probs`, whose padding adds 0.0."""
+        t = self.table
+        return np.array([math.fsum(row) for row in (t.probs * t.values * t.values).tolist()])
+
+    def moment_condition(self, rho: float, K, L):
+        """(log LHS, log RHS) of the one-sided moment condition
+        E[|eta|^{2+rho} e^{K eta+}] <= L^rho E[eta^2], one row per law of
+        `table`: log LHS with a column per K of `K`, log RHS with a column
+        per L of `L`, each law's for every K at once, read from
+        `table.values` and `.probs`.
+
+        In log space, so that deep negative atoms with enormous exponential
+        moments do not overflow: a nonzero atom's term is log p + (2 + rho)
+        log|v| + K max(v, 0), and per (law, K) the largest term is factored
+        out before the exponentials are summed by math.fsum.  The logs and
+        exponentials are math's, one per term, so a moment is the same float
+        whatever else is on the grid."""
+        t = self.table
+        # padding holds 0.0, so it adds exp(-inf) = 0.0 as a zero atom does
+        base = np.array([[math.log(p) + (2.0 + rho) * math.log(abs(v)) if v else -math.inf
+                          for v, p in zip(*law)]
+                         for law in zip(t.values.tolist(), t.probs.tolist())])
+        terms = base[:, None, :] + np.asarray(K)[:, None] * np.maximum(t.values, 0.0)[:, None, :]
+        top = terms.max(axis=2)
+        log_lhs = top + np.reshape([math.log(math.fsum(map(math.exp, row))) for row in (
+            terms - top[..., None]).reshape(-1, terms.shape[2]).tolist()], top.shape)
+        log_m2 = np.array([math.log(m) for m in self.second_moments.tolist()])
+        return log_lhs, rho * np.array([math.log(x) for x in L]) + log_m2[:, None]
+
     def variance_deviation(self) -> float:
-        """Exact worst case of |sum_i E[eta_i^2 | F_{i-1}] - n| over paths:
-        a forward pass carrying, per state, the least and greatest sum of
-        (E[eta^2 | state] - 1) over the paths that reach it."""
+        """Exact worst case of |sum_i E[eta_i^2 | F_{i-1}] - n| over paths,
+        block by block.  From each block-start row (`_block_rows`) the B
+        steps of a block are walked, carrying per (row, state reached) the
+        least and the greatest left fold of E[eta^2 | state] - 1 over the
+        atom sequences into it: as adding is monotone, these are the
+        extremes over the sequences themselves, float for float.  Per
+        (start row, end row) they form two R x R matrices, min-plus and
+        max-plus (kept negated, so both compose as minima).  Row 0's vector
+        goes through the n // B blocks by doubling along the binary digits
+        of n // B while a product's (2, R, R, R) temporary has at most 2^16
+        entries, and otherwise one block at a time along the (row, state)
+        pairs the walk reached, with no R x R array.  The n mod B steps left
+        over (all n of them when n < B) go one step at a time over every
+        state.  A one-state model takes blocks of one step, all doubled.
+
+        Each path's sum is a float sum of its steps' terms in another order
+        than a left fold, so the result may differ from a step-by-step
+        forward pass in its last bits; every float sum of n terms lies
+        within n u max|partial sum| of the exact one, u the unit roundoff."""
         t = self.table
         S, width = t.T.shape
-        if S == 1:
-            # the same float sum the forward pass makes, one add per step;
-            # n * d would round differently
-            d = t.laws[0].second_moment() - 1.0
-            total = 0.0
-            for _ in range(self.n):
-                total += d
-            return abs(total)
-        step = np.array([law.second_moment() - 1.0 for law in t.laws])[t.law_of]
-        # one array of minima, so each step is one ufunc.at: the least sum
-        # per state in [0, S), minus the greatest in [S, 2S), inf if unreached;
-        # least <= greatest, so the largest |sum| is -v.min()
-        half = np.repeat([0, S], S * width)
-        src = np.tile(np.repeat(np.arange(S), width), 2) + half
-        to = np.tile(t.T.ravel(), 2) + half
-        inc = np.concatenate([step, -step])
-        v = np.full(2 * S, math.inf)
-        v[0] = v[S] = 0.0
-        for _ in range(self.n):
-            nxt = np.full(2 * S, math.inf)
-            np.minimum.at(nxt, to, (v + inc)[src])
-            v = nxt
-        return float(abs(v.min()))  # v.min() <= 0; abs keeps 0.0 unsigned
+        # with one state every block is alike, so one step makes a block and
+        # the doubling takes all n
+        steps, (rows, row_of) = block_steps(S, width) if S > 1 else 1, self._block_rows
+        R, k = rows.size, self.n // steps
+        # per state, E[eta^2 | state] - 1, then its negation
+        inc = (self.second_moments[t.law_of] - 1.0) * np.array([[1.0], [-1.0]])
+        # per (row, state) that a block from the row reaches, step by step:
+        # the least left-folded sum of the sequences into it, then the
+        # greatest negated (no step when n < B, as no block is taken)
+        key, ext = np.arange(R) * S + rows, np.zeros((2, R))
+        for _ in range(steps if k else 0):
+            s = key % S
+            key, inv = np.unique(((key - s)[:, None] + t.T[s]).ravel(), return_inverse=True)
+            ext, prev = np.full((2, key.size), math.inf), np.repeat(ext + inc[:, s], width, axis=1)
+            np.minimum.at(ext, (np.arange(2)[:, None], inv), prev)
+        # per state, the least sum and the greatest negated; inf where no
+        # path ends
+        at = np.full((2, S), math.inf)
+        at[:, 0] = 0.0
+        if 2 * R ** 3 <= 1 << 16:
+            # the same per (row, end row), inf where no block joins them
+            # (every block ends in a row), composed by doubling
+            block = np.full((2, R, R), math.inf)
+            block[:, key // S, row_of[key % S]] = ext
+            v = np.where(np.arange(R) > 0, math.inf, np.zeros((2, 1)))  # 0.0 at row 0
+            while k:
+                if k & 1:
+                    v = (v[:, :, None] + block).min(axis=1)
+                k >>= 1
+                if k:
+                    block = (block[:, :, :, None] + block[:, None]).min(axis=2)
+            at[:, rows] = v
+        # the k blocks not doubled, one min-plus step each from a row to the
+        # states its blocks end in, then the steps left over
+        half = S * np.arange(2)[:, None]
+        src = np.repeat(np.arange(2 * S), width)
+        edges = ([((half + rows[key // S]).ravel(), (half + key % S).ravel(), ext.ravel())] * k
+                 + [(src, (t.T + half[..., None]).ravel(), inc.ravel()[src])] * (self.n % steps))
+        for frm, to, d in edges:
+            at, prev = np.full(2 * S, math.inf), at.reshape(-1)
+            np.minimum.at(at, to, prev[frm] + d)
+        # least <= greatest, so the largest |sum| is -at.min() >= 0; abs
+        # keeps 0.0 unsigned
+        return float(abs(at.min()))
 
     @property
     def iid(self) -> bool:
@@ -483,6 +521,31 @@ class MartingaleModel:
                            log_weight=-lam * x + n * log_mgf[0])
 
     @cached_property
+    def _block_rows(self):
+        """(rows, row_of): the block-start states, and the row of each of
+        them (0 for every other state).  They are state 0 and every state
+        that a block of B steps (`block_steps`) from one of them ends in,
+        that is every state some path reaches after a multiple of B steps,
+        in the order of the first such multiple, sorted within it.  Found
+        breadth first over (state, steps mod B).  The block sampler
+        (`_blocks`) and `variance_deviation` both walk blocks between these
+        rows."""
+        t = self.table
+        steps = block_steps(*t.T.shape)
+        succ = [set(row) for row in t.T.tolist()]
+        # the states reached so far at each number of steps mod B
+        seen = [{0}] + [set() for _ in range(steps - 1)]
+        rows, frontier, step = [0], {0}, 0
+        while frontier:
+            step += 1
+            frontier = set().union(*(succ[s] for s in frontier)) - seen[step % steps]
+            seen[step % steps] |= frontier
+            rows += [] if step % steps else sorted(frontier)
+        row_of = np.zeros(len(t.states), dtype=np.intp)
+        row_of[rows] = np.arange(len(rows))
+        return np.array(rows), row_of
+
+    @cached_property
     def _blocks(self):
         """The tilt-free part of the block tables (ladder, plan, leftover).
         ladder[b] is the `_BlockLaw` of 2^b blocks of B steps from each
@@ -502,19 +565,8 @@ class MartingaleModel:
         over, from the same pass (None when B divides n)."""
         t = self.table
         S, width = t.T.shape
-        steps = block_steps(S, width)
-        leftover = self.n % steps
-        # the block-start states: from state 0 and from every block end
-        rows, frontier = [0], [0]
-        while frontier:
-            ends = frontier
-            for _ in range(steps):
-                ends = sorted(set(t.T[ends][t.real[t.law_of[ends]]].tolist()))
-            frontier = [e for e in ends if e not in rows]
-            rows += frontier
-        R, L = len(rows), len(t.laws)
-        row_of = np.zeros(S, dtype=np.intp)
-        row_of[rows] = np.arange(R)
+        steps, (rows, row_of) = block_steps(S, width), self._block_rows
+        R, L, leftover = rows.size, len(t.laws), self.n % steps
         # an atom's value is its law's first atom value plus a whole number
         # of units, the gcd of those differences rounded to 12 decimals
         base = t.values[:, 0]
@@ -523,7 +575,7 @@ class MartingaleModel:
         units //= unit
         # per atom sequence: its end state, its probability (0 once it draws
         # a padded atom), its value sum in units and its steps per law
-        end, p = np.array(rows)[:, None], np.ones((R, 1))
+        end, p = rows[:, None], np.ones((R, 1))
         k, count = np.zeros((R, 1), dtype=np.int64), np.zeros((R, 1, L), dtype=np.int64)
         passes = {}
         for step in range(1, steps + 1):
@@ -601,45 +653,35 @@ def certify(model: MartingaleModel, grid=DEFAULT_GRID) -> Certificate:
     constant N.
 
     'Smallest' means lexicographically smallest (max(K, L), L, K), since the
-    theorem range constant is max(K, L)/sqrt(n).
-    """
-    laws = model.table.laws
-    if not laws:
-        raise CertificationError("model has no reachable laws")
-    candidates = sorted(
-        ((max(K, L), L, K) for K in grid for L in grid))
-    # the one-sided moment does not depend on L: each law's is computed once
-    # per K, and its second moment once
-    log_moment = {}
-    log_m2 = [math.log(law.second_moment()) for law in laws]
-    worst = None
-    for _, L, K in candidates:
-        for i, law in enumerate(laws):
-            if (i, K) not in log_moment:
-                log_moment[i, K] = law.log_sakhanenko_moment(model.rho, K)
-            log_lhs = log_moment[i, K]
-            log_rhs = model.rho * math.log(L) + log_m2[i]
-            if not log_lhs <= log_rhs + ATOL:
-                if worst is None or (log_lhs - log_rhs) > (worst[1] - worst[2]):
-                    worst = (law, log_lhs, log_rhs, K, L)
-                break
-        else:
-            n2 = model.variance_deviation()
-            return Certificate(rho=model.rho, K=K, L=L, N=math.sqrt(n2), n=model.n)
-    law, log_lhs, log_rhs, K, L = worst
+    theorem range constant is max(K, L)/sqrt(n).  Every law's moments are
+    taken once for the whole grid (`moment_condition`), and every candidate
+    is checked against every law at once.  A candidate fails at its first
+    failing law, and the witness is the first candidate whose failure is
+    the worst, in log LHS - log RHS.  N^2 is `variance_deviation`."""
+    grid = np.asarray(grid, dtype=float)
+    log_lhs, log_rhs = model.moment_condition(model.rho, grid, grid)
+    # the candidates (K, L) = (grid[k], grid[l]) in order
+    K, L = np.meshgrid(grid, grid, indexing="ij")
+    k, l = np.divmod(np.lexsort((K.ravel(), L.ravel(), np.maximum(K, L).ravel())), grid.size)
+    bad = ~(log_lhs[:, k] <= log_rhs[:, l] + ATOL)
+    c = bad.any(axis=0).argmin()  # the first candidate that no law fails, if any
+    if not bad[:, c].any():
+        return Certificate(rho=model.rho, K=float(grid[k[c]]), L=float(grid[l[c]]),
+                           N=math.sqrt(model.variance_deviation()), n=model.n)
+    law = bad.argmax(axis=0)
+    lhs, rhs = log_lhs[law, k], log_rhs[law, l]
+    c = (lhs - rhs).argmax()
     raise CertificationError(
         f"no grid point satisfies the moment condition; worst violation at "
-        f"K={K}, L={L}: log LHS {log_lhs:.6g} > log RHS {log_rhs:.6g}",
-        witness_law=law, log_lhs=log_lhs, log_rhs=log_rhs)
+        f"K={grid[k[c]]}, L={grid[l[c]]}: log LHS {lhs[c]:.6g} > log RHS {rhs[c]:.6g}",
+        witness_law=model.table.laws[law[c]], log_lhs=float(lhs[c]), log_rhs=float(rhs[c]))
 
 
 def verify_certificate(model: MartingaleModel, cert: Certificate) -> bool:
     """Re-verify a certificate exactly against the model's reachable laws."""
-    for law in model.table.laws:
-        ok, _, _ = check_sakhanenko(law, cert.rho, cert.K, cert.L)
-        if not ok:
-            return False
-    return model.variance_deviation() <= cert.N ** 2 + ATOL
+    log_lhs, log_rhs = model.moment_condition(cert.rho, [cert.K], [cert.L])
+    return bool((log_lhs <= log_rhs + ATOL).all()
+                and model.variance_deviation() <= cert.N ** 2 + ATOL)
 
 
 # ---------------------------------------------------------------------------

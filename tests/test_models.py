@@ -11,8 +11,7 @@ from mdmart.alias import BLOCK_TABLE_CELLS, draw_plan
 from mdmart.models import (ATOL, BLOCK_CELLS, DEFAULT_GRID, Certificate,
                            CertificationError, ConditionalLaw, IIDModel,
                            MartingaleModel, ModelError,
-                           block_steps, certify,
-                           check_sakhanenko, make_heavy_left, make_rademacher,
+                           block_steps, certify, make_heavy_left, make_rademacher,
                            make_regime_switch, verify_certificate)
 from mdmart.montecarlo import enumerate_terminal, estimate_tail_plain
 from mdmart.tilt import choose_tilt
@@ -44,10 +43,41 @@ def second_moment(values, probs):
     return math.fsum((probs * values * values).ravel().tolist())
 
 
+def law_second_moment(law):
+    """E[v^2] of a law, atom by atom: the oracle of the models' second
+    moments, float for float."""
+    return math.fsum(p * v * v for v, p in law.atoms)
+
+
+def log_sakhanenko_moment(law, rho, K, two_sided=False):
+    """log E[|v|^{2+rho} e^{K v+}] (or e^{K|v|} for the two-sided variant)
+    of a law, atom by atom in scalar arithmetic, in log space so that deep
+    negative atoms with enormous exponential moments do not overflow: the
+    oracle of `moment_condition`, float for float."""
+    terms = []
+    for v, p in law.atoms:
+        if v == 0.0:
+            continue
+        exponent = K * (abs(v) if two_sided else max(v, 0.0))
+        terms.append(math.log(p) + (2.0 + rho) * math.log(abs(v)) + exponent)
+    if not terms:
+        return -math.inf
+    m = max(terms)
+    return m + math.log(math.fsum(math.exp(t - m) for t in terms))
+
+
+def check_sakhanenko(law, rho, K, L, two_sided=False):
+    """(ok, log_lhs, log_rhs) of E[|v|^{2+rho} e^{K v+}] <= L^rho E[v^2] on
+    one law, compared in log space."""
+    log_lhs = log_sakhanenko_moment(law, rho, K, two_sided=two_sided)
+    log_rhs = rho * math.log(L) + math.log(law_second_moment(law))
+    return log_lhs <= log_rhs + ATOL, log_lhs, log_rhs
+
+
 def check_bernstein(law, k, H):
     """Conditional Bernstein condition |E v^k| <= (1/2) k! H^{k-2} E v^2."""
     moment = math.fsum(p * v ** k for v, p in law.atoms)
-    return abs(moment) <= 0.5 * math.factorial(k) * H ** (k - 2) * law.second_moment()
+    return abs(moment) <= 0.5 * math.factorial(k) * H ** (k - 2) * law_second_moment(law)
 
 
 @st.composite
@@ -75,7 +105,7 @@ class TestConditionalLaw:
     def test_scaling(self):
         law = two_point(2.0, -0.5)
         values, probs, _ = IIDModel("law", 100, 1.0, law).law_arrays(0.0)
-        assert second_moment(values, probs) == pytest.approx(0.01 * law.second_moment())
+        assert second_moment(values, probs) == pytest.approx(0.01 * law_second_moment(law))
 
 
 class TestRademacher:
@@ -92,11 +122,15 @@ class TestRademacher:
     def test_certificate_bounded_increment_rule(self):
         # |eta| <= 1 gives E|eta|^3 e^{K eta+} <= e^K E eta^2, i.e. the
         # moment condition with K = 1, L = e; verified by exact finite sums
-        law = make_rademacher(4).law_at(None)
+        m = make_rademacher(4)
+        law = m.law_at(None)
         ok, log_lhs, log_rhs = check_sakhanenko(law, 1.0, 1.0, math.e)
         assert ok
         assert log_lhs == pytest.approx(math.log(0.5 * math.e + 0.5))
         assert log_rhs == pytest.approx(1.0)
+        # the model's table gives both sides float for float
+        lhs, rhs = m.moment_condition(1.0, [1.0], [math.e])
+        assert (lhs.tolist(), rhs.tolist()) == ([[log_lhs]], [[log_rhs]])
 
     def test_certify_variance(self):
         cert = certify(make_rademacher(100))
@@ -114,7 +148,8 @@ class TestHeavyLeft:
         m = make_heavy_left(100, 0.5, 8)
         law = m.law_at(None)
         assert abs(math.fsum(p * v for v, p in law.atoms)) <= ATOL
-        assert law.second_moment() == pytest.approx(1.0, abs=1e-12)
+        assert law_second_moment(law) == pytest.approx(1.0, abs=1e-12)
+        assert m.second_moments.tolist() == [law_second_moment(law)]
         # scaled variance is 1/n
         assert second_moment(*m.law_arrays(0.0)[:2]) == pytest.approx(0.01)
 
@@ -122,9 +157,11 @@ class TestHeavyLeft:
         m = make_heavy_left(100, 0.5, 8)
         cert = certify(m)
         law = m.law_at(None)
-        ok_one, _, _ = check_sakhanenko(law, 0.5, cert.K, cert.L)
+        ok_one, log_lhs, log_rhs = check_sakhanenko(law, 0.5, cert.K, cert.L)
         ok_two, _, _ = check_sakhanenko(law, 0.5, cert.K, cert.L, two_sided=True)
         assert ok_one and not ok_two
+        lhs, rhs = m.moment_condition(0.5, [cert.K], [cert.L])
+        assert (lhs.tolist(), rhs.tolist()) == ([[log_lhs]], [[log_rhs]])
 
     def test_rho_checked_before_the_law(self):
         # the law is built from rho, so a rho outside (0, 1] is refused first
@@ -143,7 +180,7 @@ class TestHeavyLeft:
         # the two-sided moment E|v|^{2+rho} e^{K|v|} at the certified K
         m = make_heavy_left(100, 0.5, 8)
         cert = certify(m)
-        log_moment = m.law_at(None).log_sakhanenko_moment(0.5, cert.K, two_sided=True)
+        log_moment = log_sakhanenko_moment(m.law_at(None), 0.5, cert.K, two_sided=True)
         assert log_moment > math.log(1e12)
 
     def test_rejects_bad_params(self):
@@ -188,12 +225,16 @@ class TestCertify:
             certify(m, grid=(64.0,))
         assert exc.value.witness_law is not None
         assert exc.value.log_lhs > exc.value.log_rhs
+        # bit for bit the scalar search's witness
+        witness = (exc.value.witness_law, exc.value.log_lhs, exc.value.log_rhs)
+        assert witness == self.searched(m, (64.0,))
 
     @staticmethod
     def searched(model, grid=DEFAULT_GRID):
-        """What `certify` gives when it calls `check_sakhanenko` afresh for
-        every candidate and law: the Certificate, or the witness (law,
-        log_lhs, log_rhs) of the CertificationError."""
+        """What `certify` gives when it calls the scalar `check_sakhanenko`
+        afresh for every candidate and law: the Certificate, or the witness
+        (law, log_lhs, log_rhs) of the CertificationError.  N is that of the
+        forward pass."""
         laws = model.table.laws
         worst = None
         for _, L, K in sorted((max(K, L), L, K) for K in grid for L in grid):
@@ -205,7 +246,7 @@ class TestCertify:
                     break
             else:
                 return Certificate(rho=model.rho, K=K, L=L, n=model.n,
-                                   N=math.sqrt(model.variance_deviation()))
+                                   N=math.sqrt(forward_deviation(model)[0]))
         return worst
 
     @pytest.mark.parametrize("model", [
@@ -214,6 +255,42 @@ class TestCertify:
         make_rademacher(400, 0.7)], ids=lambda m: f"{m.name}-rho{m.rho}")
     def test_certificate_is_the_full_search(self, model):
         assert certify(model) == self.searched(model)
+
+    @pytest.mark.parametrize("n", [100, 400, 1600, 6400])
+    @pytest.mark.parametrize("make", [
+        make_rademacher, make_heavy_left, lambda n: make_regime_switch(n, 0.3),
+        lambda n: make_rademacher(n, 0.5), lambda n: make_heavy_left(n, 1.0),
+        lambda n: make_heavy_left(n, tail_atoms=4),
+        lambda n: make_regime_switch(n, 0.2, rho=0.7), lambda n: make_rademacher(n, 0.7)],
+        ids=["rademacher", "heavy_left", "regime_switch", "rademacher-rho0.5",
+             "heavy_left-rho1", "heavy_left-tail_atoms4", "regime_switch-gamma0.2-rho0.7",
+             "rademacher-rho0.7"])
+    def test_certificates_at_every_horizon_are_the_full_search(self, make, n):
+        # every certificate, N included, bit for bit: the three models at
+        # their defaults and at the flags the certificate-name test runs
+        model = make(n)
+        assert certify(model) == self.searched(model)
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_rademacher(9), lambda: make_heavy_left(9),
+        lambda: make_heavy_left(9, 1.0, 4), lambda: make_regime_switch(9, 0.3),
+        lambda: make_regime_switch(9, 0.45, 0.2), lambda: SignSwitch(9)],
+        ids=["rademacher", "heavy_left", "heavy_left-rho1-tail_atoms4", "regime_switch",
+             "regime_switch-gamma0.45-rho0.2", "sign_switch"])
+    def test_moment_condition_is_the_scalar_moment(self, make):
+        # both sides for every law, on the whole grid and at L off it, float
+        # for float the scalar per-law sums
+        model = make()
+        L = [*DEFAULT_GRID[::-1], 3.0, math.e]
+        log_lhs, log_rhs = model.moment_condition(model.rho, DEFAULT_GRID, L)
+        laws = model.table.laws
+        assert log_lhs.shape == (len(laws), len(DEFAULT_GRID))
+        assert log_rhs.shape == (len(laws), len(L))
+        for i, law in enumerate(laws):
+            for j, K in enumerate(DEFAULT_GRID):
+                for m, x in enumerate(L):
+                    _, lhs, rhs = check_sakhanenko(law, model.rho, K, x)
+                    assert (log_lhs[i, j], log_rhs[i, m]) == (lhs, rhs)
 
     @pytest.mark.parametrize("grid", [(64.0,), DEFAULT_GRID[:4]])
     def test_witness_is_the_full_search(self, grid):
@@ -314,6 +391,57 @@ class SignSwitch(MartingaleModel):
 
     def next_state(self, state, eta):
         return 1 if eta > 0 else -1
+
+
+class Cycle(MartingaleModel):
+    """One law at every state, the states visited in a cycle of `period`:
+    a one-state model, and copies of it with more states.  E eta^2 - 1 =
+    -0.4 is inexact in binary, so sums of it taken in other orders round
+    differently."""
+
+    LAW = two_point(2.0, -0.3)
+
+    def __init__(self, n, period):
+        super().__init__("cycle", n, 1.0)
+        self.period = period
+
+    def initial_state(self):
+        return 0
+
+    def law_at(self, state):
+        return self.LAW
+
+    def next_state(self, state, eta):
+        return (state + 1) % self.period
+
+
+def forward_deviation(model):
+    """The variance constant by a forward pass of single steps, as the
+    library computed it before it went block by block: per state, the least
+    and the greatest sum of E[eta^2 | state] - 1 over the paths that reach
+    it, each step added to the sums so far.  Returns (the deviation, P), P
+    the largest |sum| over every path and step.
+
+    Any order of adding a path's n terms makes partial sums of contiguous
+    runs of them, each at most 2P in size, so it rounds at most n u 2P away
+    from the exact sum (u = eps / 2, to first order), and two orders at most
+    2 n eps P apart; so do the least and greatest over paths."""
+    t = model.table
+    S, width = t.T.shape
+    step = np.array([law_second_moment(law) - 1.0 for law in t.laws])[t.law_of]
+    half = np.repeat([0, S], S * width)
+    src = np.tile(np.repeat(np.arange(S), width), 2) + half
+    to = np.tile(t.T.ravel(), 2) + half
+    inc = np.concatenate([step, -step])
+    v = np.full(2 * S, math.inf)
+    v[0] = v[S] = 0.0
+    P = 0.0
+    for _ in range(model.n):
+        nxt = np.full(2 * S, math.inf)
+        np.minimum.at(nxt, to, (v + inc)[src])
+        v = nxt
+        P = max(P, float(np.abs(v[v < math.inf]).max()))
+    return float(abs(v.min())), P
 
 
 def by_value(keys, cols, tol=1e-9):
@@ -462,7 +590,7 @@ class TestStateTable:
                 return abs(total)
             law = m.law_at(state)
             return max(worst(m, step + 1, m.next_state(state, v),
-                             total + law.second_moment() - 1.0)
+                             total + law_second_moment(law) - 1.0)
                        for v, _ in law.atoms)
 
         for m in (SignSwitch(1), SignSwitch(7), make_regime_switch(9, 0.3)):
@@ -470,29 +598,47 @@ class TestStateTable:
                 worst(m, 0, m.initial_state(), 0.0), rel=1e-12, abs=1e-12)
 
     def test_one_state_deviation_is_the_forward_pass(self):
-        # the one-state shortcut must make the very float sum of the forward
-        # pass, which a two-state table with the same law at both states
-        # runs; E eta^2 - 1 = -0.4 is inexact in binary, so n (E eta^2 - 1)
-        # would round differently
-        law = two_point(2.0, -0.3)
-
-        class Cycle(MartingaleModel):
-            def __init__(self, n, period):
-                super().__init__("cycle", n, 1.0)
-                self.period = period
-
-            def initial_state(self):
-                return 0
-
-            def law_at(self, state):
-                return law
-
-            def next_state(self, state, eta):
-                return (state + 1) % self.period
-
+        # one state takes the block pass too, with no shortcut: it and a
+        # two-state table with the same law at both states (whose blocks
+        # are a step shorter) are each held to the forward pass within the
+        # bound of rounding in another order, and so to each other
         one, two = Cycle(1600, 1), Cycle(1600, 2)
         assert len(one.table.states) == 1 and len(two.table.states) == 2
-        assert one.variance_deviation() == two.variance_deviation()
+        want, P = forward_deviation(one)
+        assert forward_deviation(two) == (want, P)
+        bound = 2 * 1600 * np.finfo(float).eps * P
+        for m in (one, two):
+            assert abs(m.variance_deviation() - want) <= bound
+        assert abs(one.variance_deviation() - two.variance_deviation()) <= bound
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.2, 0.25, 0.3, 0.45])
+    def test_variance_deviation_is_the_forward_pass(self, gamma):
+        # the block pass against the step-by-step one, at horizons below,
+        # at and above one block and up to 6400; bit for bit for gamma below
+        # 0.45, within the bound of rounding in another order at 0.45, where
+        # it moves by up to 1.6e-14
+        steps = block_steps(*make_regime_switch(1, gamma).table.T.shape)
+        for n in (1, steps - 1, steps, steps + 1, 100, 401, 1600, 6400):
+            got = make_regime_switch(n, gamma).variance_deviation()
+            want, P = forward_deviation(make_regime_switch(n, gamma))
+            if gamma < 0.45:
+                assert got == want, n
+            assert abs(got - want) <= 2 * n * np.finfo(float).eps * P, n
+
+    @pytest.mark.parametrize("make, exact", [
+        (SignSwitch, False), (lambda n: Cycle(n, 3), False),
+        (make_heavy_left, True), (make_rademacher, True)],
+        ids=["sign_switch", "cycle", "heavy_left", "rademacher"])
+    def test_other_deviations_are_the_forward_pass(self, make, exact):
+        # as above on the test models and the i.i.d. ones, whose one state
+        # takes the block pass too; heavy_left's E eta^2 - 1 is 2^-51, so
+        # its sums are exact
+        steps = block_steps(*make(1).table.T.shape)
+        for n in (1, steps - 1, steps, steps + 1, 100, 401, 1600):
+            got = make(n).variance_deviation()
+            want, P = forward_deviation(make(n))
+            assert got == want or not exact, n
+            assert abs(got - want) <= 2 * n * np.finfo(float).eps * P, n
 
     def test_gamma_zero_still_falls_back(self):
         # one law but three states (the sign is still tracked): not i.i.d.
@@ -640,6 +786,30 @@ class TestStateTable:
         ladder = make_regime_switch(1600, 0.3)._blocks[0]
         assert [(level.steps, level.width) for level in ladder] == [(8, 66), (16, 252), (32, 868)]
         assert len(composed) == 2 and sum(composed) == len(calls) > 0
+
+    def test_doubling_refused_at_the_first_full_row(self, monkeypatch):
+        # at gamma = 0.45 the support bound lets the doubling to 28 steps
+        # through (572 cells a row against 1024); `compose` refuses it at
+        # the first start row past the cap, after 4 of its 1,160
+        # convolutions, and the ladder keeps its two levels
+        calls, composed = [], []
+        convolve, compose = np.convolve, models.compose
+
+        def counted_convolve(a, b):
+            calls.append(1)
+            return convolve(a, b)
+
+        def counted_compose(*args):
+            before = len(calls)
+            out = compose(*args)
+            composed.append((len(calls) - before, out is None))
+            return out
+
+        monkeypatch.setattr(np, "convolve", counted_convolve)
+        monkeypatch.setattr(models, "compose", counted_compose)
+        ladder = make_regime_switch(1600, 0.45)._blocks[0]
+        assert [(level.steps, level.width) for level in ladder] == [(7, 48), (14, 198)]
+        assert composed[0][1] is False and composed[1] == (4, True)
 
     def test_block_steps_rule(self):
         # the largest b whose forward pass over every state fits the budget
