@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import bdtrc, gammaln, xlogy
 
 from .alias import BLOCK_TABLE_CELLS, alias_draw, alias_tables, compose, draw_plan, joined
 
@@ -52,6 +52,20 @@ def block_steps(states: int, width: int) -> int:
     while states * width ** (b + 1) <= BLOCK_CELLS:
         b += 1
     return b
+
+
+def _first_over(i, top, over):
+    """Per path, the least j in [0, top] with over(j), from a guess i a few
+    places off; over(j) is elementwise, grows with j and is taken to hold
+    at top.  The guess moves one place a round, back while over(i - 1)
+    holds and on while over(i) does not."""
+    while True:
+        back = (i > 0) & over(i - 1)
+        i = i - back
+        on = (i < top) & ~over(i)
+        i = i + on
+        if not (back.any() or on.any()):
+            return i
 
 
 class ModelError(ValueError):
@@ -128,10 +142,14 @@ class Certificate:
 
 @dataclass
 class TerminalBatch:
-    """Vectorized terminal values of many simulated paths."""
+    """Vectorized terminal values of many simulated paths.  When the last
+    draw of each path is integrated rather than drawn (`simulate_terminal`
+    with `past`), x and log_weight are those of the draws before it and
+    tail[i] = P(X_n > past | those draws) under P."""
 
-    x: np.ndarray           # X_n per path
-    log_weight: np.ndarray  # -lam*X_n + Psi_n per path (zeros when lam == 0)
+    x: np.ndarray           # X_n per path, or X before the last draw
+    log_weight: np.ndarray  # log dP/dP_lam of the draws: -lam*X_n + Psi_n
+    tail: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -351,8 +369,9 @@ class MartingaleModel:
         of n // B while a product's (2, R, R, R) temporary has at most 2^16
         entries, and otherwise one block at a time along the (row, state)
         pairs the walk reached, with no R x R array.  The n mod B steps left
-        over (all n of them when n < B) go one step at a time over every
-        state.  A one-state model takes blocks of one step, all doubled.
+        over go one step at a time over every state; when n < B that is all
+        n of them, and neither the rows nor the block walk are made.  A
+        one-state model takes blocks of one step, all doubled.
 
         Each path's sum is a float sum of its steps' terms in another order
         than a left fold, so the result may differ from a step-by-step
@@ -362,42 +381,47 @@ class MartingaleModel:
         S, width = t.T.shape
         # with one state every block is alike, so one step makes a block and
         # the doubling takes all n
-        steps, (rows, row_of) = block_steps(S, width) if S > 1 else 1, self._block_rows
-        R, k = rows.size, self.n // steps
+        steps = block_steps(S, width) if S > 1 else 1
+        k = self.n // steps
         # per state, E[eta^2 | state] - 1, then its negation
         inc = (self.second_moments[t.law_of] - 1.0) * np.array([[1.0], [-1.0]])
-        # per (row, state) that a block from the row reaches, step by step:
-        # the least left-folded sum of the sequences into it, then the
-        # greatest negated (no step when n < B, as no block is taken)
-        key, ext = np.arange(R) * S + rows, np.zeros((2, R))
-        for _ in range(steps if k else 0):
-            s = key % S
-            key, inv = np.unique(((key - s)[:, None] + t.T[s]).ravel(), return_inverse=True)
-            ext, prev = np.full((2, key.size), math.inf), np.repeat(ext + inc[:, s], width, axis=1)
-            np.minimum.at(ext, (np.arange(2)[:, None], inv), prev)
         # per state, the least sum and the greatest negated; inf where no
         # path ends
         at = np.full((2, S), math.inf)
         at[:, 0] = 0.0
-        if 2 * R ** 3 <= 1 << 16:
-            # the same per (row, end row), inf where no block joins them
-            # (every block ends in a row), composed by doubling
-            block = np.full((2, R, R), math.inf)
-            block[:, key // S, row_of[key % S]] = ext
-            v = np.where(np.arange(R) > 0, math.inf, np.zeros((2, 1)))  # 0.0 at row 0
-            while k:
-                if k & 1:
-                    v = (v[:, :, None] + block).min(axis=1)
-                k >>= 1
-                if k:
-                    block = (block[:, :, :, None] + block[:, None]).min(axis=2)
-            at[:, rows] = v
-        # the k blocks not doubled, one min-plus step each from a row to the
-        # states its blocks end in, then the steps left over
         half = S * np.arange(2)[:, None]
+        edges = []
+        if k:  # n < B takes no block, and needs no rows
+            rows, row_of = self._block_rows
+            R = rows.size
+            # per (row, state) that a block from the row reaches, step by
+            # step: the least left-folded sum of the sequences into it, then
+            # the greatest negated
+            key, ext = np.arange(R) * S + rows, np.zeros((2, R))
+            for _ in range(steps):
+                s = key % S
+                key, inv = np.unique(((key - s)[:, None] + t.T[s]).ravel(), return_inverse=True)
+                ext, prev = np.full((2, key.size), math.inf), np.repeat(ext + inc[:, s], width, axis=1)
+                np.minimum.at(ext, (np.arange(2)[:, None], inv), prev)
+            if 2 * R ** 3 <= 1 << 16:
+                # the same per (row, end row), inf where no block joins them
+                # (every block ends in a row), composed by doubling
+                block = np.full((2, R, R), math.inf)
+                block[:, key // S, row_of[key % S]] = ext
+                v = np.where(np.arange(R) > 0, math.inf, np.zeros((2, 1)))  # 0.0 at row 0
+                while k:
+                    if k & 1:
+                        v = (v[:, :, None] + block).min(axis=1)
+                    k >>= 1
+                    if k:
+                        block = (block[:, :, :, None] + block[:, None]).min(axis=2)
+                at[:, rows] = v
+            # the k blocks not doubled, one min-plus step each from a row to
+            # the states its blocks end in
+            edges = [((half + rows[key // S]).ravel(), (half + key % S).ravel(), ext.ravel())] * k
+        # then the steps left over
         src = np.repeat(np.arange(2 * S), width)
-        edges = ([((half + rows[key // S]).ravel(), (half + key % S).ravel(), ext.ravel())] * k
-                 + [(src, (t.T + half[..., None]).ravel(), inc.ravel()[src])] * (self.n % steps))
+        edges += [(src, (t.T + half[..., None]).ravel(), inc.ravel()[src])] * (self.n % steps)
         for frm, to, d in edges:
             at, prev = np.full(2 * S, math.inf), at.reshape(-1)
             np.minimum.at(at, to, prev[frm] + d)
@@ -441,13 +465,17 @@ class MartingaleModel:
     # -- simulation -------------------------------------------------------
 
     def simulate_terminal(self, size: int, rng: np.random.Generator,
-                          lam: float = 0.0) -> TerminalBatch:
-        """X_n and log weights of `size` paths under P_lam.
+                          lam: float = 0.0, past: float | None = None) -> TerminalBatch:
+        """X_n and log weights of `size` paths under P_lam; with `past`,
+        every draw of each path but the last, and the last integrated.
 
         With one state, X_n depends only on how often each atom is drawn, and
         those counts are drawn as conditional binomials (Devroye 1986,
-        ch. XI): one draw per atom per path.  For a two-atom law that is one
-        binomial draw.  Otherwise the path is cut into blocks of B steps
+        ch. XI), in the order of `_split_order`: the other atoms first, each
+        at its probability over those of the atoms not yet drawn, then the
+        count of the first of the two most probable atoms of P among the m
+        steps left, the second taking the rest.  For a two-atom law that is
+        one binomial draw.  Otherwise the path is cut into blocks of B steps
         (`block_steps`), and one uniform draws 2^b blocks at once: their sum
         of values, their sum of log mgfs and their end state come together
         from the alias tables of the law of 2^b blocks at the path's
@@ -458,26 +486,46 @@ class MartingaleModel:
         of k mod j.  The n mod B steps left over come last, from the
         leftover table the same way.  For regime_switch at n = 1600, B = 8
         and j = 4, so a path takes 50 uniforms.  B = 1 would draw step by
-        step."""
+        step.
+
+        With `past`, the last draw -- the split of the m steps, or the last
+        table -- is not taken: the batch holds X and the log likelihood
+        ratio of the draws before it, and the exact P(X_n > past | them)
+        under P (`_split_tail`, `_last_draw_tail`).  Under P_lam the tilt of
+        the last draw cancels against its weight, so that law is the
+        untilted one: P_lam(c) e^{-lam dx_c + dpsi_c} = P(c) for a table
+        cell, and for the split its lumped factor ((p + p') / (p_lam +
+        p'_lam))^m joins the prefix's weight.  A cell counts exactly when
+        the sum the sampler would take, X + dx, exceeds `past`."""
         t = self.table
         if len(t.states) == 1:
             _, probs, log_mgf = self.law_arrays(lam)
-            probs, values = probs[0].tolist(), t.values[0].tolist()
+            order = self._split_order
+            p, v = probs[0, order].tolist(), t.values[0, order].tolist()
             # suffix sums, not a running difference, so the conditional
             # probabilities stay in [0, 1] when trailing tilted probabilities
-            # underflow to 0; left[j] >= probs[j], and an atom after the last
+            # underflow to 0; left[j] >= p[j], and an atom after the last
             # positive one gets probability 0
-            left = list(accumulate(reversed(probs)))[::-1]
-            count = rng.binomial(self.n, probs[0], size=size)
-            rest = self.n - count
-            x = count * values[0]
-            for p, q, v in zip(probs[1:-1], left[1:-1], values[1:-1]):
-                count = rng.binomial(rest, p / q if q > 0.0 else 0.0)
-                rest -= count
-                x += count * v
-            x += rest * values[-1]
-            x *= 1.0 / math.sqrt(self.n)
-            return TerminalBatch(x=x, log_weight=-lam * x + self.n * log_mgf[0])
+            left = list(accumulate(reversed(p)))[::-1]
+            x, rest = np.zeros(size), np.full(size, self.n)
+            for j in range(len(p) - (1 if past is None else 2)):
+                if j == 0:
+                    count = rng.binomial(self.n, p[0], size=size)
+                    x = count * v[0]
+                else:
+                    count = rng.binomial(rest, p[j] / left[j] if left[j] > 0.0 else 0.0)
+                    x += count * v[j]
+                rest = rest - count
+            scale = 1.0 / math.sqrt(self.n)
+            if past is None:
+                x += rest * v[-1]
+                x *= scale
+                return TerminalBatch(x=x, log_weight=-lam * x + self.n * log_mgf[0])
+            # the drawn steps' weight, and the lumped factor of the split
+            lump = math.log(math.fsum(t.probs[0, order[-2:]].tolist())) - math.log(left[-2])
+            return TerminalBatch(
+                x=x * scale, tail=self._split_tail(past, x, rest),
+                log_weight=-lam * (x * scale) + (self.n - rest) * log_mgf[0] + rest * lump)
         ladder, rem = self.block_tables(lam)
         draws = [ladder[b] for b in self._blocks[1]]
         if rem is not None:
@@ -485,13 +533,105 @@ class MartingaleModel:
         x = np.zeros(size)
         psi = np.zeros(size)
         row = np.zeros(size, dtype=np.intp)  # block-start row 0 is state 0
-        for tab in draws:
+        for tab in draws[:-1] if past is not None else draws:
             off = row * tab.width
             cell = off + alias_draw(tab.alias, off, tab.width, rng.random(size))
             x += tab.dx[cell]
             psi += tab.dpsi[cell]
             row = tab.end[cell]
-        return TerminalBatch(x=x, log_weight=-lam * x + psi)
+        return TerminalBatch(x=x, log_weight=-lam * x + psi,
+                             tail=None if past is None else self._last_draw_tail(past, row, x))
+
+    @cached_property
+    def _split_order(self) -> list:
+        """The order in which a one-state model draws its atoms' counts: the
+        atoms other than the two most probable under P in table order, then
+        those two in table order.  A two-atom law keeps its order."""
+        common = np.argsort(-self.table.probs[0], kind="stable")[:2]
+        return [a for a in range(self.table.real.sum()) if a not in common] + sorted(common.tolist())
+
+    def _split_tail(self, past, s, m):
+        """P(X_n > past) given the unscaled value sum s of the atoms drawn
+        and the m steps left to the two common atoms, per path.  With k
+        steps of the larger valued of the two, X_n is ((s + k1 v1) + (m -
+        k1) v2) / sqrt(n) as `simulate_terminal` sums it, k1 the count of
+        the first, and grows with k; the least k with X_n > past is solved
+        for and then fixed up by evaluating that sum at its neighbours
+        (`_first_over`).  k
+        is Bin(m, q) under P, q that atom's share of the two's probability,
+        and its tail is taken once per distinct (m, k) by `bdtrc`: a batch
+        holds few, as m is n less the few steps of the rare atoms."""
+        (p1, p2), (v1, v2) = (self.table.probs[0, self._split_order[-2:]].tolist(),
+                              self.table.values[0, self._split_order[-2:]].tolist())
+        scale = 1.0 / math.sqrt(self.n)
+
+        def over(k):
+            k1 = k if v1 > v2 else m - k
+            x = s + k1 * v1
+            x += (m - k1) * v2
+            return x * scale > past
+
+        # the least k with X_n > past in exact arithmetic, from 0 to m + 1
+        lo = (past / scale - s - m * min(v1, v2)) / abs(v1 - v2)
+        guess = (np.floor(np.clip(lo, -1.0, m + 1.0)) + 1.0).astype(np.int64)
+        k = _first_over(np.minimum(guess, m + 1), m + 1, over)
+        # k = m + 1 where no split is past; P(Bin(m, q) >= k) per distinct
+        # (m, k), each at (m - m0) * span + k - k0 of a grid over the ranges
+        # of m and k that occur
+        (m0, k0), span = (int(m.min()), int(k.min())), int(k.max() - k.min()) + 1
+        key = (m - m0) * span + (k - k0)
+        hit = np.zeros((int(m.max()) - m0 + 1) * span, dtype=bool)
+        hit[key] = True
+        pairs = np.flatnonzero(hit)
+        tail = np.zeros(hit.size)
+        tail[pairs] = bdtrc(pairs % span + k0 - 1, pairs // span + m0,
+                            (p1 if v1 > v2 else p2) / (p1 + p2))
+        return tail[key]
+
+    @cached_property
+    def _last_draw(self):
+        """(dx, tail, start, lo, h) for `_last_draw_tail`, from the table a
+        path draws last (the leftover one, or else the ladder level of the
+        last draw of `draw_plan`) under P.  Per block-start row, dx holds
+        the value sums of its cells, sorted, then inf (padding, and a last
+        column), and tail the suffix sums of their probabilities, from the
+        top.  start[row, b] counts the row's dx with (dx - lo + 1) / h <= b
+        up to rounding, for 2 buckets of width h per column over [lo - 1,
+        hi + 1], lo and hi the least and the greatest dx: a path's bucket
+        finds its boundary up to the few dx in one bucket."""
+        ladder, plan, rem = self._blocks
+        g = rem if rem is not None else ladder[plan[-1]]
+        real = g.log_p > -math.inf
+        rows, w = real.size // g.width, g.width
+        dx_of = np.where(real, g.dx, math.inf)
+        cell = (np.argsort(dx_of.reshape(rows, w), axis=1) + w * np.arange(rows)[:, None]).ravel()
+        dx, tail = np.full((rows, w + 1), math.inf), np.zeros((rows, w + 1))
+        dx[:, :w], tail[:, :w] = dx_of[cell].reshape(rows, w), np.exp(g.log_p[cell]).reshape(rows, w)
+        tail = np.cumsum(tail[:, ::-1], axis=1)[:, ::-1]
+        # buckets of width h over [lo - 1, hi + 1], 2 per column
+        lo, hi = g.dx[real].min(), g.dx[real].max()
+        buckets = 2 * (w + 1)
+        h = (hi - lo + 2.0) / buckets
+        up = np.minimum(np.ceil((dx - lo + 1.0) / h), buckets).astype(np.intp)
+        up += (buckets + 1) * np.arange(rows)[:, None]
+        start = np.cumsum(np.bincount(up.ravel(), minlength=rows * (buckets + 1)).reshape(rows, -1),
+                          axis=1)[:, :-1]
+        return dx, tail, start, lo, h
+
+    def _last_draw_tail(self, past, row, x):
+        """P(x + dx > past | row) over the cells of the last draw's table
+        from each path's block-start row, x its value sum so far: the
+        cells past the boundary, found from the path's bucket and then
+        fixed up by evaluating x + dx at its neighbours (`_first_over`)."""
+        dx, tail, start, lo, h = self._last_draw
+        width, buckets = dx.shape[1], start.shape[1]
+        first, dx = row * width, dx.ravel()
+        b = np.clip((past - x - lo + 1.0) / h, 0.0, buckets - 1.0).astype(np.intp)
+        # the row's bucket holds about the first cell with x + dx > past;
+        # the last column, dx = inf, always is one
+        i = _first_over(start.ravel()[row * buckets + b], width - 1,
+                        lambda i: x + dx[first + i] > past)
+        return tail.ravel()[first + i]
 
     def terminal_law(self, lam: float = 0.0) -> TerminalLaw | None:
         """The exact law of X_n and its log weight under P_lam when it lives

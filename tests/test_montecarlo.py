@@ -6,19 +6,20 @@ import pytest
 from scipy.special import betainc
 from scipy.stats import beta, binom
 
+from mdmart import models
 from mdmart.bounds import BoundParams
 from mdmart.models import (LATTICE_CELLS, make_heavy_left, make_rademacher,
                            make_regime_switch)
-from mdmart.montecarlo import (MAX_PATHS, RatioReport, clopper_pearson,
+from mdmart.montecarlo import (CHUNK, MAX_PATHS, RatioReport, clopper_pearson,
                                enumerate_terminal,
                                estimate_tail_plain, estimate_tail_tilted,
                                exact_tail_by_enumeration,
                                is_expectation_by_enumeration,
                                lattice_histogram, mdp_scan,
                                rademacher_exact_tail, ratio_report,
-                               seeded_stream, write_csv)
+                               seeded_chunks, seeded_stream, write_csv)
 from mdmart.tilt import choose_tilt
-from test_models import SignSwitch, reference_tilt
+from test_models import SignSwitch, exact_terminal_law, reference_tilt, three_atom
 
 
 def walk_paths(model, lam):
@@ -196,25 +197,39 @@ class TestTiltedEstimator:
 # (p_hat, SE, ESS) as float.hex, taken before the estimators shared one
 # reduction with the histogram route: regime_switch and heavy_left draw
 # paths, and these floats must not move.  regime_switch's were taken again
-# when its sampler began to draw two blocks per uniform, and again at four
+# when its sampler began to draw two blocks per uniform, and again at four;
+# both were taken again when the tilted estimator began to integrate each
+# path's last draw, and heavy_left's plain pin when its sampler began to
+# draw the rare atoms' counts first.  regime_switch's plain pin did not move
 PER_PATH_PINS = {
-    "regime_switch": ("0x1.00071dcd29a26p-4", "0x1.66e51e12f86c8p-10",
-                      "0x1.595d163e1ff82p+10"),
-    "heavy_left": ("0x1.c792e19ff8532p-5", "0x1.2f41063ca8d14p-10",
-                   "0x1.715bbe0cd58b7p+10"),
+    "regime_switch": ("0x1.0686465f0023cp-4", "0x1.2cd0d9b86fac0p-10",
+                      "0x1.bab7855683109p+10"),
+    "heavy_left": ("0x1.ae7ea80dc8f09p-5", "0x1.c022ea1119964p-13",
+                   "0x1.df85eb642924bp+11"),
 }
 PLAIN_PINS = {
     "regime_switch": ("0x1.3f80000000000p-3", "0x1.290013259d312p-3",
                       "0x1.57026842d9184p-3"),
-    "heavy_left": ("0x1.3200000000000p-3", "0x1.1be8b3228ee83p-3",
-                   "0x1.491ecd5ca291cp-3"),
+    "heavy_left": ("0x1.3a80000000000p-3", "0x1.24266389594ccp-3",
+                   "0x1.51ddf39d64f49p-3"),
 }
-# (tilted, plain) p_hat that the samplers of one and of two blocks per
-# uniform drew from the same streams: independent estimates of the same
-# tails, so each pinned estimate agrees with its predecessors within
-# 4 sqrt(2) SE
-PREVIOUS_P_HAT = {"regime_switch": ((0.06475135684861437, 0.158935546875),
-                                    (0.06715754624321883, 0.164306640625))}
+# (tilted, plain) (p_hat, SE) that the earlier samplers and estimators
+# drew from the same streams: estimates of the same tails, so each pinned
+# estimate agrees with its predecessors within 4 SE of their difference,
+# 4 sqrt(SE^2 + SE_prev^2), which is 4 sqrt(2) SE where the two SEs are
+# alike.  Integrating the last draw cut heavy_left's tilted SE 5-fold
+
+
+def plain_se(p):
+    return p, math.sqrt(p * (1.0 - p) / 4096)
+
+
+PREVIOUS_P_HAT = {
+    "regime_switch": (((0.06475135684861437, 0.0014088273783937405), plain_se(0.158935546875)),
+                      ((0.06715754624321883, 0.0014328481959580354), plain_se(0.164306640625)),
+                      ((0.06250678673914276, 0.0013690757375503394), plain_se(0.156005859375))),
+    "heavy_left": (((0.05561203067169131, 0.001156822210000301), plain_se(0.1494140625)),),
+}
 
 
 class TestPerPathRoute:
@@ -230,9 +245,169 @@ class TestPerPathRoute:
         plain = estimate_tail_plain(model, 1.0, 4096, 5)
         assert (plain.p_hat.hex(), *(c.hex() for c in plain.ci95)) == \
             PLAIN_PINS[model.name]
-        for previous in PREVIOUS_P_HAT.get(model.name, ()):
-            for e, prev in zip((est, plain), previous):
-                assert abs(e.p_hat - prev) <= 4.0 * math.sqrt(2.0) * e.std_err
+        for previous in PREVIOUS_P_HAT[model.name]:
+            for e, (prev, se) in zip((est, plain), previous):
+                assert abs(e.p_hat - prev) <= 4.0 * math.hypot(e.std_err, se)
+
+
+class ScriptedCounts:
+    """A generator whose `binomial` calls return given count columns in
+    turn: it drives the one-state sampler through chosen atom counts."""
+
+    def __init__(self, columns):
+        self.columns = iter(columns)
+
+    def binomial(self, n, p, size=None):
+        return next(self.columns)
+
+
+def compositions(total, parts):
+    """Every tuple of `parts` counts >= 0 whose sum is at most `total`."""
+    if parts == 0:
+        yield ()
+        return
+    for c in range(total + 1):
+        for rest in compositions(total - c, parts - 1):
+            yield (c,) + rest
+
+
+def multinomial(counts, probs):
+    """The multinomial probability of each row of counts, taken in log
+    space: 0 where an atom of probability 0 is drawn."""
+    out = []
+    for row in counts.tolist():
+        lp = math.lgamma(sum(row) + 1.0)
+        for c, p in zip(row, probs):
+            if c:
+                lp += c * math.log(p) - math.lgamma(c + 1.0) if p > 0.0 else -math.inf
+        out.append(lp)
+    return np.exp(out)
+
+
+def every_path(model, lam, past, monkeypatch):
+    """Every sequence of draws that the sampler can make under P, put
+    through `simulate_terminal(..., lam, past=past)` as one batch: every
+    draw but the last when `past` is given, and every draw when it is None.
+    The one-state sampler's binomial counts, or the block sampler's alias
+    draws, are replaced by the sequences' own.  Returns (P of each
+    sequence, P_lam of each, the batch)."""
+    t = model.table
+    if len(t.states) == 1:
+        order = model._split_order
+        drawn = len(order) - (1 if past is None else 2)
+        counts = np.array(list(compositions(model.n, drawn)), dtype=np.int64).reshape(-1, drawn)
+        batch = model.simulate_terminal(len(counts), ScriptedCounts(counts.T), lam, past=past)
+        full = np.column_stack((counts, model.n - counts.sum(axis=1)))
+        # the last column lumps the atoms that are not drawn
+        prob = [multinomial(full, p[:drawn].tolist() + [p[drawn:].sum()])
+                for p in (t.probs[0, order], model.law_arrays(lam)[1][0, order])]
+        return (*prob, batch)
+    ladder, rem = model.block_tables(0.0)
+    tilted, tilted_rem = model.block_tables(lam)
+    plan = model._blocks[1]
+    draws = list(zip([ladder[b] for b in plan], [tilted[b] for b in plan]))
+    if rem is not None:
+        draws.append((rem, tilted_rem))
+    seqs = [((), 1.0, 1.0, 0)]  # (columns, P, P_lam, row)
+    for tab, tilt in draws[:-1] if past is not None else draws:
+        seqs = [(cols + (c,), p * tab.prob[r * tab.width + c], q * tilt.prob[r * tab.width + c],
+                 tab.end[r * tab.width + c])
+                for cols, p, q, r in seqs
+                for c in np.flatnonzero(tab.prob[r * tab.width:(r + 1) * tab.width] > 0.0)]
+    columns = iter(np.array([s[0] for s in seqs]).T)
+    monkeypatch.setattr(models, "alias_draw", lambda tables, base, width, u: next(columns))
+    batch = model.simulate_terminal(len(seqs), np.random.default_rng(0), lam, past=past)
+    return np.array([s[1] for s in seqs]), np.array([s[2] for s in seqs]), batch
+
+
+def exact_tail(model, x):
+    """P(X_n > x): by enumeration up to n = 14, then by the forward pass
+    over (state, X)."""
+    if model.n <= 14:
+        return exact_tail_by_enumeration(model, x)
+    values, prob, _, _ = exact_terminal_law(model, 0.0)
+    return math.fsum(prob[values > x].tolist())
+
+
+# models whose paths integrate their last draw, with n small enough for
+# every path: regime_switch's last draw is the leftover table at n = 2B + 3
+# and the table of one block, below the ladder's top, at n = 3B; sign_switch
+# draws one block, then the leftover; heavy_left and three_atom split their
+# common atoms last
+CONDITIONAL_MODELS = {m.name + f"-n{m.n}": m for m in (
+    make_regime_switch(19, 0.3), make_regime_switch(24, 0.3), SignSwitch(11),
+    make_heavy_left(6), three_atom(30))}
+# thresholds off every lattice of values
+OFF_LATTICE = (0.05, 0.31, 0.77)
+
+
+class TestConditionalRoute:
+    def test_last_draws(self):
+        # the tables the ladder models draw last are the ones named above
+        ladder, plan, rem = CONDITIONAL_MODELS["regime_switch-n19"]._blocks
+        assert rem is not None and rem.steps == 3
+        ladder, plan, rem = CONDITIONAL_MODELS["regime_switch-n24"]._blocks
+        assert rem is None and plan == [1, 0] and len(ladder) == 2
+        assert CONDITIONAL_MODELS["sign_switch-n11"]._blocks[2].steps == 3
+        assert [CONDITIONAL_MODELS[k]._split_order for k in ("heavy_left-n6", "three_atom-n30")] == \
+            [[2, 3, 4, 5, 6, 7, 8, 0, 1], [1, 0, 2]]
+
+    @pytest.mark.parametrize("name", CONDITIONAL_MODELS)
+    def test_expectation_is_the_exact_tail(self, name, monkeypatch):
+        # E_lam[Y] = P(X_n > x) over every prefix the tilted sampler can
+        # draw, Y = w' P(X_n > x | prefix), within 1e-12 relative (exactly
+        # where the tail is 0)
+        model = CONDITIONAL_MODELS[name]
+        for x in OFF_LATTICE:
+            exact = exact_tail(model, x)
+            for lam in (0.0, 0.5, x):
+                _, q, batch = every_path(model, lam, x, monkeypatch)
+                drawn = q > 0.0
+                y = np.exp(batch.log_weight[drawn]) * batch.tail[drawn]
+                got = math.fsum((q[drawn] * y).tolist())
+                assert abs(got - exact) <= 1e-12 * exact, (x, lam, got, exact)
+
+    @pytest.mark.parametrize("name", CONDITIONAL_MODELS)
+    def test_ties_are_the_sampler(self, name, monkeypatch):
+        # at thresholds that are values the sampler draws, where the float
+        # sum X + dx decides, E_lam[Y] is the drawn sampler's own tail: the
+        # mass under P of the paths it can draw under P_lam with X_n > x
+        model = CONDITIONAL_MODELS[name]
+        p, _, full = every_path(model, 0.0, None, monkeypatch)
+        values = np.unique(full.x)
+        for lam in (0.0, 0.5):
+            _, q, drawn_full = every_path(model, lam, None, monkeypatch)
+            assert np.array_equal(drawn_full.x, full.x)
+            for x in values[::max(1, values.size // 25)].tolist():
+                want = math.fsum(p[(q > 0.0) & (full.x > x)].tolist())
+                _, q_prefix, batch = every_path(model, lam, x, monkeypatch)
+                drawn = q_prefix > 0.0
+                y = np.exp(batch.log_weight[drawn]) * batch.tail[drawn]
+                got = math.fsum((q_prefix[drawn] * y).tolist())
+                assert abs(got - want) <= 1e-12 * want, (x, lam, got, want)
+
+    @pytest.mark.parametrize("name, paths", [
+        ("regime_switch-n24", 2000), ("sign_switch-n11", 2000), ("three_atom-n30", 2000),
+        ("heavy_left-n6", 20_000)])
+    def test_conditional_z_law(self, name, paths):
+        # the tilted estimate's z against the exact tail over 200 seeds.
+        # heavy_left's Y is one value unless a rare atom is drawn, which
+        # 2000 paths do about 4 times at this tilt: too few for a normal z
+        model, x = CONDITIONAL_MODELS[name], 0.31
+        lam = choose_tilt(model, x).lam
+        exact = exact_tail(model, x)
+        z = np.array([(e.p_hat - exact) / e.std_err for e in
+                      (estimate_tail_tilted(model, x, lam, paths, s) for s in range(200))])
+        assert abs(z.mean()) <= 4.0 / math.sqrt(200)
+        assert abs(z.std(ddof=1) - 1.0) <= 0.2
+
+    def test_plain_counts_drawn_paths(self):
+        # the plain estimator counts the paths past x that are drawn to the
+        # end from its streams; no last draw is integrated
+        for model in CONDITIONAL_MODELS.values():
+            hits = sum(int(np.count_nonzero(model.simulate_terminal(size, rng).x > 0.31))
+                       for rng, size in seeded_chunks(1, 3000, CHUNK))
+            assert estimate_tail_plain(model, 0.31, 3000, 1).p_hat == hits / 3000
 
 
 class TestLatticeRoute:
