@@ -3,19 +3,29 @@ the block-sum sampler and the Berbee coupling in `mixing` and the block
 sampler of every state-dependent model in `models`.  The tables of all
 rows are built at once, by prefix sums over Vose's pairing (Vose 1991, IEEE
 TSE 17:972; Hübschle-Schneider & Sanders, ESA 2019).  Also here: the law of
-two consecutive blocks from the law of one, by convolution along a lattice
+two consecutive blocks from the laws of each, by convolution along a lattice
 of block totals (`compose`), which both block samplers use to double their
-tables, and the plan by which they draw 2^b blocks with one uniform."""
+tables and `mixing` to build the law of a path's last draws; the plan by
+which they draw 2^b blocks with one uniform; and the tail of a table's last
+draw given a path's value so far (`tail_index`, `tail_lookup`), which both
+integrate instead of drawing it."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 # most cells per row in a doubled block table of a state-dependent model.  A
 # larger table lets one uniform draw more blocks, but it takes longer to
 # build and tilt than the draws it saves: 1024 was fastest in a sweep of 256
 # to 4096 cells on regime_switch at n = 1600 (see CHANGES.md)
 BLOCK_TABLE_CELLS = 1024
+
+# the most that the residuals of two tables' totals from one lattice may add
+# to, in lattice steps, for `join_block_laws` to join them: totals rounded to
+# 12 decimals are off by about 1e-12, and a chain off a lattice by a step's
+# fraction
+LATTICE_SLACK = 1e-9
 
 
 def alias_tables(p: np.ndarray):
@@ -82,65 +92,142 @@ def alias_draw(tables, base, width, u):
 
 def joined(start, end):
     """(a, b) for every pair of blocks a, b that join, block b starting in
-    the row block a ends in; blocks are (start row, end row) pairs sorted by
-    start, and the joins come sorted by a, then b."""
+    the row block a ends in: end[a] is the end row of block a, and start[b]
+    the start row of block b, sorted.  The joins come sorted by a, then b."""
     first = np.searchsorted(start, end, side="left")
     many = np.searchsorted(start, end, side="right") - first
-    a = np.repeat(np.arange(start.size), many)
+    a = np.repeat(np.arange(end.size), many)
     return a, np.arange(a.size) + np.repeat(first - (np.cumsum(many) - many), many)
 
 
-def compose(law, start, end, cap):
-    """The law of two consecutive blocks of a chain whose block total and
-    next start state depend only on the block's start state, from the law
-    of one.  law[j, i] = P(total i, end row end[j] | start row start[j]) >
-    0 for some i, with the totals i on a lattice, one step apart, and the
-    (start, end) pairs distinct and sorted.  The pair total is i + i', so
-    the sum over joined blocks is a convolution along the totals:
-        law2[(s, t), :] = sum_r convolve(law[(s, r)], law[(r, t)]),
-    summed over r in increasing order, with 2Y - 1 totals.  Returns (law2,
-    start2, end2) for the pairs (s, t) that some r joins, sorted; a pair no
-    r joins has probability 0.  Returns None as soon as the pairs of one
-    start row hold more than `cap` nonzero cells; a row's count only grows,
-    as the laws are nonnegative."""
-    law2, begin, to = {}, start.tolist(), end.tolist()
-    cells = dict.fromkeys(begin, 0)  # nonzero cells per start row
-    for i, j in zip(*(a.tolist() for a in joined(start, end))):
-        old = law2.get((begin[i], to[j]), 0)
-        law2[begin[i], to[j]] = c = np.convolve(law[i], law[j]) + old
-        cells[begin[i]] += np.count_nonzero(c) - np.count_nonzero(old)
-        if cells[begin[i]] > cap:
-            return None
-    pairs = sorted(law2)
-    return np.array([law2[k] for k in pairs]), *np.array(pairs).T
+def compose(first, second, cap):
+    """The law of a block of `first` followed by one of `second`, for a
+    chain whose block total and next start state depend only on the block's
+    start state.  Each is (law, start, end): law[j, i] = P(total i, end row
+    end[j] | start row start[j]) > 0 for some i, with the totals i on one
+    lattice, one step apart, and the (start, end) pairs distinct and
+    sorted; the rows of `second` are rows the blocks of `first` end in.
+    The total of the two is i + i', so the sum over joined blocks is a
+    convolution along the totals:
+        law2[(s, t), :] = sum_r convolve(first[(s, r)], second[(r, t)]),
+    summed over r in increasing order, with Y + Y' - 1 totals.  Returns
+    (law2, start2, end2) for the pairs (s, t) that some r joins, sorted; a
+    pair no r joins has probability 0.  Returns None once the pairs of one
+    start row, all joins into them done, hold more than `cap` nonzero
+    cells."""
+    (law, start, end), (law_b, start_b, end_b) = first, second
+    law2, row, begin, to = {}, None, start.tolist(), end_b.tolist()
+
+    def full(pairs):
+        return sum(np.count_nonzero(c) for c in pairs.values()) > cap
+
+    # the joins come sorted by start row, so each row's pairs are done
+    # when the next row's first join comes
+    for i, j in zip(*(a.tolist() for a in joined(start_b, end))):
+        if begin[i] != row:
+            if row is not None and full(law2[row]):
+                return None
+            row = begin[i]
+            law2[row] = {}
+        pairs = law2[row]
+        pairs[to[j]] = np.convolve(law[i], law_b[j]) + pairs.get(to[j], 0)
+    if row is not None and full(law2[row]):
+        return None
+    keys = [(s, t) for s, pairs in law2.items() for t in sorted(pairs)]
+    return np.array([law2[s][t] for s, t in keys]), *np.array(keys).T
 
 
-def double_block_law(values, joint, max_cells):
-    """The law of two consecutive blocks (`compose`) with block totals
-    `values`, sorted and rounded to 12 decimals, with the pair totals
-    rounded to 12 decimals.  The totals lie on one lattice when the rounded
-    pair total round(values[a] + values[b], 12) depends on a + b only and
-    grows with it, as it does for totals equally spaced up to that
-    rounding.  Then the doubled table has 2Y - 1 totals, the j-th that of
-    every pair with a + b = j (so they are the distinct rounded pair totals,
-    bit for bit).  Returns (values2, joint2), or None when the totals are
-    not on one lattice, or when the doubled table would have more than
-    `max_cells` (total, next start) cells per start state."""
+def join_block_laws(first, second, max_cells):
+    """The law of a block of `first` followed by one of `second`
+    (`compose`), each (values, joint) with joint[s, i, t] = P(total
+    values[i], next start t | start s) and its totals `values` sorted.
+    The convolution puts pair (a, b) at total a + b, which holds when both
+    tables' totals lie on one lattice, lo + i step: each table's residuals
+    from it add to at most LATTICE_SLACK steps, so every pair total lies
+    within twice that of values2[a + b].  The Y + Y' - 1 joined totals
+    values2 are the pair totals of (0, b) and then of (a, Y' - 1), rounded
+    to 12 decimals; on the rounded totals of a doubled table, where the
+    rounded pair total depends on a + b only, they are the distinct rounded
+    pair totals, bit for bit.  The check reads each total once, not every
+    pair.  Returns (values2, joint2), or None when the totals are not on
+    one lattice, or when the joined table would have more than `max_cells`
+    (total, next start) cells per start state.  Joining a table with itself
+    doubles it."""
+    (values, joint), (values_b, joint_b) = first, second
     S, Y = joint.shape[:2]
-    if (2 * Y - 1) * S > max_cells:
+    Yb, E = joint_b.shape[1:]
+    if (Y + Yb - 1) * E > max_cells:
         return None
-    pairs = np.round(np.add.outer(values, values), 12)
-    values2 = np.concatenate((pairs[0], pairs[1:, -1]))
-    # window a of values2 holds values2[a + b] at b
-    if not (np.array_equal(pairs, sliding_window_view(values2, Y))
-            and np.all(values2[1:] > values2[:-1])):
+    values2 = np.round(np.concatenate((values[0] + values_b, values[1:] + values_b[-1])), 12)
+    step = (values2[-1] - values2[0]) / max(values2.size - 1, 1)
+    off = sum(np.abs(v - v[0] - step * np.arange(v.size)).max() for v in (values, values_b))
+    if not (off <= LATTICE_SLACK * step and np.all(values2[1:] > values2[:-1])):
         return None
-    s, t = np.nonzero(joint.any(axis=1))
-    # S (2Y - 1) <= max_cells, so no row reaches the cap
-    law2, s, t = compose(joint[s, :, t], s, t, max_cells)
-    joint2 = np.zeros((S, 2 * Y - 1, S))
+    s, r = np.nonzero(joint.any(axis=1))
+    r2, t = np.nonzero(joint_b.any(axis=1))
+    # (Y + Y' - 1) E <= max_cells, so no row reaches the cap
+    law2, s, t = compose((joint[s, :, r], s, r), (joint_b[r2, :, t], r2, t), max_cells)
+    joint2 = np.zeros((S, Y + Yb - 1, E))
     joint2[s, :, t] = law2
     return values2, joint2
+
+
+def first_over(i, top, over):
+    """Per path, the least j in [0, top] with over(j), from a guess i a few
+    places off; over(j) is elementwise, grows with j and is taken to hold
+    at top.  The guess moves one place a round, back while over(i - 1)
+    holds and on while over(i) does not."""
+    while True:
+        back = (i > 0) & over(i - 1)
+        i = i - back
+        on = (i < top) & ~over(i)
+        i = i + on
+        if not (back.any() or on.any()):
+            return i
+
+
+def tail_index(dx, p):
+    """(dx, tail, start, lo, h) for `tail_lookup`, from the cells of a law
+    per row: dx[row, j] the value a cell adds (inf for a cell with no
+    value) and p[row, j] its probability.  Per row, dx holds the values
+    sorted, then inf (a last column), and tail the suffix sums of their
+    probabilities, from the top.  start[row, b] counts the row's dx with
+    (dx - lo + 1) / h <= b up to rounding, for 2 buckets of width h per
+    column over [lo - 1, hi + 1], lo and hi the least and the greatest
+    finite dx: a path's bucket finds its boundary up to the few dx in one
+    bucket."""
+    rows, w = dx.shape
+    cell = (np.argsort(dx, axis=1) + w * np.arange(rows)[:, None]).ravel()
+    dx_of, tail = np.full((rows, w + 1), math.inf), np.zeros((rows, w + 1))
+    dx_of[:, :w], tail[:, :w] = dx.ravel()[cell].reshape(rows, w), p.ravel()[cell].reshape(rows, w)
+    tail = np.cumsum(tail[:, ::-1], axis=1)[:, ::-1]
+    finite = dx[dx < math.inf]
+    lo, hi = finite.min(), finite.max()
+    # buckets of width h over [lo - 1, hi + 1], 2 per column
+    buckets = 2 * (w + 1)
+    h = (hi - lo + 2.0) / buckets
+    up = np.minimum(np.ceil((dx_of - lo + 1.0) / h), buckets).astype(np.intp)
+    up += (buckets + 1) * np.arange(rows)[:, None]
+    start = np.cumsum(np.bincount(up.ravel(), minlength=rows * (buckets + 1)).reshape(rows, -1),
+                      axis=1)[:, :-1]
+    return dx_of, tail, start, lo, h
+
+
+def tail_lookup(index, past, row, x):
+    """P(x + dx > past | row) over the cells of a `tail_index` per path, x
+    its value so far: the cells past the boundary, found from the path's
+    bucket and then fixed up by evaluating x + dx at its neighbours
+    (`first_over`), so a cell counts exactly when that float sum exceeds
+    `past`."""
+    dx, tail, start, lo, h = index
+    width, buckets = dx.shape[1], start.shape[1]
+    first, dx = row * width, dx.ravel()
+    b = np.clip((past - x - lo + 1.0) / h, 0.0, buckets - 1.0).astype(np.intp)
+    # the row's bucket holds about the first cell with x + dx > past;
+    # the last column, dx = inf, always is one
+    i = first_over(start.ravel()[row * buckets + b], width - 1,
+                   lambda i: x + dx[first + i] > past)
+    return tail.ravel()[first + i]
 
 
 def draw_plan(k, levels):

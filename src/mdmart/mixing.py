@@ -12,7 +12,8 @@ every check conservative.
 Everything about one block of m steps derives from one exact table, the
 joint law of its sum and end state given its start (`_block_law`).  The
 block-sum sampler draws 2^b blocks with one uniform, from that table
-bridged over the gap and doubled b times (`_block_tables`)."""
+bridged over the gap and doubled b times (`_block_tables`), and the tail
+experiment integrates the last of those draws exactly (`_completion`)."""
 from __future__ import annotations
 
 import math
@@ -20,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alias import alias_draw, alias_tables, double_block_law, draw_plan
+from .alias import (alias_draw, alias_tables, draw_plan, join_block_laws, tail_index,
+                    tail_lookup)
 from .bounds import BoundParams
-from .montecarlo import (RatioReport, check_x_grid, clopper_pearson, ratio_row,
+from .montecarlo import (RatioReport, check_x_grid, estimate_from_sums, ratio_row,
                          seeded_chunks)
 
 # block-sum paths are long, so chunks are larger here than in the tail
@@ -36,6 +38,13 @@ MIX_CHUNK = 65536
 # was fastest in a sweep of 512, 1024 and 2048 on the benchmark's chains
 # (see CHANGES.md)
 BLOCK_SUM_CELLS = 1024
+
+# most block totals per start state in the law of the last draws of a path,
+# which the tail experiment integrates instead of drawing.  More totals
+# integrate more draws and leave less variance, but the law takes longer to
+# build: COMPLETION_CELLS was chosen by a sweep on the benchmark's chains
+# (see CHANGES.md)
+COMPLETION_CELLS = 2048
 
 
 class ChainError(ValueError):
@@ -86,6 +95,7 @@ class MarkovChainSpec:
         self.pi = stationary_dist(self.P)
         self._block_laws = {}   # m -> _block_law(self, m), derived like pi
         self._block_tables = {}  # m -> the doubling ladder of _block_tables
+        self._completions = {}  # (m, k) -> _completion(self, m, k)
         if len(self.states) != self.P.shape[0] or self.f.size != self.P.shape[0]:
             raise ChainError("states, P and f sizes disagree")
         if abs(float(self.pi @ self.f)) > 1e-12:
@@ -399,7 +409,7 @@ def _block_tables(chain: MarkovChainSpec, m: int, k: int):
 
     The first is the block law bridged over the gap, joint[s, i, t] =
     sum_e law[s, i, e] P^{m+1}[e, t]; each next one is its predecessor
-    doubled by a convolution along the totals (`double_block_law`).  The
+    doubled by a convolution along the totals (`join_block_laws`).  The
     doubling stops before 2j > k, before a table would have more than
     BLOCK_SUM_CELLS cells per row, or at once when the block totals do not
     lie on one lattice; such a chain draws one block per uniform.  Like the
@@ -409,7 +419,8 @@ def _block_tables(chain: MarkovChainSpec, m: int, k: int):
     S = chain.P.shape[0]
     while len(ladder) < k.bit_length():
         if ladder:
-            table = double_block_law(*ladder[-1][:2], BLOCK_SUM_CELLS)
+            last = ladder[-1][:2]
+            table = join_block_laws(last, last, BLOCK_SUM_CELLS)
             if table is None:
                 break
         else:
@@ -418,6 +429,61 @@ def _block_tables(chain: MarkovChainSpec, m: int, k: int):
         values, joint = table
         ladder.append((values, joint, alias_tables(joint.reshape(S, -1))))
     return ladder[:k.bit_length()]
+
+
+def _completion(chain: MarkovChainSpec, m: int, k: int):
+    """(draws, index): the last `draws` table draws of a k-block path and
+    the `tail_index` of their total given the block-start state before
+    them, one row per start state.  Their law is built from the last draw
+    backwards, C <- sum_t convolve(joint[s, :, t], C[t]) (`join_block_laws`),
+    while it holds at most COMPLETION_CELLS totals per start state; a chain
+    whose totals are not on one lattice integrates its last draw only.
+    Kept on the chain, per (m, k)."""
+    if (m, k) not in chain._completions:
+        ladder = _block_tables(chain, m, k)
+        plan = draw_plan(k, len(ladder))
+        values, joint = ladder[plan[-1]][:2]
+        law, draws = (values, joint.sum(axis=2, keepdims=True)), 1
+        for b in plan[-2::-1]:
+            longer = join_block_laws(ladder[b][:2], law, COMPLETION_CELLS)
+            if longer is None:
+                break
+            law, draws = longer, draws + 1
+        values, joint = law
+        S = joint.shape[0]
+        chain._completions[m, k] = draws, tail_index(np.tile(values, (S, 1)), joint[:, :, 0])
+    return chain._completions[m, k]
+
+
+def _block_paths(chain: MarkovChainSpec, m: int, k: int, integrated: int,
+                 budget: int, seed: int):
+    """(total, state) of `budget` stationary k-block paths drawn up to their
+    last `integrated` table draws: the sum of the blocks drawn and the start
+    state of the next block (see `simulate_block_sums`)."""
+    S = chain.P.shape[0]
+    levels = []
+    for values, _, tables in _block_tables(chain, m, k):
+        # per outcome (i, t): the total, and the next start t
+        levels.append((np.repeat(values, S), np.tile(np.arange(S), values.size),
+                       tables, values.size * S))
+    plan = draw_plan(k, len(levels))
+    plan = [levels[b] for b in plan[:len(plan) - integrated]]
+    # ends at exactly 1: a plain cumsum of pi can end just below it, and a
+    # uniform past the end would start a path in no state
+    cum_pi = np.cumsum(chain.pi / chain.pi.sum())
+    cum_pi[-1] = 1.0
+    total, state = np.empty(budget), np.empty(budget, dtype=np.intp)
+    done = 0
+    for rng, size in seeded_chunks(seed, budget, MIX_CHUNK):
+        at = np.searchsorted(cum_pi, rng.random(size), side="right")
+        sums = np.zeros(size)
+        for value, nxt, tables, width in plan:
+            idx = alias_draw(tables, at * width, width, rng.random(size))
+            sums += value[idx]
+            at = nxt[idx]
+        total[done:done + size], state[done:done + size] = sums, at
+        done += size
+    return total, state
 
 
 def simulate_block_sums(chain: MarkovChainSpec, n: int, alpha: float,
@@ -435,29 +501,7 @@ def simulate_block_sums(chain: MarkovChainSpec, n: int, alpha: float,
     if budget < 1:
         raise ChainError("budget must be >= 1")
     m, k, _ = block_indices(n, alpha)
-    S = chain.P.shape[0]
-    levels = []
-    for values, _, tables in _block_tables(chain, m, k):
-        # per outcome (i, t): the total, and the next start t
-        levels.append((np.repeat(values, S), np.tile(np.arange(S), values.size),
-                       tables, values.size * S))
-    plan = [levels[b] for b in draw_plan(k, len(levels))]
-    # ends at exactly 1: a plain cumsum of pi can end just below it, and a
-    # uniform past the end would start a path in no state
-    cum_pi = np.cumsum(chain.pi / chain.pi.sum())
-    cum_pi[-1] = 1.0
-    out = np.empty(budget)
-    done = 0
-    for rng, size in seeded_chunks(seed, budget, MIX_CHUNK):
-        state = np.searchsorted(cum_pi, rng.random(size), side="right")
-        total = np.zeros(size)
-        for value, nxt, tables, width in plan:
-            idx = alias_draw(tables, state * width, width, rng.random(size))
-            total += value[idx]
-            state = nxt[idx]
-        out[done:done + size] = total
-        done += size
-    return out
+    return _block_paths(chain, m, k, 0, budget, seed)[0]
 
 
 def mixing_tail_experiment(chain: MarkovChainSpec, n: int, alpha: float,
@@ -465,13 +509,24 @@ def mixing_tail_experiment(chain: MarkovChainSpec, n: int, alpha: float,
     """P(S_n / sqrt(E S_n^2) > x) against 1 - Phi(x), with the block-sum
     theorem envelope attached.
 
+    Each path is drawn as `simulate_block_sums` draws it, but for its last
+    draws, which are integrated exactly (conditional Monte Carlo; Asmussen
+    & Glynn, *Stochastic Simulation*, 2007, ch. V): with T the total drawn
+    and s the next start, the path contributes Y = P(T + D > x sqrt(E
+    S_n^2) | s), D the total of the draws left (`_completion`).  E[Y] is the
+    tail, and a row's SE, ESS and normal 95% interval come from the sample
+    of Y (`estimate_from_sums`).
+
     Returns (RatioReport, info dict).  The envelope uses rho = 1, eps-like
     scale n^{-(1/2 - alpha)} and delta = tau_n from the exact psi_bar(m); it is
     flagged unusable when tau_n >= 1.  The info also records how the sums
-    were drawn: `blocks_per_draw`, the most blocks one uniform draws, and
-    `draws_per_path`, the table draws per path (one more uniform draws its
-    start state)."""
+    were drawn: `blocks_per_draw`, the most blocks one uniform draws,
+    `draws_per_path`, the table draws each path takes (one more uniform
+    draws its start state), and `draws_integrated`, the draws integrated
+    after them."""
     check_x_grid(x_grid)
+    if budget < 1:
+        raise ChainError("budget must be >= 1")
     m, k, _ = block_indices(n, alpha)
     es2 = exact_block_sum_variance(chain, n, alpha)
     scale = math.sqrt(es2)
@@ -479,22 +534,23 @@ def mixing_tail_experiment(chain: MarkovChainSpec, n: int, alpha: float,
     tau = tau_n(psi_m, m, n, k)
     cert = certify_chain(chain, n_max=max(m, 10), m=m)
     params = BoundParams(rho=1.0, eps_n=n ** -(0.5 - alpha), delta_n=tau, c=1.0)
-    sums = simulate_block_sums(chain, n, alpha, budget, seed)
+    integrated, index = _completion(chain, m, k)
+    total, state = _block_paths(chain, m, k, integrated, budget, seed)
     levels = len(_block_tables(chain, m, k))
     rows = []
     flags_global = ["envelope_undefined"] if tau >= 1.0 else []
     for x in x_grid:
-        hits = int(np.count_nonzero(sums > x * scale))
-        p = hits / budget
-        se = math.sqrt(p * (1.0 - p) / budget)
-        ci = clopper_pearson(hits, budget)
-        rows.append(ratio_row(x, p, params, se=se, ci_lo=ci[0], ci_hi=ci[1],
-                              ess=float(budget), n_samples=budget, seed=seed,
-                              lam=0.0, flags=list(flags_global)))
+        y = tail_lookup(index, x * scale, state, total)
+        est = estimate_from_sums(float(y.sum()), float((y * y).sum()), budget, "conditional")
+        rows.append(ratio_row(x, est.p_hat, params, se=est.std_err, ci_lo=est.ci95[0],
+                              ci_hi=est.ci95[1], ess=est.ess, n_samples=budget, seed=seed,
+                              lam=0.0, flags=est.flags + flags_global))
+    draws = len(draw_plan(k, levels))
     info = {"m": m, "k": k, "es2": es2, "tau_n": tau, "psi_bar_m": psi_m,
             "c1": cert.c1, "c2": cert.c2,
             "beta_fit": (cert.a1, cert.a2, cert.tau),
             "envelope_defined": tau < 1.0,
             "blocks_per_draw": 1 << (levels - 1),
-            "draws_per_path": len(draw_plan(k, levels))}
+            "draws_per_path": draws - integrated,
+            "draws_integrated": integrated}
     return RatioReport(rows=rows), info

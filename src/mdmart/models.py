@@ -16,7 +16,8 @@ from itertools import accumulate
 import numpy as np
 from scipy.special import bdtrc, gammaln, xlogy
 
-from .alias import BLOCK_TABLE_CELLS, alias_draw, alias_tables, compose, draw_plan, joined
+from .alias import (BLOCK_TABLE_CELLS, alias_draw, alias_tables, compose, draw_plan, first_over,
+                    joined, tail_index, tail_lookup)
 
 ATOL = 1e-12
 
@@ -52,20 +53,6 @@ def block_steps(states: int, width: int) -> int:
     while states * width ** (b + 1) <= BLOCK_CELLS:
         b += 1
     return b
-
-
-def _first_over(i, top, over):
-    """Per path, the least j in [0, top] with over(j), from a guess i a few
-    places off; over(j) is elementwise, grows with j and is taken to hold
-    at top.  The guess moves one place a round, back while over(i - 1)
-    holds and on while over(i) does not."""
-    while True:
-        back = (i > 0) & over(i - 1)
-        i = i - back
-        on = (i < top) & ~over(i)
-        i = i + on
-        if not (back.any() or on.any()):
-            return i
 
 
 class ModelError(ValueError):
@@ -262,7 +249,7 @@ def _doubled(law, start, end, counts):
     if (np.bincount(into // rows, bound).max() > BLOCK_TABLE_CELLS
             or (counts2[pair] != count).any()):
         return None
-    doubled = compose(law, start, end, BLOCK_TABLE_CELLS)
+    doubled = compose((law, start, end), (law, start, end), BLOCK_TABLE_CELLS)
     return None if doubled is None else (*doubled, counts2)
 
 
@@ -491,7 +478,7 @@ class MartingaleModel:
         With `past`, the last draw -- the split of the m steps, or the last
         table -- is not taken: the batch holds X and the log likelihood
         ratio of the draws before it, and the exact P(X_n > past | them)
-        under P (`_split_tail`, `_last_draw_tail`).  Under P_lam the tilt of
+        under P (`_split_tail`, `tail_lookup`).  Under P_lam the tilt of
         the last draw cancels against its weight, so that law is the
         untilted one: P_lam(c) e^{-lam dx_c + dpsi_c} = P(c) for a table
         cell, and for the split its lumped factor ((p + p') / (p_lam +
@@ -540,7 +527,7 @@ class MartingaleModel:
             psi += tab.dpsi[cell]
             row = tab.end[cell]
         return TerminalBatch(x=x, log_weight=-lam * x + psi,
-                             tail=None if past is None else self._last_draw_tail(past, row, x))
+                             tail=None if past is None else tail_lookup(self._last_draw, past, row, x))
 
     @cached_property
     def _split_order(self) -> list:
@@ -557,7 +544,7 @@ class MartingaleModel:
         k1) v2) / sqrt(n) as `simulate_terminal` sums it, k1 the count of
         the first, and grows with k; the least k with X_n > past is solved
         for and then fixed up by evaluating that sum at its neighbours
-        (`_first_over`).  k
+        (`first_over`).  k
         is Bin(m, q) under P, q that atom's share of the two's probability,
         and its tail is taken once per distinct (m, k) by `bdtrc`: a batch
         holds few, as m is n less the few steps of the rare atoms."""
@@ -574,7 +561,7 @@ class MartingaleModel:
         # the least k with X_n > past in exact arithmetic, from 0 to m + 1
         lo = (past / scale - s - m * min(v1, v2)) / abs(v1 - v2)
         guess = (np.floor(np.clip(lo, -1.0, m + 1.0)) + 1.0).astype(np.int64)
-        k = _first_over(np.minimum(guess, m + 1), m + 1, over)
+        k = first_over(np.minimum(guess, m + 1), m + 1, over)
         # k = m + 1 where no split is past; P(Bin(m, q) >= k) per distinct
         # (m, k), each at (m - m0) * span + k - k0 of a grid over the ranges
         # of m and k that occur
@@ -590,48 +577,16 @@ class MartingaleModel:
 
     @cached_property
     def _last_draw(self):
-        """(dx, tail, start, lo, h) for `_last_draw_tail`, from the table a
-        path draws last (the leftover one, or else the ladder level of the
-        last draw of `draw_plan`) under P.  Per block-start row, dx holds
-        the value sums of its cells, sorted, then inf (padding, and a last
-        column), and tail the suffix sums of their probabilities, from the
-        top.  start[row, b] counts the row's dx with (dx - lo + 1) / h <= b
-        up to rounding, for 2 buckets of width h per column over [lo - 1,
-        hi + 1], lo and hi the least and the greatest dx: a path's bucket
-        finds its boundary up to the few dx in one bucket."""
+        """The `tail_index` of the table a path draws last (the leftover
+        one, or else the ladder level of the last draw of `draw_plan`) under
+        P: per block-start row, the value sums of its cells and their
+        probabilities."""
         ladder, plan, rem = self._blocks
         g = rem if rem is not None else ladder[plan[-1]]
         real = g.log_p > -math.inf
-        rows, w = real.size // g.width, g.width
-        dx_of = np.where(real, g.dx, math.inf)
-        cell = (np.argsort(dx_of.reshape(rows, w), axis=1) + w * np.arange(rows)[:, None]).ravel()
-        dx, tail = np.full((rows, w + 1), math.inf), np.zeros((rows, w + 1))
-        dx[:, :w], tail[:, :w] = dx_of[cell].reshape(rows, w), np.exp(g.log_p[cell]).reshape(rows, w)
-        tail = np.cumsum(tail[:, ::-1], axis=1)[:, ::-1]
-        # buckets of width h over [lo - 1, hi + 1], 2 per column
-        lo, hi = g.dx[real].min(), g.dx[real].max()
-        buckets = 2 * (w + 1)
-        h = (hi - lo + 2.0) / buckets
-        up = np.minimum(np.ceil((dx - lo + 1.0) / h), buckets).astype(np.intp)
-        up += (buckets + 1) * np.arange(rows)[:, None]
-        start = np.cumsum(np.bincount(up.ravel(), minlength=rows * (buckets + 1)).reshape(rows, -1),
-                          axis=1)[:, :-1]
-        return dx, tail, start, lo, h
-
-    def _last_draw_tail(self, past, row, x):
-        """P(x + dx > past | row) over the cells of the last draw's table
-        from each path's block-start row, x its value sum so far: the
-        cells past the boundary, found from the path's bucket and then
-        fixed up by evaluating x + dx at its neighbours (`_first_over`)."""
-        dx, tail, start, lo, h = self._last_draw
-        width, buckets = dx.shape[1], start.shape[1]
-        first, dx = row * width, dx.ravel()
-        b = np.clip((past - x - lo + 1.0) / h, 0.0, buckets - 1.0).astype(np.intp)
-        # the row's bucket holds about the first cell with x + dx > past;
-        # the last column, dx = inf, always is one
-        i = _first_over(start.ravel()[row * buckets + b], width - 1,
-                        lambda i: x + dx[first + i] > past)
-        return tail.ravel()[first + i]
+        rows = real.size // g.width
+        return tail_index(np.where(real, g.dx, math.inf).reshape(rows, -1),
+                          np.exp(g.log_p).reshape(rows, -1))
 
     def terminal_law(self, lam: float = 0.0) -> TerminalLaw | None:
         """The exact law of X_n and its log weight under P_lam when it lives

@@ -243,17 +243,24 @@ def estimate_tail_tilted(model: MartingaleModel, x: float, lam: float,
     if lam < 0.0:
         raise ValueError("lambda must be >= 0")
     _, sw, sw2, law = _tail_sums(model, x, lam, n_samples, seed, row, complete=True)
-    p = sw / n_samples
-    var = max(sw2 / n_samples - p * p, 0.0)
+    return estimate_from_sums(sw, sw2, n_samples, f"tilted({lam:.6g})",
+                              math.inf if law is None else _law_ess(law, x, n_samples))
+
+
+def estimate_from_sums(sy: float, sy2: float, n_samples: int, estimator: str,
+                       law_ess: float = math.inf) -> TailEstimate:
+    """The mean of n_samples contributions y >= 0 of one path each, from
+    their sum sy and sum of squares sy2: its SE, its normal 95% interval,
+    clipped to [0, 1], and its ESS (sum y)^2 / sum y^2, or `law_ess` where
+    that is smaller, flagged `low_ess` below MIN_ESS."""
+    p = sy / n_samples
+    var = max(sy2 / n_samples - p * p, 0.0)
     se = math.sqrt(var / n_samples)
-    ess = sw * sw / sw2 if sw2 > 0.0 else 0.0
-    if law is not None:
-        ess = min(ess, _law_ess(law, x, n_samples))
+    ess = min(sy * sy / sy2 if sy2 > 0.0 else 0.0, law_ess)
     flags = [] if ess >= MIN_ESS else ["low_ess"]
     ci = (max(p - 1.96 * se, 0.0), min(p + 1.96 * se, 1.0))
-    return TailEstimate(p_hat=p, std_err=se, ci95=ci, ess=ess,
-                        n_samples=n_samples, estimator=f"tilted({lam:.6g})",
-                        flags=flags)
+    return TailEstimate(p_hat=p, std_err=se, ci95=ci, ess=ess, n_samples=n_samples,
+                        estimator=estimator, flags=flags)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from scipy.stats import binom
 from mdmart import bounds, verify
 from mdmart.bounds import BoundParams, gaussian_tail, thm21_rhs
 from mdmart.coupling import ExactBinomialQuantile, exact_coupling_report
-from mdmart.mixing import (MarkovChainSpec, berbee_mismatch_probability,
+from mdmart.alias import tail_lookup
+from mdmart.mixing import (MarkovChainSpec, _completion, berbee_mismatch_probability,
                            beta_by_enumeration, beta_coefficient,
                            beta_two_state_closed_form, covariance_bound_check,
                            mixing_tail_experiment, stationary_dist,
@@ -26,7 +27,7 @@ from mdmart.montecarlo import (enumerate_terminal, estimate_tail_plain,
                                is_expectation_by_enumeration, mdp_scan,
                                rademacher_exact_tail)
 from mdmart.tilt import choose_tilt
-from test_mixing import exact_tails
+from test_mixing import exact_tails, lattice_map, suffix_blocks, walk_blocks
 
 
 def report(num, ok, detail):
@@ -316,20 +317,36 @@ def test_criterion_11_mixing_exactness():
 
 def test_criterion_12_mixing_ratio():
     # each Monte Carlo row is held within 4 exact SE of the exact tail, from
-    # a forward pass over (chain state, visits to state 0) along all n
-    # indices; the envelope alone would let a fourfold error through
+    # a forward pass over (chain state, visits to state 0) along the k
+    # blocks; the envelope alone would let a fourfold error through.  The
+    # SE is that of plain Monte Carlo, and also the exact SE of the
+    # estimator that ran: each path draws a prefix of its blocks and
+    # contributes Y, the completion's tail given its total and next start,
+    # so E[Y^2] sums the prefix law, from a forward pass over its blocks,
+    # times the squared tails, and E[Y] must be the exact tail
     chain = two_state_chain(0.3, 0.3)
     n, alpha, budget, xs = 10 ** 4, 0.3, 5 * 10 ** 4, [0.5, 1.0, 1.5]
     rep, info = mixing_tail_experiment(chain, n, alpha, xs, budget, 9)
     scale = math.sqrt(info["es2"])
     exact = exact_tails(chain, (1, 0), n, alpha, [x * scale for x in xs])
+    m, k = info["m"], info["k"]
+    blocks = k - suffix_blocks(chain, m, k)[1]
+    ls, prefix = walk_blocks(chain, (1, 0), chain.pi, m, blocks)
+    a, b = lattice_map(chain, (1, 0), m * blocks)
+    state = np.repeat(np.arange(2), ls.size)
+    total = np.tile(a * ls + b, 2)
     ok = info["envelope_defined"]
     details = []
     for row, p in zip(rep.rows, exact):
         ci = 3.0 * row.se / row.gauss_tail
         inside = row.bound_lo - ci <= row.ratio <= row.bound_hi + ci
         near = abs(row.p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / budget)
-        ok = ok and inside and near
-        details.append(f"{row.ratio:.4f} (exact {p / row.gauss_tail:.4f})")
-    report(12, ok, f"ratios {', '.join(details)} within 4 exact SE and "
-                   f"inside envelope +- CI, tau_n = {info['tau_n']:.3f}")
+        y = tail_lookup(_completion(chain, m, k)[1], row.x * scale, state, total)
+        mean = math.fsum((prefix.ravel() * y).tolist())
+        se = math.sqrt(max(math.fsum((prefix.ravel() * y * y).tolist()) - p * p, 0.0) / budget)
+        z = (row.p_hat - p) / se if se > 0.0 else math.inf
+        ok = ok and inside and near and abs(mean - p) <= 1e-12 and abs(z) <= 4.0
+        details.append(f"{row.ratio:.4f} (exact {p / row.gauss_tail:.4f}, "
+                       f"E[Y] - p {mean - p:.1e}, z {z:+.2f})")
+    report(12, ok, f"ratios {', '.join(details)} within 4 exact SE of either "
+                   f"estimator and inside envelope +- CI, tau_n = {info['tau_n']:.3f}")

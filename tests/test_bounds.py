@@ -102,6 +102,22 @@ class TestThm21Rhs:
         p = bounds.BoundParams(rho=0.5, eps_n=0.1, delta_n=0.1, c=1.0)
         assert bounds.thm21_rhs(0.0, p) == pytest.approx(math.sqrt(0.1) + 0.1)
 
+    @pytest.mark.parametrize("x, rho, eps, delta, c, want", [
+        # 2^3 0.01 + 2^2 0.1^2 + 3 (0.01 ln 100 + 0.1) = 0.42 + 0.06 ln 10
+        (2.0, 1.0, 0.01, 0.1, 1.0, 0.5581551055796428),
+        # 3^2.5 0.04^0.5 + 3^2 0.2^2 + 4 (0.04^0.5 + 0.2) = 1.8 sqrt(3) + 1.96
+        (3.0, 0.5, 0.04, 0.2, 1.0, 5.077691453623979),
+        # eps clamped to 1/2: 1 + 0 + 2 (0.5 ln 2) = 1 + ln 2
+        (1.0, 1.0, 1.0, 0.0, 1.0, 1.6931471805599454),
+        # x = 0 leaves c (eps^rho + delta) = 2 (0.2 + 0.2)
+        (0.0, 0.5, 0.04, 0.2, 2.0, 0.8)])
+    def test_pinned_values(self, x, rho, eps, delta, c, want):
+        # hand-computed from c (x^{2+rho} eps^rho + x^2 delta^2 + (1 + x)
+        # (eps_tilde + delta)); each term moves some value when its power
+        # or its constant changes
+        p = bounds.BoundParams(rho=rho, eps_n=eps, delta_n=delta, c=c)
+        assert bounds.thm21_rhs(x, p) == pytest.approx(want, rel=1e-13)
+
     def test_rho_one_log_factor(self):
         p = bounds.BoundParams(rho=1.0, eps_n=0.1, delta_n=0.0)
         assert p.eps_tilde == pytest.approx(0.1 * math.log(10.0))
@@ -151,6 +167,17 @@ class TestBerryEsseen:
 class TestBernsteinBound:
     def test_vacuous_at_zero(self):
         assert bounds.bernstein_tail_bound(0.0, 50, 1.0, 1.0) == 2.0
+
+    @pytest.mark.parametrize("x, n, M, L, want", [
+        # x L / (3 sqrt(n)) = 1, so the exponent is -9 / 4
+        (3.0, 100, 0.0, 10.0, 0.21079844912372867),
+        # M / n = 1 and x L / (3 sqrt(n)) = 1: the exponent is -4 / 6
+        (2.0, 4, 4.0, 3.0, 1.026834238065184),
+        # x L / (3 sqrt(n)) = 1: the exponent is -1 / 4
+        (1.0, 9, 0.0, 9.0, 1.5576015661428098)])
+    def test_pinned_values(self, x, n, M, L, want):
+        # hand-computed from 2 exp{-x^2 / (2 (1 + M/n + x L / (3 sqrt(n))))}
+        assert bounds.bernstein_tail_bound(x, n, M, L) == pytest.approx(want, rel=1e-13)
 
     def test_large_n_limit(self):
         val = bounds.bernstein_tail_bound(2.0, 10 ** 9, 0.0, 1.0)

@@ -369,8 +369,10 @@ def test_mixing_command(tmp_path, capsys):
                  "--budget", "10000", "--x", "0.5"]) == 0
     info = json.loads((tmp_path / "mixing_n2000_seed0_info.json").read_text())
     assert info["m"] == 9 and info["k"] == 111
-    # 111 blocks = 3 draws of 32 blocks, then 8, 4, 2 and 1
-    assert info["blocks_per_draw"] == 32 and info["draws_per_path"] == 7
+    # 111 blocks = 3 draws of 32 blocks, then 8, 4, 2 and 1; all 7 draws
+    # fit in the completion, so a path draws only its start state
+    assert info["blocks_per_draw"] == 32
+    assert (info["draws_per_path"], info["draws_integrated"]) == (0, 7)
 
 
 def test_readme_commands_parse(monkeypatch):

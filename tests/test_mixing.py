@@ -6,8 +6,8 @@ import pytest
 
 from mdmart import mixing
 from mdmart.alias import draw_plan
-from mdmart.mixing import (BLOCK_SUM_CELLS, MIX_CHUNK, ChainError, MarkovChainSpec,
-                           _block_law, _block_tables,
+from mdmart.mixing import (BLOCK_SUM_CELLS, COMPLETION_CELLS, MIX_CHUNK, ChainError,
+                           MarkovChainSpec, _block_law, _block_tables, _completion,
                            berbee_couple, berbee_mismatch_probability,
                            beta_by_enumeration, beta_coefficient,
                            beta_two_state_closed_form, block_indices,
@@ -304,36 +304,43 @@ def lag_sum_variance(chain, n, alpha):
     return float(w[0] * c[0] + 2.0 * np.dot(w[1:max_lag + 1], c[1:max_lag + 1]))
 
 
-def lattice_law(chain, g, n, alpha):
-    """Exact law of L = sum of g(X_i) over the selected indices, for an
-    integer label g per state, by a forward pass over (chain state, L) that
-    walks all n indices one step of P at a time from the stationary start.
-    It uses neither the block law nor P^{m+1}.  Returns (L values, probs)."""
-    _, _, ranges = block_indices(n, alpha)
-    selected = np.zeros(n, dtype=bool)
-    for s, e in ranges:
-        selected[s:e] = True
+def walk_blocks(chain, g, start, m, blocks):
+    """The exact law of (chain state at the start of block `blocks`, L)
+    along `blocks` blocks of m selected indices, each followed by a gap of
+    m, L the sum of the integer label g per state over the selected
+    indices, from `start`, the law of the first block's start state: a
+    forward pass over (chain state, L), one step of P at a time.  It uses
+    neither the block law nor P^{m+1}.  Returns (L values, dist[state, L])."""
     g = np.asarray(g)
-    lo = min(int(g.min()), 0) * int(selected.sum())
-    hi = max(int(g.max()), 0) * int(selected.sum())
+    lo = min(int(g.min()), 0) * m * blocks
+    hi = max(int(g.max()), 0) * m * blocks
     dist = np.zeros((g.size, hi - lo + 1))
-    dist[:, -lo] = chain.pi
-    for i in range(ranges[-1][1]):
+    dist[:, -lo] = start
+    for i in range(2 * m * blocks):
         if i:
             dist = chain.P.T @ dist
-        if selected[i]:
+        if i % (2 * m) < m:
             for s in range(g.size):
                 # the range holds every reachable L, so nothing wraps
                 dist[s] = np.roll(dist[s], g[s])
-    return np.arange(lo, hi + 1), dist.sum(axis=0)
+    return np.arange(lo, hi + 1), chain.P.T @ dist
 
 
-def lattice_map(chain, g, n, alpha):
-    """(a, b) with S_n = a L + b: f is affine in the label g."""
-    _, _, ranges = block_indices(n, alpha)
+def lattice_law(chain, g, n, alpha):
+    """Exact law of L = sum of g(X_i) over the selected indices of the
+    experiment's k blocks, from the stationary start (`walk_blocks`).
+    Returns (L values, probs)."""
+    m, k, _ = block_indices(n, alpha)
+    ls, dist = walk_blocks(chain, g, chain.pi, m, k)
+    return ls, dist.sum(axis=0)
+
+
+def lattice_map(chain, g, steps):
+    """(a, b) with S = a L + b for a sum S of f over `steps` selected
+    indices: f is affine in the label g."""
     i, j = np.argmax(g), np.argmin(g)
     a = (chain.f[i] - chain.f[j]) / (g[i] - g[j])
-    return a, sum(e - s for s, e in ranges) * (chain.f[i] - a * g[i])
+    return a, steps * (chain.f[i] - a * g[i])
 
 
 def exact_tails(chain, g, n, alpha, thresholds):
@@ -341,7 +348,8 @@ def exact_tails(chain, g, n, alpha, thresholds):
     units of a lattice point is refused, since float sums could fall on
     either side of it."""
     ls, probs = lattice_law(chain, g, n, alpha)
-    a, b = lattice_map(chain, g, n, alpha)
+    m, k, _ = block_indices(n, alpha)
+    a, b = lattice_map(chain, g, m * k)
     out = []
     for t in thresholds:
         cut = (t - b) / a
@@ -374,7 +382,8 @@ class TestTailExperiment:
         # autocovariance sum
         for chain, g in LATTICE_CHAINS:
             ls, probs = lattice_law(chain, g, 200, 0.3)
-            a, b = lattice_map(chain, g, 200, 0.3)
+            m, k, _ = block_indices(200, 0.3)
+            a, b = lattice_map(chain, g, m * k)
             sums = a * ls + b
             assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
             assert math.fsum(probs * sums) == pytest.approx(0.0, abs=1e-9)
@@ -389,7 +398,8 @@ class TestTailExperiment:
         # the sums cannot move a path across it
         n, alpha, paths = 200, 0.3, 10 ** 5
         ls, probs = lattice_law(chain, g, n, alpha)
-        a, b = lattice_map(chain, g, n, alpha)
+        m, k, _ = block_indices(n, alpha)
+        a, b = lattice_map(chain, g, m * k)
         cdf = np.cumsum(probs)
         cuts = sorted({int(ls[np.searchsorted(cdf, q)]) for q in np.linspace(0.05, 0.95, 10)})
         assert len(cuts) >= 8
@@ -427,21 +437,22 @@ class TestTailExperiment:
         # tables of 2, 4, 8, 16 and 32 blocks (64 blocks take 961 totals,
         # 1922 cells, past BLOCK_SUM_CELLS); at m = 70, k = 35 those of 2
         # and 4 blocks (8 blocks take 561 totals, 1122 cells)
+        # (the joins of a table with another one build the completion)
         calls, doubled = [], []
-        real, real_double = mixing.block_sum_distribution, mixing.double_block_law
+        real, real_join = mixing.block_sum_distribution, mixing.join_block_laws
 
         def counted(chain, m):
             calls.append(m)
             return real(chain, m)
 
-        def counted_double(values, joint, max_cells):
-            table = real_double(values, joint, max_cells)
-            if table is not None:
+        def counted_join(first, second, max_cells):
+            table = real_join(first, second, max_cells)
+            if table is not None and first is second:
                 doubled.append(table[0].size)
             return table
 
         monkeypatch.setattr(mixing, "block_sum_distribution", counted)
-        monkeypatch.setattr(mixing, "double_block_law", counted_double)
+        monkeypatch.setattr(mixing, "join_block_laws", counted_join)
         mixing_tail_experiment(two_state_chain(0.3, 0.3), n, alpha, [0.5, 1.0], 1000, 0)
         assert len(calls) == builds, calls
         assert len(doubled) == doublings, doubled
@@ -477,6 +488,61 @@ class TestTailExperiment:
         rep, info = mixing_tail_experiment(chain, 2000, 0.3, [0.5], 20000, 6)
         assert not info["envelope_defined"]
         assert "envelope_undefined" in rep.rows[0].flags
+
+
+def suffix_blocks(chain, m, k):
+    """(draws, blocks): how many of a k-block path's last draws the
+    experiment integrates, and how many blocks they hold."""
+    draws = _completion(chain, m, k)[0]
+    plan = draw_plan(k, len(_block_tables(chain, m, k)))
+    return draws, sum(1 << b for b in plan[len(plan) - draws:])
+
+
+class TestCompletion:
+    @pytest.mark.parametrize("chain, g", LATTICE_CHAINS, ids=LATTICE_IDS)
+    def test_completion_is_the_forward_pass(self, chain, g):
+        # n = 10^4, alpha = 0.3: m = 15, k = 333.  Per start state, the
+        # completion's tail at each total it holds equals that of a forward
+        # pass over (chain state, L) along the suffix's blocks from that
+        # state, to 1e-12, and its mass is 1 within 1e-12.  The two-state
+        # chains integrate 6 of their 13 draws (109 blocks), three_state 9
+        # of its 43 (61 blocks)
+        n, alpha = 10 ** 4, 0.3
+        m, k, _ = block_indices(n, alpha)
+        draws, blocks = suffix_blocks(chain, m, k)
+        plan = draw_plan(k, len(_block_tables(chain, m, k)))
+        assert 1 < draws < len(plan)
+        dx, tail = _completion(chain, m, k)[1][:2]
+        S = chain.P.shape[0]
+        assert np.abs(tail[:, 0] - 1.0).max() <= 1e-12
+        a, b = lattice_map(chain, g, m * blocks)
+        for s in range(S):
+            ls, dist = walk_blocks(chain, g, np.eye(S)[s], m, blocks)
+            totals, law = a * ls + b, dist.sum(axis=0)
+            order = np.argsort(totals)
+            totals, law = totals[order], law[order]
+            above = np.concatenate((np.cumsum(law[::-1])[::-1], [0.0]))
+            values = dx[s][dx[s] < math.inf]
+            assert (law[np.abs(totals[:, None] - values).min(axis=1) > 1e-9] == 0.0).all()
+            # the walk's tail at each of the completion's totals, which lie
+            # |a| apart
+            want = above[np.searchsorted(totals, values - abs(a) / 2)]
+            assert np.abs(tail[s, :values.size] - want).max() <= 1e-12, s
+        # the info counts the draws taken and those integrated
+        _, info = mixing_tail_experiment(chain, n, alpha, [1.0], 100, 0)
+        assert (info["draws_per_path"], info["draws_integrated"]) == (len(plan) - draws, draws)
+
+    def test_completion_stops_at_the_cell_bound(self):
+        # the completion holds at most COMPLETION_CELLS totals per start
+        # state, and one more draw would pass that
+        chain = two_state_chain(0.3, 0.3)
+        m, k, _ = block_indices(10 ** 4, 0.3)
+        draws = _completion(chain, m, k)[0]
+        ladder = _block_tables(chain, m, k)
+        plan = draw_plan(k, len(ladder))
+        width = [ladder[b][0].size for b in plan]
+        totals = sum(width[-draws:]) - draws + 1
+        assert totals <= COMPLETION_CELLS < totals + width[-draws - 1] - 1
 
 
 def composed_tables(chain, m, levels):
@@ -596,8 +662,9 @@ class TestDoubledTables:
     def test_chain_off_a_lattice_draws_one_block_per_uniform(self):
         # a centred standard-normal f: the totals of two steps are not
         # equally spaced, so no table is doubled, and a path of k blocks
-        # takes k draws; its totals still follow the law of k = 8 blocks
-        # composed by brute force.  n = 32, alpha = 0.25: m = 2, k = 8
+        # takes k draws, of which the experiment integrates only the last;
+        # its totals still follow the law of k = 8 blocks composed by brute
+        # force.  n = 32, alpha = 0.25: m = 2, k = 8
         P = three_state_chain().P
         f = np.random.default_rng(5).standard_normal(3)
         chain = MarkovChainSpec(states=[0, 1, 2], P=P, f=f - stationary_dist(P) @ f)
@@ -606,7 +673,8 @@ class TestDoubledTables:
         assert (m, k) == (2, 8)
         assert len(_block_tables(chain, m, k)) == 1
         _, info = mixing_tail_experiment(chain, n, alpha, [1.0], 100, 0)
-        assert info["blocks_per_draw"] == 1 and info["draws_per_path"] == k
+        assert info["blocks_per_draw"] == 1
+        assert (info["draws_per_path"], info["draws_integrated"]) == (k - 1, 1)
         # the stationary law of the total of 8 blocks
         table = composed_tables(chain, m, 4)[3]
         values, cell = np.unique(np.concatenate([y for y, _, _ in table]), return_inverse=True)

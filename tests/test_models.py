@@ -666,12 +666,13 @@ class TestStateTable:
     def test_sampler_law_matches_enumeration(self, model, lam):
         # importance-weighted frequency of each value of X_n against its
         # exact probability, within z of the estimator's exact SEs from the
-        # exact tilted law.  Values expected fewer than 10 times under P_lam
-        # are pooled into one bin, where a normal SE means something; values
-        # whose tilted probability underflows to 0 cannot be drawn.  z is
-        # the Bonferroni bound for a family-wise false-alarm rate of
-        # SAMPLER_ALARM over the case's bins, in the normal approximation:
-        # z = 4.21 for 4 bins, 4.99 for 160
+        # exact tilted law.  Values expected fewer than 50 times under P_lam
+        # are pooled into one bin: a bin of a few dozen expected draws has
+        # a heavier upper tail than the normal, and the stated rate would
+        # not hold.  Values whose tilted probability underflows to 0 cannot
+        # be drawn.  z is the Bonferroni bound for a family-wise false-alarm
+        # rate of SAMPLER_ALARM over the case's bins, in the normal
+        # approximation: z = 4.21 for 4 bins, 4.99 for 160
         values, exact, mass, m2 = exact_terminal_law(model, lam)
         size = 1 << 15
         batch = model.simulate_terminal(size, np.random.default_rng(5), lam)
@@ -683,7 +684,7 @@ class TestStateTable:
         drawable = ~np.isnan(m2)
         assert drawable[i].all()
         assert math.fsum(exact[drawable]) > 1.0 - 1e-6
-        rare = drawable & (size * mass < 10.0)
+        rare = drawable & (size * mass < 50.0)
         bins = [[j] for j in np.flatnonzero(drawable & ~rare)] + [np.flatnonzero(rare)]
         assert len(bins) >= 4
         z = float(ndtri(1.0 - SAMPLER_ALARM / (2 * len(bins))))
@@ -807,9 +808,10 @@ class TestStateTable:
 
     def test_doubling_refused_at_the_first_full_row(self, monkeypatch):
         # at gamma = 0.45 the support bound lets the doubling to 28 steps
-        # through (572 cells a row against 1024); `compose` refuses it at
-        # the first start row past the cap, after 4 of its 1,160
-        # convolutions, and the ladder keeps its two levels
+        # through (572 cells a row against 1024); `compose` refuses it once
+        # the joins of its first start row, which passes the cap, are done:
+        # after that row's 8 of its 1,160 convolutions.  The ladder keeps
+        # its two levels
         calls, composed = [], []
         convolve, compose = np.convolve, models.compose
 
@@ -827,7 +829,7 @@ class TestStateTable:
         monkeypatch.setattr(models, "compose", counted_compose)
         ladder = make_regime_switch(1600, 0.45)._blocks[0]
         assert [(level.steps, level.width) for level in ladder] == [(7, 48), (14, 198)]
-        assert composed[0][1] is False and composed[1] == (4, True)
+        assert composed[0][1] is False and composed[1] == (8, True)
 
     def test_block_steps_rule(self):
         # the largest b whose forward pass over every state fits the budget
