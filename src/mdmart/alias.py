@@ -5,10 +5,11 @@ rows are built at once, by prefix sums over Vose's pairing (Vose 1991, IEEE
 TSE 17:972; Hübschle-Schneider & Sanders, ESA 2019).  Also here: the law of
 two consecutive blocks from the laws of each, by convolution along a lattice
 of block totals (`compose`), which both block samplers use to double their
-tables and `mixing` to build the law of a path's last draws; the plan by
-which they draw 2^b blocks with one uniform; and the tail of a table's last
-draw given a path's value so far (`tail_index`, `tail_lookup`), which both
-integrate instead of drawing it."""
+tables and `mixing` to build the law of a path's last draws; the law of a
+model path's last draws, composed in frequency space (`last_draws_law`);
+the plan by which they draw 2^b blocks with one uniform; and the tail of a
+path's last draws given its value so far (`tail_index`, `tail_lookup`),
+which both integrate instead of drawing them."""
 from __future__ import annotations
 
 import math
@@ -26,6 +27,13 @@ BLOCK_TABLE_CELLS = 1024
 # 12 decimals are off by about 1e-12, and a chain off a lattice by a step's
 # fraction
 LATTICE_SLACK = 1e-9
+
+# no array that `last_draws_law` allocates or keeps reaches this many bytes.
+# glibc serves a block this large by mmap, and freeing one raises its mmap
+# threshold to that block's size, which changes how every later allocation
+# below it is served: the benchmark's 512 KB reference kernel runs faster or
+# slower for it (ROADMAP item 8)
+ARRAY_BYTES = 1 << 19
 
 
 def alias_tables(p: np.ndarray):
@@ -172,6 +180,133 @@ def join_block_laws(first, second, max_cells):
     return values2, joint2
 
 
+def last_draws_law(tables, plan, rows, cap):
+    """The law under P of the total of a path's last D table draws, given
+    the block-start row before them.  tables[j] is (pos, p, start, end), per
+    cell of one table: its total in whole lattice units, its probability,
+    its start row and its end row, of `rows` rows.  A path draws
+    tables[plan[0]], tables[plan[1]], ... in turn, each from the row the one
+    before it ended in.  Returns (D, lo, step, law): law[s, i] = P(total
+    lo[s] + step i | row s), 0 past row s's greatest total and on each row
+    no path starts the D draws from; or None when not even two draws fit.
+
+    Only the cells that start where the draw before them can end are read,
+    and their totals may lie on a coarser lattice: `step` is the gcd of the
+    differences between the totals of each draw's cells, so each draw's
+    totals share one residue mod step.  D is the largest number of last
+    draws, at most len(plan) - 1, whose totals from each row span at most
+    `cap` steps, and whose spectra over all rows, at the least power of two
+    N that holds every span, stay under ARRAY_BYTES.  The spans come first,
+    from the least and the greatest total of each (start, end) pair: lo_s
+    <- min over pairs of lo_{s,r} + lo_r, and hi_s likewise.
+
+    The law is then built backwards in frequency space.  C_s, the law of
+    the totals from row s, starts as the last table's from s, summed over
+    its end rows, and each draw before it makes
+        C_s <- sum_r L_{s,r} * C_r,
+    L_{s,r} that draw's table from s into r: a product per frequency, over
+    the (start, end) pairs.  Each distinct table is transformed once
+    (`rfft`, in chunks of pairs under ARRAY_BYTES), each total at its steps
+    mod N, and the law once at the end (`irfft`), its negative rounding
+    noise clipped to 0.  No span exceeds N, so no two totals of one row
+    share a residue mod N: the circular convolution is the linear one, read
+    from lo_s on.  The rounding leaves each cell off by about 1e-17 to 1e-16
+    absolute; the law only multiplies a likelihood ratio of mean 1, so an
+    absolute error in its tails moves an estimate's mean by no more (see
+    CHANGES.md)."""
+    if len(plan) < 3:
+        return None
+    entered = {}
+
+    def draw(d):
+        # the cells of the d-th draw from the end that start in a row the
+        # draw before it ends in, their (start, end) pairs, sorted, each
+        # pair's least and greatest total, and the gcd of their differences
+        key = plan[-d], plan[-d - 1]
+        if key not in entered:
+            pos, p, start, end = tables[key[0]]
+            into = np.zeros(rows, dtype=bool)
+            into[tables[key[1]][3]] = True
+            cell = into[start]
+            pos, p, start, end = pos[cell], p[cell], start[cell], end[cell]
+            pairs, first, pair = np.unique(start * rows + end, return_index=True,
+                                           return_inverse=True)
+            lo, hi = pos[first], pos[first]
+            np.minimum.at(lo, pair, pos)
+            np.maximum.at(hi, pair, pos)
+            entered[key] = (pos, p, start, pair, pairs // rows, pairs % rows, lo.astype(float),
+                            hi.astype(float), int(np.gcd.reduce(pos - pos[0])))
+        return entered[key]
+
+    def span(lo, hi):
+        # the most lattice units the totals of one row span
+        return int((hi - lo)[lo < math.inf].max())
+
+    _, _, _, _, s, _, plo, phi, step = draw(1)
+    lo, hi = np.full(rows, math.inf), np.full(rows, -math.inf)
+    np.minimum.at(lo, s, plo)
+    np.maximum.at(hi, s, phi)
+    # every law on the way is transformed at one length, so the widest span
+    # over the draws so far sets it
+    widest, draws = span(lo, hi), 1
+    while draws < len(plan) - 1:
+        _, _, _, _, s, r, plo, phi, gcd = draw(draws + 1)
+        lo2, hi2 = np.full(rows, math.inf), np.full(rows, -math.inf)
+        np.minimum.at(lo2, s, plo + lo[r])
+        np.maximum.at(hi2, s, phi + hi[r])
+        finer, wider = math.gcd(step, gcd), max(widest, span(lo2, hi2))
+        width = wider // (finer or 1) + 1
+        size = 1 << (width - 1).bit_length()
+        if width > cap or rows * (size + 2) * 8 >= ARRAY_BYTES:
+            break
+        lo, hi, draws, step, widest = lo2, hi2, draws + 1, finer, wider
+    if draws == 1:
+        return None
+    step = step or 1
+    width = widest // step + 1
+    size = 1 << (width - 1).bit_length()
+
+    def dense(pos, p, row, count):
+        # count rows of length size, each total at its steps mod size
+        cell = row * size + (pos // step) % size
+        return np.bincount(cell, weights=p, minlength=count * size).reshape(count, size)
+
+    pos, p, start = draw(1)[:3]
+    # the totals' residue mod step, summed over the draws
+    offset = sum(int(draw(d)[0][0]) % step for d in range(1, draws + 1))
+    spec = np.fft.rfft(dense(pos, p, start, rows))
+    chunk = max(1, ARRAY_BYTES // (16 * (size // 2 + 1)) - 1)
+    spectra, prior, terms = {}, np.empty_like(spec), np.empty((chunk, spec.shape[1]), complex)
+    for d in range(2, draws + 1):
+        key = plan[-d], plan[-d - 1]
+        if key not in spectra:
+            pos, p, _, pair, s, r = draw(d)[:6]
+            spectra[key] = []
+            for a in range(0, s.size, chunk):
+                cell = (pair >= a) & (pair < a + chunk)
+                spectra[key].append((s[a:a + chunk].tolist(), r[a:a + chunk], np.fft.rfft(
+                    dense(pos[cell], p[cell], pair[cell] - a, min(chunk, s.size - a)))))
+        # prior and terms are reused from draw to draw: a draw allocates nothing
+        prior.fill(0.0)
+        for into, r, lhat in spectra[key]:
+            term = np.take(spec, r, axis=0, out=terms[:len(into)], mode="clip")
+            term *= lhat
+            for i, row in enumerate(into):
+                prior[row] += term[i]
+        spec, prior = prior, spec
+    law = np.fft.irfft(spec, n=size)
+    np.maximum(law, 0.0, out=law)
+    some = lo < math.inf
+    lo = np.where(some, lo, offset).astype(np.int64)
+    # each row's totals from its least on, read around the circle
+    out = np.zeros((rows, width))
+    for row in np.flatnonzero(some).tolist():
+        first, count = (lo[row] - offset) // step % size, (int(hi[row]) - lo[row]) // step + 1
+        head = law[row, first:first + count]
+        out[row, :head.size], out[row, head.size:count] = head, law[row, :count - head.size]
+    return draws, lo, step, out
+
+
 def first_over(i, top, over):
     """Per path, the least j in [0, top] with over(j), from a guess i a few
     places off; over(j) is elementwise, grows with j and is taken to hold
@@ -191,20 +326,25 @@ def tail_index(dx, p):
     per row: dx[row, j] the value a cell adds (inf for a cell with no
     value) and p[row, j] its probability.  Per row, dx holds the values
     sorted, then inf (a last column), and tail the suffix sums of their
-    probabilities, from the top.  start[row, b] counts the row's dx with
-    (dx - lo + 1) / h <= b up to rounding, for 2 buckets of width h per
-    column over [lo - 1, hi + 1], lo and hi the least and the greatest
-    finite dx: a path's bucket finds its boundary up to the few dx in one
-    bucket."""
+    probabilities, from the top; rows already sorted, as a lattice law's
+    are, are taken as they are.  start[row, b] counts the row's dx with
+    (dx - lo + 1) / h <= b up to rounding, for buckets of width h over [lo
+    - 1, hi + 1], lo and hi the least and the greatest finite dx: a path's
+    bucket finds its boundary up to the few dx in one bucket.  There are 2
+    buckets per column, or as many as keep `start` under ARRAY_BYTES, but
+    at least one."""
     rows, w = dx.shape
-    cell = (np.argsort(dx, axis=1) + w * np.arange(rows)[:, None]).ravel()
     dx_of, tail = np.full((rows, w + 1), math.inf), np.zeros((rows, w + 1))
-    dx_of[:, :w], tail[:, :w] = dx.ravel()[cell].reshape(rows, w), p.ravel()[cell].reshape(rows, w)
+    if (dx[:, 1:] >= dx[:, :-1]).all():
+        dx_of[:, :w], tail[:, :w] = dx, p
+    else:
+        cell = (np.argsort(dx, axis=1) + w * np.arange(rows)[:, None]).ravel()
+        dx_of[:, :w] = dx.ravel()[cell].reshape(rows, w)
+        tail[:, :w] = p.ravel()[cell].reshape(rows, w)
     tail = np.cumsum(tail[:, ::-1], axis=1)[:, ::-1]
     finite = dx[dx < math.inf]
     lo, hi = finite.min(), finite.max()
-    # buckets of width h over [lo - 1, hi + 1], 2 per column
-    buckets = 2 * (w + 1)
+    buckets = max(w + 1, min(2 * (w + 1), ARRAY_BYTES // (8 * rows) - 2))
     h = (hi - lo + 2.0) / buckets
     up = np.minimum(np.ceil((dx_of - lo + 1.0) / h), buckets).astype(np.intp)
     up += (buckets + 1) * np.arange(rows)[:, None]

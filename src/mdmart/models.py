@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import bdtrc, gammaln, xlogy
 
 from .alias import (BLOCK_TABLE_CELLS, alias_draw, alias_tables, compose, draw_plan, first_over,
-                    joined, tail_index, tail_lookup)
+                    joined, last_draws_law, tail_index, tail_lookup)
 
 ATOL = 1e-12
 
@@ -30,6 +30,12 @@ DEFAULT_GRID = tuple(2.0 ** j for j in range(-6, 11))
 # the block sampler's forward pass visits at most this many (start state,
 # atom sequence) cells
 BLOCK_CELLS = 1 << 15
+
+# most lattice units per block-start row in the law of a path's last draws,
+# which the tilted estimator integrates instead of drawing.  More units
+# integrate more draws and leave less variance, but the law takes longer to
+# build: chosen by a sweep over n and gamma on regime_switch (see CHANGES.md)
+COMPLETION_CELLS = 4096
 
 # most cells `terminal_law` tabulates (a two-atom i.i.d. law has n + 1): a
 # memory bound, as an estimate on the cells holds about 80 bytes a cell,
@@ -130,11 +136,11 @@ class Certificate:
 @dataclass
 class TerminalBatch:
     """Vectorized terminal values of many simulated paths.  When the last
-    draw of each path is integrated rather than drawn (`simulate_terminal`
-    with `past`), x and log_weight are those of the draws before it and
+    draws of each path are integrated rather than drawn (`simulate_terminal`
+    with `past`), x and log_weight are those of the draws before them and
     tail[i] = P(X_n > past | those draws) under P."""
 
-    x: np.ndarray           # X_n per path, or X before the last draw
+    x: np.ndarray           # X_n per path, or X before the integrated draws
     log_weight: np.ndarray  # log dP/dP_lam of the draws: -lam*X_n + Psi_n
     tail: np.ndarray | None = None
 
@@ -194,17 +200,21 @@ class _BlockLaw:
     steps per law and one value sum: under P_lam they share the factor
     exp(lam * dx - Psi), Psi = sum over laws of count * psi(lam).  `log_p`
     is log P(cell) (-inf on padding), `dx` the sum of the scaled values,
-    `count` the steps per law and `end` the end row."""
+    `pos` that sum, rounded to 12 decimals unscaled, in whole units of the
+    model's value lattice, each unit `unit` scaled, `count` the steps per
+    law and `end` the end row."""
 
     steps: int
     width: int
+    unit: float
     log_p: np.ndarray
     dx: np.ndarray
+    pos: np.ndarray
     count: np.ndarray
     end: np.ndarray
 
     @classmethod
-    def of(cls, steps, rows, row, end, count, dx, p):
+    def of(cls, steps, unit, rows, row, end, count, dx, pos, p):
         """The cells with these fields, sorted by row, laid out in rows of
         one width."""
         col = np.arange(row.size) - np.searchsorted(row, row)
@@ -215,7 +225,15 @@ class _BlockLaw:
             out[row * width + col] = a
             return out
 
-        return cls(steps, width, full(np.log(p), -np.inf), full(dx), full(count), full(end))
+        return cls(steps, width, unit, full(np.log(p), -np.inf), full(dx), full(pos),
+                   full(count), full(end))
+
+    def cells(self):
+        """(pos, p, start row, end row) of the cells that are not padding,
+        as `last_draws_law` reads a table."""
+        real = self.log_p > -np.inf
+        return (self.pos[real], np.exp(self.log_p[real]), np.flatnonzero(real) // self.width,
+                self.end[real])
 
     def tilted(self, lam, log_mgf) -> BlockTable:
         """The table under P_lam, whose per-law log mgfs are log_mgf; the
@@ -454,7 +472,7 @@ class MartingaleModel:
     def simulate_terminal(self, size: int, rng: np.random.Generator,
                           lam: float = 0.0, past: float | None = None) -> TerminalBatch:
         """X_n and log weights of `size` paths under P_lam; with `past`,
-        every draw of each path but the last, and the last integrated.
+        every draw of each path but the last ones, and those integrated.
 
         With one state, X_n depends only on how often each atom is drawn, and
         those counts are drawn as conditional binomials (Devroye 1986,
@@ -475,15 +493,17 @@ class MartingaleModel:
         and j = 4, so a path takes 50 uniforms.  B = 1 would draw step by
         step.
 
-        With `past`, the last draw -- the split of the m steps, or the last
-        table -- is not taken: the batch holds X and the log likelihood
-        ratio of the draws before it, and the exact P(X_n > past | them)
+        With `past`, the last draws -- the split of the m steps, or the last
+        D table draws (`_completion`: 13 of 50 for regime_switch at n =
+        1600) -- are not taken: the batch holds X and the log likelihood
+        ratio of the draws before them, and the exact P(X_n > past | them)
         under P (`_split_tail`, `tail_lookup`).  Under P_lam the tilt of
-        the last draw cancels against its weight, so that law is the
-        untilted one: P_lam(c) e^{-lam dx_c + dpsi_c} = P(c) for a table
-        cell, and for the split its lumped factor ((p + p') / (p_lam +
-        p'_lam))^m joins the prefix's weight.  A cell counts exactly when
-        the sum the sampler would take, X + dx, exceeds `past`."""
+        the integrated draws cancels against their weight, so their law is
+        the untilted one: P_lam(c) e^{-lam dx_c + dpsi_c} = P(c) for each
+        table cell, and for the split its lumped factor ((p + p') / (p_lam
+        + p'_lam))^m joins the prefix's weight.  A total dx of the last
+        draws counts when the float sum X + dx exceeds `past`: for one
+        table draw, the sum the sampler would take."""
         t = self.table
         if len(t.states) == 1:
             _, probs, log_mgf = self.law_arrays(lam)
@@ -520,14 +540,15 @@ class MartingaleModel:
         x = np.zeros(size)
         psi = np.zeros(size)
         row = np.zeros(size, dtype=np.intp)  # block-start row 0 is state 0
-        for tab in draws[:-1] if past is not None else draws:
+        integrated, index = self._completion if past is not None else (0, None)
+        for tab in draws[:len(draws) - integrated]:
             off = row * tab.width
             cell = off + alias_draw(tab.alias, off, tab.width, rng.random(size))
             x += tab.dx[cell]
             psi += tab.dpsi[cell]
             row = tab.end[cell]
         return TerminalBatch(x=x, log_weight=-lam * x + psi,
-                             tail=None if past is None else tail_lookup(self._last_draw, past, row, x))
+                             tail=None if past is None else tail_lookup(index, past, row, x))
 
     @cached_property
     def _split_order(self) -> list:
@@ -576,17 +597,27 @@ class MartingaleModel:
         return tail[key]
 
     @cached_property
-    def _last_draw(self):
-        """The `tail_index` of the table a path draws last (the leftover
-        one, or else the ladder level of the last draw of `draw_plan`) under
-        P: per block-start row, the value sums of its cells and their
-        probabilities."""
+    def _completion(self):
+        """(draws, index): how many of a path's last table draws
+        `simulate_terminal` integrates with `past`, and the `tail_index` of
+        their total under P per block-start row.  The draws are those of
+        `draw_plan` and then the leftover table, and their law is
+        `last_draws_law`'s, at most COMPLETION_CELLS lattice steps wide per
+        row, its totals at lo + step i units.  When not even two draws fit,
+        as when the value sums lie on no lattice, the last table is
+        integrated alone, each cell at its own dx."""
         ladder, plan, rem = self._blocks
-        g = rem if rem is not None else ladder[plan[-1]]
-        real = g.log_p > -math.inf
-        rows = real.size // g.width
-        return tail_index(np.where(real, g.dx, math.inf).reshape(rows, -1),
-                          np.exp(g.log_p).reshape(rows, -1))
+        tables = ladder + ([] if rem is None else [rem])
+        plan = plan + ([] if rem is None else [len(ladder)])
+        rows = ladder[0].log_p.size // ladder[0].width
+        law = last_draws_law([g.cells() for g in tables], plan, rows, COMPLETION_CELLS)
+        g = tables[plan[-1]]
+        if law is None:
+            real = g.log_p > -math.inf
+            return 1, tail_index(np.where(real, g.dx, math.inf).reshape(rows, -1),
+                                 np.exp(g.log_p).reshape(rows, -1))
+        draws, lo, step, p = law
+        return draws, tail_index((lo[:, None] + step * np.arange(p.shape[1])) * g.unit, p)
 
     def terminal_law(self, lam: float = 0.0) -> TerminalLaw | None:
         """The exact law of X_n and its log weight under P_lam when it lives
@@ -698,9 +729,16 @@ class MartingaleModel:
             c = cells[first]
             return c[:, 0], c[:, 1], c[:, 2:-1], c[:, -1], np.bincount(cell, weights=p[real])
 
+        # a value sum in whole units of the lattice that holds every
+        # law's first atom value and every unit, each rounded to 12 decimals
+        origin = np.round(base * 1e12).astype(np.int64)
+        lattice = np.gcd.reduce(np.append(origin, unit))
+
         def level(steps, row, end, count, k, p):
             dx = (count @ base + k * (unit / 1e12)) * (1.0 / math.sqrt(self.n))
-            return _BlockLaw.of(steps, R, row, end, count, dx, p)
+            pos = count @ (origin // lattice) + k * (unit // lattice)
+            return _BlockLaw.of(steps, lattice / 1e12 / math.sqrt(self.n), R, row, end, count,
+                                dx, pos, p)
 
         row, end, count, k, p = cells(steps, row_of)
         ladder = [level(steps, row, end, count, k, p)]

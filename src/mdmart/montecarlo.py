@@ -163,14 +163,15 @@ def _law_ess(law, x: float, n_samples: int) -> float:
 
 def _tail_sums(model: MartingaleModel, x: float, lam: float, n_samples: int,
                seed: int, row: int, complete: bool):
-    """(paths that count, sum of their contributions y, sum of y^2) over
-    n_samples paths under P_lam, and the terminal law the paths were drawn
-    from, or None.  A drawn path counts when X_n > x, with y = w =
-    e^{-lam X_n + Psi_n}.  With `complete`, each path's last draw is
-    integrated instead (conditional Monte Carlo; Asmussen & Glynn,
-    *Stochastic Simulation*, 2007, ch. V): y = w' P(X_n > x | the draws
-    before it), w' their likelihood ratio (`simulate_terminal` with
-    `past`), and a path counts when y can be positive.
+    """(paths that count, sum of their contributions y, sum of y^2, whether
+    every path's y is the same) over n_samples paths under P_lam, and the
+    terminal law the paths were drawn from, or None.  A drawn path counts
+    when X_n > x, with y = w = e^{-lam X_n + Psi_n}, and y = 0 otherwise.
+    With `complete`, each path's last draws are integrated instead
+    (conditional Monte Carlo; Asmussen & Glynn, *Stochastic Simulation*,
+    2007, ch. V): y = w' P(X_n > x | the draws before them), w' their
+    likelihood ratio (`simulate_terminal` with `past`), and a path counts
+    when y can be positive.
 
     When the model has an exact finite terminal law (`terminal_law`), the
     paths' histogram over its cells is drawn at once from the stream keyed
@@ -187,8 +188,8 @@ def _tail_sums(model: MartingaleModel, x: float, lam: float, n_samples: int,
                                   seeded_stream(seed, row << 32))
         # a cell that no path reached may weigh inf, and 0 * inf is nan
         past = (law.x > x) & (count > 0)
-        parts = [(int(count[past].sum()),
-                  *_weighted_sums(count[past], np.exp(law.log_weight[past])))]
+        hits, y = int(count[past].sum()), np.exp(law.log_weight[past])
+        parts = [(hits, *_weighted_sums(count[past], y), *_extremes(y, hits == n_samples))]
     else:
         parts = []
         for rng, size in seeded_chunks(seed, n_samples, CHUNK, row):
@@ -202,9 +203,19 @@ def _tail_sums(model: MartingaleModel, x: float, lam: float, n_samples: int,
                 y = np.exp(batch.log_weight[past])
             # numpy's pairwise sums: within a few ulps of the exact ones,
             # at a twentieth of the cost of math.fsum over every path
-            parts.append((int(np.count_nonzero(past)), float(y.sum()), float((y * y).sum())))
-    hits, s1, s2 = zip(*parts)
-    return sum(hits), math.fsum(s1), math.fsum(s2), law
+            parts.append((y.size, float(y.sum()), float((y * y).sum()), *_extremes(y, y.size == size)))
+    hits, s1, s2, least, most = zip(*parts)
+    hits = sum(hits)
+    # every path's y is 0 when none counts, and one value when every path
+    # counts and the least y is the greatest
+    constant = hits == 0 or (hits == n_samples and min(least) == max(most))
+    return hits, math.fsum(s1), math.fsum(s2), constant, law
+
+
+def _extremes(y, every):
+    """The least and the greatest of the contributions y of the paths that
+    count, when `every` path counts and some do; (0, 0) otherwise."""
+    return (float(y.min()), float(y.max())) if every and y.size else (0.0, 0.0)
 
 
 def estimate_tail_plain(model: MartingaleModel, x: float, n_samples: int,
@@ -227,12 +238,15 @@ def estimate_tail_tilted(model: MartingaleModel, x: float, lam: float,
 
     A model with an exact finite terminal law draws its paths' histogram
     (`_tail_sums`), and each path contributes w 1{X_n > x}, w = e^{-lam X_n
-    + Psi_n}.  Every other model draws each path but its last draw, which
-    is integrated exactly: the path contributes Y = w' P(X_n > x | the
-    draws before it), w' their likelihood ratio, and the conditional law of
-    the last draw is the untilted one, as its tilt cancels in w.  Either way
-    E_lam[Y] = P(X_n > x) holds exactly, so the estimator is unbiased, and
-    Var_lam(Y) <= Var_lam(w 1{X_n > x}).
+    + Psi_n}.  Every other model draws each path but its last draws, which
+    are integrated exactly (`simulate_terminal` with `past`): the path
+    contributes Y = w' P(X_n > x | the draws before them), w' their
+    likelihood ratio, and the conditional law of the last draws is the
+    untilted one, as their tilt cancels in w.  Either way E_lam[Y] = P(X_n
+    > x) holds, so the estimator is unbiased, and Var_lam(Y) <= Var_lam(w
+    1{X_n > x}).  A law of several draws is composed by FFT, whose
+    rounding leaves each tail within 1e-15 absolute; since E_lam[w'] = 1,
+    the mean moves by no more.
 
     The ESS is the sample's (sum y)^2 / sum y^2 over the contributions y,
     or the exact law's where the model has one (`_law_ess`), whichever is
@@ -242,22 +256,25 @@ def estimate_tail_tilted(model: MartingaleModel, x: float, lam: float,
     """
     if lam < 0.0:
         raise ValueError("lambda must be >= 0")
-    _, sw, sw2, law = _tail_sums(model, x, lam, n_samples, seed, row, complete=True)
+    _, sw, sw2, constant, law = _tail_sums(model, x, lam, n_samples, seed, row, complete=True)
     return estimate_from_sums(sw, sw2, n_samples, f"tilted({lam:.6g})",
-                              math.inf if law is None else _law_ess(law, x, n_samples))
+                              math.inf if law is None else _law_ess(law, x, n_samples),
+                              constant)
 
 
 def estimate_from_sums(sy: float, sy2: float, n_samples: int, estimator: str,
-                       law_ess: float = math.inf) -> TailEstimate:
+                       law_ess: float = math.inf, constant: bool = False) -> TailEstimate:
     """The mean of n_samples contributions y >= 0 of one path each, from
     their sum sy and sum of squares sy2: its SE, its normal 95% interval,
     clipped to [0, 1], and its ESS (sum y)^2 / sum y^2, or `law_ess` where
-    that is smaller, flagged `low_ess` below MIN_ESS."""
+    that is smaller, flagged `low_ess` below MIN_ESS.  A sample whose y are
+    all the same (`constant`) is flagged `constant_y`: its SE is then only
+    the rounding of sy2 / n - p^2, and says nothing of the estimator's."""
     p = sy / n_samples
     var = max(sy2 / n_samples - p * p, 0.0)
     se = math.sqrt(var / n_samples)
     ess = min(sy * sy / sy2 if sy2 > 0.0 else 0.0, law_ess)
-    flags = [] if ess >= MIN_ESS else ["low_ess"]
+    flags = ([] if ess >= MIN_ESS else ["low_ess"]) + (["constant_y"] if constant else [])
     ci = (max(p - 1.96 * se, 0.0), min(p + 1.96 * se, 1.0))
     return TailEstimate(p_hat=p, std_err=se, ci95=ci, ess=ess, n_samples=n_samples,
                         estimator=estimator, flags=flags)

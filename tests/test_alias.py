@@ -1,8 +1,16 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mdmart.alias import alias_draw, alias_tables
+from mdmart import alias
+from mdmart.alias import ARRAY_BYTES, alias_draw, alias_tables, last_draws_law, tail_index
 from mdmart.mixing import _block_tables, block_indices, two_state_chain
+from mdmart.models import COMPLETION_CELLS, ConditionalLaw, MartingaleModel, make_regime_switch
 
 
 def vose_tables(p):
@@ -114,3 +122,194 @@ class TestAliasTables:
         want = p[1] / p[1].sum()
         got = np.bincount(col, minlength=50) / size
         assert np.all(np.abs(got - want) <= 4.0 * np.sqrt(want * (1.0 - want) / size))
+
+
+class Irrational(MartingaleModel):
+    """Steps of +-1 after a fall and +-sqrt(2) after a rise: value sums on
+    no lattice."""
+
+    def __init__(self, n):
+        super().__init__("irrational", n, 1.0)
+
+    def initial_state(self):
+        return 0
+
+    def law_at(self, state):
+        v = math.sqrt(2.0) if state > 0 else 1.0
+        return ConditionalLaw(((v, 0.5), (-v, 0.5)))
+
+    def next_state(self, state, eta):
+        return 1 if eta > 0 else -1
+
+
+def draw_tables(model):
+    """(cells, rows): the cells (pos, p, start, end) of each table a path of
+    the model draws, in order, as `last_draws_law` reads them, and the
+    number of block-start rows."""
+    ladder, plan, rem = model._blocks
+    tables = [ladder[b] for b in plan] + ([] if rem is None else [rem])
+    return [g.cells() for g in tables], ladder[0].log_p.size // ladder[0].width
+
+
+def direct_last_draws(model, draws):
+    """The law of the total of a path's last `draws` table draws per
+    block-start row, composed backwards by direct `np.convolve` per (start,
+    end) pair, C_s <- sum_r convolve(L_{s,r}, C_r), reading only the cells
+    that start in a row the draw before them ends in.  Returns (step,
+    laws): laws[d - 1] maps each row s to (lo, law) of the last d draws,
+    law[i] = P(total lo + step i | s), step the gcd of the differences
+    between the totals of each draw's cells."""
+    cells, rows = draw_tables(model)
+    last = []
+    for before, (pos, p, start, end) in zip(cells[-draws - 1:], cells[-draws:]):
+        keep = np.isin(start, before[3])
+        last.append((pos[keep], p[keep], start[keep], end[keep]))
+    step = 0
+    for pos, *_ in last:
+        step = math.gcd(step, int(np.gcd.reduce(pos - pos[0])))
+    step = step or 1
+
+    def pairs(table, by_end):
+        pos, p, start, end = table
+        key = start * rows + (end if by_end else 0)
+        out = {}
+        for k in np.unique(key).tolist():
+            sel = key == k
+            lo = int(pos[sel].min())
+            law = np.zeros((int(pos[sel].max()) - lo) // step + 1)
+            np.add.at(law, (pos[sel] - lo) // step, p[sel])
+            out[divmod(k, rows)] = lo, law
+        return out
+
+    laws = [{s: v for (s, _), v in pairs(last[-1], False).items()}]
+    for table in last[-2::-1]:
+        C = {}
+        for (s, r), (lo, law) in pairs(table, True).items():
+            if r in laws[-1]:
+                lo_r, law_r = laws[-1][r]
+                terms = C.setdefault(s, [])
+                terms.append((lo + lo_r, np.convolve(law, law_r)))
+        for s, terms in C.items():
+            lo = min(a for a, _ in terms)
+            law = np.zeros(max((a - lo) // step + c.size for a, c in terms))
+            for a, c in terms:
+                law[(a - lo) // step:(a - lo) // step + c.size] += c
+            C[s] = lo, law
+        laws.append(C)
+    return step, laws
+
+
+def fits(step, laws, rows):
+    """Whether laws of these spans fit `last_draws_law`'s bounds."""
+    width = max(law.size for C in laws for _, law in C.values())
+    return width <= COMPLETION_CELLS and \
+        rows * ((1 << (width - 1).bit_length()) + 2) * 8 < ARRAY_BYTES
+
+
+class TestLastDrawsLaw:
+    @pytest.mark.parametrize("gamma", [0.2, 0.3, 0.45])
+    @pytest.mark.parametrize("n", [96, 400, 1600])
+    def test_spectral_law_is_the_direct_one(self, n, gamma):
+        # the frequency-space law against direct convolution: every tail
+        # within 1e-15 absolute, the mass 1 within 1e-12, and D the most
+        # draws under the bounds
+        model = make_regime_switch(n, gamma)
+        cells, rows = draw_tables(model)
+        out = last_draws_law(cells, list(range(len(cells))), rows, COMPLETION_CELLS)
+        draws = 1 if out is None else out[0]
+        assert draws <= len(cells) - 1
+        if draws < len(cells) - 1:
+            assert not fits(*direct_last_draws(model, draws + 1), rows)
+        assert model._completion[0] == draws
+        if out is None:
+            return
+        _, lo, step, law = out
+        want_step, laws = direct_last_draws(model, draws)
+        assert step == want_step and fits(step, laws, rows)
+        C = laws[-1]
+        assert not law[[s for s in range(rows) if s not in C]].any()
+        for s, (lo_s, want) in C.items():
+            i = (lo_s - lo[s]) // step
+            assert (lo_s - lo[s]) % step == 0 and i >= 0
+            full = np.zeros(law.shape[1])
+            full[i:i + want.size] = want
+            got_tail, want_tail = (np.cumsum(a[::-1])[::-1] for a in (law[s], full))
+            assert np.abs(got_tail - want_tail).max() <= 1e-15
+            assert abs(got_tail[0] - 1.0) <= 1e-12
+        tail = model._completion[1][1]
+        assert tail.min() >= 0.0 and tail.max() <= 1.0 + 1e-12
+        assert (np.diff(tail, axis=1) <= 0.0).all()
+
+    def test_no_lattice_integrates_one_draw(self):
+        # values on no lattice: not even two draws fit, and the last table
+        # is integrated alone, its cells at their own dx
+        model = Irrational(40)
+        cells, rows = draw_tables(model)
+        assert len(cells) > 2
+        assert last_draws_law(cells, list(range(len(cells))), rows, COMPLETION_CELLS) is None
+        assert model._completion[0] == 1
+
+    def test_no_array_reaches_the_bound(self, tmp_path):
+        # glibc serves an allocation of ARRAY_BYTES by mmap, unless a free
+        # block of the heap holds it, until an mmapped block at least that
+        # large is freed, which raises its threshold to that block's size.
+        # Built in a fresh process from saved tables, the law leaves the
+        # threshold below ARRAY_BYTES, as a probe from a new thread, whose
+        # heap holds nothing, reads it; and it keeps no array that large
+        pytest.importorskip("ctypes")
+        model = make_regime_switch(1600, 0.3)
+        ladder, plan, _ = model._blocks
+        np.savez(tmp_path / "cells.npz", *[a for g in ladder for a in g.cells()])
+        code = (
+            "import ctypes, sys, threading\n"
+            "import numpy as np\n"
+            "from mdmart.alias import ARRAY_BYTES, last_draws_law, tail_index\n"
+            "from mdmart.models import COMPLETION_CELLS\n"
+            "libc = ctypes.CDLL(None)\n"
+            "class Info(ctypes.Structure):\n"
+            "    _fields_ = [(k, ctypes.c_size_t) for k in ('arena', 'ordblks', 'smblks', 'hblks',\n"
+            "                'hblkhd', 'usmblks', 'fsmblks', 'uordblks', 'fordblks', 'keepcost')]\n"
+            "libc.mallinfo2.argtypes, libc.mallinfo2.restype = [], Info\n"
+            "libc.malloc.argtypes, libc.malloc.restype = [ctypes.c_size_t], ctypes.c_void_p\n"
+            "def mapped():\n"
+            "    # not freed: freeing an mmapped block would raise the threshold\n"
+            "    out = []\n"
+            "    def probe():\n"
+            "        before = libc.mallinfo2().hblks\n"
+            "        libc.malloc(ARRAY_BYTES)\n"
+            "        out.append(libc.mallinfo2().hblks > before)\n"
+            "    thread = threading.Thread(target=probe)\n"
+            "    thread.start()\n"
+            "    thread.join()\n"
+            "    return out[0]\n"
+            "saved = np.load(sys.argv[1])\n"
+            "a = [saved[f'arr_{i}'] for i in range(len(saved.files))]\n"
+            "tables = [tuple(a[i:i + 4]) for i in range(0, len(a), 4)]\n"
+            "fresh = mapped()\n"
+            f"draws, lo, step, law = last_draws_law(tables, {plan}, {ladder[0].log_p.size // ladder[0].width},\n"
+            "                                      COMPLETION_CELLS)\n"
+            "index = tail_index((lo[:, None] + step * np.arange(law.shape[1])) * 0.1, law)\n"
+            "kept = max(x.nbytes for x in (lo, law, *index[:3]))\n"
+            "print(fresh, mapped(), draws, kept < ARRAY_BYTES)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(alias.__file__).resolve().parents[1])}
+        try:
+            out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cells.npz")],
+                                 env=env, check=True, capture_output=True, text=True,
+                                 timeout=120).stdout
+        except subprocess.CalledProcessError as e:
+            if "mallinfo2" in e.stderr:
+                pytest.skip("no glibc mallinfo2")
+            raise
+        assert out.split() == ["True", "True", "13", "True"]
+
+
+class TestTailIndex:
+    def test_sorted_rows_are_taken_as_they_are(self):
+        # rows already sorted skip the sort, and give the index a sort gives
+        rng = np.random.default_rng(4)
+        dx = np.sort(rng.normal(size=(3, 40)), axis=1)
+        p = rng.random((3, 40))
+        order = rng.permutation(40)
+        got, want = tail_index(dx, p), tail_index(dx[:, order], p[:, order])
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)

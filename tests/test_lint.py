@@ -76,10 +76,12 @@ def test_no_local_package_imports():
 # through its compiled state table, its tilted laws only as the padded arrays
 # of `law_arrays`, the moments of the one-sided condition only by `certify`
 # and `verify_certificate`, every Philox stream is built by the chunk engine,
-# and both block samplers compose block laws through `alias.compose`
+# both block samplers compose block laws through `alias.compose`, and the
+# law of a path's last draws is transformed only by `alias.last_draws_law`
 OWNED_CALLS = {"law_at": "models.py", "next_state": "models.py",
                "tilted_laws": "models.py", "moment_condition": "models.py",
-               "Philox": "montecarlo.py", "convolve": "alias.py"}
+               "Philox": "montecarlo.py", "convolve": "alias.py", "rfft": "alias.py",
+               "irfft": "alias.py"}
 
 
 def called_name(call: ast.Call):
@@ -104,11 +106,13 @@ def foreign_calls(source: str, filename: str):
 def test_checker_catches_a_foreign_call():
     src = ("law = model.law_at(s)\nnp.random.Philox(key=1)\nm.scaled_law_at(s)\n"
            "tilted = model.tilted_laws(0.5)\nlaw2 = np.convolve(a, b)\n"
-           "lhs, rhs = model.moment_condition(1.0, K, L)\n")
+           "lhs, rhs = model.moment_condition(1.0, K, L)\n"
+           "c = np.fft.irfft(np.fft.rfft(a) * 2.0)\n")
     assert foreign_calls(src, "tilt.py") == [(1, "law_at"), (2, "Philox"),
                                              (4, "tilted_laws"), (5, "convolve"),
-                                             (6, "moment_condition")]
-    assert foreign_calls(src, "models.py") == [(2, "Philox"), (5, "convolve")]
+                                             (6, "moment_condition"), (7, "irfft"), (7, "rfft")]
+    assert foreign_calls(src, "models.py") == [(2, "Philox"), (5, "convolve"), (7, "irfft"),
+                                               (7, "rfft")]
     assert foreign_calls(src, "alias.py") == [(1, "law_at"), (2, "Philox"),
                                               (4, "tilted_laws"), (6, "moment_condition")]
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -200,10 +201,12 @@ class TestTiltedEstimator:
 # when its sampler began to draw two blocks per uniform, and again at four;
 # both were taken again when the tilted estimator began to integrate each
 # path's last draw, and heavy_left's plain pin when its sampler began to
-# draw the rare atoms' counts first.  regime_switch's plain pin did not move
+# draw the rare atoms' counts first; regime_switch's tilted pin again when
+# it began to integrate its last 13 draws.  regime_switch's plain pin did
+# not move
 PER_PATH_PINS = {
-    "regime_switch": ("0x1.0686465f0023cp-4", "0x1.2cd0d9b86fac0p-10",
-                      "0x1.bab7855683109p+10"),
+    "regime_switch": ("0x1.0e39b263e6439p-4", "0x1.5bbfe08bf59c2p-11",
+                      "0x1.6a169e4c70230p+11"),
     "heavy_left": ("0x1.ae7ea80dc8f09p-5", "0x1.c022ea1119964p-13",
                    "0x1.df85eb642924bp+11"),
 }
@@ -217,7 +220,8 @@ PLAIN_PINS = {
 # drew from the same streams: estimates of the same tails, so each pinned
 # estimate agrees with its predecessors within 4 SE of their difference,
 # 4 sqrt(SE^2 + SE_prev^2), which is 4 sqrt(2) SE where the two SEs are
-# alike.  Integrating the last draw cut heavy_left's tilted SE 5-fold
+# alike.  Integrating the last draw cut heavy_left's tilted SE 5-fold, and
+# integrating 13 cut regime_switch's 1.7-fold
 
 
 def plain_se(p):
@@ -227,7 +231,9 @@ def plain_se(p):
 PREVIOUS_P_HAT = {
     "regime_switch": (((0.06475135684861437, 0.0014088273783937405), plain_se(0.158935546875)),
                       ((0.06715754624321883, 0.0014328481959580354), plain_se(0.164306640625)),
-                      ((0.06250678673914276, 0.0013690757375503394), plain_se(0.156005859375))),
+                      ((0.06250678673914276, 0.0013690757375503394), plain_se(0.156005859375)),
+                      ((float.fromhex("0x1.0686465f0023cp-4"), float.fromhex("0x1.2cd0d9b86fac0p-10")),
+                       plain_se(0.156005859375))),
     "heavy_left": (((0.05561203067169131, 0.001156822210000301), plain_se(0.1494140625)),),
 }
 
@@ -287,7 +293,9 @@ def multinomial(counts, probs):
 def every_path(model, lam, past, monkeypatch):
     """Every sequence of draws that the sampler can make under P, put
     through `simulate_terminal(..., lam, past=past)` as one batch: every
-    draw but the last when `past` is given, and every draw when it is None.
+    draw but the ones the model integrates when `past` is given (the last
+    split, or the last `_completion` table draws), and every draw when it
+    is None.
     The one-state sampler's binomial counts, or the block sampler's alias
     draws, are replaced by the sequences' own.  Returns (P of each
     sequence, P_lam of each, the batch)."""
@@ -309,7 +317,7 @@ def every_path(model, lam, past, monkeypatch):
     if rem is not None:
         draws.append((rem, tilted_rem))
     seqs = [((), 1.0, 1.0, 0)]  # (columns, P, P_lam, row)
-    for tab, tilt in draws[:-1] if past is not None else draws:
+    for tab, tilt in draws[:len(draws) - (model._completion[0] if past is not None else 0)]:
         seqs = [(cols + (c,), p * tab.prob[r * tab.width + c], q * tilt.prob[r * tab.width + c],
                  tab.end[r * tab.width + c])
                 for cols, p, q, r in seqs
@@ -320,23 +328,36 @@ def every_path(model, lam, past, monkeypatch):
     return np.array([s[1] for s in seqs]), np.array([s[2] for s in seqs]), batch
 
 
+@functools.cache
+def exact_law(model):
+    """(values, P) of X_n by the forward pass over (state, X), once per
+    model."""
+    return exact_terminal_law(model, 0.0)[:2]
+
+
 def exact_tail(model, x):
     """P(X_n > x): by enumeration up to n = 14, then by the forward pass
     over (state, X)."""
     if model.n <= 14:
         return exact_tail_by_enumeration(model, x)
-    values, prob, _, _ = exact_terminal_law(model, 0.0)
+    values, prob = exact_law(model)
     return math.fsum(prob[values > x].tolist())
 
 
-# models whose paths integrate their last draw, with n small enough for
-# every path: regime_switch's last draw is the leftover table at n = 2B + 3
-# and the table of one block, below the ladder's top, at n = 3B; sign_switch
-# draws one block, then the leftover; heavy_left and three_atom split their
-# common atoms last
+# models whose paths integrate their last draws, with n small enough for
+# every path: regime_switch draws only the leftover table at n = 5 < B, its
+# last draw is the leftover table at n = 2B + 3 and the table of one block,
+# below the ladder's top, at n = 3B; at n = 96
+# it draws the table of four blocks three times and integrates the last two;
+# sign_switch draws one block, then the leftover; heavy_left and three_atom
+# split their common atoms last
 CONDITIONAL_MODELS = {m.name + f"-n{m.n}": m for m in (
-    make_regime_switch(19, 0.3), make_regime_switch(24, 0.3), SignSwitch(11),
-    make_heavy_left(6), three_atom(30))}
+    make_regime_switch(5, 0.3), make_regime_switch(19, 0.3), make_regime_switch(24, 0.3),
+    make_regime_switch(96, 0.3),
+    SignSwitch(11), make_heavy_left(6), three_atom(30))}
+# the models that integrate one table draw or the split: at each value, the
+# sampler's own float sum X + dx decides
+ONE_DRAW = [k for k in CONDITIONAL_MODELS if k != "regime_switch-n96"]
 # thresholds off every lattice of values
 OFF_LATTICE = (0.05, 0.31, 0.77)
 
@@ -344,11 +365,19 @@ OFF_LATTICE = (0.05, 0.31, 0.77)
 class TestConditionalRoute:
     def test_last_draws(self):
         # the tables the ladder models draw last are the ones named above
+        ladder, plan, rem = CONDITIONAL_MODELS["regime_switch-n5"]._blocks
+        assert plan == [] and rem.steps == 5
         ladder, plan, rem = CONDITIONAL_MODELS["regime_switch-n19"]._blocks
         assert rem is not None and rem.steps == 3
         ladder, plan, rem = CONDITIONAL_MODELS["regime_switch-n24"]._blocks
         assert rem is None and plan == [1, 0] and len(ladder) == 2
+        ladder, plan, rem = CONDITIONAL_MODELS["regime_switch-n96"]._blocks
+        assert rem is None and plan == [2, 2, 2]
         assert CONDITIONAL_MODELS["sign_switch-n11"]._blocks[2].steps == 3
+        assert {k: m._completion[0] for k, m in CONDITIONAL_MODELS.items()
+                if len(m.table.states) > 1} == \
+            {"regime_switch-n5": 1, "regime_switch-n19": 1, "regime_switch-n24": 1,
+             "regime_switch-n96": 2, "sign_switch-n11": 1}
         assert [CONDITIONAL_MODELS[k]._split_order for k in ("heavy_left-n6", "three_atom-n30")] == \
             [[2, 3, 4, 5, 6, 7, 8, 0, 1], [1, 0, 2]]
 
@@ -367,7 +396,7 @@ class TestConditionalRoute:
                 got = math.fsum((q[drawn] * y).tolist())
                 assert abs(got - exact) <= 1e-12 * exact, (x, lam, got, exact)
 
-    @pytest.mark.parametrize("name", CONDITIONAL_MODELS)
+    @pytest.mark.parametrize("name", ONE_DRAW)
     def test_ties_are_the_sampler(self, name, monkeypatch):
         # at thresholds that are values the sampler draws, where the float
         # sum X + dx decides, E_lam[Y] is the drawn sampler's own tail: the
@@ -386,9 +415,24 @@ class TestConditionalRoute:
                 got = math.fsum((q_prefix[drawn] * y).tolist())
                 assert abs(got - want) <= 1e-12 * want, (x, lam, got, want)
 
+    def test_ties_of_many_draws_are_the_lattice(self, monkeypatch):
+        # at thresholds that are values of X_n, a path integrating several
+        # draws adds their total to its X as one float, not draw by draw:
+        # E_lam[Y] lies between the exact P(X_n > x) and P(X_n >= x)
+        model = CONDITIONAL_MODELS["regime_switch-n96"]
+        values, prob = exact_law(model)
+        for x in values[::max(1, values.size // 15)].tolist():
+            above, at = math.fsum(prob[values > x].tolist()), math.fsum(prob[values == x].tolist())
+            for lam in (0.0, 0.5):
+                _, q, batch = every_path(model, lam, x, monkeypatch)
+                drawn = q > 0.0
+                got = math.fsum((q[drawn] * np.exp(batch.log_weight[drawn])
+                                 * batch.tail[drawn]).tolist())
+                assert above * (1.0 - 1e-12) - 1e-15 <= got <= (above + at) * (1.0 + 1e-12) + 1e-15
+
     @pytest.mark.parametrize("name, paths", [
-        ("regime_switch-n24", 2000), ("sign_switch-n11", 2000), ("three_atom-n30", 2000),
-        ("heavy_left-n6", 20_000)])
+        ("regime_switch-n24", 2000), ("regime_switch-n96", 2000), ("sign_switch-n11", 2000),
+        ("three_atom-n30", 2000), ("heavy_left-n6", 20_000)])
     def test_conditional_z_law(self, name, paths):
         # the tilted estimate's z against the exact tail over 200 seeds.
         # heavy_left's Y is one value unless a rare atom is drawn, which
@@ -400,6 +444,20 @@ class TestConditionalRoute:
                       (estimate_tail_tilted(model, x, lam, paths, s) for s in range(200))])
         assert abs(z.mean()) <= 4.0 / math.sqrt(200)
         assert abs(z.std(ddof=1) - 1.0) <= 0.2
+
+    def test_constant_y_is_flagged(self):
+        # heavy_left's Y takes one value unless a path draws a rare atom; on
+        # 3 of seeds 0-199, none of 2000 paths does, and the SE is only the
+        # rounding of sum y^2 / N - p^2.  Exactly those rows are flagged
+        model, x = CONDITIONAL_MODELS["heavy_left-n6"], 0.31
+        lam = choose_tilt(model, x).lam
+        ests = [estimate_tail_tilted(model, x, lam, 2000, s) for s in range(200)]
+        flagged = [s for s, e in enumerate(ests) if "constant_y" in e.flags]
+        assert flagged == [4, 9, 27]
+        assert all(ests[s].std_err < 1e-9 for s in flagged)
+        assert all(e.std_err > 1e-5 for s, e in enumerate(ests) if s not in flagged)
+        # a sample of zeros is one value too
+        assert "constant_y" in estimate_tail_tilted(model, 50.0, lam, 100, 0).flags
 
     def test_plain_counts_drawn_paths(self):
         # the plain estimator counts the paths past x that are drawn to the
