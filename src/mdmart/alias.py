@@ -5,11 +5,12 @@ rows are built at once, by prefix sums over Vose's pairing (Vose 1991, IEEE
 TSE 17:972; Hübschle-Schneider & Sanders, ESA 2019).  Also here: the law of
 two consecutive blocks from the laws of each, by convolution along a lattice
 of block totals (`compose`), which both block samplers use to double their
-tables and `mixing` to build the law of a path's last draws; the law of a
-model path's last draws, composed in frequency space (`last_draws_law`);
-the plan by which they draw 2^b blocks with one uniform; and the tail of a
-path's last draws given its value so far (`tail_index`, `tail_lookup`),
-which both integrate instead of drawing them."""
+tables (`mixing` through `double_block_law`); the plan by which they draw
+2^b blocks with one uniform; the law of the total of a path's last draws,
+composed in frequency space (`last_draws_law`), the one engine behind both
+samplers' completions; and the tail of those draws given a path's value so
+far (`tail_index`, `tail_lookup`), which both integrate instead of drawing
+them."""
 from __future__ import annotations
 
 import math
@@ -23,9 +24,9 @@ import numpy as np
 BLOCK_TABLE_CELLS = 1024
 
 # the most that the residuals of two tables' totals from one lattice may add
-# to, in lattice steps, for `join_block_laws` to join them: totals rounded to
-# 12 decimals are off by about 1e-12, and a chain off a lattice by a step's
-# fraction
+# to, in lattice steps, for `lattice_step` to take them as on it: totals
+# rounded to 12 decimals are off by about 1e-12, and a chain off a lattice by
+# a step's fraction
 LATTICE_SLACK = 1e-9
 
 # no array that `last_draws_law` allocates or keeps reaches this many bytes.
@@ -145,58 +146,60 @@ def compose(first, second, cap):
     return np.array([law2[s][t] for s, t in keys]), *np.array(keys).T
 
 
-def join_block_laws(first, second, max_cells):
-    """The law of a block of `first` followed by one of `second`
-    (`compose`), each (values, joint) with joint[s, i, t] = P(total
-    values[i], next start t | start s) and its totals `values` sorted.
-    The convolution puts pair (a, b) at total a + b, which holds when both
-    tables' totals lie on one lattice, lo + i step: each table's residuals
-    from it add to at most LATTICE_SLACK steps, so every pair total lies
-    within twice that of values2[a + b].  The Y + Y' - 1 joined totals
-    values2 are the pair totals of (0, b) and then of (a, Y' - 1), rounded
-    to 12 decimals; on the rounded totals of a doubled table, where the
-    rounded pair total depends on a + b only, they are the distinct rounded
-    pair totals, bit for bit.  The check reads each total once, not every
-    pair.  Returns (values2, joint2), or None when the totals are not on
-    one lattice, or when the joined table would have more than `max_cells`
-    (total, next start) cells per start state.  Joining a table with itself
-    doubles it."""
-    (values, joint), (values_b, joint_b) = first, second
+def lattice_step(values):
+    """The step of the lattice values[0] + step i that the sorted `values`
+    lie on, each within LATTICE_SLACK / 2 steps of its point, or None: the
+    residuals of two tables on it then add to at most LATTICE_SLACK steps."""
+    step = (values[-1] - values[0]) / max(values.size - 1, 1)
+    off = np.abs(values - values[0] - step * np.arange(values.size)).max()
+    return step if 2 * off <= LATTICE_SLACK * step else None
+
+
+def double_block_law(table, max_cells):
+    """The law of two blocks of `table` in a row (`compose`), the table
+    (values, joint) with joint[s, i, t] = P(total values[i], next start t |
+    start s) and its totals `values` sorted.  The convolution puts pair (a,
+    b) at total a + b, which holds when the totals lie on one lattice
+    (`lattice_step`), so every pair total lies within LATTICE_SLACK steps of
+    values2[a + b].  The 2Y - 1 doubled totals values2 are the pair totals of
+    (0, b) and then of (a, Y - 1), rounded to 12 decimals; where the rounded
+    pair total depends on a + b only, as on the rounded totals of a doubled
+    table, they are the distinct rounded pair totals, bit for bit.  Returns
+    (values2, joint2), or None when the totals are not on one lattice, or
+    when the doubled table would have more than `max_cells` (total, next
+    start) cells per start state."""
+    values, joint = table
     S, Y = joint.shape[:2]
-    Yb, E = joint_b.shape[1:]
-    if (Y + Yb - 1) * E > max_cells:
-        return None
-    values2 = np.round(np.concatenate((values[0] + values_b, values[1:] + values_b[-1])), 12)
-    step = (values2[-1] - values2[0]) / max(values2.size - 1, 1)
-    off = sum(np.abs(v - v[0] - step * np.arange(v.size)).max() for v in (values, values_b))
-    if not (off <= LATTICE_SLACK * step and np.all(values2[1:] > values2[:-1])):
+    values2 = np.round(np.concatenate((values[0] + values, values[1:] + values[-1])), 12)
+    if ((2 * Y - 1) * S > max_cells or lattice_step(values) is None
+            or not np.all(values2[1:] > values2[:-1])):
         return None
     s, r = np.nonzero(joint.any(axis=1))
-    r2, t = np.nonzero(joint_b.any(axis=1))
-    # (Y + Y' - 1) E <= max_cells, so no row reaches the cap
-    law2, s, t = compose((joint[s, :, r], s, r), (joint_b[r2, :, t], r2, t), max_cells)
-    joint2 = np.zeros((S, Y + Yb - 1, E))
+    # (2Y - 1) S <= max_cells, so no row reaches the cap
+    law2, s, t = compose((joint[s, :, r], s, r), (joint[s, :, r], s, r), max_cells)
+    joint2 = np.zeros((S, 2 * Y - 1, S))
     joint2[s, :, t] = law2
     return values2, joint2
 
 
-def last_draws_law(tables, plan, rows, cap):
+def last_draws_law(tables, plan, entry, rows, cap):
     """The law under P of the total of a path's last D table draws, given
     the block-start row before them.  tables[j] is (pos, p, start, end), per
     cell of one table: its total in whole lattice units, its probability,
     its start row and its end row, of `rows` rows.  A path draws
-    tables[plan[0]], tables[plan[1]], ... in turn, each from the row the one
-    before it ended in.  Returns (D, lo, step, law): law[s, i] = P(total
-    lo[s] + step i | row s), 0 past row s's greatest total and on each row
-    no path starts the D draws from; or None when not even two draws fit.
+    tables[plan[0]], tables[plan[1]], ... in turn, the first from one of the
+    rows `entry` and each next one from the row the one before it ended in.
+    Returns (D, lo, step, law): law[s, i] = P(total lo[s] + step i | row
+    s), 0 past row s's greatest total and on each row no path starts the D
+    draws from; or None when not even two draws fit.
 
-    Only the cells that start where the draw before them can end are read,
-    and their totals may lie on a coarser lattice: `step` is the gcd of the
+    Only the cells that start where a path can start them are read, and
+    their totals may lie on a coarser lattice: `step` is the gcd of the
     differences between the totals of each draw's cells, so each draw's
     totals share one residue mod step.  D is the largest number of last
-    draws, at most len(plan) - 1, whose totals from each row span at most
-    `cap` steps, and whose spectra over all rows, at the least power of two
-    N that holds every span, stay under ARRAY_BYTES.  The spans come first,
+    draws, at most len(plan), whose totals from each row span at most `cap`
+    steps, and whose spectra over all rows, at the least power of two N
+    that holds every span, stay under ARRAY_BYTES.  The spans come first,
     from the least and the greatest total of each (start, end) pair: lo_s
     <- min over pairs of lo_{s,r} + lo_r, and hi_s likewise.
 
@@ -214,19 +217,20 @@ def last_draws_law(tables, plan, rows, cap):
     absolute; the law only multiplies a likelihood ratio of mean 1, so an
     absolute error in its tails moves an estimate's mean by no more (see
     CHANGES.md)."""
-    if len(plan) < 3:
+    if len(plan) < 2:
         return None
     entered = {}
 
     def draw(d):
-        # the cells of the d-th draw from the end that start in a row the
-        # draw before it ends in, their (start, end) pairs, sorted, each
-        # pair's least and greatest total, and the gcd of their differences
-        key = plan[-d], plan[-d - 1]
+        # the cells of the d-th draw from the end that start in a row a path
+        # starts it from, `entry` or an end row of the draw before it, their
+        # (start, end) pairs, sorted, each pair's least and greatest total,
+        # and the gcd of their differences
+        key = plan[-d], plan[-d - 1] if d < len(plan) else None
         if key not in entered:
             pos, p, start, end = tables[key[0]]
             into = np.zeros(rows, dtype=bool)
-            into[tables[key[1]][3]] = True
+            into[entry if key[1] is None else tables[key[1]][3]] = True
             cell = into[start]
             pos, p, start, end = pos[cell], p[cell], start[cell], end[cell]
             pairs, first, pair = np.unique(start * rows + end, return_index=True,
@@ -242,14 +246,10 @@ def last_draws_law(tables, plan, rows, cap):
         # the most lattice units the totals of one row span
         return int((hi - lo)[lo < math.inf].max())
 
-    _, _, _, _, s, _, plo, phi, step = draw(1)
-    lo, hi = np.full(rows, math.inf), np.full(rows, -math.inf)
-    np.minimum.at(lo, s, plo)
-    np.maximum.at(hi, s, phi)
-    # every law on the way is transformed at one length, so the widest span
-    # over the draws so far sets it
-    widest, draws = span(lo, hi), 1
-    while draws < len(plan) - 1:
+    # the spans of no draws are 0; every law on the way is transformed at one
+    # length, so the widest span over the draws so far sets it
+    lo, hi, widest, draws, step = np.zeros(rows), np.zeros(rows), 0, 0, 0
+    while draws < len(plan):
         _, _, _, _, s, r, plo, phi, gcd = draw(draws + 1)
         lo2, hi2 = np.full(rows, math.inf), np.full(rows, -math.inf)
         np.minimum.at(lo2, s, plo + lo[r])
@@ -260,7 +260,7 @@ def last_draws_law(tables, plan, rows, cap):
         if width > cap or rows * (size + 2) * 8 >= ARRAY_BYTES:
             break
         lo, hi, draws, step, widest = lo2, hi2, draws + 1, finer, wider
-    if draws == 1:
+    if draws < 2:
         return None
     step = step or 1
     width = widest // step + 1
@@ -278,7 +278,7 @@ def last_draws_law(tables, plan, rows, cap):
     chunk = max(1, ARRAY_BYTES // (16 * (size // 2 + 1)) - 1)
     spectra, prior, terms = {}, np.empty_like(spec), np.empty((chunk, spec.shape[1]), complex)
     for d in range(2, draws + 1):
-        key = plan[-d], plan[-d - 1]
+        key = plan[-d], plan[-d - 1] if d < len(plan) else None
         if key not in spectra:
             pos, p, _, pair, s, r = draw(d)[:6]
             spectra[key] = []

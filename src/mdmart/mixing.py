@@ -13,7 +13,9 @@ Everything about one block of m steps derives from one exact table, the
 joint law of its sum and end state given its start (`_block_law`).  The
 block-sum sampler draws 2^b blocks with one uniform, from that table
 bridged over the gap and doubled b times (`_block_tables`), and the tail
-experiment integrates the last of those draws exactly (`_completion`)."""
+experiment integrates the last of those draws exactly (`_completion`), their
+law built by the engine that the models' completions use too
+(`alias.last_draws_law`)."""
 from __future__ import annotations
 
 import math
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alias import (alias_draw, alias_tables, draw_plan, join_block_laws, tail_index,
-                    tail_lookup)
+from .alias import (alias_draw, alias_tables, double_block_law, draw_plan, last_draws_law,
+                    lattice_step, tail_index, tail_lookup)
 from .bounds import BoundParams
 from .montecarlo import (RatioReport, check_x_grid, estimate_from_sums, ratio_row,
                          seeded_chunks)
@@ -409,7 +411,7 @@ def _block_tables(chain: MarkovChainSpec, m: int, k: int):
 
     The first is the block law bridged over the gap, joint[s, i, t] =
     sum_e law[s, i, e] P^{m+1}[e, t]; each next one is its predecessor
-    doubled by a convolution along the totals (`join_block_laws`).  The
+    doubled by a convolution along the totals (`double_block_law`).  The
     doubling stops before 2j > k, before a table would have more than
     BLOCK_SUM_CELLS cells per row, or at once when the block totals do not
     lie on one lattice; such a chain draws one block per uniform.  Like the
@@ -419,8 +421,7 @@ def _block_tables(chain: MarkovChainSpec, m: int, k: int):
     S = chain.P.shape[0]
     while len(ladder) < k.bit_length():
         if ladder:
-            last = ladder[-1][:2]
-            table = join_block_laws(last, last, BLOCK_SUM_CELLS)
+            table = double_block_law(ladder[-1][:2], BLOCK_SUM_CELLS)
             if table is None:
                 break
         else:
@@ -434,24 +435,34 @@ def _block_tables(chain: MarkovChainSpec, m: int, k: int):
 def _completion(chain: MarkovChainSpec, m: int, k: int):
     """(draws, index): the last `draws` table draws of a k-block path and
     the `tail_index` of their total given the block-start state before
-    them, one row per start state.  Their law is built from the last draw
-    backwards, C <- sum_t convolve(joint[s, :, t], C[t]) (`join_block_laws`),
-    while it holds at most COMPLETION_CELLS totals per start state; a chain
-    whose totals are not on one lattice integrates its last draw only.
-    Kept on the chain, per (m, k)."""
+    them, one row per start state.  Their law is `last_draws_law`'s, at
+    most COMPLETION_CELLS lattice steps wide per start state, from the
+    ladder's nonzero (total, next start) cells, each total in steps from
+    its table's least.  The stationary start may be any state, so a path
+    may start the plan's first draw from every state, and all its draws may
+    be integrated.  The steps are lattice units only when the totals lie
+    on one lattice (`lattice_step`), as every doubled table's do; a total
+    of the draws maps back to the sum of their least totals plus its steps
+    times the lattice step, rounded to 12 decimals as the tables' totals
+    are.  A chain off a lattice, or one where not even two draws fit,
+    integrates its last draw only, at the table's own totals.  Kept on the
+    chain, per (m, k)."""
     if (m, k) not in chain._completions:
         ladder = _block_tables(chain, m, k)
         plan = draw_plan(k, len(ladder))
+        S = chain.P.shape[0]
+        nonzero = [(joint, np.nonzero(joint)) for _, joint, _ in ladder]
+        cells = [(i, joint[s, i, t], s, t) for joint, (s, i, t) in nonzero]
+        unit = lattice_step(ladder[-1][0])
+        law = None if unit is None else last_draws_law(cells, plan, np.arange(S), S,
+                                                       COMPLETION_CELLS)
         values, joint = ladder[plan[-1]][:2]
-        law, draws = (values, joint.sum(axis=2, keepdims=True)), 1
-        for b in plan[-2::-1]:
-            longer = join_block_laws(ladder[b][:2], law, COMPLETION_CELLS)
-            if longer is None:
-                break
-            law, draws = longer, draws + 1
-        values, joint = law
-        S = joint.shape[0]
-        chain._completions[m, k] = draws, tail_index(np.tile(values, (S, 1)), joint[:, :, 0])
+        draws, totals, p = 1, np.tile(values, (S, 1)), joint.sum(axis=2)
+        if law is not None:
+            draws, lo, step, p = law
+            least = sum(ladder[b][0][0] for b in plan[-draws:])
+            totals = np.round(least + unit * (lo[:, None] + step * np.arange(p.shape[1])), 12)
+        chain._completions[m, k] = draws, tail_index(totals, p)
     return chain._completions[m, k]
 
 

@@ -610,7 +610,9 @@ class MartingaleModel:
         tables = ladder + ([] if rem is None else [rem])
         plan = plan + ([] if rem is None else [len(ladder)])
         rows = ladder[0].log_p.size // ladder[0].width
-        law = last_draws_law([g.cells() for g in tables], plan, rows, COMPLETION_CELLS)
+        # a path starts plan[1:] from a row its first draw ends in
+        cells = [g.cells() for g in tables]
+        law = last_draws_law(cells, plan[1:], cells[plan[0]][3], rows, COMPLETION_CELLS)
         g = tables[plan[-1]]
         if law is None:
             real = g.log_p > -math.inf

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from mdmart import alias
-from mdmart.alias import ARRAY_BYTES, alias_draw, alias_tables, last_draws_law, tail_index
-from mdmart.mixing import _block_tables, block_indices, two_state_chain
+from mdmart.alias import (ARRAY_BYTES, alias_draw, alias_tables, draw_plan, last_draws_law,
+                          tail_index)
+from mdmart.mixing import COMPLETION_CELLS as CHAIN_CELLS
+from mdmart.mixing import _block_tables, _completion, block_indices, two_state_chain
 from mdmart.models import COMPLETION_CELLS, ConditionalLaw, MartingaleModel, make_regime_switch
+from test_mixing import LATTICE_CHAINS, LATTICE_IDS, three_state_chain
 
 
 def vose_tables(p):
@@ -142,27 +145,71 @@ class Irrational(MartingaleModel):
         return 1 if eta > 0 else -1
 
 
-def draw_tables(model):
-    """(cells, rows): the cells (pos, p, start, end) of each table a path of
-    the model draws, in order, as `last_draws_law` reads them, and the
-    number of block-start rows."""
+def model_draws(model):
+    """(cells, entry, rows): the cells (pos, p, start, end) of each table a
+    path of the model draws after its first, in order, as `last_draws_law`
+    reads them, the rows a path starts them from, those its first draw ends
+    in, and the number of block-start rows."""
     ladder, plan, rem = model._blocks
     tables = [ladder[b] for b in plan] + ([] if rem is None else [rem])
-    return [g.cells() for g in tables], ladder[0].log_p.size // ladder[0].width
+    cells = [g.cells() for g in tables]
+    return cells[1:], cells[0][3], ladder[0].log_p.size // ladder[0].width
 
 
-def direct_last_draws(model, draws):
-    """The law of the total of a path's last `draws` table draws per
-    block-start row, composed backwards by direct `np.convolve` per (start,
-    end) pair, C_s <- sum_r convolve(L_{s,r}, C_r), reading only the cells
-    that start in a row the draw before them ends in.  Returns (step,
-    laws): laws[d - 1] maps each row s to (lo, law) of the last d draws,
-    law[i] = P(total lo + step i | s), step the gcd of the differences
-    between the totals of each draw's cells."""
-    cells, rows = draw_tables(model)
+def regime_switch_completion(n, gamma):
+    """(cells, entry, rows, cap, completion) of regime_switch's completion,
+    its first draw from row 0: `model_draws`, the models' cap and the
+    model's (draws, index)."""
+    model = make_regime_switch(n, gamma)
+    return (*model_draws(model), COMPLETION_CELLS, model._completion)
+
+
+def chain_completion(chain, n):
+    """(cells, entry, rows, cap, completion) of the mixing experiment's
+    completion at alpha = 0.3: the nonzero (total, next start) cells of
+    every table a path draws, in order, each total in steps from its
+    table's least, every state as a start state, as the stationary start
+    may be any of them, the mixing cap and the chain's (draws, index)."""
+    m, k, _ = block_indices(n, 0.3)
+    ladder = _block_tables(chain, m, k)
+    cells = []
+    for b in draw_plan(k, len(ladder)):
+        joint = ladder[b][1]
+        s, i, t = np.nonzero(joint)
+        cells.append((i, joint[s, i, t], s, t))
+    S = chain.P.shape[0]
+    return cells, np.arange(S), S, CHAIN_CELLS, _completion(chain, m, k)
+
+
+# the completions the engine is held to direct convolution on, each with the
+# D it integrates where it is pinned: regime_switch's, and the block-sum
+# ones of the lattice chains at n = 10^4 (m = 15, k = 333, 13 draws for the
+# two-state chains and 43 for three_state) and of three_state at n = 2000
+# (m = 9, k = 111), where D is all 10 draws of the plan, the first from any
+# state
+ENGINE_CASES = [(regime_switch_completion, (n, gamma), None)
+                for n in (96, 400, 1600) for gamma in (0.2, 0.3, 0.45)] + [
+    (chain_completion, (LATTICE_CHAINS[0][0], 10 ** 4), 6),
+    (chain_completion, (LATTICE_CHAINS[1][0], 10 ** 4), 6),
+    (chain_completion, (LATTICE_CHAINS[2][0], 10 ** 4), 9),
+    (chain_completion, (three_state_chain(), 2000), 10)]
+ENGINE_IDS = [f"{n}-{gamma}" for n in (96, 400, 1600) for gamma in (0.2, 0.3, 0.45)] + [
+    f"{name}-10000" for name in LATTICE_IDS] + ["three_state-2000"]
+
+
+def direct_last_draws(cells, entry, rows, draws):
+    """The law of the total of the last `draws` of the tables `cells` per
+    start row, composed backwards by direct `np.convolve` per (start, end)
+    pair, C_s <- sum_r convolve(L_{s,r}, C_r), reading only the cells that
+    start in a row a path starts them from: one of `entry` for the first
+    table, an end row of the table before it for each other one.  Returns
+    (step, laws): laws[d - 1] maps each row s to (lo, law) of the last d
+    draws, law[i] = P(total lo + step i | s), step the gcd of the
+    differences between the totals of each draw's cells."""
     last = []
-    for before, (pos, p, start, end) in zip(cells[-draws - 1:], cells[-draws:]):
-        keep = np.isin(start, before[3])
+    starts = [entry] + [c[3] for c in cells[:-1]]
+    for before, (pos, p, start, end) in zip(starts[-draws:], cells[-draws:]):
+        keep = np.isin(start, before)
         last.append((pos[keep], p[keep], start[keep], end[keep]))
     step = 0
     for pos, *_ in last:
@@ -199,33 +246,31 @@ def direct_last_draws(model, draws):
     return step, laws
 
 
-def fits(step, laws, rows):
+def fits(step, laws, rows, cap):
     """Whether laws of these spans fit `last_draws_law`'s bounds."""
     width = max(law.size for C in laws for _, law in C.values())
-    return width <= COMPLETION_CELLS and \
+    return width <= cap and \
         rows * ((1 << (width - 1).bit_length()) + 2) * 8 < ARRAY_BYTES
 
 
 class TestLastDrawsLaw:
-    @pytest.mark.parametrize("gamma", [0.2, 0.3, 0.45])
-    @pytest.mark.parametrize("n", [96, 400, 1600])
-    def test_spectral_law_is_the_direct_one(self, n, gamma):
+    @pytest.mark.parametrize("completion_of, args, pinned", ENGINE_CASES, ids=ENGINE_IDS)
+    def test_spectral_law_is_the_direct_one(self, completion_of, args, pinned):
         # the frequency-space law against direct convolution: every tail
         # within 1e-15 absolute, the mass 1 within 1e-12, and D the most
-        # draws under the bounds
-        model = make_regime_switch(n, gamma)
-        cells, rows = draw_tables(model)
-        out = last_draws_law(cells, list(range(len(cells))), rows, COMPLETION_CELLS)
+        # draws under the bounds, as the sampler's completion holds
+        cells, entry, rows, cap, completion = completion_of(*args)
+        out = last_draws_law(cells, list(range(len(cells))), entry, rows, cap)
         draws = 1 if out is None else out[0]
-        assert draws <= len(cells) - 1
-        if draws < len(cells) - 1:
-            assert not fits(*direct_last_draws(model, draws + 1), rows)
-        assert model._completion[0] == draws
+        assert draws <= len(cells) and pinned in (None, draws)
+        if draws < len(cells):
+            assert not fits(*direct_last_draws(cells, entry, rows, draws + 1), rows, cap)
+        assert completion[0] == draws
         if out is None:
             return
         _, lo, step, law = out
-        want_step, laws = direct_last_draws(model, draws)
-        assert step == want_step and fits(step, laws, rows)
+        want_step, laws = direct_last_draws(cells, entry, rows, draws)
+        assert step == want_step and fits(step, laws, rows, cap)
         C = laws[-1]
         assert not law[[s for s in range(rows) if s not in C]].any()
         for s, (lo_s, want) in C.items():
@@ -236,7 +281,7 @@ class TestLastDrawsLaw:
             got_tail, want_tail = (np.cumsum(a[::-1])[::-1] for a in (law[s], full))
             assert np.abs(got_tail - want_tail).max() <= 1e-15
             assert abs(got_tail[0] - 1.0) <= 1e-12
-        tail = model._completion[1][1]
+        tail = completion[1][1]
         assert tail.min() >= 0.0 and tail.max() <= 1.0 + 1e-12
         assert (np.diff(tail, axis=1) <= 0.0).all()
 
@@ -244,9 +289,10 @@ class TestLastDrawsLaw:
         # values on no lattice: not even two draws fit, and the last table
         # is integrated alone, its cells at their own dx
         model = Irrational(40)
-        cells, rows = draw_tables(model)
-        assert len(cells) > 2
-        assert last_draws_law(cells, list(range(len(cells))), rows, COMPLETION_CELLS) is None
+        cells, entry, rows = model_draws(model)
+        assert len(cells) > 1
+        assert last_draws_law(cells, list(range(len(cells))), entry, rows,
+                              COMPLETION_CELLS) is None
         assert model._completion[0] == 1
 
     def test_no_array_reaches_the_bound(self, tmp_path):
@@ -286,7 +332,8 @@ class TestLastDrawsLaw:
             "a = [saved[f'arr_{i}'] for i in range(len(saved.files))]\n"
             "tables = [tuple(a[i:i + 4]) for i in range(0, len(a), 4)]\n"
             "fresh = mapped()\n"
-            f"draws, lo, step, law = last_draws_law(tables, {plan}, {ladder[0].log_p.size // ladder[0].width},\n"
+            f"draws, lo, step, law = last_draws_law(tables, {plan[1:]}, tables[{plan[0]}][3],\n"
+            f"                                      {ladder[0].log_p.size // ladder[0].width},\n"
             "                                      COMPLETION_CELLS)\n"
             "index = tail_index((lo[:, None] + step * np.arange(law.shape[1])) * 0.1, law)\n"
             "kept = max(x.nbytes for x in (lo, law, *index[:3]))\n"

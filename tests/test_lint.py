@@ -5,6 +5,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+from code_lines import code_lines
+
 TESTS = Path(__file__).parent
 SRC = TESTS.parent / "src" / "mdmart"
 
@@ -336,3 +338,15 @@ def test_no_unset_options():
     found = unset_options(sources, [path.read_text() for path in CALLING])
     assert not found, ("defaulted parameters that no call in the package, "
                        "perfbench or the tests sets: " + ", ".join(found))
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks():
+    # the counter behind the code-line figures in CHANGES.md: the docstrings
+    # of a module, a class and a function, the comments and the blank lines
+    # count for nothing; a bracket or a string that is not a docstring
+    # counts every line it spans
+    src = ('"""A module,\ndocumented."""\n\nimport math  # trailing comment\n\n\n'
+           "# a comment line\nclass K:\n    'One line.'\n\n    def f(self, x):\n"
+           "        '''A method,\n        documented.'''\n        y = (x +\n             1)\n"
+           "        s = '''a string\n        on two lines'''\n        return math.sqrt(y), s\n")
+    assert code_lines(src) == 8

@@ -437,22 +437,21 @@ class TestTailExperiment:
         # tables of 2, 4, 8, 16 and 32 blocks (64 blocks take 961 totals,
         # 1922 cells, past BLOCK_SUM_CELLS); at m = 70, k = 35 those of 2
         # and 4 blocks (8 blocks take 561 totals, 1122 cells)
-        # (the joins of a table with another one build the completion)
         calls, doubled = [], []
-        real, real_join = mixing.block_sum_distribution, mixing.join_block_laws
+        real, real_double = mixing.block_sum_distribution, mixing.double_block_law
 
         def counted(chain, m):
             calls.append(m)
             return real(chain, m)
 
-        def counted_join(first, second, max_cells):
-            table = real_join(first, second, max_cells)
-            if table is not None and first is second:
+        def counted_double(table, max_cells):
+            table = real_double(table, max_cells)
+            if table is not None:
                 doubled.append(table[0].size)
             return table
 
         monkeypatch.setattr(mixing, "block_sum_distribution", counted)
-        monkeypatch.setattr(mixing, "join_block_laws", counted_join)
+        monkeypatch.setattr(mixing, "double_block_law", counted_double)
         mixing_tail_experiment(two_state_chain(0.3, 0.3), n, alpha, [0.5, 1.0], 1000, 0)
         assert len(calls) == builds, calls
         assert len(doubled) == doublings, doubled
@@ -533,16 +532,29 @@ class TestCompletion:
         assert (info["draws_per_path"], info["draws_integrated"]) == (len(plan) - draws, draws)
 
     def test_completion_stops_at_the_cell_bound(self):
-        # the completion holds at most COMPLETION_CELLS totals per start
-        # state, and one more draw would pass that
+        # the totals of the completion's draws from each start state take at
+        # most COMPLETION_CELLS lattice points, their span in the steps of
+        # a table's totals plus one, and one more draw would pass that.
+        # Each table's least and greatest total from s into t compose
+        # backwards, from the last draw: lo_s <- min over t of lo_{s,t} +
+        # lo_t, and hi_s likewise.  The chain integrates 6 of its 13 draws,
+        # over 1,635 points; 7 would take 2,115
         chain = two_state_chain(0.3, 0.3)
         m, k, _ = block_indices(10 ** 4, 0.3)
         draws = _completion(chain, m, k)[0]
         ladder = _block_tables(chain, m, k)
         plan = draw_plan(k, len(ladder))
-        width = [ladder[b][0].size for b in plan]
-        totals = sum(width[-draws:]) - draws + 1
-        assert totals <= COMPLETION_CELLS < totals + width[-draws - 1] - 1
+
+        def width(d):
+            lo = hi = np.zeros(chain.P.shape[0])
+            for b in plan[:len(plan) - d - 1:-1]:
+                joint = ladder[b][1]
+                i = np.arange(joint.shape[1])[:, None]
+                lo = (np.where(joint > 0.0, i, np.inf).min(axis=1) + lo).min(axis=1)
+                hi = (np.where(joint > 0.0, i, -np.inf).max(axis=1) + hi).max(axis=1)
+            return int((hi - lo).max()) + 1
+
+        assert width(draws) <= COMPLETION_CELLS < width(draws + 1)
 
 
 def composed_tables(chain, m, levels):
