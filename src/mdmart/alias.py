@@ -2,32 +2,30 @@
 the block-sum sampler and the Berbee coupling in `mixing` and the block
 sampler of every state-dependent model in `models`.  The tables of all
 rows are built at once, by prefix sums over Vose's pairing (Vose 1991, IEEE
-TSE 17:972; Hübschle-Schneider & Sanders, ESA 2019).  Also here: the law of
-two consecutive blocks from the laws of each, by convolution along a lattice
-of block totals (`compose`), which both block samplers use to double their
-tables (`mixing` through `double_block_law`); the plan by which they draw
-2^b blocks with one uniform; the law of the total of a path's last draws,
-composed in frequency space (`last_draws_law`), the one engine behind both
-samplers' completions; and the tail of those draws given a path's value so
-far (`tail_index`, `tail_lookup`), which both integrate instead of drawing
-them."""
+TSE 17:972; Hübschle-Schneider & Sanders, ESA 2019).  Also here: the
+distinct cells of a forward pass over one block (`distinct_cells`), by
+which both passes merge the cells that share their fields, each total in
+whole units of a lattice; the law of two consecutive blocks from the law
+of one (`doubled`), by convolution along those units (`compose`), the one
+routine by which both block samplers double their tables; the plan by
+which they draw 2^b blocks with one uniform; the law of the total of a
+path's last draws, composed in frequency space (`last_draws_law`), the one
+engine behind both samplers' completions; and the tail of those draws
+given a path's value so far (`tail_index`, `tail_lookup`), which both
+integrate instead of drawing them."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
-# most cells per row in a doubled block table of a state-dependent model.  A
-# larger table lets one uniform draw more blocks, but it takes longer to
-# build and tilt than the draws it saves: 1024 was fastest in a sweep of 256
-# to 4096 cells on regime_switch at n = 1600 (see CHANGES.md)
+# most cells per row in a doubled block table, of a state-dependent model or
+# of a chain's block sums, and so most alias columns per row.  A larger
+# table lets one uniform draw more blocks, but it takes longer to build and
+# tilt than the draws it saves: 1024 was fastest in a sweep of 256 to 4096
+# cells on regime_switch at n = 1600, and of 512, 1024 and 2048 on the
+# mixing benchmark's chains (see CHANGES.md)
 BLOCK_TABLE_CELLS = 1024
-
-# the most that the residuals of two tables' totals from one lattice may add
-# to, in lattice steps, for `lattice_step` to take them as on it: totals
-# rounded to 12 decimals are off by about 1e-12, and a chain off a lattice by
-# a step's fraction
-LATTICE_SLACK = 1e-9
 
 # no array that `last_draws_law` allocates or keeps reaches this many bytes.
 # glibc serves a block this large by mmap, and freeing one raises its mmap
@@ -146,40 +144,48 @@ def compose(first, second, cap):
     return np.array([law2[s][t] for s, t in keys]), *np.array(keys).T
 
 
-def lattice_step(values):
-    """The step of the lattice values[0] + step i that the sorted `values`
-    lie on, each within LATTICE_SLACK / 2 steps of its point, or None: the
-    residuals of two tables on it then add to at most LATTICE_SLACK steps."""
-    step = (values[-1] - values[0]) / max(values.size - 1, 1)
-    off = np.abs(values - values[0] - step * np.arange(values.size)).max()
-    return step if 2 * off <= LATTICE_SLACK * step else None
+def distinct_cells(fields):
+    """(first, inverse) of the distinct columns of the integer array
+    `fields`, one row a field of the cells and one column a cell, sorted
+    by their fields in turn, as np.unique(fields.T, axis=0) gives them:
+    first[j] is the first cell that is distinct cell j, and inverse[i] the
+    distinct cell of cell i.  The fields fold into one int64 key, in the
+    same order, when it holds them."""
+    key = fields - fields.min(axis=1, keepdims=True)
+    span = (key.max(axis=1) + 1).tolist()
+    key = np.ravel_multi_index(key, span) if math.prod(span) < 1 << 63 else key.T
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True,
+                                  axis=None if key.ndim == 1 else 0)
+    return first, inverse
 
 
-def double_block_law(table, max_cells):
-    """The law of two blocks of `table` in a row (`compose`), the table
-    (values, joint) with joint[s, i, t] = P(total values[i], next start t |
-    start s) and its totals `values` sorted.  The convolution puts pair (a,
-    b) at total a + b, which holds when the totals lie on one lattice
-    (`lattice_step`), so every pair total lies within LATTICE_SLACK steps of
-    values2[a + b].  The 2Y - 1 doubled totals values2 are the pair totals of
-    (0, b) and then of (a, Y - 1), rounded to 12 decimals; where the rounded
-    pair total depends on a + b only, as on the rounded totals of a doubled
-    table, they are the distinct rounded pair totals, bit for bit.  Returns
-    (values2, joint2), or None when the totals are not on one lattice, or
-    when the doubled table would have more than `max_cells` (total, next
-    start) cells per start state."""
-    values, joint = table
-    S, Y = joint.shape[:2]
-    values2 = np.round(np.concatenate((values[0] + values, values[1:] + values[-1])), 12)
-    if ((2 * Y - 1) * S > max_cells or lattice_step(values) is None
-            or not np.all(values2[1:] > values2[:-1])):
+def doubled(law, start, end, counts):
+    """The law of two blocks from that of one: law[j, i] = P(total lo + i,
+    end row end[j] | start row start[j]) with the totals in lattice units,
+    one (start, end) pair j per row of law, sorted, and counts[j] the steps
+    per law of every block of pair j (no columns for a chain's blocks).
+    Returns (law, start, end, counts) of two blocks (`compose`), or None
+    when a row of the doubled law would have more than BLOCK_TABLE_CELLS
+    cells, or when the steps per law of two blocks are not a function of
+    their start and end rows.  With A the totals of the blocks from s into
+    r and B those from r into t, the pairs from s into t have at least |A +
+    B| >= |A| + |B| - 1 totals for each r, which refuses most doublings
+    before any convolution; `compose` refuses the rest as soon as one start
+    row passes the cap."""
+    a, b = joined(start, end)
+    rows = end.max() + 1
+    into, first, pair = np.unique(start[a] * rows + end[b], return_index=True,
+                                  return_inverse=True)
+    size = np.count_nonzero(law, axis=1)
+    bound = np.zeros(into.size, dtype=np.intp)
+    np.maximum.at(bound, pair, size[a] + size[b] - 1)
+    count = counts[a] + counts[b]
+    counts2 = count[first]
+    if (np.bincount(into // rows, bound).max() > BLOCK_TABLE_CELLS
+            or (counts2[pair] != count).any()):
         return None
-    s, r = np.nonzero(joint.any(axis=1))
-    # (2Y - 1) S <= max_cells, so no row reaches the cap
-    law2, s, t = compose((joint[s, :, r], s, r), (joint[s, :, r], s, r), max_cells)
-    joint2 = np.zeros((S, 2 * Y - 1, S))
-    joint2[s, :, t] = law2
-    return values2, joint2
+    law2 = compose((law, start, end), (law, start, end), BLOCK_TABLE_CELLS)
+    return None if law2 is None else (*law2, counts2)
 
 
 def last_draws_law(tables, plan, entry, rows, cap):

@@ -206,8 +206,11 @@ def cmd_mixing(args):
     if not info["envelope_defined"]:
         print("warning: tau_n >= 1, envelope undefined", file=sys.stderr)
     for r in report.rows:
+        # a row's own flags; envelope_undefined, on every row, is the warning
+        flags = [f for f in r.flags if f != "envelope_undefined"]
         print(f"x={r.x:.2f}  ratio={r.ratio:.4f}  "
-              f"envelope=[{r.bound_lo:.4f}, {r.bound_hi:.4f}]")
+              f"envelope=[{r.bound_lo:.4f}, {r.bound_hi:.4f}]"
+              + (f"  [{' '.join(flags)}]" if flags else ""))
     print(f"wrote {path} and {info_path}")
     return EXIT_OK
 

@@ -10,9 +10,11 @@ dominates it, and all bounds are upper bounds, so substituting psi_bar keeps
 every check conservative.
 
 Everything about one block of m steps derives from one exact table, the
-joint law of its sum and end state given its start (`_block_law`).  The
+joint law of its sum and end state given its start (`_block_law`), which
+one numpy forward pass builds with every sum in whole units of 1e-12.  The
 block-sum sampler draws 2^b blocks with one uniform, from that table
-bridged over the gap and doubled b times (`_block_tables`), and the tail
+bridged over the gap and doubled b times along those units (`_block_tables`,
+through `alias.doubled`, the models' doubling routine too), and the tail
 experiment integrates the last of those draws exactly (`_completion`), their
 law built by the engine that the models' completions use too
 (`alias.last_draws_law`)."""
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alias import (alias_draw, alias_tables, double_block_law, draw_plan, last_draws_law,
-                    lattice_step, tail_index, tail_lookup)
+from .alias import (BLOCK_TABLE_CELLS, alias_draw, alias_tables, distinct_cells, doubled,
+                    draw_plan, joined, last_draws_law, tail_index, tail_lookup)
 from .bounds import BoundParams
 from .montecarlo import (RatioReport, check_x_grid, estimate_from_sums, ratio_row,
                          seeded_chunks)
@@ -33,13 +35,6 @@ from .montecarlo import (RatioReport, check_x_grid, estimate_from_sums, ratio_ro
 # estimators; the chunk size is a fixed constant, so determinism is unaffected.
 # The Berbee coupling draws its reps in chunks of the same size.
 MIX_CHUNK = 65536
-
-# most (block total, next start) cells per start state in a doubled table of
-# the block-sum sampler.  A larger table lets one uniform draw more blocks,
-# but its alias tables take longer to build than the draws they save; 1024
-# was fastest in a sweep of 512, 1024 and 2048 on the benchmark's chains
-# (see CHANGES.md)
-BLOCK_SUM_CELLS = 1024
 
 # most block totals per start state in the law of the last draws of a path,
 # which the tail experiment integrates instead of drawing.  More totals
@@ -199,7 +194,7 @@ def certify_chain(chain: MarkovChainSpec, n_max: int, m: int) -> MixingCertifica
     beta = np.array([beta_coefficient(chain.P, n, chain.pi)
                      for n in range(1, n_max + 1)])
     a1, a2, tau = fit_beta_decay(beta)
-    ys, law, _ = _block_law(chain, m)
+    ys, law = _block_law(chain, m)[:2]
     marg = list(zip(ys.tolist(), (chain.pi @ law.sum(axis=2)).tolist()))
     rho = 1.0
     m_abs = math.fsum(p * abs(y) ** (2.0 + rho) for y, p in marg)
@@ -228,48 +223,52 @@ def block_indices(n: int, alpha: float):
     return m, k, [(2 * m * j, 2 * m * j + m) for j in range(k)]
 
 
-# exact distribution of one block sum: DP over (sum, end state)
-
-def block_sum_distribution(chain: MarkovChainSpec, m: int):
-    """Per start state: dict (y, end_state) -> prob of the length-m block sum
-    Y = f(X_1) + ... + f(X_m) started at X_1 = start."""
-    S = chain.P.shape[0]
-    out = []
-    for start in range(S):
-        dist = {(round(float(chain.f[start]), 12), start): 1.0}
-        for _ in range(m - 1):
-            nxt = {}
-            for (y, s), p in dist.items():
-                for t in range(S):
-                    pt = chain.P[s, t]
-                    if pt > 0.0:
-                        key = (round(y + float(chain.f[t]), 12), t)
-                        nxt[key] = nxt.get(key, 0.0) + p * pt
-            dist = nxt
-        out.append(dist)
-    return out
-
-
 def _block_law(chain: MarkovChainSpec, m: int):
-    """The law of one block as read-only arrays: (ys, law, hop), where ys
-    holds the sorted block-sum values, law[s, i, e] = P(block sum ys[i], end
-    state e | start s) and hop = P^{m+1} carries an end state to the next
-    block's start.  Every block-sum computation derives from this one table;
-    like pi it is derived data, so it is built once per (chain, m) and kept
-    on the chain."""
+    """The law of one block as read-only arrays: (ys, law, hop, units),
+    where units holds the sorted block sums in whole units of 1e-12 and ys
+    the same sums as floats, units / 1e12, law[s, i, e] = P(block sum ys[i],
+    end state e | start s) and hop = P^{m+1} carries an end state to the
+    next block's start.  Every block-sum computation derives from this one
+    table; like pi it is derived data, so it is built once per (chain, m)
+    and kept on the chain.
+
+    One forward pass builds it, over cells (start, state, sum so far), the
+    sum in units, with f rounded to units once, so a sum does not depend on
+    the order of its states (a walk that rounds every partial sum to 12
+    decimals can split one sum into several).  A step moves every cell to
+    each state t with P[state, t] > 0, in order, and merges the moves that
+    land on one cell (`distinct_cells`).  The cells are kept in the order
+    they first appear, so each cell's probability is summed in the order of
+    a walk over a dict of cells, move by move."""
     if m not in chain._block_laws:
-        per_start = block_sum_distribution(chain, m)
         S = chain.P.shape[0]
-        ys = np.array(sorted({y for dist in per_start for y, _ in dist}))
-        index = {y: i for i, y in enumerate(ys)}
-        law = np.zeros((S, ys.size, S))
-        for s, dist in enumerate(per_start):
-            for (y, e), p in dist.items():
-                law[s, index[y], e] = p
+        # every sum, and the span of the sums, then stays below 2^62 units
+        if m * np.abs(chain.f).max() >= 2.0 ** 61 / 1e12:
+            raise ChainError("block sums too large for int64 units of 1e-12: "
+                             "m * max |f| must stay below 2.3e6")
+        f = np.rint(chain.f * 1e12).astype(np.int64)
+        src, dst = np.nonzero(chain.P > 0.0)
+        move = chain.P[src, dst]
+        cells, p = np.stack((np.arange(S), np.arange(S), f)), np.ones(S)
+        for _ in range(m - 1):
+            # every move of every cell, the cells in order, each cell's
+            # moves by next state
+            a, b = joined(src, cells[1])
+            t = dst[b]
+            cells = np.stack((cells[0, a], t, cells[2, a] + f[t]))
+            first, cell = distinct_cells(cells)
+            order = np.argsort(first)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            cells, p = cells[:, first[order]], np.bincount(rank[cell], weights=p[a] * move[b])
+        units, col = np.unique(cells[2], return_inverse=True)
+        law = np.zeros((S, units.size, S))
+        law[cells[0], col, cells[1]] = p
         hop = np.linalg.matrix_power(chain.P, m + 1)
-        for a in (ys, law, hop):
+        block = units / 1e12, law, hop, units
+        for a in block:
             a.flags.writeable = False
-        chain._block_laws[m] = (ys, law, hop)
+        chain._block_laws[m] = block
     return chain._block_laws[m]
 
 
@@ -301,7 +300,7 @@ def berbee_couple(chain: MarkovChainSpec, m: int, k: int, reps: int,
     probability TV(conditional law, marginal), which averages over the
     previous end state to at most beta(m + 1).  All reps step together,
     three uniforms per rep and block."""
-    ys, law, hop = _block_law(chain, m)
+    ys, law, hop = _block_law(chain, m)[:3]
     S, Y = hop.shape[0], ys.size
     W = Y * S
     cond = np.einsum("cs,sie->cie", np.vstack((chain.pi, hop)), law)
@@ -389,7 +388,7 @@ def exact_block_sum_variance(chain: MarkovChainSpec, n: int, alpha: float) -> fl
     where A[s, t] = E[Y 1{next start t} | start s] and Q[s, t] = P(next
     start t | start s)."""
     m, k, _ = block_indices(n, alpha)
-    ys, law, hop = _block_law(chain, m)
+    ys, law, hop = _block_law(chain, m)[:3]
     law_y = law.sum(axis=2)
     mu, v = law_y @ ys, law_y @ (ys * ys)
     A = np.einsum("sie,i,et->st", law, ys, hop)
@@ -404,31 +403,44 @@ def exact_block_sum_variance(chain: MarkovChainSpec, n: int, alpha: float) -> fl
 
 def _block_tables(chain: MarkovChainSpec, m: int, k: int):
     """The tables that draw 1, 2, 4, ..., j consecutive blocks of length m
-    with one uniform each, for a path of k blocks.  Entry b is (values,
-    joint, tables) for 2^b blocks: joint[s, i, t] = P(total values[i], next
-    start t | start s), and `tables` are the alias tables of its rows, one
-    per start state, flattened over (i, t).
+    with one uniform each, for a path of k blocks.  Entry b is (units,
+    joint, tables) for 2^b blocks: joint[s, i, t] = P(total units[i] / 1e12,
+    next start t | start s), the totals in whole units of 1e-12 as in the
+    block law, and `tables` are the alias tables of its rows, one per start
+    state, flattened over (i, t).
 
     The first is the block law bridged over the gap, joint[s, i, t] =
     sum_e law[s, i, e] P^{m+1}[e, t]; each next one is its predecessor
-    doubled by a convolution along the totals (`double_block_law`).  The
+    doubled (`doubled`), which puts the total of blocks i and i' at i + i'.
+    That holds when the units are equally spaced, and the 2Y - 1 totals of
+    two blocks are then the pair sums of (0, i) and of (i, Y - 1).  The
     doubling stops before 2j > k, before a table would have more than
-    BLOCK_SUM_CELLS cells per row, or at once when the block totals do not
-    lie on one lattice; such a chain draws one block per uniform.  Like the
-    block law, the tables are kept on the chain, per m; a later call with a
-    larger k extends them."""
+    BLOCK_TABLE_CELLS (total, next start) cells per row, counted densely
+    as its alias rows hold them, or at once when the block totals are not
+    equally spaced; such a chain draws one block per uniform.  It stops too
+    before a table's units could pass 2^62, so that no sum of them wraps
+    around int64.  Like the block law, the tables are kept on the chain, per
+    m; a later call with a larger k extends them."""
     ladder = chain._block_tables.setdefault(m, [])
     S = chain.P.shape[0]
     while len(ladder) < k.bit_length():
         if ladder:
-            table = double_block_law(ladder[-1][:2], BLOCK_SUM_CELLS)
-            if table is None:
+            units, joint = ladder[-1][:2]
+            Y = units.size
+            if ((2 * Y - 1) * S > BLOCK_TABLE_CELLS or np.diff(units, 2).any()
+                    or np.abs(units).max() >= 1 << 61):
                 break
+            # (2Y - 1) S <= BLOCK_TABLE_CELLS, so no row reaches the cap; a
+            # chain's blocks carry no steps per law
+            s, r = np.nonzero(joint.any(axis=1))
+            law, s, t, _ = doubled(joint[s, :, r], s, r, np.zeros((s.size, 0), dtype=np.int64))
+            joint = np.zeros((S, 2 * Y - 1, S))
+            joint[s, :, t] = law
+            units = np.concatenate((units[0] + units, units[1:] + units[-1]))
         else:
-            ys, law, hop = _block_law(chain, m)
-            table = ys, np.einsum("sie,et->sit", law, hop)
-        values, joint = table
-        ladder.append((values, joint, alias_tables(joint.reshape(S, -1))))
+            _, law, hop, units = _block_law(chain, m)
+            joint = np.einsum("sie,et->sit", law, hop)
+        ladder.append((units, joint, alias_tables(joint.reshape(S, -1))))
     return ladder[:k.bit_length()]
 
 
@@ -440,28 +452,31 @@ def _completion(chain: MarkovChainSpec, m: int, k: int):
     ladder's nonzero (total, next start) cells, each total in steps from
     its table's least.  The stationary start may be any state, so a path
     may start the plan's first draw from every state, and all its draws may
-    be integrated.  The steps are lattice units only when the totals lie
-    on one lattice (`lattice_step`), as every doubled table's do; a total
-    of the draws maps back to the sum of their least totals plus its steps
-    times the lattice step, rounded to 12 decimals as the tables' totals
-    are.  A chain off a lattice, or one where not even two draws fit,
-    integrates its last draw only, at the table's own totals.  Kept on the
-    chain, per (m, k)."""
+    be integrated.  The steps are lattice steps when the tables' units are
+    equally spaced, as every doubled table's are; a total of the draws maps
+    back to the sum of their least units plus its steps times the units a
+    step, over 1e12, as the tables' totals are.  A chain off a lattice, one
+    where not even two draws fit, or one whose completed totals would pass
+    2^62 units integrates its last draw only, at the table's own totals.
+    Kept on the chain, per (m, k)."""
     if (m, k) not in chain._completions:
         ladder = _block_tables(chain, m, k)
         plan = draw_plan(k, len(ladder))
         S = chain.P.shape[0]
         nonzero = [(joint, np.nonzero(joint)) for _, joint, _ in ladder]
         cells = [(i, joint[s, i, t], s, t) for joint, (s, i, t) in nonzero]
-        unit = lattice_step(ladder[-1][0])
-        law = None if unit is None else last_draws_law(cells, plan, np.arange(S), S,
-                                                       COMPLETION_CELLS)
-        values, joint = ladder[plan[-1]][:2]
-        draws, totals, p = 1, np.tile(values, (S, 1)), joint.sum(axis=2)
+        top = ladder[-1][0]
+        law = None if np.diff(top, 2).any() else last_draws_law(cells, plan, np.arange(S), S,
+                                                                COMPLETION_CELLS)
+        units, joint = ladder[plan[-1]][:2]
+        draws, totals, p = 1, np.tile(units / 1e12, (S, 1)), joint.sum(axis=2)
         if law is not None:
-            draws, lo, step, p = law
-            least = sum(ladder[b][0][0] for b in plan[-draws:])
-            totals = np.round(least + unit * (lo[:, None] + step * np.arange(p.shape[1])), 12)
+            D, lo, step, law = law
+            least = sum(int(ladder[b][0][0]) for b in plan[-D:])
+            unit = int(top[-1] - top[0]) // max(top.size - 1, 1)
+            pos = lo[:, None] + step * np.arange(law.shape[1])
+            if abs(least) + unit * int(pos.max()) < 1 << 62:
+                draws, totals, p = D, (least + unit * pos) / 1e12, law
         chain._completions[m, k] = draws, tail_index(totals, p)
     return chain._completions[m, k]
 
@@ -473,10 +488,10 @@ def _block_paths(chain: MarkovChainSpec, m: int, k: int, integrated: int,
     state of the next block (see `simulate_block_sums`)."""
     S = chain.P.shape[0]
     levels = []
-    for values, _, tables in _block_tables(chain, m, k):
+    for units, _, tables in _block_tables(chain, m, k):
         # per outcome (i, t): the total, and the next start t
-        levels.append((np.repeat(values, S), np.tile(np.arange(S), values.size),
-                       tables, values.size * S))
+        levels.append((np.repeat(units / 1e12, S), np.tile(np.arange(S), units.size),
+                       tables, units.size * S))
     plan = draw_plan(k, len(levels))
     plan = [levels[b] for b in plan[:len(plan) - integrated]]
     # ends at exactly 1: a plain cumsum of pi can end just below it, and a

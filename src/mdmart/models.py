@@ -16,8 +16,8 @@ from itertools import accumulate
 import numpy as np
 from scipy.special import bdtrc, gammaln, xlogy
 
-from .alias import (BLOCK_TABLE_CELLS, alias_draw, alias_tables, compose, draw_plan, first_over,
-                    joined, last_draws_law, tail_index, tail_lookup)
+from .alias import (alias_draw, alias_tables, distinct_cells, doubled, draw_plan, first_over,
+                    last_draws_law, tail_index, tail_lookup)
 
 ATOL = 1e-12
 
@@ -244,33 +244,6 @@ class _BlockLaw:
                           alias_tables(prob.reshape(-1, self.width)))
 
 
-def _doubled(law, start, end, counts):
-    """The law of two blocks from that of one: law[j, i] = P(value sum lo +
-    i, end row end[j] | start row start[j]) with the value sums in lattice
-    units, one (start, end) pair j per row of law, sorted, and counts[j] the
-    steps per law of every block of pair j.  Returns (law, start, end,
-    counts) of two blocks, or None when a row of the doubled law would have
-    more than BLOCK_TABLE_CELLS cells, or when the steps per law of two
-    blocks are not a function of their start and end rows.  With A the
-    value sums of the blocks from s into r and B those from r into t, the
-    pairs from s into t have at least |A + B| >= |A| + |B| - 1 value sums
-    for each r, which refuses most doublings before any convolution;
-    `compose` refuses the rest as soon as one start row passes the cap."""
-    a, b = joined(start, end)
-    rows = end.max() + 1
-    into, pair = np.unique(start[a] * rows + end[b], return_inverse=True)
-    size = np.count_nonzero(law, axis=1)
-    bound = np.zeros(into.size, dtype=np.intp)
-    np.maximum.at(bound, pair, size[a] + size[b] - 1)
-    count = counts[a] + counts[b]
-    counts2 = count[np.unique(pair, return_index=True)[1]]
-    if (np.bincount(into // rows, bound).max() > BLOCK_TABLE_CELLS
-            or (counts2[pair] != count).any()):
-        return None
-    doubled = compose((law, start, end), (law, start, end), BLOCK_TABLE_CELLS)
-    return None if doubled is None else (*doubled, counts2)
-
-
 class MartingaleModel:
     """Base class: a pure state machine over history summaries.
 
@@ -489,7 +462,7 @@ class MartingaleModel:
         draws as `draw_plan` says: k // j times from the table of the most
         blocks j, and once from the table of 2^b blocks for each set bit b
         of k mod j.  The n mod B steps left over come last, from the
-        leftover table the same way.  For regime_switch at n = 1600, B = 8
+        leftover table, the plan's last.  For regime_switch at n = 1600, B = 8
         and j = 4, so a path takes 50 uniforms.  B = 1 would draw step by
         step.
 
@@ -533,15 +506,12 @@ class MartingaleModel:
             return TerminalBatch(
                 x=x * scale, tail=self._split_tail(past, x, rest),
                 log_weight=-lam * (x * scale) + (self.n - rest) * log_mgf[0] + rest * lump)
-        ladder, rem = self.block_tables(lam)
-        draws = [ladder[b] for b in self._blocks[1]]
-        if rem is not None:
-            draws.append(rem)
+        tables, plan = self.block_tables(lam), self._blocks[1]
         x = np.zeros(size)
         psi = np.zeros(size)
         row = np.zeros(size, dtype=np.intp)  # block-start row 0 is state 0
         integrated, index = self._completion if past is not None else (0, None)
-        for tab in draws[:len(draws) - integrated]:
+        for tab in [tables[b] for b in plan[:len(plan) - integrated]]:
             off = row * tab.width
             cell = off + alias_draw(tab.alias, off, tab.width, rng.random(size))
             x += tab.dx[cell]
@@ -601,15 +571,13 @@ class MartingaleModel:
         """(draws, index): how many of a path's last table draws
         `simulate_terminal` integrates with `past`, and the `tail_index` of
         their total under P per block-start row.  The draws are those of
-        `draw_plan` and then the leftover table, and their law is
+        the plan of `_blocks`, the leftover table last, and their law is
         `last_draws_law`'s, at most COMPLETION_CELLS lattice steps wide per
         row, its totals at lo + step i units.  When not even two draws fit,
         as when the value sums lie on no lattice, the last table is
         integrated alone, each cell at its own dx."""
-        ladder, plan, rem = self._blocks
-        tables = ladder + ([] if rem is None else [rem])
-        plan = plan + ([] if rem is None else [len(ladder)])
-        rows = ladder[0].log_p.size // ladder[0].width
+        tables, plan = self._blocks
+        rows = tables[0].log_p.size // tables[0].width
         # a path starts plan[1:] from a row its first draw ends in
         cells = [g.cells() for g in tables]
         law = last_draws_law(cells, plan[1:], cells[plan[0]][3], rows, COMPLETION_CELLS)
@@ -675,22 +643,22 @@ class MartingaleModel:
 
     @cached_property
     def _blocks(self):
-        """The tilt-free part of the block tables (ladder, plan, leftover).
-        ladder[b] is the `_BlockLaw` of 2^b blocks of B steps from each
-        block-start state reachable from state 0.  One forward pass over
-        every atom sequence from those states gives the first; its cells
-        hold value sums in lattice units, the gcd of the differences between
-        each law's atom values and its first, rounded to 12 decimals.  Each
-        next level is its predecessor composed with itself by convolution
-        along those units (`compose`), while 2^b blocks fit in n and a row
-        has at most BLOCK_TABLE_CELLS cells, which `_doubled` mostly shows
-        before any convolution.  The ladder keeps the first level alone when
-        the steps per law, and so Psi, are not a function of a block's start
-        and end rows, or when the value sums lie on no lattice: when more
-        units lie between the least and the greatest of them than the first
-        level has cells.  plan is the level each draw of a path uses
-        (`draw_plan`), and leftover the `_BlockLaw` of the n mod B steps left
-        over, from the same pass (None when B divides n)."""
+        """The tilt-free part of the block tables, (tables, plan).  tables[b]
+        is the `_BlockLaw` of 2^b blocks of B steps from each block-start
+        state reachable from state 0, a level of the ladder, and then, when
+        B does not divide n, that of the n mod B steps left over.  One
+        forward pass over every atom sequence from those states gives the
+        first level and the leftover table; its cells hold value sums in
+        lattice units, the gcd of the differences between each law's atom
+        values and its first, rounded to 12 decimals, and merge by
+        `distinct_cells`.  Each next level is its predecessor doubled along
+        those units (`doubled`), while 2^b blocks fit in n and a row has at
+        most BLOCK_TABLE_CELLS cells.  The ladder keeps the first level alone
+        when the steps per law, and so Psi, are not a function of a block's
+        start and end rows, or when the value sums lie on no lattice: when
+        more units lie between the least and the greatest of them than the
+        first level has cells.  plan is the table each draw of a path uses:
+        the levels of `draw_plan`, then the leftover table."""
         t = self.table
         S, width = t.T.shape
         steps, (rows, row_of) = block_steps(S, width), self._block_rows
@@ -717,19 +685,13 @@ class MartingaleModel:
 
         def cells(step, row_of):
             # the distinct (row, end row, steps per law, value sum) of a
-            # pass, sorted, and their probabilities; the columns fold into
-            # one int64 key, in the same order, when it holds them
+            # pass, sorted, and their probabilities
             end, p, k, count = passes[step]
             real = p > 0.0
-            cells = np.column_stack((np.nonzero(real)[0], row_of[end[real]], count[real], k[real]))
-            key = cells - cells.min(axis=0)
-            span = (key.max(axis=0) + 1).tolist()
-            if math.prod(span) < 1 << 63:
-                key = np.ravel_multi_index(key.T, span)
-            _, first, cell = np.unique(key, return_index=True, return_inverse=True,
-                                       axis=None if key.ndim == 1 else 0)
-            c = cells[first]
-            return c[:, 0], c[:, 1], c[:, 2:-1], c[:, -1], np.bincount(cell, weights=p[real])
+            cells = np.vstack((np.nonzero(real)[0], row_of[end[real]], count[real].T, k[real]))
+            first, cell = distinct_cells(cells)
+            c = cells[:, first]
+            return c[0], c[1], c[2:-1].T, c[-1], np.bincount(cell, weights=p[real])
 
         # a value sum in whole units of the lattice that holds every
         # law's first atom value and every unit, each rounded to 12 decimals
@@ -755,30 +717,31 @@ class MartingaleModel:
             law[pair, k - lo] = p
             (start, stop), counts = np.divmod(pairs, R), count[first]
             while len(ladder) < blocks.bit_length():
-                doubled = _doubled(law, start, stop, counts)
-                if doubled is None:
+                two = doubled(law, start, stop, counts)
+                if two is None:
                     break
-                (law, start, stop, counts), lo = doubled, 2 * lo
+                (law, start, stop, counts), lo = two, 2 * lo
                 j, i = np.nonzero(law)
                 ladder.append(level(steps << len(ladder), start[j], stop[j], counts[j], lo + i,
                                     law[j, i]))
-        # nothing is drawn after the leftover steps, so their end states are
-        # not needed: all map to row 0
-        rem = level(leftover, *cells(leftover, np.zeros_like(row_of))) if leftover else None
-        return ladder, draw_plan(blocks, len(ladder)), rem
+        plan = draw_plan(blocks, len(ladder))
+        if leftover:
+            # nothing is drawn after the leftover steps, so their end states
+            # are not needed: all map to row 0
+            plan.append(len(ladder))
+            ladder.append(level(leftover, *cells(leftover, np.zeros_like(row_of))))
+        return ladder, plan
 
     def block_tables(self, lam: float):
-        """(ladder, leftover) `BlockTable`s under P_lam: ladder[b] draws 2^b
-        blocks of B steps, and is None when no draw of a path uses it;
-        leftover draws the n mod B steps left over (None when B divides n).
-        Built once per lam and kept, since the estimators draw one chunk at
-        a time."""
+        """The `BlockTable`s under P_lam of the tables of `_blocks`, in
+        their order; None for a table that no draw of a path uses.  Built
+        once per lam and kept, since the estimators draw one chunk at a
+        time."""
         if lam not in self._block_cache:
             log_mgf = self.law_arrays(lam)[2]
-            ladder, plan, rem = self._blocks
-            self._block_cache[lam] = (
-                [g.tilted(lam, log_mgf) if b in plan else None for b, g in enumerate(ladder)],
-                None if rem is None else rem.tilted(lam, log_mgf))
+            tables, plan = self._blocks
+            self._block_cache[lam] = [g.tilted(lam, log_mgf) if b in plan else None
+                                      for b, g in enumerate(tables)]
         return self._block_cache[lam]
 
 

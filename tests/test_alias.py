@@ -150,10 +150,9 @@ def model_draws(model):
     path of the model draws after its first, in order, as `last_draws_law`
     reads them, the rows a path starts them from, those its first draw ends
     in, and the number of block-start rows."""
-    ladder, plan, rem = model._blocks
-    tables = [ladder[b] for b in plan] + ([] if rem is None else [rem])
-    cells = [g.cells() for g in tables]
-    return cells[1:], cells[0][3], ladder[0].log_p.size // ladder[0].width
+    tables, plan = model._blocks
+    cells = [tables[b].cells() for b in plan]
+    return cells[1:], cells[0][3], tables[0].log_p.size // tables[0].width
 
 
 def regime_switch_completion(n, gamma):
@@ -304,8 +303,8 @@ class TestLastDrawsLaw:
         # heap holds nothing, reads it; and it keeps no array that large
         pytest.importorskip("ctypes")
         model = make_regime_switch(1600, 0.3)
-        ladder, plan, _ = model._blocks
-        np.savez(tmp_path / "cells.npz", *[a for g in ladder for a in g.cells()])
+        tables, plan = model._blocks
+        np.savez(tmp_path / "cells.npz", *[a for g in tables for a in g.cells()])
         code = (
             "import ctypes, sys, threading\n"
             "import numpy as np\n"
@@ -333,7 +332,7 @@ class TestLastDrawsLaw:
             "tables = [tuple(a[i:i + 4]) for i in range(0, len(a), 4)]\n"
             "fresh = mapped()\n"
             f"draws, lo, step, law = last_draws_law(tables, {plan[1:]}, tables[{plan[0]}][3],\n"
-            f"                                      {ladder[0].log_p.size // ladder[0].width},\n"
+            f"                                      {tables[0].log_p.size // tables[0].width},\n"
             "                                      COMPLETION_CELLS)\n"
             "index = tail_index((lo[:, None] + step * np.arange(law.shape[1])) * 0.1, law)\n"
             "kept = max(x.nbytes for x in (lo, law, *index[:3]))\n"

@@ -375,6 +375,17 @@ def test_mixing_command(tmp_path, capsys):
     assert (info["draws_per_path"], info["draws_integrated"]) == (0, 7)
 
 
+def test_mixing_prints_row_flags(tmp_path, capsys):
+    # a row's flags follow it on the console, as in `tail`: at x = 30 no
+    # path of 100 comes near the tail, so that row's ESS is 0.  A row with
+    # none, as at x = 0.5, prints as before
+    assert main(["--out", str(tmp_path), "mixing", "--x", "0.5,30", "--budget", "100"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("x=")]
+    assert len(rows) == 2
+    assert "  [" not in rows[0]
+    assert rows[1].endswith("  [low_ess]")
+
+
 def test_readme_commands_parse(monkeypatch):
     # every `mdmart ...` command in the README parses; "$n" is a shell loop
     # variable in the Experiments section

@@ -78,8 +78,9 @@ def test_no_local_package_imports():
 # through its compiled state table, its tilted laws only as the padded arrays
 # of `law_arrays`, the moments of the one-sided condition only by `certify`
 # and `verify_certificate`, every Philox stream is built by the chunk engine,
-# both block samplers compose block laws through `alias.compose`, and the
-# law of a path's last draws is transformed only by `alias.last_draws_law`
+# both block samplers compose block laws through `alias.compose` (see
+# `test_one_doubling`), and the law of a path's last draws is transformed
+# only by `alias.last_draws_law`
 OWNED_CALLS = {"law_at": "models.py", "next_state": "models.py",
                "tilted_laws": "models.py", "moment_condition": "models.py",
                "Philox": "montecarlo.py", "convolve": "alias.py", "rfft": "alias.py",
@@ -167,19 +168,34 @@ def callers(source: str, name: str):
 
 
 def test_checker_finds_every_caller():
-    src = ("law = block_sum_distribution(c, 1)\n"
-           "def _block_law(c, m):\n    return mixing.block_sum_distribution(c, m)\n"
+    src = ("law = compose(a, b, 1)\n"
+           "def doubled(law):\n    return alias.compose(law, law, 2)\n"
            "class T:\n    def __init__(self, c):\n"
-           "        def inner():\n            return block_sum_distribution(c, 2)\n")
-    assert callers(src, "block_sum_distribution") == ["<module>", "_block_law", "inner"]
+           "        def inner():\n            return compose(c, c, 3)\n")
+    assert callers(src, "compose") == ["<module>", "doubled", "inner"]
+
+
+def all_callers(name):
+    """(file, innermost enclosing function) of each call to `name` in the
+    package."""
+    return [(path.name, owner) for path in sorted(SRC.glob("*.py"))
+            for owner in callers(path.read_text(), name)]
 
 
 def test_one_block_law():
     # the block-sum sampler, the Berbee coupling, the certificate's block
-    # moments and the exact variance all derive from the one block-law table
-    found = [(path.name, owner) for path in sorted(SRC.glob("*.py"))
-             for owner in callers(path.read_text(), "block_sum_distribution")]
-    assert found == [("mixing.py", "_block_law")], found
+    # moments and the exact variance all derive from the one block-law
+    # table, whose one forward pass is in `_block_law`; the models' block
+    # pass (`cells` in `_blocks`) merges its cells by the same rule
+    assert all_callers("distinct_cells") == [("mixing.py", "_block_law"),
+                                            ("models.py", "cells")]
+
+
+def test_one_doubling():
+    # both block samplers double their tables through one routine, the only
+    # caller of `compose`
+    assert all_callers("compose") == [("alias.py", "doubled")]
+    assert all_callers("doubled") == [("mixing.py", "_block_tables"), ("models.py", "_blocks")]
 
 
 # the code whose needs define the library: the package itself, the benchmark

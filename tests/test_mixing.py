@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from mdmart import mixing
-from mdmart.alias import draw_plan
-from mdmart.mixing import (BLOCK_SUM_CELLS, COMPLETION_CELLS, MIX_CHUNK, ChainError,
+from mdmart.alias import BLOCK_TABLE_CELLS, draw_plan
+from mdmart.mixing import (COMPLETION_CELLS, MIX_CHUNK, ChainError,
                            MarkovChainSpec, _block_law, _block_tables, _completion,
                            berbee_couple, berbee_mismatch_probability,
                            beta_by_enumeration, beta_coefficient,
                            beta_two_state_closed_form, block_indices,
-                           block_sum_distribution, certify_chain,
+                           certify_chain,
                            covariance_bound_check,
                            exact_block_sum_variance, fit_beta_decay,
                            mixing_tail_experiment, psi_bar_coefficient,
@@ -115,6 +115,109 @@ class TestBlocks:
             block_indices(1, 0.5)
 
 
+def block_sum_distribution(chain, m):
+    """Per start state: dict (y, end_state) -> prob of the length-m block sum
+    Y = f(X_1) + ... + f(X_m) started at X_1 = start, by a walk over a dict
+    of (sum, state) keys, each partial sum rounded to 12 decimals: the
+    oracle `_block_law` is held to."""
+    S = chain.P.shape[0]
+    out = []
+    for start in range(S):
+        dist = {(round(float(chain.f[start]), 12), start): 1.0}
+        for _ in range(m - 1):
+            nxt = {}
+            for (y, s), p in dist.items():
+                for t in range(S):
+                    pt = chain.P[s, t]
+                    if pt > 0.0:
+                        key = (round(y + float(chain.f[t]), 12), t)
+                        nxt[key] = nxt.get(key, 0.0) + p * pt
+            dist = nxt
+        out.append(dist)
+    return out
+
+
+def dict_block_law(chain, m):
+    """(ys, law) of `block_sum_distribution`, laid out as `_block_law`'s:
+    ys the sorted sums, law[s, i, e] = P(sum ys[i], end state e | start
+    s)."""
+    per_start = block_sum_distribution(chain, m)
+    S = chain.P.shape[0]
+    ys = np.array(sorted({y for dist in per_start for y, _ in dist}))
+    law = np.zeros((S, ys.size, S))
+    for s, dist in enumerate(per_start):
+        for (y, e), p in dist.items():
+            law[s, np.searchsorted(ys, y), e] = p
+    return ys, law
+
+
+def off_lattice_chain():
+    """three_state's matrix with a centred standard-normal f: the sums of
+    two steps are not equally spaced."""
+    P = three_state_chain().P
+    f = np.random.default_rng(5).standard_normal(3)
+    return MarkovChainSpec(states=[0, 1, 2], P=P, f=f - stationary_dist(P) @ f)
+
+
+class TestBlockLaw:
+    @pytest.mark.parametrize("m", [1, 2, 3, 9, 15, 39])
+    @pytest.mark.parametrize("make", [
+        lambda: two_state_chain(0.3, 0.3), lambda: two_state_chain(0.02, 0.1), three_state_chain,
+        off_lattice_chain, lambda: two_state_chain(0.1, 0.1)],
+        ids=["two_state(0.3,0.3)", "two_state(0.02,0.1)", "three_state", "off_lattice",
+             "two_state(0.1,0.1)"])
+    def test_pass_is_the_dict_walk(self, make, m):
+        # the numpy pass gives the dict walk's sums and probabilities bit
+        # for bit: each sum, rounded once as units, is the walk's rounded
+        # at every step, and each probability is summed in the walk's order
+        chain = make()
+        ys, law, hop, units = _block_law(chain, m)
+        want_ys, want_law = dict_block_law(chain, m)
+        assert np.array_equal(ys, want_ys)
+        assert np.array_equal(ys, units / 1e12)
+        assert np.array_equal(law, want_law)
+        assert np.array_equal(hop, np.linalg.matrix_power(chain.P, m + 1))
+
+    def test_sums_do_not_depend_on_the_order_of_states(self):
+        # at two_state(0.05, 0.9) the walk's rounding at every step splits
+        # one sum of 100 steps into several keys, by the order of its
+        # states: 674 keys for the 101 sums j f_0 + (100 - j) f_1.  The pass
+        # rounds f once, so the sums are the 101 points of one lattice, and
+        # the sampler doubles its tables: at n = 10^4, alpha = 0.5 one
+        # uniform draws 4 blocks, where the split sums drew 1
+        chain = two_state_chain(0.05, 0.9)
+        units = _block_law(chain, 100)[3]
+        assert dict_block_law(chain, 100)[0].size == 674
+        assert units.size == 101
+        assert np.diff(units, 2).max() == np.diff(units, 2).min() == 0
+        _, info = mixing_tail_experiment(chain, 10 ** 4, 0.5, [1.0], 100, 3)
+        assert info["blocks_per_draw"] > 1
+
+
+    def test_sums_past_int64_units_are_refused(self):
+        # two_state(1e-9, 0.9) has f = (3.3e-5, -3e4), about the largest
+        # |f| a two-state chain passes the centring check with; its sums of
+        # 200 steps reach 6e6, past the 2.3e6 (2^61 units of 1e-12) that the
+        # pass takes
+        chain = two_state_chain(1e-9, 0.9)
+        assert np.abs(chain.f).max() == pytest.approx(3e4)
+        with pytest.raises(ChainError):
+            _block_law(chain, 200)
+
+    def test_units_stay_in_int64(self):
+        # n = 10^5, alpha = 0.1: m = 3, k = 16,666.  The ladder stops
+        # doubling before its units could pass 2^62, at 32 blocks a draw
+        # (2.9e18 units; 64 blocks would reach 5.8e18), and a completion
+        # whose totals would pass 2^62 units integrates the last draw only
+        chain = two_state_chain(1e-9, 0.9)
+        m, k, _ = block_indices(10 ** 5, 0.1)
+        ladder = _block_tables(chain, m, k)
+        for units, _, _ in ladder:
+            assert (np.diff(units) > 0).all() and np.abs(units).max() < 1 << 62
+        _, info = mixing_tail_experiment(chain, 10 ** 5, 0.1, [0.5], 1000, 0)
+        assert (info["blocks_per_draw"], info["draws_integrated"]) == (32, 1)
+
+
 def exact_mismatch_probability(chain, m, k):
     """P(some block of k mismatches), by a forward pass over the S+1 cases
     of the coupling (the stationary start, then the previous block's end
@@ -193,7 +296,7 @@ class TestBerbee:
         # enumerate the true block-sum law for m = 3 and compare against the
         # empirical law of the coupled independent copies
         chain = two_state_chain(0.1, 0.1)
-        ys, law, _ = _block_law(chain, 3)
+        ys, law = _block_law(chain, 3)[:2]
         marg = dict(zip(ys.tolist(), (chain.pi @ law.sum(axis=2)).tolist()))
         # independent oracle: enumerate all length-3 state paths directly
         oracle = {}
@@ -431,29 +534,31 @@ class TestTailExperiment:
         (10 ** 4, 0.3, 1, 5), (5000, 0.5, 1, 2)], ids=["10000-0.3-1", "5000-0.5-1"])
     def test_block_law_built_once(self, monkeypatch, n, alpha, builds, doublings):
         # the certificate, the exact variance and the sampler share one block
-        # law per (chain, m), also at n = 5000, alpha = 0.5, where m = 70.
-        # The sampler's doubled tables are built once too, though the
-        # sampler and the info both ask for them: at m = 15, k = 333 the
-        # tables of 2, 4, 8, 16 and 32 blocks (64 blocks take 961 totals,
-        # 1922 cells, past BLOCK_SUM_CELLS); at m = 70, k = 35 those of 2
-        # and 4 blocks (8 blocks take 561 totals, 1122 cells)
+        # law per (chain, m), also at n = 5000, alpha = 0.5, where m = 70:
+        # its pass merges the cells of each of its m - 1 steps once.  The
+        # sampler's doubled tables are built once too, though the sampler
+        # and the info both ask for them: at m = 15, k = 333 the tables of
+        # 2, 4, 8, 16 and 32 blocks (64 blocks take 961 totals, 1922
+        # cells, past BLOCK_TABLE_CELLS); at m = 70, k = 35 those of 2 and 4
+        # blocks (8 blocks take 561 totals, 1122 cells)
         calls, doubled = [], []
-        real, real_double = mixing.block_sum_distribution, mixing.double_block_law
+        real, real_double = mixing.distinct_cells, mixing.doubled
 
-        def counted(chain, m):
-            calls.append(m)
-            return real(chain, m)
+        def counted(cells):
+            calls.append(cells.shape)
+            return real(cells)
 
-        def counted_double(table, max_cells):
-            table = real_double(table, max_cells)
-            if table is not None:
-                doubled.append(table[0].size)
-            return table
+        def counted_double(*args):
+            two = real_double(*args)
+            if two is not None:
+                doubled.append(two[0].shape)
+            return two
 
-        monkeypatch.setattr(mixing, "block_sum_distribution", counted)
-        monkeypatch.setattr(mixing, "double_block_law", counted_double)
+        monkeypatch.setattr(mixing, "distinct_cells", counted)
+        monkeypatch.setattr(mixing, "doubled", counted_double)
         mixing_tail_experiment(two_state_chain(0.3, 0.3), n, alpha, [0.5, 1.0], 1000, 0)
-        assert len(calls) == builds, calls
+        m = block_indices(n, alpha)[0]
+        assert len(calls) == builds * (m - 1), calls
         assert len(doubled) == doublings, doubled
 
     def test_block_constants_are_the_blocks(self):
@@ -631,17 +736,21 @@ class TestDoubledTables:
     def check_ladder(chain, m, k):
         # every doubling up to the cell bound matches the brute-force
         # composition; a lattice chain's 2^b-block totals take
-        # 2^b (Y - 1) + 1 values, where one block's take Y, and they are
-        # the rounded pair sums of the level below, bit for bit
+        # 2^b (Y - 1) + 1 values, where one block's take Y, and in units
+        # they are the pair sums of the level below, exactly; as floats,
+        # the rounded pair sums, bit for bit
         S = chain.P.shape[0]
         ladder = _block_tables(chain, m, k)
         composed = composed_tables(chain, m, len(ladder))
         Y = ladder[0][0].size
-        for b, ((values, joint, _), table) in enumerate(zip(ladder, composed)):
+        for b, ((units, joint, _), table) in enumerate(zip(ladder, composed)):
+            values = units / 1e12
             assert values.size == (Y - 1 << b) + 1
-            assert values.size * S <= BLOCK_SUM_CELLS
+            assert values.size * S <= BLOCK_TABLE_CELLS
             if b:
                 below = ladder[b - 1][0]
+                assert np.array_equal(units, np.unique(np.add.outer(below, below))), b
+                below = below / 1e12
                 assert np.array_equal(
                     values, np.unique(np.round(np.add.outer(below, below), 12))), b
             keys = np.unique(np.concatenate([y for y, _, _ in table]))
@@ -669,7 +778,7 @@ class TestDoubledTables:
                 bound = 1e-14
             assert error <= bound + 2.0 * EPS, (b, error, bound)
         # the next doubling would pass the cell bound
-        assert ((Y - 1 << len(ladder)) + 1) * S > BLOCK_SUM_CELLS
+        assert ((Y - 1 << len(ladder)) + 1) * S > BLOCK_TABLE_CELLS
 
     def test_chain_off_a_lattice_draws_one_block_per_uniform(self):
         # a centred standard-normal f: the totals of two steps are not
@@ -677,9 +786,7 @@ class TestDoubledTables:
         # takes k draws, of which the experiment integrates only the last;
         # its totals still follow the law of k = 8 blocks composed by brute
         # force.  n = 32, alpha = 0.25: m = 2, k = 8
-        P = three_state_chain().P
-        f = np.random.default_rng(5).standard_normal(3)
-        chain = MarkovChainSpec(states=[0, 1, 2], P=P, f=f - stationary_dist(P) @ f)
+        chain = off_lattice_chain()
         n, alpha, paths = 32, 0.25, 10 ** 5
         m, k, _ = block_indices(n, alpha)
         assert (m, k) == (2, 8)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from mdmart import models
+from mdmart import alias
 from mdmart.alias import BLOCK_TABLE_CELLS, draw_plan
 from mdmart.models import (ATOL, BLOCK_CELLS, DEFAULT_GRID, Certificate,
                            CertificationError, ConditionalLaw, IIDModel,
@@ -543,6 +543,13 @@ def row0_law(tab, lam):
     return dx, -lam * dx + tab.dpsi[row0], tab.prob[row0]
 
 
+def levels(model):
+    """The levels of a model's ladder: its block tables less the leftover
+    one, whose steps B does not divide."""
+    tables = model._blocks[0]
+    return [g for g in tables if g.steps % tables[0].steps == 0]
+
+
 class CountingRng:
     """A generator that records the size of every `random` call."""
 
@@ -730,9 +737,9 @@ class TestStateTable:
         # per law are not a function of a block's start and end rows
         steps = block_steps(*make(1).table.T.shape)
         assert len(make(2 * steps)._blocks[0]) == levels
-        tables = [(steps << b, make(steps << b).block_tables(lam)[0][b])
+        tables = [(steps << b, make(steps << b).block_tables(lam)[b])
                   for b in range(levels) if steps << b <= 14]
-        tables.append((3, make(3).block_tables(lam)[1]))
+        tables.append((3, make(3).block_tables(lam)[-1]))
         for n, tab in tables:
             assert tab.steps == n
             dx, lw, prob = row0_law(tab, lam)
@@ -750,11 +757,12 @@ class TestStateTable:
         # against the forward pass over (state, X)
         for gamma, steps in ((0.2, [9, 18, 36, 72]), (0.25, [9, 18, 36]),
                              (0.3, [8, 16, 32]), (0.45, [7, 14])):
-            ladder = make_regime_switch(1600, gamma)._blocks[0]
-            assert [level.steps for level in ladder] == steps
+            # the table of the 1600 mod B steps left over comes last
+            tables = make_regime_switch(1600, gamma)._blocks[0]
+            assert [g.steps for g in tables] == steps + [1600 % steps[0]] * (1600 % steps[0] > 0)
             for b, n in enumerate(steps):
                 m = make_regime_switch(n, gamma)
-                tab = m.block_tables(lam)[0][b]
+                tab = m.block_tables(lam)[b]
                 assert tab.steps == m.n
                 dx, lw, prob = row0_law(tab, lam)
                 (got_x,), (mass, m2) = by_value([dx], [prob, prob * np.exp(2.0 * lw)])
@@ -772,11 +780,11 @@ class TestStateTable:
         # first doubling whose rows would not: with the cap raised, the next
         # level is built and is wider.  sign_switch, whose steps per law are
         # not a function of a block's start and end rows, keeps level 0
-        ladder = make()._blocks[0]
+        ladder = levels(make())
         assert all(level.width <= BLOCK_TABLE_CELLS for level in ladder)
         assert 1 << len(ladder) <= 1600 // ladder[0].steps
-        monkeypatch.setattr(models, "BLOCK_TABLE_CELLS", 4 * BLOCK_TABLE_CELLS)
-        wider = make()._blocks[0]
+        monkeypatch.setattr(alias, "BLOCK_TABLE_CELLS", 4 * BLOCK_TABLE_CELLS)
+        wider = levels(make())
         if isinstance(make(), SignSwitch):
             assert len(ladder) == len(wider) == 1
             return
@@ -788,7 +796,7 @@ class TestStateTable:
         # the support bound shows that before any convolution, so every
         # np.convolve call is made by the doublings to 16 and 32 steps
         calls, composed = [], []
-        convolve, compose = np.convolve, models.compose
+        convolve, compose = np.convolve, alias.compose
 
         def counted_convolve(a, b):
             calls.append(1)
@@ -801,8 +809,8 @@ class TestStateTable:
             return out
 
         monkeypatch.setattr(np, "convolve", counted_convolve)
-        monkeypatch.setattr(models, "compose", counted_compose)
-        ladder = make_regime_switch(1600, 0.3)._blocks[0]
+        monkeypatch.setattr(alias, "compose", counted_compose)
+        ladder = levels(make_regime_switch(1600, 0.3))
         assert [(level.steps, level.width) for level in ladder] == [(8, 66), (16, 252), (32, 868)]
         assert len(composed) == 2 and sum(composed) == len(calls) > 0
 
@@ -813,7 +821,7 @@ class TestStateTable:
         # after that row's 8 of its 1,160 convolutions.  The ladder keeps
         # its two levels
         calls, composed = [], []
-        convolve, compose = np.convolve, models.compose
+        convolve, compose = np.convolve, alias.compose
 
         def counted_convolve(a, b):
             calls.append(1)
@@ -826,8 +834,8 @@ class TestStateTable:
             return out
 
         monkeypatch.setattr(np, "convolve", counted_convolve)
-        monkeypatch.setattr(models, "compose", counted_compose)
-        ladder = make_regime_switch(1600, 0.45)._blocks[0]
+        monkeypatch.setattr(alias, "compose", counted_compose)
+        ladder = levels(make_regime_switch(1600, 0.45))
         assert [(level.steps, level.width) for level in ladder] == [(7, 48), (14, 198)]
         assert composed[0][1] is False and composed[1] == (8, True)
 
@@ -845,17 +853,18 @@ class TestStateTable:
                                    4 * _B_RS + 3, 7 * _B_RS + 5])
     def test_one_uniform_per_planned_draw(self, n):
         # a path of k = n // B blocks takes one uniform per draw of
-        # draw_plan(k, levels), and one for the leftover steps; the tables
-        # drawn from cover the n steps
+        # draw_plan(k, levels), and one for the leftover steps, from the
+        # plan's last table; the tables drawn from cover the n steps
         m = make_regime_switch(n, 0.3)
         rng = CountingRng(0)
         m.simulate_terminal(100, rng, 0.8)
-        ladder, plan, rem = m._blocks
-        assert plan == draw_plan(n // _B_RS, len(ladder))
-        assert rng.calls == [100] * (len(plan) + (n % _B_RS > 0))
-        tables, leftover = m.block_tables(0.8)
-        assert sum(tables[b].steps for b in plan) + n % _B_RS == n
-        assert (leftover is None) == (rem is None) == (n % _B_RS == 0)
+        tables, plan = m._blocks
+        ladder = levels(m)
+        assert plan == draw_plan(n // _B_RS, len(ladder)) + [len(ladder)] * (n % _B_RS > 0)
+        assert len(tables) == len(ladder) + (n % _B_RS > 0)
+        assert rng.calls == [100] * len(plan)
+        tilted = m.block_tables(0.8)
+        assert sum(tilted[b].steps for b in plan) == n
 
     def test_regime_switch_draw_count(self):
         # at n = 1600 a regime_switch path takes at most 50 uniforms: the

@@ -310,12 +310,8 @@ def every_path(model, lam, past, monkeypatch):
         prob = [multinomial(full, p[:drawn].tolist() + [p[drawn:].sum()])
                 for p in (t.probs[0, order], model.law_arrays(lam)[1][0, order])]
         return (*prob, batch)
-    ladder, rem = model.block_tables(0.0)
-    tilted, tilted_rem = model.block_tables(lam)
-    plan = model._blocks[1]
-    draws = list(zip([ladder[b] for b in plan], [tilted[b] for b in plan]))
-    if rem is not None:
-        draws.append((rem, tilted_rem))
+    tables, tilted, plan = model.block_tables(0.0), model.block_tables(lam), model._blocks[1]
+    draws = [(tables[b], tilted[b]) for b in plan]
     seqs = [((), 1.0, 1.0, 0)]  # (columns, P, P_lam, row)
     for tab, tilt in draws[:len(draws) - (model._completion[0] if past is not None else 0)]:
         seqs = [(cols + (c,), p * tab.prob[r * tab.width + c], q * tilt.prob[r * tab.width + c],
@@ -365,15 +361,16 @@ OFF_LATTICE = (0.05, 0.31, 0.77)
 class TestConditionalRoute:
     def test_last_draws(self):
         # the tables the ladder models draw last are the ones named above
-        ladder, plan, rem = CONDITIONAL_MODELS["regime_switch-n5"]._blocks
-        assert plan == [] and rem.steps == 5
-        ladder, plan, rem = CONDITIONAL_MODELS["regime_switch-n19"]._blocks
-        assert rem is not None and rem.steps == 3
-        ladder, plan, rem = CONDITIONAL_MODELS["regime_switch-n24"]._blocks
-        assert rem is None and plan == [1, 0] and len(ladder) == 2
-        ladder, plan, rem = CONDITIONAL_MODELS["regime_switch-n96"]._blocks
-        assert rem is None and plan == [2, 2, 2]
-        assert CONDITIONAL_MODELS["sign_switch-n11"]._blocks[2].steps == 3
+        tables, plan = CONDITIONAL_MODELS["regime_switch-n5"]._blocks
+        assert plan == [1] and tables[1].steps == 5
+        tables, plan = CONDITIONAL_MODELS["regime_switch-n19"]._blocks
+        assert plan[-1] == len(tables) - 1 and tables[-1].steps == 3
+        tables, plan = CONDITIONAL_MODELS["regime_switch-n24"]._blocks
+        assert plan == [1, 0] and len(tables) == 2
+        tables, plan = CONDITIONAL_MODELS["regime_switch-n96"]._blocks
+        assert plan == [2, 2, 2] and len(tables) == 3
+        tables, plan = CONDITIONAL_MODELS["sign_switch-n11"]._blocks
+        assert tables[plan[-1]].steps == 3
         assert {k: m._completion[0] for k, m in CONDITIONAL_MODELS.items()
                 if len(m.table.states) > 1} == \
             {"regime_switch-n5": 1, "regime_switch-n19": 1, "regime_switch-n24": 1,
