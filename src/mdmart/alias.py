@@ -10,9 +10,9 @@ of one (`doubled`), by convolution along those units (`compose`), the one
 routine by which both block samplers double their tables; the plan by
 which they draw 2^b blocks with one uniform; the law of the total of a
 path's last draws, composed in frequency space (`last_draws_law`), the one
-engine behind both samplers' completions; and the tail of those draws
-given a path's value so far (`tail_index`, `tail_lookup`), which both
-integrate instead of drawing them."""
+engine behind both samplers' completions, at one cap (`COMPLETION_CELLS`);
+and the tail of those draws given a path's value so far (`tail_index`,
+`tail_lookup`), which both integrate instead of drawing them."""
 from __future__ import annotations
 
 import math
@@ -26,6 +26,14 @@ import numpy as np
 # cells on regime_switch at n = 1600, and of 512, 1024 and 2048 on the
 # mixing benchmark's chains (see CHANGES.md)
 BLOCK_TABLE_CELLS = 1024
+
+# most lattice steps per start row in the law of a path's last draws, which
+# both samplers integrate instead of drawing (`last_draws_law`).  A wider
+# law integrates more draws and leaves less variance, but it takes longer
+# to transform: 4096 was the best of 512 to 4096 steps on regime_switch at
+# n = 400, 1600 and 6400, and at it the mixing defaults integrate 11 of
+# their 13 draws (see CHANGES.md)
+COMPLETION_CELLS = 4096
 
 # no array that `last_draws_law` allocates or keeps reaches this many bytes.
 # glibc serves a block this large by mmap, and freeing one raises its mmap
@@ -107,22 +115,23 @@ def joined(start, end):
     return a, np.arange(a.size) + np.repeat(first - (np.cumsum(many) - many), many)
 
 
-def compose(first, second, cap):
+def compose(first, second, joins, cap):
     """The law of a block of `first` followed by one of `second`, for a
     chain whose block total and next start state depend only on the block's
     start state.  Each is (law, start, end): law[j, i] = P(total i, end row
     end[j] | start row start[j]) > 0 for some i, with the totals i on one
     lattice, one step apart, and the (start, end) pairs distinct and
-    sorted; the rows of `second` are rows the blocks of `first` end in.
-    The total of the two is i + i', so the sum over joined blocks is a
-    convolution along the totals:
+    sorted; the rows of `second` are rows the blocks of `first` end in, and
+    `joins` are the pairs of blocks that join, joined(second's start,
+    first's end).  The total of the two is i + i', so the sum over joined
+    blocks is a convolution along the totals:
         law2[(s, t), :] = sum_r convolve(first[(s, r)], second[(r, t)]),
     summed over r in increasing order, with Y + Y' - 1 totals.  Returns
     (law2, start2, end2) for the pairs (s, t) that some r joins, sorted; a
     pair no r joins has probability 0.  Returns None once the pairs of one
     start row, all joins into them done, hold more than `cap` nonzero
     cells."""
-    (law, start, end), (law_b, start_b, end_b) = first, second
+    (law, start, _), (law_b, _, end_b) = first, second
     law2, row, begin, to = {}, None, start.tolist(), end_b.tolist()
 
     def full(pairs):
@@ -130,7 +139,7 @@ def compose(first, second, cap):
 
     # the joins come sorted by start row, so each row's pairs are done
     # when the next row's first join comes
-    for i, j in zip(*(a.tolist() for a in joined(start_b, end))):
+    for i, j in zip(*(a.tolist() for a in joins)):
         if begin[i] != row:
             if row is not None and full(law2[row]):
                 return None
@@ -184,11 +193,11 @@ def doubled(law, start, end, counts):
     if (np.bincount(into // rows, bound).max() > BLOCK_TABLE_CELLS
             or (counts2[pair] != count).any()):
         return None
-    law2 = compose((law, start, end), (law, start, end), BLOCK_TABLE_CELLS)
+    law2 = compose((law, start, end), (law, start, end), (a, b), BLOCK_TABLE_CELLS)
     return None if law2 is None else (*law2, counts2)
 
 
-def last_draws_law(tables, plan, entry, rows, cap):
+def last_draws_law(tables, plan, entry, rows):
     """The law under P of the total of a path's last D table draws, given
     the block-start row before them.  tables[j] is (pos, p, start, end), per
     cell of one table: its total in whole lattice units, its probability,
@@ -203,11 +212,12 @@ def last_draws_law(tables, plan, entry, rows, cap):
     their totals may lie on a coarser lattice: `step` is the gcd of the
     differences between the totals of each draw's cells, so each draw's
     totals share one residue mod step.  D is the largest number of last
-    draws, at most len(plan), whose totals from each row span at most `cap`
-    steps, and whose spectra over all rows, at the least power of two N
-    that holds every span, stay under ARRAY_BYTES.  The spans come first,
-    from the least and the greatest total of each (start, end) pair: lo_s
-    <- min over pairs of lo_{s,r} + lo_r, and hi_s likewise.
+    draws, at most len(plan), whose totals from each row span at most
+    COMPLETION_CELLS steps, and whose spectra over all rows, at the least
+    power of two N that holds every span, stay under ARRAY_BYTES.  The
+    spans come first, from the least and the greatest total of each (start,
+    end) pair: lo_s <- min over pairs of lo_{s,r} + lo_r, and hi_s
+    likewise.
 
     The law is then built backwards in frequency space.  C_s, the law of
     the totals from row s, starts as the last table's from s, summed over
@@ -216,12 +226,15 @@ def last_draws_law(tables, plan, entry, rows, cap):
     L_{s,r} that draw's table from s into r: a product per frequency, over
     the (start, end) pairs.  Each distinct table is transformed once
     (`rfft`, in chunks of pairs under ARRAY_BYTES), each total at its steps
-    mod N, and the law once at the end (`irfft`), its negative rounding
-    noise clipped to 0.  No span exceeds N, so no two totals of one row
-    share a residue mod N: the circular convolution is the linear one, read
-    from lo_s on.  The rounding leaves each cell off by about 1e-17 to 1e-16
-    absolute; the law only multiplies a likelihood ratio of mean 1, so an
-    absolute error in its tails moves an estimate's mean by no more (see
+    mod N, and the law once at the end (`irfft`).  No span exceeds N, so no
+    two totals of one row share a residue mod N: the circular convolution
+    is the linear one, read from lo_s on.  The rounding leaves each cell
+    off by a few 1e-18 to a few 1e-17 absolute, both ways, so every cell
+    below the bound on that error (`rounding_error`) is set to 0: clipping
+    only the negative noise would leave the positive noise, a one-sided
+    bias that gives a tail no path reaches a probability of about 1e-16.
+    The law only multiplies a likelihood ratio of mean 1, so an absolute
+    error in its tails moves an estimate's mean by no more (see
     CHANGES.md)."""
     if len(plan) < 2:
         return None
@@ -263,7 +276,7 @@ def last_draws_law(tables, plan, entry, rows, cap):
         finer, wider = math.gcd(step, gcd), max(widest, span(lo2, hi2))
         width = wider // (finer or 1) + 1
         size = 1 << (width - 1).bit_length()
-        if width > cap or rows * (size + 2) * 8 >= ARRAY_BYTES:
+        if width > COMPLETION_CELLS or rows * (size + 2) * 8 >= ARRAY_BYTES:
             break
         lo, hi, draws, step, widest = lo2, hi2, draws + 1, finer, wider
     if draws < 2:
@@ -301,7 +314,7 @@ def last_draws_law(tables, plan, entry, rows, cap):
                 prior[row] += term[i]
         spec, prior = prior, spec
     law = np.fft.irfft(spec, n=size)
-    np.maximum(law, 0.0, out=law)
+    law[law < rounding_error(law, draws)[:, None]] = 0.0
     some = lo < math.inf
     lo = np.where(some, lo, offset).astype(np.int64)
     # each row's totals from its least on, read around the circle
@@ -311,6 +324,25 @@ def last_draws_law(tables, plan, entry, rows, cap):
         head = law[row, first:first + count]
         out[row, :head.size], out[row, head.size:count] = head, law[row, :count - head.size]
     return draws, lo, step, out
+
+
+def rounding_error(law, draws):
+    """A bound, per row, on the rounding error of each cell of the law that
+    `last_draws_law` composes from `draws` tables, law[s] of length N as
+    the inverse transform leaves it.  Each cell's error sums many small
+    independent roundings: of each table's transform, of the products and
+    sums over pairs, and of the inverse transform.  In root mean square
+    they leave each frequency of row s off by about eps sqrt(draws + log2
+    N) of its modulus, and the inverse transform spreads that error evenly
+    over the N cells (Parseval), so each cell is off by an about normal
+    error of standard deviation
+        sigma_s = eps ||law[s]||_2 sqrt((draws + log2 N) / N).
+    The bound is 8 sigma_s, where the largest of N <= 4096 normal errors
+    rarely passes 4.5 sigma_s.  On every law the tests hold to direct
+    convolution, no cell is off by 3 sigma_s."""
+    size = law.shape[1]
+    spread = (draws + math.log2(size)) / size
+    return 8.0 * np.finfo(float).eps * np.sqrt(np.einsum("ij,ij->i", law, law) * spread)
 
 
 def first_over(i, top, over):

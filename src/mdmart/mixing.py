@@ -16,8 +16,10 @@ block-sum sampler draws 2^b blocks with one uniform, from that table
 bridged over the gap and doubled b times along those units (`_block_tables`,
 through `alias.doubled`, the models' doubling routine too), and the tail
 experiment integrates the last of those draws exactly (`_completion`), their
-law built by the engine that the models' completions use too
-(`alias.last_draws_law`)."""
+law built by the engine that the models' completions use too, at their cap
+(`alias.last_draws_law`, `alias.COMPLETION_CELLS`).  At the CLI defaults a
+path draws 2 tables and integrates the other 11, and only the tables that
+are drawn get alias tables."""
 from __future__ import annotations
 
 import math
@@ -35,13 +37,6 @@ from .montecarlo import (RatioReport, check_x_grid, estimate_from_sums, ratio_ro
 # estimators; the chunk size is a fixed constant, so determinism is unaffected.
 # The Berbee coupling draws its reps in chunks of the same size.
 MIX_CHUNK = 65536
-
-# most block totals per start state in the law of the last draws of a path,
-# which the tail experiment integrates instead of drawing.  More totals
-# integrate more draws and leave less variance, but the law takes longer to
-# build: COMPLETION_CELLS was chosen by a sweep on the benchmark's chains
-# (see CHANGES.md)
-COMPLETION_CELLS = 2048
 
 
 class ChainError(ValueError):
@@ -92,6 +87,7 @@ class MarkovChainSpec:
         self.pi = stationary_dist(self.P)
         self._block_laws = {}   # m -> _block_law(self, m), derived like pi
         self._block_tables = {}  # m -> the doubling ladder of _block_tables
+        self._alias_tables = {}  # (m, b) -> alias tables of ladder level b, once drawn
         self._completions = {}  # (m, k) -> _completion(self, m, k)
         if len(self.states) != self.P.shape[0] or self.f.size != self.P.shape[0]:
             raise ChainError("states, P and f sizes disagree")
@@ -404,10 +400,10 @@ def exact_block_sum_variance(chain: MarkovChainSpec, n: int, alpha: float) -> fl
 def _block_tables(chain: MarkovChainSpec, m: int, k: int):
     """The tables that draw 1, 2, 4, ..., j consecutive blocks of length m
     with one uniform each, for a path of k blocks.  Entry b is (units,
-    joint, tables) for 2^b blocks: joint[s, i, t] = P(total units[i] / 1e12,
-    next start t | start s), the totals in whole units of 1e-12 as in the
-    block law, and `tables` are the alias tables of its rows, one per start
-    state, flattened over (i, t).
+    joint) for 2^b blocks: joint[s, i, t] = P(total units[i] / 1e12, next
+    start t | start s), the totals in whole units of 1e-12 as in the block
+    law.  A path draws from the rows of joint, one per start state,
+    flattened over (i, t), through their alias tables (`_block_paths`).
 
     The first is the block law bridged over the gap, joint[s, i, t] =
     sum_e law[s, i, e] P^{m+1}[e, t]; each next one is its predecessor
@@ -425,7 +421,7 @@ def _block_tables(chain: MarkovChainSpec, m: int, k: int):
     S = chain.P.shape[0]
     while len(ladder) < k.bit_length():
         if ladder:
-            units, joint = ladder[-1][:2]
+            units, joint = ladder[-1]
             Y = units.size
             if ((2 * Y - 1) * S > BLOCK_TABLE_CELLS or np.diff(units, 2).any()
                     or np.abs(units).max() >= 1 << 61):
@@ -440,7 +436,7 @@ def _block_tables(chain: MarkovChainSpec, m: int, k: int):
         else:
             _, law, hop, units = _block_law(chain, m)
             joint = np.einsum("sie,et->sit", law, hop)
-        ladder.append((units, joint, alias_tables(joint.reshape(S, -1))))
+        ladder.append((units, joint))
     return ladder[:k.bit_length()]
 
 
@@ -448,27 +444,26 @@ def _completion(chain: MarkovChainSpec, m: int, k: int):
     """(draws, index): the last `draws` table draws of a k-block path and
     the `tail_index` of their total given the block-start state before
     them, one row per start state.  Their law is `last_draws_law`'s, at
-    most COMPLETION_CELLS lattice steps wide per start state, from the
-    ladder's nonzero (total, next start) cells, each total in steps from
-    its table's least.  The stationary start may be any state, so a path
-    may start the plan's first draw from every state, and all its draws may
-    be integrated.  The steps are lattice steps when the tables' units are
-    equally spaced, as every doubled table's are; a total of the draws maps
-    back to the sum of their least units plus its steps times the units a
-    step, over 1e12, as the tables' totals are.  A chain off a lattice, one
-    where not even two draws fit, or one whose completed totals would pass
-    2^62 units integrates its last draw only, at the table's own totals.
-    Kept on the chain, per (m, k)."""
+    most `alias.COMPLETION_CELLS` lattice steps wide per start state, the
+    models' cap too, from the ladder's nonzero (total, next start) cells,
+    each total in steps from its table's least.  The stationary start may
+    be any state, so a path may start the plan's first draw from every
+    state, and all its draws may be integrated.  The steps are lattice
+    steps when the tables' units are equally spaced, as every doubled
+    table's are; a total of the draws maps back to the sum of their least
+    units plus its steps times the units a step, over 1e12, as the tables'
+    totals are.  A chain off a lattice, one where not even two draws fit,
+    or one whose completed totals would pass 2^62 units integrates its last
+    draw only, at the table's own totals.  Kept on the chain, per (m, k)."""
     if (m, k) not in chain._completions:
         ladder = _block_tables(chain, m, k)
         plan = draw_plan(k, len(ladder))
         S = chain.P.shape[0]
-        nonzero = [(joint, np.nonzero(joint)) for _, joint, _ in ladder]
+        nonzero = [(joint, np.nonzero(joint)) for _, joint in ladder]
         cells = [(i, joint[s, i, t], s, t) for joint, (s, i, t) in nonzero]
         top = ladder[-1][0]
-        law = None if np.diff(top, 2).any() else last_draws_law(cells, plan, np.arange(S), S,
-                                                                COMPLETION_CELLS)
-        units, joint = ladder[plan[-1]][:2]
+        law = None if np.diff(top, 2).any() else last_draws_law(cells, plan, np.arange(S), S)
+        units, joint = ladder[plan[-1]]
         draws, totals, p = 1, np.tile(units / 1e12, (S, 1)), joint.sum(axis=2)
         if law is not None:
             D, lo, step, law = law
@@ -485,15 +480,20 @@ def _block_paths(chain: MarkovChainSpec, m: int, k: int, integrated: int,
                  budget: int, seed: int):
     """(total, state) of `budget` stationary k-block paths drawn up to their
     last `integrated` table draws: the sum of the blocks drawn and the start
-    state of the next block (see `simulate_block_sums`)."""
+    state of the next block (see `simulate_block_sums`).  Only the ladder
+    levels that the paths draw from get alias tables, each built once and
+    kept on the chain, per (m, level)."""
     S = chain.P.shape[0]
-    levels = []
-    for units, _, tables in _block_tables(chain, m, k):
+    ladder = _block_tables(chain, m, k)
+    plan = draw_plan(k, len(ladder))
+    drawn = []
+    for b in plan[:len(plan) - integrated]:
+        units, joint = ladder[b]
+        if (m, b) not in chain._alias_tables:
+            chain._alias_tables[m, b] = alias_tables(joint.reshape(S, -1))
         # per outcome (i, t): the total, and the next start t
-        levels.append((np.repeat(units / 1e12, S), np.tile(np.arange(S), units.size),
-                       tables, units.size * S))
-    plan = draw_plan(k, len(levels))
-    plan = [levels[b] for b in plan[:len(plan) - integrated]]
+        drawn.append((np.repeat(units / 1e12, S), np.tile(np.arange(S), units.size),
+                      chain._alias_tables[m, b], units.size * S))
     # ends at exactly 1: a plain cumsum of pi can end just below it, and a
     # uniform past the end would start a path in no state
     cum_pi = np.cumsum(chain.pi / chain.pi.sum())
@@ -503,7 +503,7 @@ def _block_paths(chain: MarkovChainSpec, m: int, k: int, integrated: int,
     for rng, size in seeded_chunks(seed, budget, MIX_CHUNK):
         at = np.searchsorted(cum_pi, rng.random(size), side="right")
         sums = np.zeros(size)
-        for value, nxt, tables, width in plan:
+        for value, nxt, tables, width in drawn:
             idx = alias_draw(tables, at * width, width, rng.random(size))
             sums += value[idx]
             at = nxt[idx]

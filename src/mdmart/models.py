@@ -31,12 +31,6 @@ DEFAULT_GRID = tuple(2.0 ** j for j in range(-6, 11))
 # atom sequence) cells
 BLOCK_CELLS = 1 << 15
 
-# most lattice units per block-start row in the law of a path's last draws,
-# which the tilted estimator integrates instead of drawing.  More units
-# integrate more draws and leave less variance, but the law takes longer to
-# build: chosen by a sweep over n and gamma on regime_switch (see CHANGES.md)
-COMPLETION_CELLS = 4096
-
 # most cells `terminal_law` tabulates (a two-atom i.i.d. law has n + 1): a
 # memory bound, as an estimate on the cells holds about 80 bytes a cell,
 # 20 MB at this cap
@@ -572,15 +566,15 @@ class MartingaleModel:
         `simulate_terminal` integrates with `past`, and the `tail_index` of
         their total under P per block-start row.  The draws are those of
         the plan of `_blocks`, the leftover table last, and their law is
-        `last_draws_law`'s, at most COMPLETION_CELLS lattice steps wide per
-        row, its totals at lo + step i units.  When not even two draws fit,
-        as when the value sums lie on no lattice, the last table is
-        integrated alone, each cell at its own dx."""
+        `last_draws_law`'s, at most `alias.COMPLETION_CELLS` lattice steps
+        wide per row, its totals at lo + step i units.  When not even two
+        draws fit, as when the value sums lie on no lattice, the last table
+        is integrated alone, each cell at its own dx."""
         tables, plan = self._blocks
         rows = tables[0].log_p.size // tables[0].width
         # a path starts plan[1:] from a row its first draw ends in
         cells = [g.cells() for g in tables]
-        law = last_draws_law(cells, plan[1:], cells[plan[0]][3], rows, COMPLETION_CELLS)
+        law = last_draws_law(cells, plan[1:], cells[plan[0]][3], rows)
         g = tables[plan[-1]]
         if law is None:
             real = g.log_p > -math.inf

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from mdmart import alias
-from mdmart.alias import (ARRAY_BYTES, alias_draw, alias_tables, draw_plan, last_draws_law,
-                          tail_index)
-from mdmart.mixing import COMPLETION_CELLS as CHAIN_CELLS
+from mdmart.alias import (ARRAY_BYTES, COMPLETION_CELLS, alias_draw, alias_tables, draw_plan,
+                          last_draws_law, tail_index)
 from mdmart.mixing import _block_tables, _completion, block_indices, two_state_chain
-from mdmart.models import COMPLETION_CELLS, ConditionalLaw, MartingaleModel, make_regime_switch
+from mdmart.models import ConditionalLaw, MartingaleModel, make_regime_switch
 from test_mixing import LATTICE_CHAINS, LATTICE_IDS, three_state_chain
 
 
@@ -70,7 +69,7 @@ def criterion_12_tables():
     # the tables the block-sum sampler draws from at criterion 12's config
     m, k, _ = block_indices(10 ** 4, 0.3)
     ladder = _block_tables(two_state_chain(0.3, 0.3), m, k)
-    return [joint.reshape(joint.shape[0], -1) for _, joint, _ in ladder]
+    return [joint.reshape(joint.shape[0], -1) for _, joint in ladder]
 
 
 def law_error(tables, p):
@@ -156,19 +155,18 @@ def model_draws(model):
 
 
 def regime_switch_completion(n, gamma):
-    """(cells, entry, rows, cap, completion) of regime_switch's completion,
-    its first draw from row 0: `model_draws`, the models' cap and the
-    model's (draws, index)."""
+    """(cells, entry, rows, completion) of regime_switch's completion, its
+    first draw from row 0: `model_draws` and the model's (draws, index)."""
     model = make_regime_switch(n, gamma)
-    return (*model_draws(model), COMPLETION_CELLS, model._completion)
+    return (*model_draws(model), model._completion)
 
 
 def chain_completion(chain, n):
-    """(cells, entry, rows, cap, completion) of the mixing experiment's
+    """(cells, entry, rows, completion) of the mixing experiment's
     completion at alpha = 0.3: the nonzero (total, next start) cells of
     every table a path draws, in order, each total in steps from its
     table's least, every state as a start state, as the stationary start
-    may be any of them, the mixing cap and the chain's (draws, index)."""
+    may be any of them, and the chain's (draws, index)."""
     m, k, _ = block_indices(n, 0.3)
     ladder = _block_tables(chain, m, k)
     cells = []
@@ -177,7 +175,7 @@ def chain_completion(chain, n):
         s, i, t = np.nonzero(joint)
         cells.append((i, joint[s, i, t], s, t))
     S = chain.P.shape[0]
-    return cells, np.arange(S), S, CHAIN_CELLS, _completion(chain, m, k)
+    return cells, np.arange(S), S, _completion(chain, m, k)
 
 
 # the completions the engine is held to direct convolution on, each with the
@@ -188,9 +186,9 @@ def chain_completion(chain, n):
 # state
 ENGINE_CASES = [(regime_switch_completion, (n, gamma), None)
                 for n in (96, 400, 1600) for gamma in (0.2, 0.3, 0.45)] + [
-    (chain_completion, (LATTICE_CHAINS[0][0], 10 ** 4), 6),
-    (chain_completion, (LATTICE_CHAINS[1][0], 10 ** 4), 6),
-    (chain_completion, (LATTICE_CHAINS[2][0], 10 ** 4), 9),
+    (chain_completion, (LATTICE_CHAINS[0][0], 10 ** 4), 11),
+    (chain_completion, (LATTICE_CHAINS[1][0], 10 ** 4), 11),
+    (chain_completion, (LATTICE_CHAINS[2][0], 10 ** 4), 18),
     (chain_completion, (three_state_chain(), 2000), 10)]
 ENGINE_IDS = [f"{n}-{gamma}" for n in (96, 400, 1600) for gamma in (0.2, 0.3, 0.45)] + [
     f"{name}-10000" for name in LATTICE_IDS] + ["three_state-2000"]
@@ -245,31 +243,41 @@ def direct_last_draws(cells, entry, rows, draws):
     return step, laws
 
 
-def fits(step, laws, rows, cap):
+def fits(step, laws, rows):
     """Whether laws of these spans fit `last_draws_law`'s bounds."""
     width = max(law.size for C in laws for _, law in C.values())
-    return width <= cap and \
+    return width <= COMPLETION_CELLS and \
         rows * ((1 << (width - 1).bit_length()) + 2) * 8 < ARRAY_BYTES
 
 
 class TestLastDrawsLaw:
     @pytest.mark.parametrize("completion_of, args, pinned", ENGINE_CASES, ids=ENGINE_IDS)
-    def test_spectral_law_is_the_direct_one(self, completion_of, args, pinned):
+    def test_spectral_law_is_the_direct_one(self, monkeypatch, completion_of, args, pinned):
         # the frequency-space law against direct convolution: every tail
         # within 1e-15 absolute, the mass 1 within 1e-12, and D the most
-        # draws under the bounds, as the sampler's completion holds
-        cells, entry, rows, cap, completion = completion_of(*args)
-        out = last_draws_law(cells, list(range(len(cells))), entry, rows, cap)
+        # draws under the bounds, as the sampler's completion holds.  The
+        # stated bound on each cell's rounding error holds: a cell kept is
+        # within it of the direct law, and a cell set to 0, below the bound
+        # as transformed, is below twice the bound in the direct law
+        cells, entry, rows, completion = completion_of(*args)
+        real, bounds = alias.rounding_error, []
+
+        def recorded(law, draws):
+            bounds.append(real(law, draws))
+            return bounds[-1]
+
+        monkeypatch.setattr(alias, "rounding_error", recorded)
+        out = last_draws_law(cells, list(range(len(cells))), entry, rows)
         draws = 1 if out is None else out[0]
         assert draws <= len(cells) and pinned in (None, draws)
         if draws < len(cells):
-            assert not fits(*direct_last_draws(cells, entry, rows, draws + 1), rows, cap)
+            assert not fits(*direct_last_draws(cells, entry, rows, draws + 1), rows)
         assert completion[0] == draws
         if out is None:
             return
         _, lo, step, law = out
         want_step, laws = direct_last_draws(cells, entry, rows, draws)
-        assert step == want_step and fits(step, laws, rows, cap)
+        assert step == want_step and fits(step, laws, rows)
         C = laws[-1]
         assert not law[[s for s in range(rows) if s not in C]].any()
         for s, (lo_s, want) in C.items():
@@ -277,6 +285,9 @@ class TestLastDrawsLaw:
             assert (lo_s - lo[s]) % step == 0 and i >= 0
             full = np.zeros(law.shape[1])
             full[i:i + want.size] = want
+            kept = law[s] > 0.0
+            assert np.abs(law[s] - full)[kept].max() <= bounds[0][s]
+            assert full[~kept].max(initial=0.0) < 2.0 * bounds[0][s]
             got_tail, want_tail = (np.cumsum(a[::-1])[::-1] for a in (law[s], full))
             assert np.abs(got_tail - want_tail).max() <= 1e-15
             assert abs(got_tail[0] - 1.0) <= 1e-12
@@ -290,8 +301,7 @@ class TestLastDrawsLaw:
         model = Irrational(40)
         cells, entry, rows = model_draws(model)
         assert len(cells) > 1
-        assert last_draws_law(cells, list(range(len(cells))), entry, rows,
-                              COMPLETION_CELLS) is None
+        assert last_draws_law(cells, list(range(len(cells))), entry, rows) is None
         assert model._completion[0] == 1
 
     def test_no_array_reaches_the_bound(self, tmp_path):
@@ -309,7 +319,6 @@ class TestLastDrawsLaw:
             "import ctypes, sys, threading\n"
             "import numpy as np\n"
             "from mdmart.alias import ARRAY_BYTES, last_draws_law, tail_index\n"
-            "from mdmart.models import COMPLETION_CELLS\n"
             "libc = ctypes.CDLL(None)\n"
             "class Info(ctypes.Structure):\n"
             "    _fields_ = [(k, ctypes.c_size_t) for k in ('arena', 'ordblks', 'smblks', 'hblks',\n"
@@ -332,8 +341,7 @@ class TestLastDrawsLaw:
             "tables = [tuple(a[i:i + 4]) for i in range(0, len(a), 4)]\n"
             "fresh = mapped()\n"
             f"draws, lo, step, law = last_draws_law(tables, {plan[1:]}, tables[{plan[0]}][3],\n"
-            f"                                      {tables[0].log_p.size // tables[0].width},\n"
-            "                                      COMPLETION_CELLS)\n"
+            f"                                      {tables[0].log_p.size // tables[0].width})\n"
             "index = tail_index((lo[:, None] + step * np.arange(law.shape[1])) * 0.1, law)\n"
             "kept = max(x.nbytes for x in (lo, law, *index[:3]))\n"
             "print(fresh, mapped(), draws, kept < ARRAY_BYTES)\n")

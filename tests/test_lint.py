@@ -198,6 +198,29 @@ def test_one_doubling():
     assert all_callers("doubled") == [("mixing.py", "_block_tables"), ("models.py", "_blocks")]
 
 
+def assigned(source: str, name: str):
+    """The lines that bind `name`, as a bare name or as an attribute, by any
+    kind of assignment, in order."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.Name, ast.Attribute))
+                  and isinstance(node.ctx, ast.Store)
+                  and name in (getattr(node, "id", None), getattr(node, "attr", None)))
+
+
+def test_checker_finds_every_assignment():
+    src = ("CAP = 1\nx.CAP = 2\nCAP += 1\nCAP: int = 4\nfor CAP in y:\n    pass\n"
+           "z = CAP\nw = x.CAP\n")
+    assert assigned(src, "CAP") == [1, 2, 3, 4, 5]
+
+
+def test_one_completion_cap():
+    # both samplers' completions integrate their last draws at one cap,
+    # which only `alias` sets
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
+             for line in assigned(path.read_text(), "COMPLETION_CELLS")]
+    assert [name for name, _ in found] == ["alias.py"], found
+
+
 # the code whose needs define the library: the package itself, the benchmark
 # and the acceptance gate; a unit test alone does not keep a definition alive
 ROOT = SRC.parent.parent

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mdmart import mixing
-from mdmart.alias import BLOCK_TABLE_CELLS, draw_plan
-from mdmart.mixing import (COMPLETION_CELLS, MIX_CHUNK, ChainError,
+from mdmart.alias import BLOCK_TABLE_CELLS, COMPLETION_CELLS, draw_plan
+from mdmart.mixing import (MIX_CHUNK, ChainError,
                            MarkovChainSpec, _block_law, _block_tables, _completion,
                            berbee_couple, berbee_mismatch_probability,
                            beta_by_enumeration, beta_coefficient,
@@ -212,7 +212,7 @@ class TestBlockLaw:
         chain = two_state_chain(1e-9, 0.9)
         m, k, _ = block_indices(10 ** 5, 0.1)
         ladder = _block_tables(chain, m, k)
-        for units, _, _ in ladder:
+        for units, _ in ladder:
             assert (np.diff(units) > 0).all() and np.abs(units).max() < 1 << 62
         _, info = mixing_tail_experiment(chain, 10 ** 5, 0.1, [0.5], 1000, 0)
         assert (info["blocks_per_draw"], info["draws_integrated"]) == (32, 1)
@@ -609,8 +609,8 @@ class TestCompletion:
         # completion's tail at each total it holds equals that of a forward
         # pass over (chain state, L) along the suffix's blocks from that
         # state, to 1e-12, and its mass is 1 within 1e-12.  The two-state
-        # chains integrate 6 of their 13 draws (109 blocks), three_state 9
-        # of its 43 (61 blocks)
+        # chains integrate 11 of their 13 draws (269 blocks), three_state
+        # 18 of its 43 (133 blocks)
         n, alpha = 10 ** 4, 0.3
         m, k, _ = block_indices(n, alpha)
         draws, blocks = suffix_blocks(chain, m, k)
@@ -636,14 +636,44 @@ class TestCompletion:
         _, info = mixing_tail_experiment(chain, n, alpha, [1.0], 100, 0)
         assert (info["draws_per_path"], info["draws_integrated"]) == (len(plan) - draws, draws)
 
+    @pytest.mark.parametrize("make, n, levels, integrated", [
+        (lambda: two_state_chain(0.3, 0.3), 10 ** 4, [5, 5], 11),
+        (three_state_chain, 2000, [], 10)], ids=["two_state(0.3,0.3)-10000", "three_state-2000"])
+    def test_alias_tables_only_for_the_draws_taken(self, monkeypatch, make, n, levels,
+                                                   integrated):
+        # at the CLI defaults (n = 10^4, alpha = 0.3) a path draws the first
+        # 2 of its 13 tables, both of 32 blocks (level 5), and integrates
+        # the other 11, so only level 5 gets alias tables, once per chain;
+        # three_state at n = 2000 integrates all 10 of its draws and builds
+        # none
+        calls = []
+        real = mixing.alias_tables
+
+        def counted(p):
+            calls.append(p.shape)
+            return real(p)
+
+        monkeypatch.setattr(mixing, "alias_tables", counted)
+        chain = make()
+        for seed in (0, 1):
+            _, info = mixing_tail_experiment(chain, n, 0.3, [1.0], 1000, seed)
+        m, k, _ = block_indices(n, 0.3)
+        ladder = _block_tables(chain, m, k)
+        plan = draw_plan(k, len(ladder))
+        assert plan[:len(levels)] == levels
+        assert len(plan) == len(levels) + integrated
+        assert (info["draws_per_path"], info["draws_integrated"]) == (len(levels), integrated)
+        S = chain.P.shape[0]
+        assert calls == [(S, ladder[b][0].size * S) for b in sorted(set(levels))]
+
     def test_completion_stops_at_the_cell_bound(self):
         # the totals of the completion's draws from each start state take at
         # most COMPLETION_CELLS lattice points, their span in the steps of
         # a table's totals plus one, and one more draw would pass that.
         # Each table's least and greatest total from s into t compose
         # backwards, from the last draw: lo_s <- min over t of lo_{s,t} +
-        # lo_t, and hi_s likewise.  The chain integrates 6 of its 13 draws,
-        # over 1,635 points; 7 would take 2,115
+        # lo_t, and hi_s likewise.  The chain integrates 11 of its 13
+        # draws, over 4,035 points; 12 would take 4,515
         chain = two_state_chain(0.3, 0.3)
         m, k, _ = block_indices(10 ** 4, 0.3)
         draws = _completion(chain, m, k)[0]
@@ -743,7 +773,7 @@ class TestDoubledTables:
         ladder = _block_tables(chain, m, k)
         composed = composed_tables(chain, m, len(ladder))
         Y = ladder[0][0].size
-        for b, ((units, joint, _), table) in enumerate(zip(ladder, composed)):
+        for b, ((units, joint), table) in enumerate(zip(ladder, composed)):
             values = units / 1e12
             assert values.size == (Y - 1 << b) + 1
             assert values.size * S <= BLOCK_TABLE_CELLS
