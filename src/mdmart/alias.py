@@ -30,10 +30,15 @@ BLOCK_TABLE_CELLS = 1024
 # most lattice steps per start row in the law of a path's last draws, which
 # both samplers integrate instead of drawing (`last_draws_law`).  A wider
 # law integrates more draws and leaves less variance, but it takes longer
-# to transform: 4096 was the best of 512 to 4096 steps on regime_switch at
-# n = 400, 1600 and 6400, and at it the mixing defaults integrate 11 of
-# their 13 draws (see CHANGES.md)
-COMPLETION_CELLS = 4096
+# to transform.  At 8192 the mixing defaults integrate all 13 draws (4,995
+# steps), where 4096 left 2 drawn.  regime_switch keeps its D at every n
+# in {96, 400, 1600, 6400} and gamma in [0.1, 0.45], where its plan ends or
+# ARRAY_BYTES binds first; only gamma = 0 at n = 6400 moves, 12 -> 17, its
+# whole plan.  At 16384 three_state at n = 10^4 integrates all 43 draws
+# (9,989 steps), but its tails lie 3.7e-15 from direct convolution, past
+# the engine's 1e-15, against 8.9e-16 for its 35 draws at 8192 (see
+# CHANGES.md)
+COMPLETION_CELLS = 8192
 
 # no array that `last_draws_law` allocates or keeps reaches this many bytes.
 # glibc serves a block this large by mmap, and freeing one raises its mmap
@@ -224,33 +229,41 @@ def last_draws_law(tables, plan, entry, rows):
     its end rows, and each draw before it makes
         C_s <- sum_r L_{s,r} * C_r,
     L_{s,r} that draw's table from s into r: a product per frequency, over
-    the (start, end) pairs.  Each distinct table is transformed once
-    (`rfft`, in chunks of pairs under ARRAY_BYTES), each total at its steps
-    mod N, and the law once at the end (`irfft`).  No span exceeds N, so no
-    two totals of one row share a residue mod N: the circular convolution
-    is the linear one, read from lo_s on.  The rounding leaves each cell
-    off by a few 1e-18 to a few 1e-17 absolute, both ways, so every cell
-    below the bound on that error (`rounding_error`) is set to 0: clipping
-    only the negative noise would leave the positive noise, a one-sided
-    bias that gives a tail no path reaches a probability of about 1e-16.
-    The law only multiplies a likelihood ratio of mean 1, so an absolute
-    error in its tails moves an estimate's mean by no more (see
-    CHANGES.md)."""
+    the (start, end) pairs.  Each distinct read, a table and the rows its
+    cells are read from, is transformed once (`rfft`, in chunks of pairs
+    under ARRAY_BYTES), each total at its steps mod N, and the law once at
+    the end (`irfft`).  No span exceeds N, so no two totals of one row
+    share a residue mod N: the circular convolution is the linear one, read
+    from lo_s on.  The rounding leaves each cell off by a few 1e-18 to a
+    few 1e-17 absolute, both ways, so every cell below the bound on that
+    error (`rounding_error`) is set to 0: clipping only the negative noise
+    would leave the positive noise, a one-sided bias that gives a tail no
+    path reaches a probability of about 1e-16.  The law only multiplies a
+    likelihood ratio of mean 1, so an absolute error in its tails moves an
+    estimate's mean by no more (see CHANGES.md)."""
     if len(plan) < 2:
         return None
-    entered = {}
+    starts, entered = {}, {}
+
+    def read(d):
+        # the d-th draw from the end as its table and the rows a path starts
+        # it from, `entry` or the end rows of the table before it: draws
+        # that read the same cells share one key
+        before = plan[-d - 1] if d < len(plan) else None
+        if before not in starts:
+            into = np.zeros(rows, dtype=bool)
+            into[entry if before is None else tables[before][3]] = True
+            starts[before] = into.tobytes()
+        return plan[-d], starts[before]
 
     def draw(d):
         # the cells of the d-th draw from the end that start in a row a path
-        # starts it from, `entry` or an end row of the draw before it, their
-        # (start, end) pairs, sorted, each pair's least and greatest total,
-        # and the gcd of their differences
-        key = plan[-d], plan[-d - 1] if d < len(plan) else None
+        # starts it from, their (start, end) pairs, sorted, each pair's least
+        # and greatest total, and the gcd of their differences
+        key = read(d)
         if key not in entered:
             pos, p, start, end = tables[key[0]]
-            into = np.zeros(rows, dtype=bool)
-            into[entry if key[1] is None else tables[key[1]][3]] = True
-            cell = into[start]
+            cell = np.frombuffer(key[1], dtype=bool)[start]
             pos, p, start, end = pos[cell], p[cell], start[cell], end[cell]
             pairs, first, pair = np.unique(start * rows + end, return_index=True,
                                            return_inverse=True)
@@ -297,7 +310,7 @@ def last_draws_law(tables, plan, entry, rows):
     chunk = max(1, ARRAY_BYTES // (16 * (size // 2 + 1)) - 1)
     spectra, prior, terms = {}, np.empty_like(spec), np.empty((chunk, spec.shape[1]), complex)
     for d in range(2, draws + 1):
-        key = plan[-d], plan[-d - 1] if d < len(plan) else None
+        key = read(d)
         if key not in spectra:
             pos, p, _, pair, s, r = draw(d)[:6]
             spectra[key] = []
@@ -337,9 +350,10 @@ def rounding_error(law, draws):
     over the N cells (Parseval), so each cell is off by an about normal
     error of standard deviation
         sigma_s = eps ||law[s]||_2 sqrt((draws + log2 N) / N).
-    The bound is 8 sigma_s, where the largest of N <= 4096 normal errors
-    rarely passes 4.5 sigma_s.  On every law the tests hold to direct
-    convolution, no cell is off by 3 sigma_s."""
+    The bound is 8 sigma_s, where the largest of N <= 8192 normal errors
+    rarely passes 4.5 sigma_s.  On the laws the tests hold to direct
+    convolution, no cell is off by 4 sigma_s: the worst, 3.9 sigma_s, is
+    of three_state's 35 draws at N = 8192, and no other passes 3."""
     size = law.shape[1]
     spread = (draws + math.log2(size)) / size
     return 8.0 * np.finfo(float).eps * np.sqrt(np.einsum("ij,ij->i", law, law) * spread)

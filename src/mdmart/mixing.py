@@ -18,8 +18,9 @@ through `alias.doubled`, the models' doubling routine too), and the tail
 experiment integrates the last of those draws exactly (`_completion`), their
 law built by the engine that the models' completions use too, at their cap
 (`alias.last_draws_law`, `alias.COMPLETION_CELLS`).  At the CLI defaults a
-path draws 2 tables and integrates the other 11, and only the tables that
-are drawn get alias tables."""
+path integrates all 13 of its draws and takes one uniform, its stationary
+start state; only the tables that are drawn get alias tables, so there
+none do."""
 from __future__ import annotations
 
 import math
@@ -448,13 +449,15 @@ def _completion(chain: MarkovChainSpec, m: int, k: int):
     models' cap too, from the ladder's nonzero (total, next start) cells,
     each total in steps from its table's least.  The stationary start may
     be any state, so a path may start the plan's first draw from every
-    state, and all its draws may be integrated.  The steps are lattice
-    steps when the tables' units are equally spaced, as every doubled
-    table's are; a total of the draws maps back to the sum of their least
-    units plus its steps times the units a step, over 1e12, as the tables'
-    totals are.  A chain off a lattice, one where not even two draws fit,
-    or one whose completed totals would pass 2^62 units integrates its last
-    draw only, at the table's own totals.  Kept on the chain, per (m, k)."""
+    state, and all its draws may be integrated: at the CLI defaults all 13
+    are, over 4,995 steps, and a path draws only its start state.  The
+    steps are lattice steps when the tables' units are equally spaced, as
+    every doubled table's are; a total of the draws maps back to the sum
+    of their least units plus its steps times the units a step, over 1e12,
+    as the tables' totals are.  A chain off a lattice, one where not even
+    two draws fit, or one whose completed totals would pass 2^62 units
+    integrates its last draw only, at the table's own totals.  Kept on the
+    chain, per (m, k)."""
     if (m, k) not in chain._completions:
         ladder = _block_tables(chain, m, k)
         plan = draw_plan(k, len(ladder))

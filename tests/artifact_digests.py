@@ -31,6 +31,7 @@ RUNS = [
       for gamma in ("0.2", "0.3", "0.45")),
     *(["tail", "--budget", "20000", "--model", "regime_switch", "--n", n]
       for n in ("5", "96", "1601")),
+    ["tail", "--budget", "20000", "--model", "regime_switch", "--gamma", "0", "--n", "6400"],
     ["mdp", "--budget", "20000"],
     ["couple"],
     ["mixing"],

@@ -180,15 +180,15 @@ def chain_completion(chain, n):
 
 # the completions the engine is held to direct convolution on, each with the
 # D it integrates where it is pinned: regime_switch's, and the block-sum
-# ones of the lattice chains at n = 10^4 (m = 15, k = 333, 13 draws for the
-# two-state chains and 43 for three_state) and of three_state at n = 2000
-# (m = 9, k = 111), where D is all 10 draws of the plan, the first from any
-# state
+# ones of the lattice chains at n = 10^4 (m = 15, k = 333), where D is all
+# 13 draws of the two-state chains' plans and 35 of three_state's 43, and of
+# three_state at n = 2000 (m = 9, k = 111), where D is all 10 draws of the
+# plan, the first from any state
 ENGINE_CASES = [(regime_switch_completion, (n, gamma), None)
                 for n in (96, 400, 1600) for gamma in (0.2, 0.3, 0.45)] + [
-    (chain_completion, (LATTICE_CHAINS[0][0], 10 ** 4), 11),
-    (chain_completion, (LATTICE_CHAINS[1][0], 10 ** 4), 11),
-    (chain_completion, (LATTICE_CHAINS[2][0], 10 ** 4), 18),
+    (chain_completion, (LATTICE_CHAINS[0][0], 10 ** 4), 13),
+    (chain_completion, (LATTICE_CHAINS[1][0], 10 ** 4), 13),
+    (chain_completion, (LATTICE_CHAINS[2][0], 10 ** 4), 35),
     (chain_completion, (three_state_chain(), 2000), 10)]
 ENGINE_IDS = [f"{n}-{gamma}" for n in (96, 400, 1600) for gamma in (0.2, 0.3, 0.45)] + [
     f"{name}-10000" for name in LATTICE_IDS] + ["three_state-2000"]
@@ -294,6 +294,38 @@ class TestLastDrawsLaw:
         tail = completion[1][1]
         assert tail.min() >= 0.0 and tail.max() <= 1.0 + 1e-12
         assert (np.diff(tail, axis=1) <= 0.0).all()
+
+    def test_each_read_transformed_once(self, monkeypatch):
+        # at the mixing defaults the plan is [5] * 10 + [3, 2, 0], and a
+        # path reads level 5 from every state both as its first draw and
+        # after a draw of level 5: the same cells, so they are transformed
+        # once.  Each transform takes a distinct array, and the law is, float
+        # for float, the one that transforms every draw on its own
+        chain = two_state_chain(0.3, 0.3)
+        m, k, _ = block_indices(10 ** 4, 0.3)
+        ladder = _block_tables(chain, m, k)
+        plan = draw_plan(k, len(ladder))
+        assert plan == [5] * 10 + [3, 2, 0]
+        tables = []
+        for _, joint in ladder:
+            s, i, t = np.nonzero(joint)
+            tables.append((i, joint[s, i, t], s, t))
+        entry = np.arange(2)
+        each = last_draws_law([tables[b] for b in plan], list(range(len(plan))), entry, 2)
+        seen, real = [], np.fft.rfft
+
+        def recorded(a, *args, **kwargs):
+            seen.append(np.array(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recorded)
+        out = last_draws_law(tables, plan, entry, 2)
+        # the last draw (level 0), then levels 2, 3 and 5
+        assert out[0] == len(plan) and len(seen) == 4
+        assert not any(a.shape == b.shape and np.array_equal(a, b)
+                       for i, a in enumerate(seen) for b in seen[:i])
+        for a, b in zip(out, each):
+            assert np.array_equal(a, b)
 
     def test_no_lattice_integrates_one_draw(self):
         # values on no lattice: not even two draws fit, and the last table

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from mdmart import mixing
 from mdmart.alias import BLOCK_TABLE_CELLS, COMPLETION_CELLS, draw_plan
+from mdmart.cli import main
 from mdmart.mixing import (MIX_CHUNK, ChainError,
                            MarkovChainSpec, _block_law, _block_tables, _completion,
                            berbee_couple, berbee_mismatch_probability,
@@ -594,6 +596,28 @@ class TestTailExperiment:
         assert "envelope_undefined" in rep.rows[0].flags
 
 
+def counted_uniforms(monkeypatch):
+    """The sizes of the batches of uniforms that the block-sum paths draw,
+    in order, each chunk's generator hooked through `mixing.seeded_chunks`."""
+    calls = []
+    real = mixing.seeded_chunks
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, size):
+            calls.append(size)
+            return self.rng.random(size)
+
+    def chunks(seed, total, size):
+        for rng, count in real(seed, total, size):
+            yield Counting(rng), count
+
+    monkeypatch.setattr(mixing, "seeded_chunks", chunks)
+    return calls
+
+
 def suffix_blocks(chain, m, k):
     """(draws, blocks): how many of a k-block path's last draws the
     experiment integrates, and how many blocks they hold."""
@@ -603,19 +627,21 @@ def suffix_blocks(chain, m, k):
 
 
 class TestCompletion:
-    @pytest.mark.parametrize("chain, g", LATTICE_CHAINS, ids=LATTICE_IDS)
-    def test_completion_is_the_forward_pass(self, chain, g):
+    @pytest.mark.parametrize("chain, g, integrated",
+                             [(*c, d) for c, d in zip(LATTICE_CHAINS, (13, 13, 35))],
+                             ids=LATTICE_IDS)
+    def test_completion_is_the_forward_pass(self, chain, g, integrated):
         # n = 10^4, alpha = 0.3: m = 15, k = 333.  Per start state, the
         # completion's tail at each total it holds equals that of a forward
         # pass over (chain state, L) along the suffix's blocks from that
         # state, to 1e-12, and its mass is 1 within 1e-12.  The two-state
-        # chains integrate 11 of their 13 draws (269 blocks), three_state
-        # 18 of its 43 (133 blocks)
+        # chains integrate the whole plan, 13 draws (333 blocks), from every
+        # start state; three_state integrates 35 of its 43 (273 blocks)
         n, alpha = 10 ** 4, 0.3
         m, k, _ = block_indices(n, alpha)
         draws, blocks = suffix_blocks(chain, m, k)
         plan = draw_plan(k, len(_block_tables(chain, m, k)))
-        assert 1 < draws < len(plan)
+        assert draws == integrated
         dx, tail = _completion(chain, m, k)[1][:2]
         S = chain.P.shape[0]
         assert np.abs(tail[:, 0] - 1.0).max() <= 1e-12
@@ -627,7 +653,10 @@ class TestCompletion:
             totals, law = totals[order], law[order]
             above = np.concatenate((np.cumsum(law[::-1])[::-1], [0.0]))
             values = dx[s][dx[s] < math.inf]
-            assert (law[np.abs(totals[:, None] - values).min(axis=1) > 1e-9] == 0.0).all()
+            # a completed total sums f rounded to whole units of 1e-12, so
+            # it is off the walk's by up to half a unit per step
+            near = 1e-9 + 0.5e-12 * m * blocks
+            assert (law[np.abs(totals[:, None] - values).min(axis=1) > near] == 0.0).all()
             # the walk's tail at each of the completion's totals, which lie
             # |a| apart
             want = above[np.searchsorted(totals, values - abs(a) / 2)]
@@ -637,15 +666,17 @@ class TestCompletion:
         assert (info["draws_per_path"], info["draws_integrated"]) == (len(plan) - draws, draws)
 
     @pytest.mark.parametrize("make, n, levels, integrated", [
-        (lambda: two_state_chain(0.3, 0.3), 10 ** 4, [5, 5], 11),
-        (three_state_chain, 2000, [], 10)], ids=["two_state(0.3,0.3)-10000", "three_state-2000"])
+        (lambda: two_state_chain(0.3, 0.3), 10 ** 4, [], 13),
+        (three_state_chain, 10 ** 4, [3] * 8, 35),
+        (three_state_chain, 2000, [], 10)],
+        ids=["two_state(0.3,0.3)-10000", "three_state-10000", "three_state-2000"])
     def test_alias_tables_only_for_the_draws_taken(self, monkeypatch, make, n, levels,
                                                    integrated):
-        # at the CLI defaults (n = 10^4, alpha = 0.3) a path draws the first
-        # 2 of its 13 tables, both of 32 blocks (level 5), and integrates
-        # the other 11, so only level 5 gets alias tables, once per chain;
-        # three_state at n = 2000 integrates all 10 of its draws and builds
-        # none
+        # at the CLI defaults (n = 10^4, alpha = 0.3) a path integrates all
+        # 13 of its draws and builds no alias tables, as does three_state at
+        # n = 2000 with its 10.  three_state at n = 10^4 draws the first 8
+        # of its 43 tables, all of 8 blocks (level 3), and integrates the
+        # other 35, so only level 3 gets alias tables, once per chain
         calls = []
         real = mixing.alias_tables
 
@@ -666,15 +697,27 @@ class TestCompletion:
         S = chain.P.shape[0]
         assert calls == [(S, ladder[b][0].size * S) for b in sorted(set(levels))]
 
+    def test_whole_plan_takes_one_uniform(self, monkeypatch, tmp_path):
+        # at the CLI defaults every one of a path's 13 draws is integrated,
+        # so each chunk takes one uniform per path, its stationary start
+        # state, and the run's info JSON reads draws_per_path 0
+        calls = counted_uniforms(monkeypatch)
+        budget = MIX_CHUNK + 100
+        assert main(["--out", str(tmp_path), "mixing", "--x", "1", "--budget", str(budget)]) == 0
+        assert calls == [MIX_CHUNK, 100]
+        info = json.loads((tmp_path / "mixing_n10000_seed0_info.json").read_text())
+        assert (info["draws_per_path"], info["draws_integrated"]) == (0, 13)
+
     def test_completion_stops_at_the_cell_bound(self):
         # the totals of the completion's draws from each start state take at
         # most COMPLETION_CELLS lattice points, their span in the steps of
         # a table's totals plus one, and one more draw would pass that.
         # Each table's least and greatest total from s into t compose
         # backwards, from the last draw: lo_s <- min over t of lo_{s,t} +
-        # lo_t, and hi_s likewise.  The chain integrates 11 of its 13
-        # draws, over 4,035 points; 12 would take 4,515
-        chain = two_state_chain(0.3, 0.3)
+        # lo_t, and hi_s likewise.  At n = 10^4 three_state integrates 35
+        # of its 43 draws, over 8,069 points; 36 would take 8,309.  (The
+        # two-state chains integrate their whole plan there, 4,995 points.)
+        chain = three_state_chain()
         m, k, _ = block_indices(10 ** 4, 0.3)
         draws = _completion(chain, m, k)[0]
         ladder = _block_tables(chain, m, k)
@@ -863,21 +906,6 @@ class TestDoubledTables:
     def test_one_uniform_per_draw(self, monkeypatch):
         # n = 200, alpha = 0.3: m = 4 and k = 25 = 16 + 8 + 1 blocks, so
         # each chunk takes four uniforms per path: the start and three draws
-        calls = []
-        real = mixing.seeded_chunks
-
-        class Counting:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def random(self, size):
-                calls.append(size)
-                return self.rng.random(size)
-
-        def chunks(seed, total, size):
-            for rng, count in real(seed, total, size):
-                yield Counting(rng), count
-
-        monkeypatch.setattr(mixing, "seeded_chunks", chunks)
+        calls = counted_uniforms(monkeypatch)
         simulate_block_sums(two_state_chain(0.3, 0.3), 200, 0.3, MIX_CHUNK + 100, 4)
         assert calls == [MIX_CHUNK] * 4 + [100] * 4
