@@ -30,14 +30,9 @@ BLOCK_TABLE_CELLS = 1024
 # most lattice steps per start row in the law of a path's last draws, which
 # both samplers integrate instead of drawing (`last_draws_law`).  A wider
 # law integrates more draws and leaves less variance, but it takes longer
-# to transform.  At 8192 the mixing defaults integrate all 13 draws (4,995
-# steps), where 4096 left 2 drawn.  regime_switch keeps its D at every n
-# in {96, 400, 1600, 6400} and gamma in [0.1, 0.45], where its plan ends or
-# ARRAY_BYTES binds first; only gamma = 0 at n = 6400 moves, 12 -> 17, its
-# whole plan.  At 16384 three_state at n = 10^4 integrates all 43 draws
-# (9,989 steps), but its tails lie 3.7e-15 from direct convolution, past
-# the engine's 1e-15, against 8.9e-16 for its 35 draws at 8192 (see
-# CHANGES.md)
+# to transform.  8192 is the widest of 4096, 8192 and 16384 at which the
+# tails of the laws the tests hold to direct convolution stay within the
+# engine's 1e-15 (see CHANGES.md)
 COMPLETION_CELLS = 8192
 
 # no array that `last_draws_law` allocates or keeps reaches this many bytes.
@@ -351,9 +346,8 @@ def rounding_error(law, draws):
     error of standard deviation
         sigma_s = eps ||law[s]||_2 sqrt((draws + log2 N) / N).
     The bound is 8 sigma_s, where the largest of N <= 8192 normal errors
-    rarely passes 4.5 sigma_s.  On the laws the tests hold to direct
-    convolution, no cell is off by 4 sigma_s: the worst, 3.9 sigma_s, is
-    of three_state's 35 draws at N = 8192, and no other passes 3."""
+    rarely passes 5 sigma_s.  On the laws the tests hold to direct
+    convolution, no cell is off by 5 sigma_s (see CHANGES.md)."""
     size = law.shape[1]
     spread = (draws + math.log2(size)) / size
     return 8.0 * np.finfo(float).eps * np.sqrt(np.einsum("ij,ij->i", law, law) * spread)

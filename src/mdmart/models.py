@@ -567,11 +567,9 @@ class MartingaleModel:
         their total under P per block-start row.  The draws are those of
         the plan of `_blocks`, the leftover table last, and their law is
         `last_draws_law`'s, at most `alias.COMPLETION_CELLS` lattice steps
-        wide per row, its totals at lo + step i units (for regime_switch
-        at n <= 6400 the plan's end or the spectra's bytes bind before
-        that width does).  When not even two draws fit, as when the value
-        sums lie on no lattice, the last table is integrated alone, each
-        cell at its own dx."""
+        wide per row, its totals at lo + step i units.  When not even two
+        draws fit, as when the value sums lie on no lattice, the last table
+        is integrated alone, each cell at its own dx."""
         tables, plan = self._blocks
         rows = tables[0].log_p.size // tables[0].width
         # a path starts plan[1:] from a row its first draw ends in

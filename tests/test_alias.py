@@ -179,19 +179,22 @@ def chain_completion(chain, n):
 
 
 # the completions the engine is held to direct convolution on, each with the
-# D it integrates where it is pinned: regime_switch's, and the block-sum
+# D it integrates where it is pinned: regime_switch's, at gamma = 0 and
+# n = 6400 all 17 draws of its plan, the one config whose D the cap of 8192
+# moved (from 12), and the block-sum
 # ones of the lattice chains at n = 10^4 (m = 15, k = 333), where D is all
 # 13 draws of the two-state chains' plans and 35 of three_state's 43, and of
 # three_state at n = 2000 (m = 9, k = 111), where D is all 10 draws of the
 # plan, the first from any state
 ENGINE_CASES = [(regime_switch_completion, (n, gamma), None)
                 for n in (96, 400, 1600) for gamma in (0.2, 0.3, 0.45)] + [
+    (regime_switch_completion, (6400, 0.0), 17),
     (chain_completion, (LATTICE_CHAINS[0][0], 10 ** 4), 13),
     (chain_completion, (LATTICE_CHAINS[1][0], 10 ** 4), 13),
     (chain_completion, (LATTICE_CHAINS[2][0], 10 ** 4), 35),
     (chain_completion, (three_state_chain(), 2000), 10)]
 ENGINE_IDS = [f"{n}-{gamma}" for n in (96, 400, 1600) for gamma in (0.2, 0.3, 0.45)] + [
-    f"{name}-10000" for name in LATTICE_IDS] + ["three_state-2000"]
+    "6400-0.0"] + [f"{name}-10000" for name in LATTICE_IDS] + ["three_state-2000"]
 
 
 def direct_last_draws(cells, entry, rows, draws):

@@ -440,12 +440,13 @@ def lattice_law(chain, g, n, alpha):
     return ls, dist.sum(axis=0)
 
 
-def lattice_map(chain, g, steps):
+def lattice_map(chain, g, steps, f=None):
     """(a, b) with S = a L + b for a sum S of f over `steps` selected
-    indices: f is affine in the label g."""
+    indices: f, chain.f unless given, is affine in the label g."""
+    f = chain.f if f is None else f
     i, j = np.argmax(g), np.argmin(g)
-    a = (chain.f[i] - chain.f[j]) / (g[i] - g[j])
-    return a, steps * (chain.f[i] - a * g[i])
+    a = (f[i] - f[j]) / (g[i] - g[j])
+    return a, steps * (f[i] - a * g[i])
 
 
 def exact_tails(chain, g, n, alpha, thresholds):
@@ -645,7 +646,9 @@ class TestCompletion:
         dx, tail = _completion(chain, m, k)[1][:2]
         S = chain.P.shape[0]
         assert np.abs(tail[:, 0] - 1.0).max() <= 1e-12
-        a, b = lattice_map(chain, g, m * blocks)
+        # the completion sums f rounded to whole units of 1e-12
+        # (`_block_law`), so the walk's totals sum the same f
+        a, b = lattice_map(chain, g, m * blocks, np.rint(chain.f * 1e12) / 1e12)
         for s in range(S):
             ls, dist = walk_blocks(chain, g, np.eye(S)[s], m, blocks)
             totals, law = a * ls + b, dist.sum(axis=0)
@@ -653,10 +656,7 @@ class TestCompletion:
             totals, law = totals[order], law[order]
             above = np.concatenate((np.cumsum(law[::-1])[::-1], [0.0]))
             values = dx[s][dx[s] < math.inf]
-            # a completed total sums f rounded to whole units of 1e-12, so
-            # it is off the walk's by up to half a unit per step
-            near = 1e-9 + 0.5e-12 * m * blocks
-            assert (law[np.abs(totals[:, None] - values).min(axis=1) > near] == 0.0).all()
+            assert (law[np.abs(totals[:, None] - values).min(axis=1) > 1e-9] == 0.0).all()
             # the walk's tail at each of the completion's totals, which lie
             # |a| apart
             want = above[np.searchsorted(totals, values - abs(a) / 2)]
