@@ -10,12 +10,15 @@ of one (`doubled`), by convolution along those units (`compose`), the one
 routine by which both block samplers double their tables; the plan by
 which they draw 2^b blocks with one uniform; the law of the total of a
 path's last draws, composed in frequency space (`last_draws_law`), the one
-engine behind both samplers' completions, at one cap (`COMPLETION_CELLS`);
-and the tail of those draws given a path's value so far (`tail_index`,
-`tail_lookup`), which both integrate instead of drawing them."""
+engine behind both samplers' completions, at one cap on its width and one
+on its work (`COMPLETION_CELLS`, `COMPLETION_WORK`); and the tail of those
+draws given a path's value so far, which both integrate instead of drawing
+them (`tail_lookup`): in whole units of the lattice for a law on one
+(`lattice_tail`), by the float sum for one that is not (`tail_index`)."""
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,14 +35,32 @@ BLOCK_TABLE_CELLS = 1024
 # law integrates more draws and leaves less variance, but it takes longer
 # to transform.  8192 is the widest of 4096, 8192 and 16384 at which the
 # tails of the laws the tests hold to direct convolution stay within the
-# engine's 1e-15 (see CHANGES.md)
+# engine's 1e-15 (see CHANGES.md).  A row of its spectrum is then 64 KB, so
+# the engine's arrays fit under ARRAY_BYTES in blocks of rows
 COMPLETION_CELLS = 8192
 
-# no array that `last_draws_law` allocates or keeps reaches this many bytes.
-# glibc serves a block this large by mmap, and freeing one raises its mmap
-# threshold to that block's size, which changes how every later allocation
-# below it is served: the benchmark's 512 KB reference kernel runs faster or
-# slower for it (ROADMAP item 8)
+# most spectral work in the law of a path's last draws (`last_draws_law`):
+# summed over the draws composed, each draw's (start, end) pairs times the
+# N/2 + 1 frequencies of its transform, N the transform's length.  It bounds
+# the products and the transforms of a deeper law, whose variance falls
+# ever more slowly.  3e6 is the least round bound that integrates all 26 of
+# regime_switch's last draws that fit COMPLETION_CELLS at gamma = 0.3, n =
+# 1600 (2.98e6); at gamma = 0.45 (199 rows) it takes 6 draws, past which a
+# deeper law's build costs about what its variance saves at n >= 1600
+# (tests/completion_sweep.py, CHANGES.md)
+COMPLETION_WORK = 3_000_000
+
+# a modulus below which `last_draws_law` drops a frequency once every row's
+# spectrum is below it there: no later product raises it, and each cell of
+# the law moves by less than it, far below the law's rounding error
+TINY = 1e-20
+
+# no array that `last_draws_law`, `lattice_tail` or `tail_index` allocates
+# or keeps reaches this many bytes: they hold the rows of a law and of its
+# spectra in blocks under it.  glibc serves a block this large by mmap, and
+# freeing one raises its mmap threshold to that block's size, which changes
+# how every later allocation below it is served: the benchmark's 512 KB
+# reference kernel runs faster or slower for it (ROADMAP item 8)
 ARRAY_BYTES = 1 << 19
 
 
@@ -204,36 +225,49 @@ def last_draws_law(tables, plan, entry, rows):
     its start row and its end row, of `rows` rows.  A path draws
     tables[plan[0]], tables[plan[1]], ... in turn, the first from one of the
     rows `entry` and each next one from the row the one before it ended in.
-    Returns (D, lo, step, law): law[s, i] = P(total lo[s] + step i | row
-    s), 0 past row s's greatest total and on each row no path starts the D
-    draws from; or None when not even two draws fit.
+    Returns (D, lo, step, law), law a list of blocks of consecutive rows,
+    each of as many rows as the first but the last: row s is row s - a of
+    the block from row a, and holds P(total lo[s] + step i | row s) at i,
+    0 past its greatest total and on each row no path starts the D draws
+    from.  Returns None when not even two draws fit.
 
     Only the cells that start where a path can start them are read, and
     their totals may lie on a coarser lattice: `step` is the gcd of the
     differences between the totals of each draw's cells, so each draw's
     totals share one residue mod step.  D is the largest number of last
     draws, at most len(plan), whose totals from each row span at most
-    COMPLETION_CELLS steps, and whose spectra over all rows, at the least
-    power of two N that holds every span, stay under ARRAY_BYTES.  The
-    spans come first, from the least and the greatest total of each (start,
-    end) pair: lo_s <- min over pairs of lo_{s,r} + lo_r, and hi_s
-    likewise.
+    COMPLETION_CELLS steps, and whose spectral work stays at most
+    COMPLETION_WORK: summed over the D draws, each draw's (start, end)
+    pairs times the N/2 + 1 frequencies of a transform of length N, the
+    least power of two that holds every span.  The spans come first, from
+    the least and the greatest total of each pair: lo_s <- min over pairs
+    of lo_{s,r} + lo_r, and hi_s likewise.
 
     The law is then built backwards in frequency space.  C_s, the law of
     the totals from row s, starts as the last table's from s, summed over
     its end rows, and each draw before it makes
         C_s <- sum_r L_{s,r} * C_r,
     L_{s,r} that draw's table from s into r: a product per frequency, over
-    the (start, end) pairs.  Each distinct read, a table and the rows its
-    cells are read from, is transformed once (`rfft`, in chunks of pairs
-    under ARRAY_BYTES), each total at its steps mod N, and the law once at
-    the end (`irfft`).  No span exceeds N, so no two totals of one row
-    share a residue mod N: the circular convolution is the linear one, read
-    from lo_s on.  The rounding leaves each cell off by a few 1e-18 to a
-    few 1e-17 absolute, both ways, so every cell below the bound on that
-    error (`rounding_error`) is set to 0: clipping only the negative noise
-    would leave the positive noise, a one-sided bias that gives a tail no
-    path reaches a probability of about 1e-16.  The law only multiplies a
+    the (start, end) pairs, one pair at a time.  Each distinct read, a
+    table and the rows its cells are read from, is transformed once
+    (`rfft`), each total at its steps mod N, and the law once at the end
+    (`irfft`).  Every array is held in blocks under ARRAY_BYTES: the spectra
+    and the law in blocks of rows, and each read's spectra in chunks of
+    pairs.  No product raises the largest modulus over the rows at one
+    frequency f, as |sum_r L_{s,r}(f) C_r(f)| <= max_r |C_r(f)| times the
+    mass of row s's cells, at most 1.  So once every row's modulus at f is
+    below TINY it stays below it, and the products skip f: before draws
+    2, 4, 8, ... the spectra are cut to the frequencies at which some row
+    passes TINY, once a quarter of those kept fall below it, and each cell
+    of the law moves by less than TINY.
+
+    No span exceeds N, so no two totals of one row share a residue mod N:
+    the circular convolution is the linear one, read from lo_s on.  The
+    rounding leaves each cell off by a few 1e-18 to a few 1e-17 absolute,
+    both ways, so every cell below the bound on that error
+    (`rounding_error`) is set to 0: clipping only the negative noise would
+    leave the positive noise, a one-sided bias that gives a tail no path
+    reaches a probability of about 1e-16.  The law only multiplies a
     likelihood ratio of mean 1, so an absolute error in its tails moves an
     estimate's mean by no more (see CHANGES.md)."""
     if len(plan) < 2:
@@ -275,7 +309,7 @@ def last_draws_law(tables, plan, entry, rows):
 
     # the spans of no draws are 0; every law on the way is transformed at one
     # length, so the widest span over the draws so far sets it
-    lo, hi, widest, draws, step = np.zeros(rows), np.zeros(rows), 0, 0, 0
+    lo, hi, widest, draws, step, pairs = np.zeros(rows), np.zeros(rows), 0, 0, 0, 0
     while draws < len(plan):
         _, _, _, _, s, r, plo, phi, gcd = draw(draws + 1)
         lo2, hi2 = np.full(rows, math.inf), np.full(rows, -math.inf)
@@ -284,54 +318,90 @@ def last_draws_law(tables, plan, entry, rows):
         finer, wider = math.gcd(step, gcd), max(widest, span(lo2, hi2))
         width = wider // (finer or 1) + 1
         size = 1 << (width - 1).bit_length()
-        if width > COMPLETION_CELLS or rows * (size + 2) * 8 >= ARRAY_BYTES:
+        if width > COMPLETION_CELLS or (pairs + s.size) * (size // 2 + 1) > COMPLETION_WORK:
             break
-        lo, hi, draws, step, widest = lo2, hi2, draws + 1, finer, wider
+        lo, hi, draws, step, widest, pairs = lo2, hi2, draws + 1, finer, wider, pairs + s.size
     if draws < 2:
         return None
     step = step or 1
     width = widest // step + 1
     size = 1 << (width - 1).bit_length()
+    # the rows in a block of the spectra and of the law, and the pairs in a
+    # chunk of a read's spectra, each block under ARRAY_BYTES: a row of
+    # N/2 + 1 frequencies takes at most 64 KB at N <= COMPLETION_CELLS
+    per = max(1, ARRAY_BYTES // (16 * (size // 2 + 1)) - 1)
+    blocks = [(a, min(per, rows - a)) for a in range(0, rows, per)]
 
-    def dense(pos, p, row, count):
-        # count rows of length size, each total at its steps mod size
-        cell = row * size + (pos // step) % size
-        return np.bincount(cell, weights=p, minlength=count * size).reshape(count, size)
+    def spectra(pos, p, row, a, count):
+        # the spectra of rows a to a + count of the cells in row `row`,
+        # each total at its steps mod size
+        cell = (row >= a) & (row < a + count)
+        dense = np.bincount((row[cell] - a) * size + (pos[cell] // step) % size,
+                            weights=p[cell], minlength=count * size)
+        return np.fft.rfft(dense.reshape(count, size))
 
     pos, p, start = draw(1)[:3]
     # the totals' residue mod step, summed over the draws
     offset = sum(int(draw(d)[0][0]) % step for d in range(1, draws + 1))
-    spec = np.fft.rfft(dense(pos, p, start, rows))
-    chunk = max(1, ARRAY_BYTES // (16 * (size // 2 + 1)) - 1)
-    spectra, prior, terms = {}, np.empty_like(spec), np.empty((chunk, spec.shape[1]), complex)
+    spec = [spectra(pos, p, start, a, count) for a, count in blocks]
+    prior, term = [np.empty_like(block) for block in spec], np.empty(size // 2 + 1, complex)
+    # the spectra hold only the frequencies `kept` (None: all), checked
+    # before draws 2, 4, 8, ..., as a check costs about as much as a draw's
+    # products, and cut when a quarter of them fall below TINY; each read's
+    # spectra are cut to them when first read after a cut
+    kept, reads, cut = None, {}, {}
     for d in range(2, draws + 1):
+        if d & (d - 1) == 0:
+            live = np.logical_or.reduce([(np.abs(block) > TINY).any(axis=0) for block in spec])
+            if 4 * np.count_nonzero(live) <= 3 * live.size:
+                kept = np.flatnonzero(live) if kept is None else kept[live]
+                spec = [np.ascontiguousarray(block[:, live]) for block in spec]
+                prior, term = [np.empty_like(block) for block in spec], term[:kept.size]
+                cut.clear()
         key = read(d)
-        if key not in spectra:
+        if key not in reads:
+            # per pair: its start row, whether it is that row's first pair,
+            # its end row and its spectrum; and the rows no pair starts in
             pos, p, _, pair, s, r = draw(d)[:6]
-            spectra[key] = []
-            for a in range(0, s.size, chunk):
-                cell = (pair >= a) & (pair < a + chunk)
-                spectra[key].append((s[a:a + chunk].tolist(), r[a:a + chunk], np.fft.rfft(
-                    dense(pos[cell], p[cell], pair[cell] - a, min(chunk, s.size - a)))))
-        # prior and terms are reused from draw to draw: a draw allocates nothing
-        prior.fill(0.0)
-        for into, r, lhat in spectra[key]:
-            term = np.take(spec, r, axis=0, out=terms[:len(into)], mode="clip")
-            term *= lhat
-            for i, row in enumerate(into):
-                prior[row] += term[i]
+            lhat = [row for a in range(0, s.size, per)
+                    for row in spectra(pos, p, pair, a, min(per, s.size - a))]
+            first = np.append(True, s[1:] != s[:-1]).tolist()
+            reads[key] = (list(zip(s.tolist(), first, r.tolist(), lhat)),
+                          np.setdiff1d(np.arange(rows), s).tolist())
+        pairs, idle = reads[key]
+        if key not in cut:
+            cut[key] = [lhat if kept is None else lhat[kept] for *_, lhat in pairs]
+        # a row's terms are summed in the order of r, the first one into the
+        # row itself; prior and term are reused, so a product allocates
+        # nothing
+        spec_rows, prior_rows = ([row for block in b for row in block] for b in (spec, prior))
+        for (into, first, r, _), lhat in zip(pairs, cut[key]):
+            if first:
+                np.multiply(spec_rows[r], lhat, out=prior_rows[into])
+            else:
+                prior_rows[into] += np.multiply(spec_rows[r], lhat, out=term)
+        for row in idle:
+            prior_rows[row].fill(0.0)
         spec, prior = prior, spec
-    law = np.fft.irfft(spec, n=size)
-    law[law < rounding_error(law, draws)[:, None]] = 0.0
+    if kept is not None:
+        for b, block in enumerate(spec):
+            spec[b] = np.zeros((block.shape[0], size // 2 + 1), complex)
+            spec[b][:, kept] = block
     some = lo < math.inf
     lo = np.where(some, lo, offset).astype(np.int64)
-    # each row's totals from its least on, read around the circle
-    out = np.zeros((rows, width))
-    for row in np.flatnonzero(some).tolist():
-        first, count = (lo[row] - offset) // step % size, (int(hi[row]) - lo[row]) // step + 1
-        head = law[row, first:first + count]
-        out[row, :head.size], out[row, head.size:count] = head, law[row, :count - head.size]
-    return draws, lo, step, out
+    law = []
+    for (a, count), block in zip(blocks, spec):
+        dense = np.fft.irfft(block, n=size)
+        dense[dense < rounding_error(dense, draws)[:, None]] = 0.0
+        # each row's totals from its least on, read around the circle
+        out = np.zeros((count, width))
+        for row in np.flatnonzero(some[a:a + count]).tolist():
+            first = (lo[a + row] - offset) // step % size
+            cells = (int(hi[a + row]) - lo[a + row]) // step + 1
+            head = dense[row, first:first + cells]
+            out[row, :head.size], out[row, head.size:cells] = head, dense[row, :cells - head.size]
+        law.append(out)
+    return draws, lo, step, law
 
 
 def rounding_error(law, draws):
@@ -367,53 +437,100 @@ def first_over(i, top, over):
             return i
 
 
+class LatticeTail(NamedTuple):
+    """The tail of a lattice law per row, as `tail_lookup` reads it.  Row
+    s holds the law of totals base + unit (lo[s] + step i), and a path's
+    value so far lies on origin + unit Z, so its value with them lies on
+    origin + base + unit Z.  top holds the rows in the blocks of the law
+    (`last_draws_law`), and top[b][j, c] is the mass of the c greatest
+    cells of row j of block b, from c = 0 to the law's width."""
+    top: list
+    lo: np.ndarray
+    step: int
+    unit: float
+    origin: float
+    base: float
+
+
+class SortedTail(NamedTuple):
+    """The tail of a law per row on no lattice, as `tail_lookup` reads it:
+    dx[row] holds the row's values sorted, then inf, and top[row][c] the
+    mass of its c greatest values."""
+    dx: list
+    top: list
+
+
+def lattice_tail(law, lo, step, unit, origin=0.0, base=0.0):
+    """The `LatticeTail` of a law in blocks of rows as `last_draws_law`
+    gives it, its totals and a path's value so far on the lattices that
+    `LatticeTail` states."""
+    top = []
+    for block in law:
+        mass = np.zeros((block.shape[0], block.shape[1] + 1))
+        np.cumsum(block[:, ::-1], axis=1, out=mass[:, 1:])
+        top.append(mass)
+    return LatticeTail(top, lo, step, unit, origin, base)
+
+
 def tail_index(dx, p):
-    """(dx, tail, start, lo, h) for `tail_lookup`, from the cells of a law
-    per row: dx[row, j] the value a cell adds (inf for a cell with no
-    value) and p[row, j] its probability.  Per row, dx holds the values
-    sorted, then inf (a last column), and tail the suffix sums of their
-    probabilities, from the top; rows already sorted, as a lattice law's
-    are, are taken as they are.  start[row, b] counts the row's dx with
-    (dx - lo + 1) / h <= b up to rounding, for buckets of width h over [lo
-    - 1, hi + 1], lo and hi the least and the greatest finite dx: a path's
-    bucket finds its boundary up to the few dx in one bucket.  There are 2
-    buckets per column, or as many as keep `start` under ARRAY_BYTES, but
-    at least one."""
-    rows, w = dx.shape
-    dx_of, tail = np.full((rows, w + 1), math.inf), np.zeros((rows, w + 1))
-    if (dx[:, 1:] >= dx[:, :-1]).all():
-        dx_of[:, :w], tail[:, :w] = dx, p
-    else:
-        cell = (np.argsort(dx, axis=1) + w * np.arange(rows)[:, None]).ravel()
-        dx_of[:, :w] = dx.ravel()[cell].reshape(rows, w)
-        tail[:, :w] = p.ravel()[cell].reshape(rows, w)
-    tail = np.cumsum(tail[:, ::-1], axis=1)[:, ::-1]
-    finite = dx[dx < math.inf]
-    lo, hi = finite.min(), finite.max()
-    buckets = max(w + 1, min(2 * (w + 1), ARRAY_BYTES // (8 * rows) - 2))
-    h = (hi - lo + 2.0) / buckets
-    up = np.minimum(np.ceil((dx_of - lo + 1.0) / h), buckets).astype(np.intp)
-    up += (buckets + 1) * np.arange(rows)[:, None]
-    start = np.cumsum(np.bincount(up.ravel(), minlength=rows * (buckets + 1)).reshape(rows, -1),
-                      axis=1)[:, :-1]
-    return dx_of, tail, start, lo, h
+    """The `SortedTail` of a law per row from its cells: dx[row, j] the
+    value a cell adds (inf for a cell with no value) and p[row, j] its
+    probability.  Rows already sorted, as a table's totals are, are taken
+    as they are."""
+    ordered = (dx[:, 1:] >= dx[:, :-1]).all()
+    values, top = [], []
+    for d, q in zip(dx, p):
+        if not ordered:
+            order = np.argsort(d)
+            d, q = d[order], q[order]
+        mass = np.zeros(d.size + 1)
+        np.cumsum(q[::-1], out=mass[1:])
+        values.append(np.append(d, math.inf))
+        top.append(mass)
+    return SortedTail(values, top)
 
 
 def tail_lookup(index, past, row, x):
-    """P(x + dx > past | row) over the cells of a `tail_index` per path, x
-    its value so far: the cells past the boundary, found from the path's
-    bucket and then fixed up by evaluating x + dx at its neighbours
-    (`first_over`), so a cell counts exactly when that float sum exceeds
-    `past`."""
-    dx, tail, start, lo, h = index
-    width, buckets = dx.shape[1], start.shape[1]
-    first, dx = row * width, dx.ravel()
-    b = np.clip((past - x - lo + 1.0) / h, 0.0, buckets - 1.0).astype(np.intp)
-    # the row's bucket holds about the first cell with x + dx > past;
-    # the last column, dx = inf, always is one
-    i = first_over(start.ravel()[row * buckets + b], width - 1,
-                   lambda i: x + dx[first + i] > past)
-    return tail.ravel()[first + i]
+    """P(X > past | row) per path, X = x + D, x its value so far, row its
+    row and D a total of the law of that row in `index`.
+
+    A `LatticeTail` decides X > past in whole units of its lattice: x is
+    rounded to the lattice, and past, when within 1e-9 units of a lattice
+    point, is taken as that point.  So a path that ends exactly at past
+    does not count, whatever the rounding of its float sum.  The least
+    total past it is then one cell of the path's row, read directly, and
+    the rows are read block by block.
+
+    A `SortedTail` counts a value when the float sum x + dx exceeds past,
+    for one table draw the sum the sampler would take: the boundary is
+    found by `np.searchsorted` per row, and then fixed up by evaluating
+    that sum at its neighbours (`first_over`)."""
+    out = np.empty(row.size)
+    if isinstance(index, SortedTail):
+        for r in np.unique(row).tolist():
+            sel = np.flatnonzero(row == r)
+            dx, y = index.dx[r], x[sel]
+            i = first_over(np.searchsorted(dx, past - y, side="right"), dx.size - 1,
+                           lambda i: y + dx[i] > past)
+            out[sel] = index.top[r][dx.size - 1 - i]
+        return out
+    top, lo, step, unit, origin, base = index
+    per, width = top[0].shape[0], top[0].shape[1] - 1
+    u = (past - origin - base) / unit
+    if abs(u - round(u)) <= 1e-9:
+        u = round(u)
+    # the least total past it, in units from the row's least, and so the
+    # first cell that counts
+    least = math.floor(u) + 1 - np.rint((x - origin) / unit).astype(np.int64) - lo[row]
+    cell = np.clip(-(-least // step), 0, width)
+    part = row // per
+    flat = (row - part * per) * (width + 1) + width - cell
+    if len(top) == 1:
+        return top[0].ravel()[flat]
+    for b in np.unique(part).tolist():
+        sel = np.flatnonzero(part == b)
+        out[sel] = top[b].ravel()[flat[sel]]
+    return out
 
 
 def draw_plan(k, levels):

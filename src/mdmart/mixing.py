@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alias import (BLOCK_TABLE_CELLS, alias_draw, alias_tables, distinct_cells, doubled,
-                    draw_plan, joined, last_draws_law, tail_index, tail_lookup)
+                    draw_plan, joined, last_draws_law, lattice_tail, tail_index,
+                    tail_lookup)
 from .bounds import BoundParams
 from .montecarlo import (RatioReport, check_x_grid, estimate_from_sums, ratio_row,
                          seeded_chunks)
@@ -443,21 +444,22 @@ def _block_tables(chain: MarkovChainSpec, m: int, k: int):
 
 def _completion(chain: MarkovChainSpec, m: int, k: int):
     """(draws, index): the last `draws` table draws of a k-block path and
-    the `tail_index` of their total given the block-start state before
-    them, one row per start state.  Their law is `last_draws_law`'s, at
-    most `alias.COMPLETION_CELLS` lattice steps wide per start state, the
-    models' cap too, from the ladder's nonzero (total, next start) cells,
-    each total in steps from its table's least.  The stationary start may
+    the index of the tail of their total given the block-start state
+    before them, one row per start state, for `tail_lookup`.  Their law is
+    `last_draws_law`'s, at most `alias.COMPLETION_CELLS` lattice steps wide
+    per start state, the models' cap too, from the ladder's nonzero
+    (total, next start) cells, each total in steps from its table's least.  The stationary start may
     be any state, so a path may start the plan's first draw from every
     state, and all its draws may be integrated: at the CLI defaults all 13
     are, over 4,995 steps, and a path draws only its start state.  The
     steps are lattice steps when the tables' units are equally spaced, as
-    every doubled table's are; a total of the draws maps back to the sum
-    of their least units plus its steps times the units a step, over 1e12,
-    as the tables' totals are.  A chain off a lattice, one where not even
-    two draws fit, or one whose completed totals would pass 2^62 units
-    integrates its last draw only, at the table's own totals.  Kept on the
-    chain, per (m, k)."""
+    every doubled table's are; a total of the draws is the sum of their
+    least units plus its steps times the units a step, and the total of the
+    draws before them the sum of their least units plus whole steps, each
+    over 1e12 as the tables' totals are (`lattice_tail`).  A chain off a
+    lattice, one where not even two draws fit, or one whose completed
+    totals would pass 2^62 units integrates its last draw only, at the
+    table's own totals (`tail_index`).  Kept on the chain, per (m, k)."""
     if (m, k) not in chain._completions:
         ladder = _block_tables(chain, m, k)
         plan = draw_plan(k, len(ladder))
@@ -467,15 +469,15 @@ def _completion(chain: MarkovChainSpec, m: int, k: int):
         top = ladder[-1][0]
         law = None if np.diff(top, 2).any() else last_draws_law(cells, plan, np.arange(S), S)
         units, joint = ladder[plan[-1]]
-        draws, totals, p = 1, np.tile(units / 1e12, (S, 1)), joint.sum(axis=2)
+        index = 1, tail_index(np.tile(units / 1e12, (S, 1)), joint.sum(axis=2))
         if law is not None:
             D, lo, step, law = law
             least = sum(int(ladder[b][0][0]) for b in plan[-D:])
             unit = int(top[-1] - top[0]) // max(top.size - 1, 1)
-            pos = lo[:, None] + step * np.arange(law.shape[1])
-            if abs(least) + unit * int(pos.max()) < 1 << 62:
-                draws, totals, p = D, (least + unit * pos) / 1e12, law
-        chain._completions[m, k] = draws, tail_index(totals, p)
+            if abs(least) + unit * (int(lo.max()) + step * (law[0].shape[1] - 1)) < 1 << 62:
+                drawn = sum(int(ladder[b][0][0]) for b in plan[:-D])
+                index = D, lattice_tail(law, lo, step, unit / 1e12, drawn / 1e12, least / 1e12)
+        chain._completions[m, k] = index
     return chain._completions[m, k]
 
 

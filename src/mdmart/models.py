@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import bdtrc, gammaln, xlogy
 
 from .alias import (alias_draw, alias_tables, distinct_cells, doubled, draw_plan, first_over,
-                    last_draws_law, tail_index, tail_lookup)
+                    last_draws_law, lattice_tail, tail_index, tail_lookup)
 
 ATOL = 1e-12
 
@@ -461,16 +461,18 @@ class MartingaleModel:
         step.
 
         With `past`, the last draws -- the split of the m steps, or the last
-        D table draws (`_completion`: 13 of 50 for regime_switch at n =
+        D table draws (`_completion`: 26 of 50 for regime_switch at n =
         1600) -- are not taken: the batch holds X and the log likelihood
         ratio of the draws before them, and the exact P(X_n > past | them)
         under P (`_split_tail`, `tail_lookup`).  Under P_lam the tilt of
         the integrated draws cancels against their weight, so their law is
         the untilted one: P_lam(c) e^{-lam dx_c + dpsi_c} = P(c) for each
         table cell, and for the split its lumped factor ((p + p') / (p_lam
-        + p'_lam))^m joins the prefix's weight.  A total dx of the last
-        draws counts when the float sum X + dx exceeds `past`: for one
-        table draw, the sum the sampler would take."""
+        + p'_lam))^m joins the prefix's weight.  Where D >= 2 draws on the
+        lattice of value sums are integrated, X_n > past is decided in
+        whole units of it, so a path that ends exactly at past does not
+        count; a single table draw counts when the float sum X + dx
+        exceeds `past`, the sum the sampler would take."""
         t = self.table
         if len(t.states) == 1:
             _, probs, log_mgf = self.law_arrays(lam)
@@ -563,13 +565,14 @@ class MartingaleModel:
     @cached_property
     def _completion(self):
         """(draws, index): how many of a path's last table draws
-        `simulate_terminal` integrates with `past`, and the `tail_index` of
-        their total under P per block-start row.  The draws are those of
-        the plan of `_blocks`, the leftover table last, and their law is
-        `last_draws_law`'s, at most `alias.COMPLETION_CELLS` lattice steps
-        wide per row, its totals at lo + step i units.  When not even two
-        draws fit, as when the value sums lie on no lattice, the last table
-        is integrated alone, each cell at its own dx."""
+        `simulate_terminal` integrates with `past`, and the index of the
+        tail of their total under P per block-start row, for
+        `tail_lookup`.  The draws are those of the plan of `_blocks`, the
+        leftover table last, and their law is `last_draws_law`'s, at most
+        `alias.COMPLETION_CELLS` lattice steps wide per row, its totals at
+        lo + step i units (`lattice_tail`).  When not even two draws fit,
+        as when the value sums lie on no lattice, the last table is
+        integrated alone, each cell at its own dx (`tail_index`)."""
         tables, plan = self._blocks
         rows = tables[0].log_p.size // tables[0].width
         # a path starts plan[1:] from a row its first draw ends in
@@ -581,7 +584,7 @@ class MartingaleModel:
             return 1, tail_index(np.where(real, g.dx, math.inf).reshape(rows, -1),
                                  np.exp(g.log_p).reshape(rows, -1))
         draws, lo, step, p = law
-        return draws, tail_index((lo[:, None] + step * np.arange(p.shape[1])) * g.unit, p)
+        return draws, lattice_tail(p, lo, step, g.unit)
 
     def terminal_law(self, lam: float = 0.0) -> TerminalLaw | None:
         """The exact law of X_n and its log weight under P_lam when it lives

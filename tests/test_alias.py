@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from mdmart import alias
-from mdmart.alias import (ARRAY_BYTES, COMPLETION_CELLS, alias_draw, alias_tables, draw_plan,
-                          last_draws_law, tail_index)
+from mdmart.alias import (ARRAY_BYTES, COMPLETION_CELLS, COMPLETION_WORK, alias_draw,
+                          alias_tables, draw_plan, last_draws_law, lattice_tail, tail_index,
+                          tail_lookup)
 from mdmart.mixing import _block_tables, _completion, block_indices, two_state_chain
 from mdmart.models import ConditionalLaw, MartingaleModel, make_regime_switch
+from mdmart.montecarlo import estimate_tail_tilted
+from mdmart.tilt import choose_tilt
 from test_mixing import LATTICE_CHAINS, LATTICE_IDS, three_state_chain
 
 
@@ -179,14 +182,18 @@ def chain_completion(chain, n):
 
 
 # the completions the engine is held to direct convolution on, each with the
-# D it integrates where it is pinned: regime_switch's, at gamma = 0 and
-# n = 6400 all 17 draws of its plan, the one config whose D the cap of 8192
-# moved (from 12), and the block-sum
-# ones of the lattice chains at n = 10^4 (m = 15, k = 333), where D is all
-# 13 draws of the two-state chains' plans and 35 of three_state's 43, and of
-# three_state at n = 2000 (m = 9, k = 111), where D is all 10 draws of the
-# plan, the first from any state
-ENGINE_CASES = [(regime_switch_completion, (n, gamma), None)
+# D it integrates where it is pinned: regime_switch's, with D pinned where the
+# bound on spectral work in place of one on the rows' spectra moved it (at
+# n = 96 for gamma = 0.45, 2 -> 6; at n = 400 for gamma = 0.2, 4 -> 6, and
+# 0.45, 2 -> 6; at n = 1600 for gamma = 0.2, 4 -> 13, 0.3, 13 -> 26, and
+# 0.45, 1 -> 6), at gamma = 0 and n = 6400 all 17 draws of its plan, and the
+# block-sum ones of the lattice chains at n = 10^4 (m = 15, k = 333), where
+# D is all 13 draws of the two-state chains' plans and 35 of three_state's
+# 43, and of three_state at n = 2000 (m = 9, k = 111), where D is all 10
+# draws of the plan, the first from any state
+MOVED = {(96, 0.45): 6, (400, 0.2): 6, (400, 0.45): 6, (1600, 0.2): 13, (1600, 0.3): 26,
+         (1600, 0.45): 6}
+ENGINE_CASES = [(regime_switch_completion, (n, gamma), MOVED.get((n, gamma)))
                 for n in (96, 400, 1600) for gamma in (0.2, 0.3, 0.45)] + [
     (regime_switch_completion, (6400, 0.0), 17),
     (chain_completion, (LATTICE_CHAINS[0][0], 10 ** 4), 13),
@@ -203,9 +210,10 @@ def direct_last_draws(cells, entry, rows, draws):
     pair, C_s <- sum_r convolve(L_{s,r}, C_r), reading only the cells that
     start in a row a path starts them from: one of `entry` for the first
     table, an end row of the table before it for each other one.  Returns
-    (step, laws): laws[d - 1] maps each row s to (lo, law) of the last d
-    draws, law[i] = P(total lo + step i | s), step the gcd of the
-    differences between the totals of each draw's cells."""
+    (step, laws, pairs): laws[d - 1] maps each row s to (lo, law) of the
+    last d draws, law[i] = P(total lo + step i | s), step the gcd of the
+    differences between the totals of each draw's cells, and pairs[d - 1]
+    the (start, end) pairs of the cells the d-th draw from the end reads."""
     last = []
     starts = [entry] + [c[3] for c in cells[:-1]]
     for before, (pos, p, start, end) in zip(starts[-draws:], cells[-draws:]):
@@ -243,14 +251,16 @@ def direct_last_draws(cells, entry, rows, draws):
                 law[(a - lo) // step:(a - lo) // step + c.size] += c
             C[s] = lo, law
         laws.append(C)
-    return step, laws
+    return step, laws, [len(pairs(table, True)) for table in last[::-1]]
 
 
-def fits(step, laws, rows):
-    """Whether laws of these spans fit `last_draws_law`'s bounds."""
+def fits(step, laws, pairs):
+    """Whether laws of these spans, from draws of these pairs, fit
+    `last_draws_law`'s bounds: at most COMPLETION_CELLS steps, and at most
+    COMPLETION_WORK pairs times frequencies."""
     width = max(law.size for C in laws for _, law in C.values())
-    return width <= COMPLETION_CELLS and \
-        rows * ((1 << (width - 1).bit_length()) + 2) * 8 < ARRAY_BYTES
+    size = 1 << (width - 1).bit_length()
+    return width <= COMPLETION_CELLS and sum(pairs) * (size // 2 + 1) <= COMPLETION_WORK
 
 
 class TestLastDrawsLaw:
@@ -272,16 +282,18 @@ class TestLastDrawsLaw:
         monkeypatch.setattr(alias, "rounding_error", recorded)
         out = last_draws_law(cells, list(range(len(cells))), entry, rows)
         draws = 1 if out is None else out[0]
-        assert draws <= len(cells) and pinned in (None, draws)
+        assert draws <= len(cells) and pinned in (None, draws), draws
         if draws < len(cells):
-            assert not fits(*direct_last_draws(cells, entry, rows, draws + 1), rows)
+            assert not fits(*direct_last_draws(cells, entry, rows, draws + 1))
         assert completion[0] == draws
         if out is None:
             return
         _, lo, step, law = out
-        want_step, laws = direct_last_draws(cells, entry, rows, draws)
-        assert step == want_step and fits(step, laws, rows)
-        C = laws[-1]
+        assert all(block.nbytes < ARRAY_BYTES for block in law)
+        law = np.vstack(law)
+        want_step, laws, pairs = direct_last_draws(cells, entry, rows, draws)
+        assert step == want_step and fits(step, laws, pairs)
+        C, bound = laws[-1], np.concatenate(bounds)
         assert not law[[s for s in range(rows) if s not in C]].any()
         for s, (lo_s, want) in C.items():
             i = (lo_s - lo[s]) // step
@@ -289,14 +301,15 @@ class TestLastDrawsLaw:
             full = np.zeros(law.shape[1])
             full[i:i + want.size] = want
             kept = law[s] > 0.0
-            assert np.abs(law[s] - full)[kept].max() <= bounds[0][s]
-            assert full[~kept].max(initial=0.0) < 2.0 * bounds[0][s]
+            assert np.abs(law[s] - full)[kept].max() <= bound[s]
+            assert full[~kept].max(initial=0.0) < 2.0 * bound[s]
             got_tail, want_tail = (np.cumsum(a[::-1])[::-1] for a in (law[s], full))
             assert np.abs(got_tail - want_tail).max() <= 1e-15
             assert abs(got_tail[0] - 1.0) <= 1e-12
-        tail = completion[1][1]
-        assert tail.min() >= 0.0 and tail.max() <= 1.0 + 1e-12
-        assert (np.diff(tail, axis=1) <= 0.0).all()
+        # each row's mass of its c greatest cells grows with c, to 1
+        top = np.vstack(completion[1].top)
+        assert top.min() >= 0.0 and top.max() <= 1.0 + 1e-12
+        assert (np.diff(top, axis=1) >= 0.0).all()
 
     def test_each_read_transformed_once(self, monkeypatch):
         # at the mixing defaults the plan is [5] * 10 + [3, 2, 0], and a
@@ -339,21 +352,25 @@ class TestLastDrawsLaw:
         assert last_draws_law(cells, list(range(len(cells))), entry, rows) is None
         assert model._completion[0] == 1
 
-    def test_no_array_reaches_the_bound(self, tmp_path):
+    @pytest.mark.parametrize("gamma, integrated", [(0.2, 13), (0.3, 26), (0.45, 6)])
+    def test_no_array_reaches_the_bound(self, tmp_path, gamma, integrated):
         # glibc serves an allocation of ARRAY_BYTES by mmap, unless a free
         # block of the heap holds it, until an mmapped block at least that
         # large is freed, which raises its threshold to that block's size.
-        # Built in a fresh process from saved tables, the law leaves the
-        # threshold below ARRAY_BYTES, as a probe from a new thread, whose
-        # heap holds nothing, reads it; and it keeps no array that large
+        # Built in a fresh process from saved tables, the law and its tail
+        # leave the threshold below ARRAY_BYTES, as a probe from a new
+        # thread, whose heap holds nothing, reads it; and they keep no array
+        # that large.  At n = 1600 the spectra of all rows and the law pass
+        # ARRAY_BYTES at each gamma (R = 47, 13 and 199 rows), so they are
+        # held in blocks
         pytest.importorskip("ctypes")
-        model = make_regime_switch(1600, 0.3)
+        model = make_regime_switch(1600, gamma)
         tables, plan = model._blocks
         np.savez(tmp_path / "cells.npz", *[a for g in tables for a in g.cells()])
         code = (
             "import ctypes, sys, threading\n"
             "import numpy as np\n"
-            "from mdmart.alias import ARRAY_BYTES, last_draws_law, tail_index\n"
+            "from mdmart.alias import ARRAY_BYTES, last_draws_law, lattice_tail\n"
             "libc = ctypes.CDLL(None)\n"
             "class Info(ctypes.Structure):\n"
             "    _fields_ = [(k, ctypes.c_size_t) for k in ('arena', 'ordblks', 'smblks', 'hblks',\n"
@@ -377,8 +394,8 @@ class TestLastDrawsLaw:
             "fresh = mapped()\n"
             f"draws, lo, step, law = last_draws_law(tables, {plan[1:]}, tables[{plan[0]}][3],\n"
             f"                                      {tables[0].log_p.size // tables[0].width})\n"
-            "index = tail_index((lo[:, None] + step * np.arange(law.shape[1])) * 0.1, law)\n"
-            "kept = max(x.nbytes for x in (lo, law, *index[:3]))\n"
+            "index = lattice_tail(law, lo, step, 0.1)\n"
+            "kept = max(x.nbytes for x in (lo, *law, *index.top))\n"
             "print(fresh, mapped(), draws, kept < ARRAY_BYTES)\n")
         env = {**os.environ, "PYTHONPATH": str(Path(alias.__file__).resolve().parents[1])}
         try:
@@ -389,7 +406,28 @@ class TestLastDrawsLaw:
             if "mallinfo2" in e.stderr:
                 pytest.skip("no glibc mallinfo2")
             raise
-        assert out.split() == ["True", "True", "13", "True"]
+        assert out.split() == ["True", "True", str(integrated), "True"]
+
+
+    def test_deeper_completion_is_unbiased(self):
+        # regime_switch at gamma = 0.2, n = 400 integrates 6 of the 7 draws
+        # after its first (4 while the spectra of all rows had to fit one
+        # array).  Its tilted estimates at thresholds off the lattice of X_n
+        # (steps of 0.02) lie within 4 SE of the exact tail: the whole plan
+        # from row 0, composed directly
+        model = make_regime_switch(400, 0.2)
+        tables, plan = model._blocks
+        assert model._completion[0] == 6 and len(plan) == 7
+        cells = [tables[b].cells() for b in plan]
+        step, laws, _ = direct_last_draws(cells, np.array([0]),
+                                          tables[0].log_p.size // tables[0].width, len(cells))
+        lo, law = laws[-1][0]
+        values = (lo + step * np.arange(law.size)) * tables[0].unit
+        assert step * tables[0].unit == pytest.approx(0.02)
+        for i, x in enumerate((0.505, 1.005, 1.505, 2.005, 2.505)):
+            exact = math.fsum(law[values > x].tolist())
+            est = estimate_tail_tilted(model, x, choose_tilt(model, x).lam, 20000, 3, row=i)
+            assert abs(est.p_hat - exact) <= 4.0 * est.std_err, (x, est.p_hat, exact)
 
 
 class TestTailIndex:
@@ -401,4 +439,27 @@ class TestTailIndex:
         order = rng.permutation(40)
         got, want = tail_index(dx, p), tail_index(dx[:, order], p[:, order])
         for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+            assert all(np.array_equal(u, v) for u, v in zip(a, b))
+
+    def test_lattice_tail_decides_in_units(self):
+        # a path counts when its units so far plus a cell's exceed the
+        # threshold's, a threshold within 1e-9 units of a lattice point
+        # taken as that point: a path that ends there does not count, however
+        # its float sum rounds.  The law in blocks of rows reads as in one
+        rng = np.random.default_rng(5)
+        law = rng.random((7, 12))
+        law /= law.sum(axis=1, keepdims=True)
+        lo, step, unit = rng.integers(-6, 6, 7), 3, 0.1
+        one = lattice_tail([law], lo, step, unit)
+        blocks = lattice_tail([law[:3], law[3:6], law[6:]], lo, step, unit)
+        row, k = rng.integers(0, 7, 2000), rng.integers(-30, 30, 2000)
+        # the path's float value so far, a few roundings off k units
+        x = k * unit + rng.normal(scale=1e-15, size=k.size)
+        totals = lo[row, None] + step * np.arange(12)
+        for m in (-7, 0, 4, 19):
+            for past, over in ((m * unit, m), (m * unit + 3e-12, m), (m * unit - 3e-12, m),
+                               ((m + 0.4) * unit, m), ((m - 0.4) * unit, m - 1)):
+                want = np.where(k[:, None] + totals > over, law[row], 0.0).sum(axis=1)
+                got = tail_lookup(one, past, row, x)
+                assert np.abs(got - want).max() <= 1e-12
+                assert np.array_equal(tail_lookup(blocks, past, row, x), got)

@@ -643,7 +643,11 @@ class TestCompletion:
         draws, blocks = suffix_blocks(chain, m, k)
         plan = draw_plan(k, len(_block_tables(chain, m, k)))
         assert draws == integrated
-        dx, tail = _completion(chain, m, k)[1][:2]
+        top, lo, step, unit, _, base = _completion(chain, m, k)[1]
+        width = top[0].shape[1] - 1
+        # per start state, the completion's totals and the mass from each on
+        values = base + unit * (lo[:, None] + step * np.arange(width))
+        tail = np.vstack(top)[:, :0:-1]
         S = chain.P.shape[0]
         assert np.abs(tail[:, 0] - 1.0).max() <= 1e-12
         # the completion sums f rounded to whole units of 1e-12
@@ -655,12 +659,11 @@ class TestCompletion:
             order = np.argsort(totals)
             totals, law = totals[order], law[order]
             above = np.concatenate((np.cumsum(law[::-1])[::-1], [0.0]))
-            values = dx[s][dx[s] < math.inf]
-            assert (law[np.abs(totals[:, None] - values).min(axis=1) > 1e-9] == 0.0).all()
+            assert (law[np.abs(totals[:, None] - values[s]).min(axis=1) > 1e-9] == 0.0).all()
             # the walk's tail at each of the completion's totals, which lie
             # |a| apart
-            want = above[np.searchsorted(totals, values - abs(a) / 2)]
-            assert np.abs(tail[s, :values.size] - want).max() <= 1e-12, s
+            want = above[np.searchsorted(totals, values[s] - abs(a) / 2)]
+            assert np.abs(tail[s] - want).max() <= 1e-12, s
         # the info counts the draws taken and those integrated
         _, info = mixing_tail_experiment(chain, n, alpha, [1.0], 100, 0)
         assert (info["draws_per_path"], info["draws_integrated"]) == (len(plan) - draws, draws)
