@@ -1,8 +1,11 @@
-"""Walker's alias method for drawing from tabulated finite laws, shared by
-the block-sum sampler and the Berbee coupling in `mixing` and the block
-sampler of every state-dependent model in `models`.  The tables of all
-rows are built at once, by prefix sums over Vose's pairing (Vose 1991, IEEE
-TSE 17:972; Hübschle-Schneider & Sanders, ESA 2019).  Also here: the
+"""Drawing from tabulated finite laws, and the laws of block sums.  Walker's
+alias method, shared by the block-sum sampler and the Berbee coupling in
+`mixing`: the tables of all rows are built at once, by prefix sums over
+Vose's pairing (Vose 1991, IEEE TSE 17:972; Hübschle-Schneider & Sanders,
+ESA 2019).  Inversion, the block sampler of every state-dependent model in
+`models` (`inversion_tables`, `inversion_draw`): its draw grows with the
+uniform, so that a randomized quasi-Monte Carlo point set keeps its
+balance through it.  Also here: the
 distinct cells of a forward pass over one block (`distinct_cells`), by
 which both passes merge the cells that share their fields, each total in
 whole units of a lattice; the law of two consecutive blocks from the law
@@ -124,6 +127,62 @@ def alias_draw(tables, base, width, u):
     col = np.minimum(u.astype(np.intp), width - 1)
     cell = base + col
     return np.where(u - col < prob[cell], col, alias[cell])
+
+
+def inversion_tables(p: np.ndarray):
+    """(cdf, guide, key): the tables by which `inversion_draw` draws a cell
+    from each row of p by inversion, flattened over (row, column) as p is.
+    cdf[s, i] is the cumulative probability of columns 0..i of row s,
+    normalised by the row's sum and at most 1, and 1 from the row's last
+    column of positive mass on, so every uniform in [0, 1) lands on a
+    column of positive mass.  guide[s, g] is the first cell a uniform in
+    [g / G, (g + 1) / G) can draw, the row's columns with cdf <= g / G
+    counted from its first cell, for G the least power of two at least 4
+    times the row's width: a power of two, so that u G and g / G are exact
+    (Chen & Asau 1974; Devroye 1986, ch. III.2).  key[s, i] is s 2^54 +
+    ceil(cdf[s, i] 2^53), by which one sorted search over all rows finds a
+    cell, and None where the rows do not fit in int64.  An all-zero row,
+    which is never drawn from, draws its last column."""
+    S, W = p.shape
+    total = p.sum(axis=1, keepdims=True)
+    cdf = np.minimum(np.cumsum(p, axis=1) / np.where(total > 0.0, total, 1.0), 1.0)
+    last = W - 1 - np.argmax(p[:, ::-1] > 0.0, axis=1)
+    cdf[np.arange(W) >= last[:, None]] = 1.0
+    size = 1 << (4 * W - 1).bit_length()
+    # cell i counts for the buckets g >= ceil(cdf G), exact as G is a power
+    # of two; a cell at 1 counts for none
+    rows = np.arange(S)[:, None]
+    first = np.ceil(cdf * size).astype(np.intp) + (size + 1) * rows
+    count = np.bincount(first.ravel(), minlength=S * (size + 1)).reshape(S, size + 1)
+    guide = np.cumsum(count[:, :size], axis=1) + W * rows
+    key = None if S > 1 << 9 else (np.ceil(cdf * 2.0 ** 53).astype(np.int64) + (rows << 54)).ravel()
+    return cdf.ravel(), guide, key
+
+
+def inversion_draw(tables, row, u):
+    """One cell per uniform u in [0, 1) on the grid of 2^-53, drawn from
+    row `row` of each path's `inversion_tables` by inversion: the row's
+    least cell whose cumulative probability exceeds u, so the cell grows
+    with u.  The guide gives a start at most a few cells short of it for
+    almost every path, and two steps on the paths short of it reach it for
+    almost all; the few left take a sorted search (`np.searchsorted`)."""
+    cdf, guide, key = tables
+    size = guide.shape[1]
+    cell = guide.ravel()[row * size + (u * size).astype(np.intp)]
+    short = np.flatnonzero(cdf[cell] <= u)
+    for _ in range(2):
+        cell[short] += 1
+        short = short[cdf[cell[short]] <= u[short]]
+    if key is not None:
+        cell[short] = np.searchsorted(key, (u[short] * 2.0 ** 53).astype(np.int64)
+                                      + (row[short] << 54), side="right")
+        return cell
+    width = cdf.size // guide.shape[0]
+    for r in np.unique(row[short]).tolist():
+        sel = short[row[short] == r]
+        cell[sel] = r * width + np.searchsorted(cdf[r * width:(r + 1) * width], u[sel],
+                                                side="right")
+    return cell
 
 
 def joined(start, end):

@@ -16,8 +16,8 @@ from itertools import accumulate
 import numpy as np
 from scipy.special import bdtrc, gammaln, xlogy
 
-from .alias import (alias_draw, alias_tables, distinct_cells, doubled, draw_plan, first_over,
-                    last_draws_law, lattice_tail, tail_index, tail_lookup)
+from .alias import (distinct_cells, doubled, draw_plan, first_over, inversion_draw,
+                    inversion_tables, last_draws_law, lattice_tail, tail_index, tail_lookup)
 
 ATOL = 1e-12
 
@@ -174,8 +174,9 @@ class BlockTable:
     """The law of one block of `steps` steps under P_lam from each
     block-start state, in `width` cells per state, flattened over (row,
     cell).  Row 0 is state 0; the others are the states a block can end
-    in, in the order blocks first reach them.  Padding cells have
-    probability 0."""
+    in, in the order blocks first reach them.  A row's cells are sorted by
+    dx, so that a draw by inversion grows with its uniform, and padding
+    cells, of probability 0, come last."""
 
     steps: int
     width: int
@@ -183,7 +184,7 @@ class BlockTable:
     dx: np.ndarray     # sum of the block's scaled values
     dpsi: np.ndarray   # sum of psi_s(lam) over the block's states
     end: np.ndarray    # row of the end state
-    alias: tuple       # alias_tables of prob, row by row
+    inverse: tuple     # inversion_tables of prob, row by row
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,8 @@ class _BlockLaw:
     is log P(cell) (-inf on padding), `dx` the sum of the scaled values,
     `pos` that sum, rounded to 12 decimals unscaled, in whole units of the
     model's value lattice, each unit `unit` scaled, `count` the steps per
-    law and `end` the end row."""
+    law and `end` the end row.  A row's cells are sorted by dx, ties in the
+    order they come, whatever the tilt."""
 
     steps: int
     width: int
@@ -209,8 +211,10 @@ class _BlockLaw:
 
     @classmethod
     def of(cls, steps, unit, rows, row, end, count, dx, pos, p):
-        """The cells with these fields, sorted by row, laid out in rows of
-        one width."""
+        """The cells with these fields, laid out in rows of one width, each
+        row's sorted by dx."""
+        order = np.lexsort((dx, row))
+        row, end, count, dx, pos, p = (a[order] for a in (row, end, count, dx, pos, p))
         col = np.arange(row.size) - np.searchsorted(row, row)
         width = int(col.max()) + 1
 
@@ -235,7 +239,7 @@ class _BlockLaw:
         dpsi = self.count @ log_mgf
         prob = np.exp(self.log_p + lam * self.dx - dpsi)
         return BlockTable(self.steps, self.width, prob, self.dx, dpsi, self.end,
-                          alias_tables(prob.reshape(-1, self.width)))
+                          inversion_tables(prob.reshape(-1, self.width)))
 
 
 class MartingaleModel:
@@ -450,9 +454,15 @@ class MartingaleModel:
         one binomial draw.  Otherwise the path is cut into blocks of B steps
         (`block_steps`), and one uniform draws 2^b blocks at once: their sum
         of values, their sum of log mgfs and their end state come together
-        from the alias tables of the law of 2^b blocks at the path's
-        block-start state (`block_tables`), composed by convolution along
-        the lattice of value sums (`_blocks`).  A path of k = n // B blocks
+        from the law of 2^b blocks at the path's block-start state
+        (`block_tables`), composed by convolution along the lattice of
+        value sums (`_blocks`), by inversion (`inversion_draw`).  A row's
+        cells are sorted by their value sum, so the sum drawn grows with
+        the uniform.  The uniforms come from rng.random, one call of `size`
+        per table draw in the plan's order: a Generator's, or any object
+        with that method, such as the shifted Sobol points by which the
+        tilted estimator draws (`montecarlo.net_chunks`), one dimension a
+        draw.  A path of k = n // B blocks
         draws as `draw_plan` says: k // j times from the table of the most
         blocks j, and once from the table of 2^b blocks for each set bit b
         of k mod j.  The n mod B steps left over come last, from the
@@ -508,13 +518,20 @@ class MartingaleModel:
         row = np.zeros(size, dtype=np.intp)  # block-start row 0 is state 0
         integrated, index = self._completion if past is not None else (0, None)
         for tab in [tables[b] for b in plan[:len(plan) - integrated]]:
-            off = row * tab.width
-            cell = off + alias_draw(tab.alias, off, tab.width, rng.random(size))
+            cell = inversion_draw(tab.inverse, row, rng.random(size))
             x += tab.dx[cell]
             psi += tab.dpsi[cell]
             row = tab.end[cell]
         return TerminalBatch(x=x, log_weight=-lam * x + psi,
                              tail=None if past is None else tail_lookup(index, past, row, x))
+
+    @property
+    def prefix_draws(self) -> int | None:
+        """How many table draws each path takes in `simulate_terminal` with
+        `past`, one uniform each, from one `random` call per draw: those of
+        the plan of `_blocks` less the `_completion`.  None for a one-state
+        model, which draws binomial counts."""
+        return None if self.iid else len(self._blocks[1]) - self._completion[0]
 
     @cached_property
     def _split_order(self) -> list:

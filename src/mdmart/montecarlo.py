@@ -4,19 +4,22 @@ Sampling is chunked: chunk j draws from a counter-based Philox stream keyed
 (master_seed, j), or (master_seed, (row << 32) | j) for row `row` of a
 report, and per-chunk statistics are merged in index order with
 compensated summation.  A model with an exact finite terminal law has its
-paths' histogram drawn at once instead, from the stream of chunk 0.
-Results are therefore a pure function of (model, parameters, seed); the
-mixing simulators draw the same way.
+paths' histogram drawn at once instead, from the stream of chunk 0.  The
+tilted estimator of a block model draws its paths' uniforms from
+REPLICATES digitally shifted copies of one Sobol net instead, replicate r's
+shift from the stream of chunk r.  Results are therefore a pure function
+of (model, parameters, seed); the mixing simulators draw the same way.
 """
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import betaincinv, logsumexp, ndtri
+from scipy.special import betaincinv, logsumexp, ndtri, stdtrit
 from scipy.stats import binom
 
 from .bounds import BoundParams, gaussian_tail, ratio_envelope
@@ -24,6 +27,16 @@ from .models import MartingaleModel
 from .tilt import choose_tilt
 
 CHUNK = 8192
+
+# the independent replicates of the tilted estimator of a block model, each
+# a digitally shifted copy of one Sobol net: the estimate's SE is their
+# spread, and its interval a t interval on REPLICATES - 1 degrees of
+# freedom (`_tail_sums`)
+REPLICATES = 16
+
+# the most dimensions of scipy's Sobol direction numbers (Joe & Kuo 2008); a
+# path's table draws past them take pseudo-random uniforms
+SOBOL_DIMS = 21201
 
 MIN_ESS = 10.0
 
@@ -142,6 +155,65 @@ def lattice_histogram(prob: np.ndarray, total: int,
     return count[:len(prob)]
 
 
+class ShiftedNet:
+    """The uniforms of one chunk of a Sobol net's points under each
+    replicate's digital shift, in the place of a generator in
+    `simulate_terminal`: call k of `random` gives coordinate k of the
+    chunk's first counts[r] points for replicate r, replicate after
+    replicate.  points[k] holds coordinate k of each point as a 53-bit
+    integer, the net's 30 bits shifted left by 23, and shifts[r, k] is
+    replicate r's shift of it: u = (point XOR shift) 2^-53, exactly uniform
+    on the grid of `Generator.random` for a uniform shift (L'Ecuyer 2009,
+    Finance Stoch. 13:307).  The coordinates past those of points are drawn
+    from each replicate's stream in turn."""
+
+    def __init__(self, points, shifts, counts, streams):
+        self.points, self.shifts, self.counts, self.streams = points, shifts, counts, streams
+        self.dim = 0
+        full = (counts == points.shape[1]).all()
+        self.keep = None if full else (np.arange(points.shape[1]) < counts[:, None]).ravel()
+
+    def random(self, size):
+        k, self.dim = self.dim, self.dim + 1
+        if k >= len(self.points):
+            return np.concatenate([rng.random(c) for rng, c in zip(self.streams, self.counts.tolist())])
+        u = (self.points[k] ^ self.shifts[:, k, None]).ravel()
+        return (u if self.keep is None else u[self.keep]) * 2.0 ** -53
+
+
+def net_chunks(seed: int, row: int, n_samples: int, dims: int):
+    """Yield (`ShiftedNet`, paths) for n_samples paths of `dims` uniforms
+    each: replicate r of REPLICATES takes the first `replicate_counts`[r]
+    points of one unscrambled Sobol net in `dims` dimensions, under its own
+    shift of 53 random bits per dimension from the stream keyed [seed, (row
+    << 32) | r].  The net is held CHUNK // REPLICATES points at a time, so a
+    chunk holds at most CHUNK paths; dimensions past SOBOL_DIMS are drawn
+    from the same streams, after the shifts."""
+    from scipy.stats import qmc
+
+    counts = replicate_counts(n_samples)
+    streams = [seeded_stream(seed, (row << 32) | r) for r in range(REPLICATES)]
+    d = min(dims, SOBOL_DIMS)
+    shifts = np.array([rng.integers(1 << 53, size=d, dtype=np.uint64) for rng in streams])
+    net = qmc.Sobol(d, scramble=False)
+    per = CHUNK // REPLICATES
+    for a in range(0, int(counts[0]), per):
+        c = min(per, int(counts[0]) - a)
+        with warnings.catch_warnings():
+            # the balance warning: a replicate need not hold 2^k points
+            warnings.filterwarnings("ignore", "The balance properties")
+            points = net.random(c)
+        points = (points.T * 2.0 ** 30).astype(np.uint64) << np.uint64(23)
+        held = np.clip(counts - a, 0, c)
+        yield ShiftedNet(points, shifts, held, streams), int(held.sum())
+
+
+def replicate_counts(n_samples: int) -> np.ndarray:
+    """The paths of each of REPLICATES replicates of n_samples paths: n_samples
+    // REPLICATES each, and one more for the first n_samples % REPLICATES."""
+    return n_samples // REPLICATES + (np.arange(REPLICATES) < n_samples % REPLICATES)
+
+
 def _weighted_sums(count, w):
     """(sum count * w, sum count * w^2), each fsum'd over a list of floats,
     not walked over numpy scalars.  count = 1 gives w and w * w bit for bit."""
@@ -164,25 +236,35 @@ def _law_ess(law, x: float, n_samples: int) -> float:
 def _tail_sums(model: MartingaleModel, x: float, lam: float, n_samples: int,
                seed: int, row: int, complete: bool):
     """(paths that count, sum of their contributions y, sum of y^2, whether
-    every path's y is the same) over n_samples paths under P_lam, and the
-    terminal law the paths were drawn from, or None.  A drawn path counts
-    when X_n > x, with y = w = e^{-lam X_n + Psi_n}, and y = 0 otherwise.
-    With `complete`, each path's last draws are integrated instead
-    (conditional Monte Carlo; Asmussen & Glynn, *Stochastic Simulation*,
-    2007, ch. V): y = w' P(X_n > x | the draws before them), w' their
-    likelihood ratio (`simulate_terminal` with `past`), and a path counts
-    when y can be positive.
+    every path's y is the same, the terminal law the paths were drawn from
+    or None, and the replicates' (sums of y, paths) or None) over n_samples
+    paths under P_lam.  A drawn path counts when X_n > x, with y = w =
+    e^{-lam X_n + Psi_n}, and y = 0 otherwise.  With `complete`, each
+    path's last draws are integrated instead (conditional Monte Carlo;
+    Asmussen & Glynn, *Stochastic Simulation*, 2007, ch. V): y = w' P(X_n >
+    x | the draws before them), w' their likelihood ratio
+    (`simulate_terminal` with `past`), and a path counts when y can be
+    positive.
 
     When the model has an exact finite terminal law (`terminal_law`), the
     paths' histogram over its cells is drawn at once from the stream keyed
     [seed, row << 32], and each cell counts its paths (`lattice_histogram`);
     the time this takes does not grow with n_samples, and `complete` does
-    not change it.  Otherwise the paths are drawn in chunks of CHUNK from
-    the streams of `seeded_chunks`; a chunk's sums are numpy's pairwise
-    sums over its paths, and the chunks' sums are fsum'd in order."""
+    not change it.  With `complete`, a block model's paths take their
+    uniforms from REPLICATES shifted copies of one Sobol net instead, one
+    dimension per table draw (`net_chunks`): randomized quasi-Monte Carlo,
+    whose replicates are independent and each unbiased, so the spread of
+    their means gives the SE (`estimate_from_sums`).  Below 2 REPLICATES
+    paths, where a replicate would hold one point, and when a path draws no
+    table, the paths are drawn as the plain ones are.  Otherwise the paths
+    are drawn in chunks of CHUNK from the streams of `seeded_chunks`; a
+    chunk's sums are numpy's pairwise sums over its paths, and the chunks'
+    sums are fsum'd in order."""
     if not 1 <= n_samples < 2 ** 63:
         raise ValueError("n_samples must lie in [1, 2^63)")
     law = model.terminal_law(lam)
+    dims = model.prefix_draws if complete else None
+    replicates = None
     if law is not None:
         count = lattice_histogram(np.exp(law.log_prob), n_samples,
                                   seeded_stream(seed, row << 32))
@@ -191,8 +273,10 @@ def _tail_sums(model: MartingaleModel, x: float, lam: float, n_samples: int,
         hits, y = int(count[past].sum()), np.exp(law.log_weight[past])
         parts = [(hits, *_weighted_sums(count[past], y), *_extremes(y, hits == n_samples))]
     else:
-        parts = []
-        for rng, size in seeded_chunks(seed, n_samples, CHUNK, row):
+        net = bool(dims) and n_samples >= 2 * REPLICATES
+        parts, sums = [], []
+        for rng, size in (net_chunks(seed, row, n_samples, dims) if net else
+                          seeded_chunks(seed, n_samples, CHUNK, row)):
             if complete:
                 batch = model.simulate_terminal(size, rng, lam=lam, past=x)
                 past = batch.tail > 0.0
@@ -204,12 +288,18 @@ def _tail_sums(model: MartingaleModel, x: float, lam: float, n_samples: int,
             # numpy's pairwise sums: within a few ulps of the exact ones,
             # at a twentieth of the cost of math.fsum over every path
             parts.append((y.size, float(y.sum()), float((y * y).sum()), *_extremes(y, y.size == size)))
+            if net:
+                of = np.repeat(np.arange(REPLICATES), rng.counts)[past]
+                sums.append(np.bincount(of, weights=y, minlength=REPLICATES).tolist())
+        if net:
+            replicates = (np.array([math.fsum(r) for r in zip(*sums)]),
+                          replicate_counts(n_samples))
     hits, s1, s2, least, most = zip(*parts)
     hits = sum(hits)
     # every path's y is 0 when none counts, and one value when every path
     # counts and the least y is the greatest
     constant = hits == 0 or (hits == n_samples and min(least) == max(most))
-    return hits, math.fsum(s1), math.fsum(s2), constant, law
+    return hits, math.fsum(s1), math.fsum(s2), constant, law, replicates
 
 
 def _extremes(y, every):
@@ -246,7 +336,10 @@ def estimate_tail_tilted(model: MartingaleModel, x: float, lam: float,
     > x) holds, so the estimator is unbiased, and Var_lam(Y) <= Var_lam(w
     1{X_n > x}).  A law of several draws is composed by FFT, whose
     rounding leaves each tail within 1e-15 absolute; since E_lam[w'] = 1,
-    the mean moves by no more.
+    the mean moves by no more.  A block model's paths are REPLICATES
+    shifted copies of one Sobol net (`_tail_sums`): p_hat is still the mean
+    of all n_samples contributions, but the SE is that of the replicates'
+    means, and the interval a t interval (`estimate_from_sums`).
 
     The ESS is the sample's (sum y)^2 / sum y^2 over the contributions y,
     or the exact law's where the model has one (`_law_ess`), whichever is
@@ -256,26 +349,43 @@ def estimate_tail_tilted(model: MartingaleModel, x: float, lam: float,
     """
     if lam < 0.0:
         raise ValueError("lambda must be >= 0")
-    _, sw, sw2, constant, law = _tail_sums(model, x, lam, n_samples, seed, row, complete=True)
-    return estimate_from_sums(sw, sw2, n_samples, f"tilted({lam:.6g})",
+    _, sw, sw2, constant, law, reps = _tail_sums(model, x, lam, n_samples, seed, row,
+                                                 complete=True)
+    label = f"tilted({lam:.6g})" + ("" if reps is None else f", rqmc x{REPLICATES}")
+    return estimate_from_sums(sw, sw2, n_samples, label,
                               math.inf if law is None else _law_ess(law, x, n_samples),
-                              constant)
+                              constant, reps)
 
 
 def estimate_from_sums(sy: float, sy2: float, n_samples: int, estimator: str,
-                       law_ess: float = math.inf, constant: bool = False) -> TailEstimate:
-    """The mean of n_samples contributions y >= 0 of one path each, from
-    their sum sy and sum of squares sy2: its SE, its normal 95% interval,
-    clipped to [0, 1], and its ESS (sum y)^2 / sum y^2, or `law_ess` where
-    that is smaller, flagged `low_ess` below MIN_ESS.  A sample whose y are
-    all the same (`constant`) is flagged `constant_y`: its SE is then only
-    the rounding of sy2 / n - p^2, and says nothing of the estimator's."""
+                       law_ess: float = math.inf, constant: bool = False,
+                       replicates=None) -> TailEstimate:
+    """The mean p of n_samples contributions y >= 0 of one path each, from
+    their sum sy and sum of squares sy2: its SE, its 95% interval, clipped
+    to [0, 1], and its ESS (sum y)^2 / sum y^2, or `law_ess` where that is
+    smaller, flagged `low_ess` below MIN_ESS.  A sample whose y are all the
+    same (`constant`) is flagged `constant_y`: its SE is then only the
+    rounding of its spread, and says nothing of the estimator's.
+
+    For independent paths the SE is sqrt((sy2 / n - p^2) / n), and the
+    interval normal.  `replicates`, (sums of y, paths) per replicate of R
+    independent replicates that each hold m_r of the paths, gives the SE of
+    p = sum_r (m_r / n) mean_r from their spread instead,
+        SE^2 = R / (R - 1) sum_r (m_r / n)^2 (mean_r - p)^2,
+    the sample variance of the means over R where every m_r is alike, and
+    the interval p +- t SE, t the 97.5% point of Student's t on R - 1
+    degrees of freedom."""
     p = sy / n_samples
-    var = max(sy2 / n_samples - p * p, 0.0)
-    se = math.sqrt(var / n_samples)
+    if replicates is None:
+        se, t = math.sqrt(max(sy2 / n_samples - p * p, 0.0) / n_samples), 1.96
+    else:
+        sums, counts = replicates
+        R, dev = len(counts), (sums - p * counts) / n_samples  # (m_r / n)(mean_r - p)
+        se = math.sqrt(R / (R - 1) * math.fsum((dev * dev).tolist()))
+        t = float(stdtrit(R - 1, 0.975))
     ess = min(sy * sy / sy2 if sy2 > 0.0 else 0.0, law_ess)
     flags = ([] if ess >= MIN_ESS else ["low_ess"]) + (["constant_y"] if constant else [])
-    ci = (max(p - 1.96 * se, 0.0), min(p + 1.96 * se, 1.0))
+    ci = (max(p - t * se, 0.0), min(p + t * se, 1.0))
     return TailEstimate(p_hat=p, std_err=se, ci95=ci, ess=ess, n_samples=n_samples,
                         estimator=estimator, flags=flags)
 

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from mdmart import alias
 from mdmart.alias import (ARRAY_BYTES, COMPLETION_CELLS, COMPLETION_WORK, alias_draw,
-                          alias_tables, draw_plan, last_draws_law, lattice_tail, tail_index,
-                          tail_lookup)
+                          alias_tables, draw_plan, inversion_draw, inversion_tables,
+                          last_draws_law, lattice_tail, tail_index, tail_lookup)
 from mdmart.mixing import _block_tables, _completion, block_indices, two_state_chain
 from mdmart.models import ConditionalLaw, MartingaleModel, make_regime_switch
 from mdmart.montecarlo import estimate_tail_tilted
@@ -127,6 +128,97 @@ class TestAliasTables:
         want = p[1] / p[1].sum()
         got = np.bincount(col, minlength=50) / size
         assert np.all(np.abs(got - want) <= 4.0 * np.sqrt(want * (1.0 - want) / size))
+
+
+def edge_uniforms(cdf, rng, size):
+    """Uniforms on the grid of 2^-53 for drawing by inversion: random ones,
+    0, the largest below 1, and each cumulative probability below 1 with
+    its neighbours on the grid."""
+    grid = np.unique(np.floor(cdf[cdf < 1.0] * 2.0 ** 53) / 2.0 ** 53)
+    u = np.concatenate((rng.random(size), [0.0, 1.0 - 2.0 ** -53], grid, grid + 2.0 ** -53,
+                        np.maximum(grid - 2.0 ** -53, 0.0)))
+    return u[u < 1.0]
+
+
+class TestInversionTables:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_draw_is_the_least_cell_past_u(self, kind):
+        # per path, the least column of its row whose cumulative
+        # probability exceeds u, as a search of that row finds it, at
+        # random uniforms and at every cumulative probability and its
+        # neighbours on the grid; never a column of no mass, and the same
+        # by the sorted search over all rows and by the search row by row.
+        # The cumulative probabilities are those of the row's law, summed in
+        # extended precision, within 2 W ulps of 1
+        rng = np.random.default_rng(KINDS.index(kind))
+        searched = 0
+        for _ in range(20):
+            p = random_rows(kind, rng)
+            S, W = p.shape
+            cdf, guide, key = inversion_tables(p)
+            assert key is not None and guide.shape == (S, 1 << (4 * W - 1).bit_length())
+            live = np.flatnonzero(p.sum(axis=1) > 0.0)
+            if not live.size:
+                continue
+            last = W - 1 - np.argmax(p[:, ::-1] > 0.0, axis=1)
+            before = np.arange(W) < last[:, None]
+            u = edge_uniforms(cdf, rng, 2000)
+            row = rng.choice(live, u.size)
+            ref = np.empty(u.size, dtype=np.intp)
+            for r in live.tolist():
+                long = np.cumsum(p[r].astype(np.longdouble))
+                got = cdf[r * W:(r + 1) * W]
+                assert np.all(np.abs(got - long / long[-1])[before[r]] <= 2 * W * 2.0 ** -53)
+                assert np.all(got[~before[r]] == 1.0)
+                ref[row == r] = r * W + np.searchsorted(got, u[row == r], side="right")
+            got = inversion_draw((cdf, guide, key), row, u)
+            assert np.array_equal(got, ref)
+            assert (p.ravel()[got] > 0.0).all()
+            assert np.array_equal(inversion_draw((cdf, guide, None), row, u), ref)
+            # the paths that the guide and two steps leave to the search
+            start = guide.ravel()[row * guide.shape[1] + (u * guide.shape[1]).astype(np.intp)]
+            assert (start <= ref).all()
+            searched += int(np.count_nonzero(ref - start > 2))
+        if kind == "power-skewed":
+            assert searched > 0
+
+    def test_draw_grows_with_u(self):
+        # from one row, the drawn column never falls as u rises, and an
+        # all-zero row draws its last column
+        rng = np.random.default_rng(7)
+        p = rng.random((3, 300)) ** 8 * (rng.random((3, 300)) < 0.7)
+        p[2] = 0.0
+        tables = inversion_tables(p)
+        u = np.sort(rng.random(1 << 14))
+        for r in range(3):
+            cell = inversion_draw(tables, np.full(u.size, r), u)
+            assert (np.diff(cell) >= 0).all()
+        assert (cell == 3 * 300 - 1).all()
+
+    def test_rows_past_the_key_search_row_by_row(self):
+        # 513 rows do not fit the key's row field: the search goes row by row
+        p = np.random.default_rng(2).random((513, 3)) ** 40
+        cdf, guide, key = inversion_tables(p)
+        assert key is None
+        u = edge_uniforms(cdf, np.random.default_rng(3), 5000)
+        row = np.random.default_rng(4).integers(513, size=u.size)
+        ref = [r * 3 + np.searchsorted(cdf[r * 3:r * 3 + 3], x, side="right")
+               for r, x in zip(row.tolist(), u.tolist())]
+        assert inversion_draw((cdf, guide, key), row, u).tolist() == ref
+
+    def test_draws_follow_the_law(self):
+        # one skewed row with tiny cells, drawn through `inversion_draw`:
+        # each column's count within its exact Binomial(size, p) law's
+        # 1e-4 / (2 * 50) and 1 - 1e-4 / (2 * 50) quantiles, a false-alarm
+        # rate of at most 1e-4 over the 50 columns
+        rng = np.random.default_rng(3)
+        p = rng.random((3, 50)) ** 4
+        size = 1 << 16
+        cell = inversion_draw(inversion_tables(p), np.ones(size, dtype=np.intp), rng.random(size))
+        want = p[1] / p[1].sum()
+        got = np.bincount(cell - 50, minlength=50)
+        level = 1e-4 / (2 * 50)
+        assert np.all((binom.ppf(level, size, want) <= got) & (got <= binom.isf(level, size, want)))
 
 
 class Irrational(MartingaleModel):

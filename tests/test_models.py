@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.stats import binom
 
 from mdmart import alias
-from mdmart.alias import BLOCK_TABLE_CELLS, draw_plan
+from mdmart.alias import BLOCK_TABLE_CELLS, draw_plan, inversion_draw
 from mdmart.models import (ATOL, BLOCK_CELLS, DEFAULT_GRID, Certificate,
                            CertificationError, ConditionalLaw, IIDModel,
                            MartingaleModel, ModelError,
@@ -499,6 +499,34 @@ def exact_terminal_law(model, lam):
     return values, *sums
 
 
+def exact_weight_cells(model, lam):
+    """The cells of (X_n, log weight) under P_lam, log weight = -lam X_n +
+    Psi_n, each with its probability under P and under P_lam: (values, log
+    weights, P, P_lam), sorted by value, then by log weight.  A forward pass
+    over (state, X, steps per law), the steps per law giving Psi_n; the
+    paths into one (X, Psi_n) are merged across states."""
+    t = model.table
+    base = [reference_tilt(law, 0.0, model.n)[0] for law in t.laws]
+    tilted = [reference_tilt(law, lam, model.n) for law in t.laws]
+    dist = {(0, 0.0, (0,) * len(t.laws)): (1.0, 1.0)}  # P, P_lam
+    for _ in range(model.n):
+        nxt = {}
+        for (s, x, counts), (p, q) in dist.items():
+            law = t.law_of[s]
+            more = counts[:law] + (counts[law] + 1,) + counts[law + 1:]
+            for a, ((v, pa), (_, qa)) in enumerate(zip(base[law], tilted[law][0])):
+                key = (int(t.T[s, a]), round(x + v, 12), more)
+                old = nxt.get(key, (0.0, 0.0))
+                nxt[key] = (old[0] + p * pa, old[1] + q * qa)
+        dist = nxt
+    psi = np.array([log_mgf for _, log_mgf in tilted])
+    xs = np.array([x for _, x, _ in dist])
+    lw = -lam * xs + np.array([c for *_, c in dist], dtype=float) @ psi
+    p, q = (np.array(c) for c in zip(*dist.values()))
+    (values, log_w), (p, q) = by_value([xs, lw], [p, q])
+    return values, log_w, p, q
+
+
 # the state-dependent models at horizons below the block length B, equal to
 # it, B + 2 and 2B + 3, so both the block tables and the leftover one are
 # drawn from; regime_switch also at 3B and 4B + 3, whose paths draw from the
@@ -671,35 +699,48 @@ class TestStateTable:
     @pytest.mark.parametrize("lam", [0.0, 0.8])
     @pytest.mark.parametrize("model", SAMPLER_MODELS.values(), ids=SAMPLER_MODELS.keys())
     def test_sampler_law_matches_enumeration(self, model, lam):
-        # importance-weighted frequency of each value of X_n against its
-        # exact probability, within z of the estimator's exact SEs from the
-        # exact tilted law.  Values expected fewer than 50 times under P_lam
-        # are pooled into one bin: a bin of a few dozen expected draws has
-        # a heavier upper tail than the normal, and the stated rate would
-        # not hold.  Values whose tilted probability underflows to 0 cannot
-        # be drawn.  z is the Bonferroni bound for a family-wise false-alarm
-        # rate of SAMPLER_ALARM over the case's bins, in the normal
-        # approximation: z = 4.21 for 4 bins, 4.99 for 160
-        values, exact, mass, m2 = exact_terminal_law(model, lam)
+        # each drawn path lands on a cell of the exact law of (X_n, log
+        # weight) under P_lam, its weight the cell's, and the draws per
+        # cell are held to their exact Binomial(size, P_lam(cell)) law.
+        # Cells expected fewer than 50 times are pooled into one bin, whose
+        # count is binomial too; cells whose tilted probability underflows
+        # to 0 cannot be drawn.  Each bin's count must lie between its
+        # binomial law's SAMPLER_ALARM / (2 bins) and 1 - SAMPLER_ALARM /
+        # (2 bins) quantiles, so a correct sampler fails a case with
+        # probability at most SAMPLER_ALARM (Bonferroni), with no normal
+        # approximation.  The weighted frequency of each cell is then its
+        # weight times its count, and the weights are exact
+        values, log_w, exact, mass = exact_weight_cells(model, lam)
+        # the importance identity, cell by cell
+        drawable = mass > 0.0
+        assert np.allclose(exact[drawable], mass[drawable] * np.exp(log_w[drawable]),
+                           rtol=1e-9, atol=0.0)
+        assert math.fsum(exact[drawable]) > 1.0 - 1e-6
         size = 1 << 15
         batch = model.simulate_terminal(size, np.random.default_rng(5), lam)
-        # each drawn X_n is one of the exact values, up to float sum order
-        i = np.clip(np.searchsorted(values, batch.x), 1, values.size - 1)
-        i -= batch.x - values[i - 1] < values[i] - batch.x
-        assert np.abs(batch.x - values[i]).max() < 1e-9
-        w = np.exp(batch.log_weight)
-        drawable = ~np.isnan(m2)
-        assert drawable[i].all()
-        assert math.fsum(exact[drawable]) > 1.0 - 1e-6
-        rare = drawable & (size * mass < 50.0)
-        bins = [[j] for j in np.flatnonzero(drawable & ~rare)] + [np.flatnonzero(rare)]
+        # each drawn (X_n, log weight) is one of the exact cells, up to
+        # float sum order
+        new = np.append(True, np.diff(values) > 1e-9)
+        xs, of_cell = values[new], np.cumsum(new) - 1
+        i = np.clip(np.searchsorted(xs, batch.x), 1, xs.size - 1)
+        i -= batch.x - xs[i - 1] < xs[i] - batch.x
+        assert np.abs(batch.x - xs[i]).max() < 1e-9
+        cell = np.empty(size, dtype=np.intp)
+        for k in np.unique(i).tolist():
+            paths, cells = np.flatnonzero(i == k), np.flatnonzero(of_cell == k)
+            gap = np.abs(batch.log_weight[paths, None] - log_w[cells])
+            assert gap.min(axis=1).max() < 1e-9
+            cell[paths] = cells[gap.argmin(axis=1)]
+        count = np.bincount(cell, minlength=values.size)
+        rare = size * mass < 50.0
+        bins = [[j] for j in np.flatnonzero(~rare)] + [np.flatnonzero(rare)]
         assert len(bins) >= 4
-        z = float(ndtri(1.0 - SAMPLER_ALARM / (2 * len(bins))))
+        level = SAMPLER_ALARM / (2 * len(bins))
         for js in bins:
-            est = float(w[np.isin(i, js)].sum()) / size
-            p = math.fsum(exact[js])
-            se = math.sqrt(max(math.fsum(m2[js]) - p * p, 0.0) / size)
-            assert abs(est - p) <= z * se, (values[js][:3], est, p, se, z)
+            q = math.fsum(mass[js])
+            got = int(count[js].sum())
+            lo, hi = binom.ppf(level, size, q), binom.isf(level, size, q)
+            assert lo <= got <= hi, (values[js][:3], got, size * q, lo, hi)
 
     @pytest.mark.parametrize("lam", [0.0, 0.8])
     @pytest.mark.parametrize("model", [make_regime_switch(9, 0.3), SignSwitch(7),
@@ -877,10 +918,28 @@ class TestStateTable:
         # the value the block sampler draws; any change to the stream layout
         # or the per-draw tables shows here.  From the same streams, the
         # per-step sampler drew 0.1555, the sampler of one block per uniform
-        # 0.1573 and that of two 0.1629; all are independent estimates of
-        # one probability (0.157890 exactly), so each pair agrees within
-        # 4 sqrt(2) SE
+        # 0.1573, that of two 0.1629 and that of four by alias tables
+        # 0.15475; all are independent estimates of one probability
+        # (0.157890 exactly), so each pair agrees within 4 sqrt(2) SE
         est = estimate_tail_plain(make_regime_switch(200, 0.3), 1.0, 20000, 5)
-        assert est.p_hat == 0.15475
-        for earlier in (0.1555, 0.1573, 0.1629):
+        assert est.p_hat == 0.15835
+        for earlier in (0.1555, 0.1573, 0.1629, 0.15475):
             assert abs(est.p_hat - earlier) <= 4.0 * math.sqrt(2.0) * est.std_err
+
+    @pytest.mark.parametrize("model", [make_regime_switch(1600, 0.3), make_regime_switch(403, 0.45),
+                                       SignSwitch(19)], ids=["regime_switch", "0.45", "sign_switch"])
+    def test_table_rows_are_sorted_by_value(self, model):
+        # every row of every table, tilted or not, holds its cells sorted by
+        # dx and its padding last, so a draw by inversion grows with its
+        # uniform: the larger u, the larger the drawn block sum
+        for b, tab in enumerate(model.block_tables(0.7)):
+            g = model._blocks[0][b]
+            real = (g.log_p > -math.inf).reshape(-1, g.width)
+            assert (np.diff(real.astype(int), axis=1) <= 0).all()
+            assert (np.diff(g.dx.reshape(-1, g.width), axis=1)[real[:, 1:]] >= 0.0).all()
+            if tab is not None:
+                assert np.array_equal(tab.dx, g.dx)
+                u = np.sort(np.random.default_rng(b).random(4096))
+                for r in range(real.shape[0]):
+                    cell = inversion_draw(tab.inverse, np.full(u.size, r), u)
+                    assert (np.diff(tab.dx[cell]) >= 0.0).all()

@@ -7,17 +7,17 @@ import pytest
 from scipy.special import betainc
 from scipy.stats import beta, binom
 
-from mdmart import models
+from mdmart import models, montecarlo
 from mdmart.bounds import BoundParams
 from mdmart.models import (LATTICE_CELLS, make_heavy_left, make_rademacher,
                            make_regime_switch)
-from mdmart.montecarlo import (CHUNK, MAX_PATHS, RatioReport, clopper_pearson,
+from mdmart.montecarlo import (CHUNK, MAX_PATHS, REPLICATES, RatioReport, clopper_pearson,
                                enumerate_terminal,
                                estimate_tail_plain, estimate_tail_tilted,
                                exact_tail_by_enumeration,
                                is_expectation_by_enumeration,
-                               lattice_histogram, mdp_scan,
-                               rademacher_exact_tail, ratio_report,
+                               lattice_histogram, mdp_scan, net_chunks,
+                               rademacher_exact_tail, ratio_report, replicate_counts,
                                seeded_chunks, seeded_stream, write_csv)
 from mdmart.tilt import choose_tilt
 from test_models import SignSwitch, exact_terminal_law, reference_tilt, three_atom
@@ -205,16 +205,18 @@ class TestTiltedEstimator:
 # it began to integrate its last 13 draws, and in its last bits when the
 # completion's law set its rounding noise to 0 on both sides (the uniforms
 # did not move), and again when it began to integrate its last 26.
-# regime_switch's plain pin did not move
+# regime_switch's plain pin did not move until its block sampler drew by
+# inversion, when both its pins were taken again, the tilted one with its
+# uniforms from 16 shifted copies of a Sobol net and its SE from their spread
 PER_PATH_PINS = {
-    "regime_switch": ("0x1.0fb8f915ddbdep-4", "0x1.c3b8310ab09f8p-12",
-                      "0x1.b4969ddb89647p+11"),
+    "regime_switch": ("0x1.10b8a3e8edf4dp-4", "0x1.88d0963f4c8aep-13",
+                      "0x1.b5ffb6f6d6decp+11"),
     "heavy_left": ("0x1.ae7ea80dc8f09p-5", "0x1.c022ea1119964p-13",
                    "0x1.df85eb642924bp+11"),
 }
 PLAIN_PINS = {
-    "regime_switch": ("0x1.3f80000000000p-3", "0x1.290013259d312p-3",
-                      "0x1.57026842d9184p-3"),
+    "regime_switch": ("0x1.3780000000000p-3", "0x1.213d9f23c5f5fp-3",
+                      "0x1.4ec7d593d7765p-3"),
     "heavy_left": ("0x1.3a80000000000p-3", "0x1.24266389594ccp-3",
                    "0x1.51ddf39d64f49p-3"),
 }
@@ -223,7 +225,8 @@ PLAIN_PINS = {
 # estimate agrees with its predecessors within 4 SE of their difference,
 # 4 sqrt(SE^2 + SE_prev^2), which is 4 sqrt(2) SE where the two SEs are
 # alike.  Integrating the last draw cut heavy_left's tilted SE 5-fold, and
-# integrating 13 cut regime_switch's 1.7-fold, and 26 a further 1.5-fold
+# integrating 13 cut regime_switch's 1.7-fold, 26 a further 1.5-fold, and
+# randomized quasi-Monte Carlo a further 2.3-fold
 
 
 def plain_se(p):
@@ -237,6 +240,8 @@ PREVIOUS_P_HAT = {
                       ((float.fromhex("0x1.0686465f0023cp-4"), float.fromhex("0x1.2cd0d9b86fac0p-10")),
                        plain_se(0.156005859375)),
                       ((float.fromhex("0x1.0e39b263e6416p-4"), float.fromhex("0x1.5bbfe08bf5a0cp-11")),
+                       plain_se(0.156005859375)),
+                      ((float.fromhex("0x1.0fb8f915ddbdep-4"), float.fromhex("0x1.c3b8310ab09f8p-12")),
                        plain_se(0.156005859375))),
     "heavy_left": (((0.05561203067169131, 0.001156822210000301), plain_se(0.1494140625)),),
 }
@@ -300,8 +305,8 @@ def every_path(model, lam, past, monkeypatch):
     draw but the ones the model integrates when `past` is given (the last
     split, or the last `_completion` table draws), and every draw when it
     is None.
-    The one-state sampler's binomial counts, or the block sampler's alias
-    draws, are replaced by the sequences' own.  Returns (P of each
+    The one-state sampler's binomial counts, or the block sampler's draws
+    by inversion (`inversion_draw`), are replaced by the sequences' own.  Returns (P of each
     sequence, P_lam of each, the batch)."""
     t = model.table
     if len(t.states) == 1:
@@ -316,14 +321,14 @@ def every_path(model, lam, past, monkeypatch):
         return (*prob, batch)
     tables, tilted, plan = model.block_tables(0.0), model.block_tables(lam), model._blocks[1]
     draws = [(tables[b], tilted[b]) for b in plan]
-    seqs = [((), 1.0, 1.0, 0)]  # (columns, P, P_lam, row)
+    seqs = [((), 1.0, 1.0, 0)]  # (cells, P, P_lam, row)
     for tab, tilt in draws[:len(draws) - (model._completion[0] if past is not None else 0)]:
-        seqs = [(cols + (c,), p * tab.prob[r * tab.width + c], q * tilt.prob[r * tab.width + c],
-                 tab.end[r * tab.width + c])
-                for cols, p, q, r in seqs
-                for c in np.flatnonzero(tab.prob[r * tab.width:(r + 1) * tab.width] > 0.0)]
-    columns = iter(np.array([s[0] for s in seqs]).T)
-    monkeypatch.setattr(models, "alias_draw", lambda tables, base, width, u: next(columns))
+        seqs = [(cells + (c,), p * tab.prob[c], q * tilt.prob[c], tab.end[c])
+                for cells, p, q, r in seqs
+                for c in r * tab.width + np.flatnonzero(
+                    tab.prob[r * tab.width:(r + 1) * tab.width] > 0.0)]
+    cells = iter(np.array([s[0] for s in seqs]).T)
+    monkeypatch.setattr(models, "inversion_draw", lambda tables, row, u: next(cells))
     batch = model.simulate_terminal(len(seqs), np.random.default_rng(0), lam, past=past)
     return np.array([s[1] for s in seqs]), np.array([s[2] for s in seqs]), batch
 
@@ -468,6 +473,83 @@ class TestConditionalRoute:
             hits = sum(int(np.count_nonzero(model.simulate_terminal(size, rng).x > 0.31))
                        for rng, size in seeded_chunks(1, 3000, CHUNK))
             assert estimate_tail_plain(model, 0.31, 3000, 1).p_hat == hits / 3000
+
+
+def net_uniforms(seed, row, n_samples, dims):
+    """The uniforms `net_chunks` gives n_samples paths of `dims` draws, as
+    (dims, replicate, point) arrays when every replicate holds as many
+    points."""
+    chunks = [np.array([net.random(size) for _ in range(dims)]).reshape(dims, REPLICATES, -1)
+              for net, size in net_chunks(seed, row, n_samples, dims)]
+    return np.concatenate(chunks, axis=2)
+
+
+class TestRandomizedQMC:
+    @pytest.mark.parametrize("dims, k", [(1, 4), (5, 4), (24, 6), (3, 10)])
+    def test_replicates_are_shifted_nets(self, dims, k):
+        # 2^k points per replicate: in every coordinate, each replicate puts
+        # exactly one point in each dyadic interval of length 2^-k, on the
+        # grid of 2^-53, as a digitally shifted Sobol net does; at k = 10
+        # the net is held in two chunks.  Each replicate's shift is its
+        # own, and so is each row's: no two first points share a
+        # coordinate (the net's first point is 0, so it is the shift)
+        u = net_uniforms(11, 0, REPLICATES << k, dims)
+        assert u.shape == (dims, REPLICATES, 1 << k)
+        assert ((u >= 0.0) & (u < 1.0)).all()
+        assert (u * 2.0 ** 53 == np.floor(u * 2.0 ** 53)).all()
+        cells = np.sort(np.floor(u * (1 << k)), axis=2)
+        assert (cells == np.arange(1 << k)).all()
+        first = np.concatenate((u[:, :, 0], net_uniforms(11, 1, REPLICATES << k, dims)[:, :, 0]),
+                               axis=1)
+        assert all(np.unique(c).size == 2 * REPLICATES for c in first)
+
+    def test_dimensions_past_the_net_are_pseudo_random(self, monkeypatch):
+        # past the net's last dimension each replicate's uniforms are drawn
+        # from its own stream, after its shifts; replicates may hold one
+        # point less than others
+        monkeypatch.setattr(montecarlo, "SOBOL_DIMS", 3)
+        n_samples = 5 * REPLICATES + 3
+        counts = replicate_counts(n_samples)
+        assert counts.sum() == n_samples and counts.max() - counts.min() == 1
+        (net, size), = net_chunks(4, 2, n_samples, 5)
+        drawn = [net.random(size) for _ in range(5)]
+        want = []
+        for r, count in enumerate(counts.tolist()):
+            rng = seeded_stream(4, (2 << 32) | r)
+            rng.integers(1 << 53, size=3, dtype=np.uint64)
+            want.append((rng.random(count), rng.random(count)))
+        for k in (3, 4):
+            assert np.array_equal(drawn[k], np.concatenate([w[k - 3] for w in want]))
+
+    def test_replicate_se_is_the_spread(self):
+        # regime_switch at n = 96 draws one table and integrates two; over
+        # 200 seeds at 256 paths (16 a replicate), the mean estimate lies
+        # within 4 SE of the exact tail, SE the estimator's own over the
+        # seeds, and the mean SE^2 over the estimates' variance lies in
+        # [0.5, 1.6].  The spread of 200 estimates is itself off by 10-20%
+        # (over 1000 seeds the ratio is 0.98); replicates that shared one
+        # shift would give an SE of 0
+        model = CONDITIONAL_MODELS["regime_switch-n96"]
+        for x in (0.31, 1.05):
+            lam, exact = choose_tilt(model, x).lam, exact_tail(model, x)
+            ests = [estimate_tail_tilted(model, x, lam, 256, s) for s in range(200)]
+            assert all(e.estimator.endswith(f"rqmc x{REPLICATES}") for e in ests)
+            p = np.array([e.p_hat for e in ests])
+            se2 = np.array([e.std_err for e in ests]) ** 2
+            assert abs(p.mean() - exact) <= 4.0 * math.sqrt(se2.mean() / p.size), x
+            assert 0.5 <= se2.mean() / p.var(ddof=1) <= 1.6, x
+
+    def test_small_budgets_draw_plain_paths(self):
+        # below 2 REPLICATES paths a replicate would hold one point: the
+        # paths are drawn as the plain ones are, with the per-path SE
+        model = CONDITIONAL_MODELS["regime_switch-n96"]
+        small = estimate_tail_tilted(model, 0.31, 0.3, 2 * REPLICATES - 1, 0)
+        assert small.estimator == "tilted(0.3)"
+        batch = model.simulate_terminal(2 * REPLICATES - 1, seeded_stream(0), 0.3, past=0.31)
+        y = np.exp(batch.log_weight) * batch.tail
+        assert small.p_hat == pytest.approx(y.mean(), rel=1e-12)
+        assert estimate_tail_tilted(model, 0.31, 0.3, 2 * REPLICATES, 0).estimator == \
+            f"tilted(0.3), rqmc x{REPLICATES}"
 
 
 class TestLatticeRoute:
